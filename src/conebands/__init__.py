@@ -6,9 +6,6 @@ Submodules:
   channels     mode decomposition into radial channels, extension theory
   radial       profile, transfer matrices, Floquet eigenvalues, band edges
   oracle       independent finite-difference eigenvalue check
-  bands        band/gap assembly, convergence studies, small-eigenvalue census
-  limits       eps -> 0 limit spectrum (spindle + interval + coupled parts)
-  cli          command line front end
 """
 
 __version__ = "0.1.0"

@@ -9,6 +9,9 @@ one-dimensional radial problems ("channels") indexed by cross-section data:
   H4  coexact p-forms in the tangential slot     scalar, mu > 0
   H5  coexact (p-1)-form paired with its d-image coupled 2x2, mu > 0
 
+The radial solver treats an H5 pair as its two scalar Hodge partners, H4 of
+degree p-1 and H3 of degree p+1 at the same mu^2 (pair_partners).
+
 On a cone of radius t each channel sees the potential c/t^2 where c is the
 (block) eigenvalue of the combined zeroth-order term; its indicial exponents
 at the tip are gamma+1 (regular) and -gamma (singular) with gamma >= -1/2.
@@ -20,7 +23,6 @@ its part in the open gap ]-1/2, 1/2[ decides self-adjoint extensions.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,7 +98,7 @@ class Channel:
     interface_weights: w per section component; the derivative jump at a
         profile slope break is (slope difference) * w / rho.
     slots: section slot per component, 'beta' (dt-slot) or 'alpha'
-        (tangential); decides the orientation flips at left junctions.
+        (tangential).
     prune_bound: rigorous lower bound for every eigenvalue of this channel;
         also the threshold used to prune channels above lam_max.
     """
@@ -121,8 +123,15 @@ class Channel:
         return np.atleast_2d(np.array(self.cone_potential, dtype=float))
 
 
-def _scalar_channel(kind, dc, mu2, mult, shift: Fraction, w: Fraction, gamma: float,
-                    slot: str, prune_bound: float) -> Channel:
+def _tip_gamma(mu2: float, b: float) -> float:
+    """Tip exponent -1/2 + sqrt(mu2 + b^2) of a scalar channel."""
+    return -0.5 + math.sqrt(float(mu2) + b * b)
+
+
+def _scalar_channel(kind, dc, mu2, mult, shift: Fraction, w: Fraction, b: float,
+                    slot: str) -> Channel:
+    """Scalar channel with tip exponent _tip_gamma(mu2, b); its eigenvalues
+    obey lambda >= mu^2 (completed-square form bound)."""
     c = (mu2 + shift) if isinstance(mu2, Fraction) else float(mu2) + float(shift)
     return Channel(
         kind=kind,
@@ -132,21 +141,46 @@ def _scalar_channel(kind, dc, mu2, mult, shift: Fraction, w: Fraction, gamma: fl
         mult=mult,
         cone_potential=(c,),
         handle_mass=mu2,
-        gammas=(gamma,),
+        gammas=(_tip_gamma(mu2, b),),
         interface_weights=(w,),
         slots=(slot,),
-        prune_bound=prune_bound,
+        prune_bound=float(mu2),
+    )
+
+
+def _dt_channel(kind: str, dc: DegreeConstants, mu2, mult: int) -> Channel:
+    """H1 (mu2 = 0) or H3: a (p-1)-form in the dt-slot."""
+    return _scalar_channel(kind, dc, mu2, mult, dc.f_pm2, dc.nu, float(dc.a) + 1.0, "beta")
+
+
+def _tangential_channel(kind: str, dc: DegreeConstants, mu2, mult: int) -> Channel:
+    """H2 (mu2 = 0) or H4: a p-form in the tangential slot."""
+    return _scalar_channel(kind, dc, mu2, mult, dc.f_p, dc.w_alpha, float(dc.a) - 1.0, "alpha")
+
+
+def pair_partners(ch: Channel) -> tuple[Channel, Channel]:
+    """Scalar Hodge partners of an H5 pair: (H4 of degree p-1, H3 of degree
+    p+1) at the same mu^2 and mult.
+
+    d maps the coexact (p-1)-form channel into the pair block and d* maps the
+    exact p-form channel of degree p+1 into it, so the pair's spectrum is the
+    disjoint union of the two partners' spectra.
+    """
+    if ch.kind != "H5":
+        raise ValueError(f"pair_partners needs an H5 channel, got {ch.kind}")
+    return (
+        _tangential_channel("H4", degree_constants(ch.n, ch.p - 1), ch.mu2, ch.mult),
+        _dt_channel("H3", degree_constants(ch.n, ch.p + 1), ch.mu2, ch.mult),
     )
 
 
 def enumerate_channels(ts: TransversalSpectrum, p: int, lam_max: float) -> list[Channel]:
     """All channels of degree p that can carry spectrum at or below lam_max.
 
-    Scalar channels obey lambda >= mu^2 (completed-square form bound), so
-    they are pruned iff mu^2 > lam_max.  The H5 pair keeps a 1/4 margin
-    (pruned iff mu^2 - 1/4 > lam_max); the extra quarter covers the worst
-    off-diagonal dip of the coupled potential.  Refuses to run when the
-    cross-section data does not reach the window these rules need.
+    Every channel obeys lambda >= mu^2: the scalars by the completed-square
+    form bound, an H5 pair because its spectrum is that of its scalar
+    partners (pair_partners).  So a channel is pruned iff mu^2 > lam_max.
+    Refuses to run when the cross-section data does not reach lam_max.
     """
     lam_max = float(lam_max)
     if not lam_max > 0:
@@ -154,20 +188,14 @@ def enumerate_channels(ts: TransversalSpectrum, p: int, lam_max: float) -> list[
     dc = degree_constants(ts.n, p)
     n = ts.n
 
-    h5_possible = 1 <= p <= n
-    required = lam_max + 0.25 if h5_possible else lam_max
-    if float(ts.cutoff) < required - 1e-9:
+    if float(ts.cutoff) < lam_max - 1e-9:
         raise ValueError(
-            f"transversal cutoff {float(ts.cutoff)} is below the window {required} "
-            f"needed for degree {p} at lam_max={lam_max}; rebuild the spectrum "
-            f"with a larger cutoff"
+            f"transversal cutoff {float(ts.cutoff)} is below the window {lam_max} "
+            f"needed for degree {p}; rebuild the spectrum with a larger cutoff"
         )
 
-    def keep_scalar(mu2) -> bool:
+    def keep(mu2) -> bool:
         return float(mu2) <= lam_max + 1e-12 * max(1.0, lam_max)
-
-    def keep_pair(mu2) -> bool:
-        return float(mu2) - 0.25 <= lam_max + 1e-12 * max(1.0, lam_max)
 
     out: list[Channel] = []
 
@@ -175,26 +203,20 @@ def enumerate_channels(ts: TransversalSpectrum, p: int, lam_max: float) -> list[
     b_here = ts.betti[p] if 0 <= p <= n else 0
 
     if b_prev > 0:
-        g1 = -0.5 + abs(float(dc.a) + 1.0)
-        out.append(_scalar_channel("H1", dc, Fraction(0), b_prev, dc.f_pm2, dc.nu, g1, "beta", 0.0))
+        out.append(_dt_channel("H1", dc, Fraction(0), b_prev))
     if b_here > 0:
-        g2 = -0.5 + abs(float(dc.a) - 1.0)
-        out.append(_scalar_channel("H2", dc, Fraction(0), b_here, dc.f_p, dc.w_alpha, g2, "alpha", 0.0))
+        out.append(_tangential_channel("H2", dc, Fraction(0), b_here))
 
     for mu2, m in ts.exact(p - 1):
-        if not keep_scalar(mu2):
-            continue
-        g3 = -0.5 + math.sqrt(float(mu2) + (float(dc.a) + 1.0) ** 2)
-        out.append(_scalar_channel("H3", dc, mu2, m, dc.f_pm2, dc.nu, g3, "beta", float(mu2)))
+        if keep(mu2):
+            out.append(_dt_channel("H3", dc, mu2, m))
 
     for mu2, m in ts.coexact_at(p):
-        if not keep_scalar(mu2):
-            continue
-        g4 = -0.5 + math.sqrt(float(mu2) + (float(dc.a) - 1.0) ** 2)
-        out.append(_scalar_channel("H4", dc, mu2, m, dc.f_p, dc.w_alpha, g4, "alpha", float(mu2)))
+        if keep(mu2):
+            out.append(_tangential_channel("H4", dc, mu2, m))
 
     for mu2, m in ts.coexact_at(p - 1):
-        if not keep_pair(mu2):
+        if not keep(mu2):
             continue
         gm, gp = gamma_pm(float(mu2), float(dc.a))
         mu = math.sqrt(float(mu2))
@@ -214,7 +236,7 @@ def enumerate_channels(ts: TransversalSpectrum, p: int, lam_max: float) -> list[
                 gammas=(gm, gp),
                 interface_weights=(dc.nu, dc.w_alpha),
                 slots=("beta", "alpha"),
-                prune_bound=float(mu2) - 0.25,
+                prune_bound=float(mu2),
             )
         )
 
@@ -338,8 +360,7 @@ def n_operator_singular(gamma: float, mu: float, p: int, n: int) -> bool:
     mu2 = float(mu) ** 2
     a = float(dc.a)
     gm, gp = gamma_pm(mu2, a)
-    g3 = -0.5 + math.sqrt(mu2 + (a + 1.0) ** 2)
-    g4 = -0.5 + math.sqrt(mu2 + (a - 1.0) ** 2)
+    g3, g4 = _tip_gamma(mu2, a + 1.0), _tip_gamma(mu2, a - 1.0)
     admissible = {"minus": gm, "plus": gp, "h3": g3, "h4": g4}
     match = None
     for name, val in admissible.items():
@@ -352,61 +373,3 @@ def n_operator_singular(gamma: float, mu: float, p: int, n: int) -> bool:
             f"(candidates {sorted(set(admissible.values()))})"
         )
     return match == "minus" and 2 * p == n + 1 and mu <= 1.0 + 1e-12
-
-
-def h5_rotation(mu: float, p: int, n: int, lam_s: float) -> np.ndarray:
-    """Orthogonal matrix whose columns diagonalize the H5 cone potential to
-    diag(lam_-, lam_+).  Column for eigenvalue lam is proportional to
-    (2 mu / (mu^2 + f(p-2) - lam), 1); the denominator is 2(s +- a) and
-    cannot vanish for mu > 0 (checked)."""
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    dc = degree_constants(n, p)
-    mu2 = float(mu) ** 2
-    gm, gp = gamma_pm(mu2, float(dc.a))
-    lam_m, lam_p = gm * (gm + 1.0), gp * (gp + 1.0)
-    if not (
-        abs(lam_s - lam_m) <= 1e-9 * max(1.0, abs(lam_m))
-        or abs(lam_s - lam_p) <= 1e-9 * max(1.0, abs(lam_p))
-    ):
-        raise ValueError(
-            f"lam_s={lam_s} is not an indicial eigenvalue (expected {lam_m} or {lam_p})"
-        )
-    c11 = mu2 + float(dc.f_pm2)
-    cols = []
-    for lam in (lam_m, lam_p):
-        den = c11 - lam
-        if abs(den) < 1e-13 * max(1.0, abs(c11)):
-            raise ValueError("degenerate rotation denominator; requires mu > 0")
-        v = np.array([2.0 * mu / den, 1.0])
-        cols.append(v / math.sqrt(v @ v))
-    R = np.column_stack(cols)
-    return R
-
-
-def channel_rotation(ch: Channel) -> np.ndarray:
-    """Rotation from branch coordinates to (beta, alpha) section components.
-
-    Identity for scalar channels; the h5_rotation for pairs.
-    """
-    if ch.kind != "H5":
-        return np.eye(1)
-    gm = ch.gammas[0]
-    return h5_rotation(math.sqrt(float(ch.mu2)), ch.p, ch.n, gm * (gm + 1.0))
-
-
-def export_channels_csv(channels: list[Channel], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["kind", "p", "mu2", "mult", "gamma_minus", "gamma_plus", "cone_potential"])
-        for c in channels:
-            if c.kind == "H5":
-                gm, gp = c.gammas
-                pot = ";".join(
-                    repr(float(x)) for x in (c.cone_potential[0][0], c.cone_potential[0][1], c.cone_potential[1][1])
-                )
-                w.writerow([c.kind, c.p, str(c.mu2), c.mult, repr(gm), repr(gp), pot])
-            else:
-                w.writerow(
-                    [c.kind, c.p, str(c.mu2), c.mult, repr(c.gammas[0]), "", repr(float(c.cone_potential[0]))]
-                )

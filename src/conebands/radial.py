@@ -5,40 +5,40 @@ middle of the outer cylinder (so rho(0) = rho(T) = 1):
 
     half cylinder | cone down (1 -> eps) | handle (eps) | cone up | half cyl
 
-A channel with section components sigma satisfies, in the unitarily
-flattened picture, the second-order system
+A scalar channel with section sigma satisfies, in the unitarily flattened
+picture, the Hill equation
 
     -sigma'' + V(tau) sigma = lambda sigma
 
 with V = c / rho^2 on cones (c = channel.cone_potential), V = mu^2 / rho^2
 on flat parts, and at every slope break of rho the derivative jumps by
 
-    sigma'(+) = sigma'(-) + (slope_- - slope_+) / rho * W sigma,
+    sigma'(+) = sigma'(-) + (slope_- - slope_+) / rho * w sigma,
 
-W = diag(channel.interface_weights).  On the left (descending) cone the
+w = channel.interface_weights[0].  On the left (descending) cone the
 traversal runs against the cone's own radial coordinate; in global
-coordinates that conjugates the ascending-cone propagator by the component
-flip K = diag(-1, 1) (scalars) or diag(-1, 1, 1, -1) (pairs).
+coordinates that conjugates the ascending-cone propagator by the flip
+K = diag(1, -1) of (sigma, sigma').
 
-Floquet eigenvalues at quasimomentum theta are the lambda where e^{i theta}
-is an eigenvalue of the period monodromy: tr M = 2 cos theta for scalars,
-and for pairs y = 2 cos theta must be a root of y^2 - c1 y + (c2 - 2) with
-c1 = tr M, c2 = (tr^2 M - tr M^2)/2.  Monodromies are accumulated with an
-explicit log scale so deep spectral gaps (huge hyperbolic growth) never
-overflow.
+Floquet eigenvalues at quasimomentum theta are the lambda with
+tr M = 2 cos theta for the period monodromy M.  The spectrum of an H5 pair
+is the disjoint union of those of its two scalar Hodge partners
+(channels.pair_partners), so the pair is solved as those two channels.
+Monodromies are accumulated with an explicit log scale so deep spectral
+gaps (huge hyperbolic growth) never overflow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, minimize_scalar
 
-from .channels import Channel, channel_rotation
+from .channels import Channel, pair_partners
 
 SCAN_STEPS = 2000  # lambda grid resolution for root scans
 
@@ -130,31 +130,22 @@ def make_profile(eps: float, L: float, l_out: float, eta: float = 0.0) -> Profil
 
     has_cones = eps < 1.0
     half = 0.5 * l_out
-    raw: list[tuple[str, float, float, float]] = []  # kind, tau0, tau1, slope
+    raw: list[tuple[str, float, float, float, float]] = []  # kind, tau0, tau1, slope, rho(tau0)
     tau = 0.0
-    if half > 0:
-        raw.append(("cylinder", tau, tau + half, 0.0))
-        tau += half
-    if has_cones:
-        raw.append(("cone_down", tau, tau + (1.0 - eps), -1.0))
-        tau += 1.0 - eps
-    if L > 0:
-        raw.append(("handle", tau, tau + L, 0.0))
-        tau += L
-    if has_cones:
-        raw.append(("cone_up", tau, tau + (1.0 - eps), 1.0))
-        tau += 1.0 - eps
-    if half > 0:
-        raw.append(("cylinder", tau, tau + half, 0.0))
-        tau += half
+    for kind, length, slope, rho0 in (
+        ("cylinder", half, 0.0, 1.0),
+        ("cone_down", 1.0 - eps, -1.0, 1.0),
+        ("handle", L, 0.0, eps),
+        ("cone_up", 1.0 - eps, 1.0, eps),
+        ("cylinder", half, 0.0, 1.0),
+    ):
+        if length > 0:
+            raw.append((kind, tau, tau + length, slope, rho0))
+            tau += length
     assert abs(tau - T) < 1e-12
 
-    rho_at = _piecewise_rho_factory(raw, eps)
-
-    segments: list[Segment] = []
     if eta == 0.0:
-        for kind, a, b, s in raw:
-            segments.append(Segment(kind, a, b, rho_at(a), s, s))
+        segments = [Segment(kind, a, b, r0, s, s) for kind, a, b, s, r0 in raw]
         return Profile(eps, L, l_out, eta, T, segments)
 
     # corner roundings
@@ -165,11 +156,11 @@ def make_profile(eps: float, L: float, l_out: float, eta: float = 0.0) -> Profil
         )
     corners = []  # (tau_c, rho_c, s_minus, s_plus, delta)
     for i in range(len(raw) - 1):
-        k0, a0, b0, s0 = raw[i]
-        k1, a1, b1, s1 = raw[i + 1]
+        _, a0, b0, s0, r0 = raw[i]
+        _, a1, b1, s1, _ = raw[i + 1]
         if s0 == s1:
             continue
-        rho_c = rho_at(b0)
+        rho_c = r0 + s0 * (b0 - a0)
         room = 0.5 * min(b0 - a0, b1 - a1)
         delta = min(2.0 * rho_c * eta, room)
         if delta <= 0:
@@ -179,14 +170,14 @@ def make_profile(eps: float, L: float, l_out: float, eta: float = 0.0) -> Profil
     segments = []
     cursor = 0.0
     ci = 0
-    for kind, a, b, s in raw:
+    for kind, a, b, s, r0 in raw:
         a_eff = max(a, cursor)
         b_eff = b
         next_corner_here = ci < len(corners) and abs(corners[ci][0] - b) < 1e-12
         if next_corner_here:
             b_eff = corners[ci][0] - corners[ci][4]
         if b_eff > a_eff + 1e-15:
-            segments.append(Segment(kind, a_eff, b_eff, rho_at(a_eff), s, s))
+            segments.append(Segment(kind, a_eff, b_eff, r0 + s * (a_eff - a), s, s))
         if next_corner_here:
             tc, rc, sm, sp, d = corners[ci]
             segments.append(
@@ -196,22 +187,6 @@ def make_profile(eps: float, L: float, l_out: float, eta: float = 0.0) -> Profil
             cursor = tc + d
             ci += 1
     return Profile(eps, L, l_out, eta, T, segments)
-
-
-def _piecewise_rho_factory(raw, eps) -> Callable[[float], float]:
-    def rho_at(tau: float) -> float:
-        for kind, a, b, s in raw:
-            if a - 1e-12 <= tau <= b + 1e-12:
-                if kind == "cylinder":
-                    return 1.0
-                if kind == "handle":
-                    return eps
-                if kind == "cone_down":
-                    return 1.0 - (tau - a)
-                return eps + (tau - a)
-        return 1.0
-
-    return rho_at
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +430,15 @@ def cone_basis(gamma: float, lam: float, t_max: float = 1.0) -> ConeSolutionBasi
 # cone propagator
 
 
-def _scalar_cone_propagator(gamma: float, lam: float, t_from: float, t_to: float) -> np.ndarray:
-    basis = cone_basis(gamma, lam, t_max=max(t_from, t_to))
+def _require_scalar(channel: Channel) -> None:
+    if channel.kind == "H5":
+        raise ValueError("transfer matrices are scalar; solve an H5 pair through "
+                         "channels.pair_partners")
+
+
+def _scalar_cone_propagator(channel: Channel, lam: float, t_from: float,
+                            t_to: float) -> np.ndarray:
+    basis = cone_basis(channel.gammas[0], lam, t_max=max(t_from, t_to))
     M1 = basis.state_matrix(t_to)
     M0 = basis.state_matrix(t_from)
     W = basis.wronskian
@@ -467,48 +449,29 @@ def _scalar_cone_propagator(gamma: float, lam: float, t_from: float, t_to: float
 
 def cone_propagator(channel: Channel, lam: float, t0: float, t1: float,
                     method: str = "series") -> np.ndarray:
-    """Transfer matrix across the ascending cone from radius t0 to t1,
-    state (sigma, dsigma/dt).  Pairs are propagated branchwise in the
-    rotated basis.  method='rk' integrates the ODE instead (cross-check)."""
+    """Transfer matrix of a scalar channel across the ascending cone from
+    radius t0 to t1, state (sigma, dsigma/dt).  method='rk' integrates the
+    ODE instead (cross-check)."""
+    _require_scalar(channel)
     if not (0.0 < t0 <= t1 <= 1.0 + 1e-12):
         raise ValueError(f"need 0 < t0 <= t1 <= 1, got ({t0}, {t1})")
     if t0 == t1:
-        return np.eye(2 * channel.ncomp)
+        return np.eye(2)
     if method == "rk":
         return _cone_propagator_rk(channel, lam, t0, t1)
     if method != "series":
         raise ValueError(f"unknown method {method!r}")
-    return _cone_propagator_any(channel, lam, t0, t1)
-
-
-def _cone_propagator_any(channel: Channel, lam: float, t_from: float, t_to: float) -> np.ndarray:
-    if channel.ncomp == 1:
-        return _scalar_cone_propagator(channel.gammas[0], lam, t_from, t_to)
-    R = channel_rotation(channel)
-    P = np.zeros((4, 4))
-    for i, gam in enumerate(channel.gammas):
-        Pi = _scalar_cone_propagator(gam, lam, t_from, t_to)
-        P[i, i] = Pi[0, 0]
-        P[i, 2 + i] = Pi[0, 1]
-        P[2 + i, i] = Pi[1, 0]
-        P[2 + i, 2 + i] = Pi[1, 1]
-    T4 = np.block([[R, np.zeros((2, 2))], [np.zeros((2, 2)), R]])
-    return T4 @ P @ T4.T
+    return _scalar_cone_propagator(channel, lam, t0, t1)
 
 
 def _cone_propagator_rk(channel: Channel, lam: float, t0: float, t1: float) -> np.ndarray:
-    m = channel.ncomp
-    C = channel.potential_matrix()
+    c = float(channel.cone_potential[0])
 
     def rhs(t, y):
-        sig = y[:m]
-        dsig = y[m:]
-        return np.concatenate([dsig, (C @ sig) / (t * t) - lam * sig])
+        return [y[1], (c / (t * t) - lam) * y[0]]
 
     cols = []
-    for k in range(2 * m):
-        y0 = np.zeros(2 * m)
-        y0[k] = 1.0
+    for y0 in ([1.0, 0.0], [0.0, 1.0]):
         sol = solve_ivp(rhs, (t0, t1), y0, rtol=1e-11, atol=1e-13, method="RK45")
         if not sol.success:
             raise NumericalError(f"RK cross-check failed: {sol.message}")
@@ -517,99 +480,41 @@ def _cone_propagator_rk(channel: Channel, lam: float, t0: float, t1: float) -> n
 
 
 # ---------------------------------------------------------------------------
-# interfaces and monodromy
+# junctions and monodromy
 
-
-def interface_map(side: str, channel: Channel, rho: float) -> np.ndarray:
-    """Map from cone-side data (sigma, d sigma/dt) at radius rho to the
-    flat-side data at the junction, per the transmission conditions.
-
-    On the 'right' side (ascending cone) inner values pass through and the
-    derivative picks up + w/rho per component.  On the 'left' side the
-    dt-slot flips sign and the tangential slot flips its derivative.
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if not rho > 0:
-        raise ValueError("rho must be positive")
-    m = channel.ncomp
-    Wd = np.diag([float(w) for w in channel.interface_weights])
-    if side == "right":
-        top = np.hstack([np.eye(m), np.zeros((m, m))])
-        bot = np.hstack([Wd / rho, np.eye(m)])
-        return np.vstack([top, bot])
-    # left side: value flip on dt-slot, derivative flip on tangential slot
-    if m == 1:
-        w = float(channel.interface_weights[0])
-        if channel.slots[0] == "beta":
-            return np.array([[-1.0, 0.0], [w / rho, 1.0]])
-        return np.array([[1.0, 0.0], [-w / rho, -1.0]])
-    nu = float(channel.interface_weights[0])
-    wa = float(channel.interface_weights[1])
-    return np.array(
-        [
-            [-1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [nu / rho, 0.0, 1.0, 0.0],
-            [0.0, -wa / rho, 0.0, -1.0],
-        ]
-    )
-
-
-def _flip_matrix(channel: Channel) -> np.ndarray:
-    """Global-frame conjugation for traversing a cone against its radial
-    coordinate: dt-slot components flip, tangential stay; derivatives the
-    other way around."""
-    if channel.ncomp == 1:
-        return np.diag([1.0, -1.0])
-    return np.diag([-1.0, 1.0, 1.0, -1.0])
+# Global-frame conjugation for traversing a cone against its radial
+# coordinate: the value keeps its sign, the derivative flips.
+_FLIP = np.diag([1.0, -1.0])
 
 
 def _junction_matrix(channel: Channel, dslope: float, rho_j: float) -> np.ndarray:
-    m = channel.ncomp
-    Wd = np.diag([float(w) for w in channel.interface_weights])
-    out = np.eye(2 * m)
-    out[m:, :m] = dslope / rho_j * Wd
-    return out
-
-
-def _embed_pair(P: np.ndarray) -> np.ndarray:
-    """Embed one scalar 2x2 acting identically on both components."""
-    out = np.zeros((4, 4))
-    for i in range(2):
-        out[i, i] = P[0, 0]
-        out[i, 2 + i] = P[0, 1]
-        out[2 + i, i] = P[1, 0]
-        out[2 + i, 2 + i] = P[1, 1]
-    return out
+    return np.array([[1.0, 0.0], [dslope / rho_j * float(channel.interface_weights[0]), 1.0]])
 
 
 def _segment_prop(channel: Channel, seg: Segment, lam: float) -> ScaledMatrix:
-    mu2 = float(channel.handle_mass)
     if seg.kind in ("cylinder", "handle"):
         rho = seg.rho(seg.tau0)
-        sp = _segment_propagator_scaled(mu2 / (rho * rho), lam, seg.length)
-        if channel.ncomp == 1:
-            return sp
-        return ScaledMatrix(_embed_pair(sp.mat), sp.logscale)
+        return _segment_propagator_scaled(float(channel.handle_mass) / (rho * rho), lam,
+                                          seg.length)
     if seg.kind == "cone_up":
         t0, t1 = seg.rho(seg.tau0), seg.rho(seg.tau1)
-        return ScaledMatrix.of(_cone_propagator_any(channel, lam, t0, t1))
+        return ScaledMatrix.of(_scalar_cone_propagator(channel, lam, t0, t1))
     if seg.kind == "cone_down":
         t_hi, t_lo = seg.rho(seg.tau0), seg.rho(seg.tau1)
-        K = _flip_matrix(channel)
-        P = _cone_propagator_any(channel, lam, t_hi, t_lo)  # runs 1 -> eps
-        return ScaledMatrix.of(K @ P @ K)
+        P = _scalar_cone_propagator(channel, lam, t_hi, t_lo)  # runs 1 -> eps
+        return ScaledMatrix.of(_FLIP @ P @ _FLIP)
     raise ValueError(f"monodromy cannot cross segment kind {seg.kind!r}")
 
 
 def monodromy(channel: Channel, lam: float, profile: Profile) -> ScaledMatrix:
     """Ordered product of segment propagators and junction jumps over one
-    period, starting at the mid-cylinder cut.  Piecewise profiles only."""
+    period, starting at the mid-cylinder cut.  Scalar channels and piecewise
+    profiles only."""
+    _require_scalar(channel)
     if profile.eta != 0.0:
         raise ValueError("monodromy needs a piecewise profile (eta = 0)")
     segs = profile.segments
-    M = ScaledMatrix(np.eye(2 * channel.ncomp), 0.0)
+    M = ScaledMatrix(np.eye(2), 0.0)
     for i, seg in enumerate(segs):
         M = _segment_prop(channel, seg, lam) @ M
         nxt = segs[(i + 1) % len(segs)]
@@ -624,89 +529,59 @@ def monodromy(channel: Channel, lam: float, profile: Profile) -> ScaledMatrix:
 # Floquet root finding
 
 
-def _invariants(channel: Channel, lam: float, profile: Profile) -> tuple:
-    """(c1_hat, c2_hat or None, logscale) of the monodromy at lam."""
+def _invariants(channel: Channel, lam: float, profile: Profile) -> tuple[float, float]:
+    """(tr_hat, logscale) of the monodromy at lam."""
     M = monodromy(channel, lam, profile)
-    c1 = float(np.trace(M.mat))
-    if channel.ncomp == 1:
-        return c1, None, M.logscale
-    c2 = 0.5 * (c1 * c1 - float(np.trace(M.mat @ M.mat)))
-    return c1, c2, M.logscale
+    return float(np.trace(M.mat)), M.logscale
 
 
 def _floquet_F(channel: Channel, lam: float, profile: Profile, y: float,
                inv: Optional[tuple] = None) -> tuple[float, float]:
-    """Scaled characteristic function whose zeros are Floquet eigenvalues,
-    and the noise scale for tangency decisions."""
-    c1, c2, s = inv if inv is not None else _invariants(channel, lam, profile)
+    """Scaled characteristic function tr M - y whose zeros are Floquet
+    eigenvalues, and the noise scale for tangency decisions."""
+    c1, s = inv if inv is not None else _invariants(channel, lam, profile)
     e1 = math.exp(-s) if s < 690 else 0.0
-    if c2 is None:
-        F = c1 - y * e1
-        noise = 1e-11 * (abs(c1) + abs(y) * e1) + 1e-13
-        return F, noise
-    e2 = e1 * e1
-    F = c2 - c1 * y * e1 + (y * y - 2.0) * e2
-    # c2 is the difference (c1^2 - tr M^2)/2 of O(1) normalized traces, so
-    # it keeps an absolute roundoff floor even when the value cancels to
-    # near zero, which is exactly what happens at the doubled eigenvalues
-    # of the coupled pair (its two branches are isospectral partners)
-    noise = (1e-10 * (abs(c2) + abs(c1 * y) * e1 + (y * y + 2.0) * e2)
-             + 1e-13 * (1.0 + c1 * c1))
+    F = c1 - y * e1
+    noise = 1e-11 * (abs(c1) + abs(y) * e1) + 1e-13
     return F, noise
 
 
-class ChannelFloquet:
-    """Floquet solver for one channel with the lambda-grid invariants cached.
+def _scalar_parts(channel: Channel) -> tuple[Channel, ...]:
+    return pair_partners(channel) if channel.kind == "H5" else (channel,)
 
-    The monodromy does not depend on theta, so one scan of (tr, tr^2, scale)
-    over the grid serves every quasimomentum; only root polishing reevaluates.
-    """
 
-    def __init__(self, channel: Channel, profile: Profile, lam_max: float,
-                 tol: float = 1e-10):
-        self.channel = channel
-        self.profile = profile
-        self.lam_max = float(lam_max)
-        self.tol = tol
-        self._cache = _invariant_grid(channel, profile, self.lam_max)
-
-    def eigenvalues(self, theta: float) -> list[float]:
-        roots = _roots_from_cache(
-            self.channel, theta, self.profile, self.lam_max, self.tol, self._cache
-        )
-        guard = self.channel.prune_bound - 1e-6
+def _floquet_roots(channel: Channel, thetas: tuple[float, ...], profile: Profile,
+                   lam_max: float, tol: float) -> list[list[float]]:
+    """Floquet roots of a scalar channel at each theta, from one scan of the
+    monodromy trace over the lambda grid (the trace does not depend on
+    theta).  Raises when a root violates the channel's lower bound."""
+    grid = np.linspace(0.0, float(lam_max), SCAN_STEPS + 1)
+    invs = [_invariants(channel, x, profile) for x in grid]
+    guard = channel.prune_bound - 1e-6
+    out = []
+    for theta in thetas:
+        roots = _roots_on_grid(channel, theta, profile, tol, grid, invs)
         for r in roots:
             if r < guard:
                 raise NumericalError(
                     f"eigenvalue {r} violates the channel lower bound "
-                    f"{self.channel.prune_bound}; pruning rule unsound here"
+                    f"{channel.prune_bound}; pruning rule unsound here"
                 )
-        return roots
-
-    def band_edges(self, theta_grid_size: int = 65) -> "BandEdges":
-        return _band_edges_cached(
-            self.channel, self.profile, self.lam_max, theta_grid_size,
-            self.tol, self._cache
-        )
+        out.append(roots)
+    return out
 
 
 def floquet_eigenvalues(channel: Channel, theta: float, profile: Profile,
                         lam_max: float, tol: float = 1e-10) -> list[float]:
     """All lambda in [0, lam_max] whose Floquet multiplier is e^{i theta},
     sorted, repeated per intrinsic multiplicity.  Channel.mult is not
-    applied here."""
-    return ChannelFloquet(channel, profile, lam_max, tol).eigenvalues(theta)
+    applied here.  An H5 pair returns the union of its partners' roots."""
+    return sorted(r for part in _scalar_parts(channel)
+                  for r in _floquet_roots(part, (theta,), profile, lam_max, tol)[0])
 
 
-def _invariant_grid(channel: Channel, profile: Profile, lam_max: float):
-    grid = np.linspace(0.0, float(lam_max), SCAN_STEPS + 1)
-    vals = [_invariants(channel, x, profile) for x in grid]
-    return grid, vals
-
-
-def _roots_from_cache(channel: Channel, theta: float, profile: Profile,
-                      lam_max: float, tol: float, cache) -> list[float]:
-    grid, invs = cache
+def _roots_on_grid(channel: Channel, theta: float, profile: Profile, tol: float,
+                   grid: np.ndarray, invs: list) -> list[float]:
     y = 2.0 * math.cos(theta)
 
     Fs = np.empty(len(grid))
@@ -785,8 +660,9 @@ def _roots_from_cache(channel: Channel, theta: float, profile: Profile,
 
 @dataclass
 class BandEdges:
-    """Closed bands [lo, hi] of one channel below lam_max, ascending.
-    truncated marks a final band cut off at lam_max."""
+    """Closed bands [lo, hi] of one channel below lam_max, sorted by
+    (hi, lo).  truncated marks bands cut off at lam_max; they come last (an
+    H5 pair can have one per partner)."""
 
     channel: Channel
     bands: list[tuple[float, float]]
@@ -794,73 +670,23 @@ class BandEdges:
 
 
 def band_edges(channel: Channel, profile: Profile, lam_max: float,
-               theta_grid_size: int = 65, tol: float = 1e-10) -> BandEdges:
-    """Band intervals of a channel.
+               tol: float = 1e-10) -> BandEdges:
+    """Band intervals of a channel by the Hill pairing.
 
-    Scalars use the classical Hill pairing: sorted periodic (theta = 0) and
-    antiperiodic (theta = pi) eigenvalues interlace, so consecutive entries
-    of the merged list are the band edges.  Pairs trace the eigenvalue
-    branches over a theta grid (>= 65 points) and take min/max per branch,
-    with a parabolic refinement step at interior extrema.
+    The sorted periodic (theta = 0) and antiperiodic (theta = pi) eigenvalues
+    of a scalar channel interlace, so consecutive entries of the merged list
+    are the band edges (Magnus-Winkler, Hill's Equation).  An odd count
+    leaves a last band cut at lam_max.  An H5 pair returns the bands of its
+    two scalar partners together.
     """
-    cache = _invariant_grid(channel, profile, lam_max)
-    return _band_edges_cached(channel, profile, lam_max, theta_grid_size, tol, cache)
-
-
-def _band_edges_cached(channel: Channel, profile: Profile, lam_max: float,
-                       theta_grid_size: int, tol: float, cache) -> BandEdges:
-    if channel.ncomp == 1:
-        r0 = _roots_from_cache(channel, 0.0, profile, lam_max, tol, cache)
-        r1 = _roots_from_cache(channel, math.pi, profile, lam_max, tol, cache)
+    bands: list[tuple[float, float]] = []
+    truncated = False
+    for part in _scalar_parts(channel):
+        r0, r1 = _floquet_roots(part, (0.0, math.pi), profile, lam_max, tol)
         edges = sorted(r0 + r1)
-        bands = []
-        truncated = False
-        for k in range(0, len(edges) - 1, 2):
-            bands.append((edges[k], edges[k + 1]))
+        bands += [(edges[k], edges[k + 1]) for k in range(0, len(edges) - 1, 2)]
         if len(edges) % 2 == 1:
             bands.append((edges[-1], float(lam_max)))
             truncated = True
-        return BandEdges(channel, bands, truncated)
-
-    K = max(int(theta_grid_size), 65)
-    thetas = np.linspace(0.0, math.pi, K)
-    per_theta = [
-        _roots_from_cache(channel, float(th), profile, lam_max, tol, cache)
-        for th in thetas
-    ]
-    nbranch = max(len(r) for r in per_theta) if per_theta else 0
-    bands = []
-    truncated = False
-    for k in range(nbranch):
-        vals = [r[k] for r in per_theta if len(r) > k]
-        lo, hi = min(vals), max(vals)
-        lo, hi = _refine_branch_extrema(channel, profile, lam_max, tol, cache,
-                                        thetas, per_theta, k, lo, hi)
-        if len(vals) < len(per_theta):
-            hi = float(lam_max)
-            truncated = True
-        bands.append((lo, hi))
-    bands.sort()
+    bands.sort(key=lambda band: (band[1], band[0]))
     return BandEdges(channel, bands, truncated)
-
-
-def _refine_branch_extrema(channel, profile, lam_max, tol, cache, thetas,
-                           per_theta, k, lo, hi):
-    """One refinement sweep: re-solve at the midpoints flanking the extremal
-    theta of branch k and keep the improved bound."""
-    vals = np.array([r[k] if len(r) > k else np.nan for r in per_theta])
-    if np.all(np.isnan(vals)):
-        return lo, hi
-    for pick in ("min", "max"):
-        idx = int(np.nanargmin(vals) if pick == "min" else np.nanargmax(vals))
-        for j in (idx - 1, idx + 1):
-            if not 0 <= j < len(thetas):
-                continue
-            mid = 0.5 * (thetas[idx] + thetas[j])
-            r = _roots_from_cache(channel, float(mid), profile, lam_max, tol, cache)
-            if len(r) > k:
-                if pick == "min":
-                    lo = min(lo, r[k])
-                else:
-                    hi = max(hi, r[k])
-    return lo, hi

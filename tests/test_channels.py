@@ -7,12 +7,11 @@ import pytest
 from conebands.channels import (
     Channel,
     ExtensionRegime,
-    channel_rotation,
     degree_constants,
     enumerate_channels,
     gamma_pm,
-    h5_rotation,
     n_operator_singular,
+    pair_partners,
     spectrum_of_A,
 )
 from conebands.transversal import build_flat_torus_spectrum
@@ -190,12 +189,15 @@ def test_enumerate_prunes_by_rigorous_bound():
     chans = enumerate_channels(ts, 0, 5.0)
     h4_mu2 = [float(c.mu2) for c in chans if c.kind == "H4"]
     assert h4_mu2 == [1.0, 4.0]
-    # H5 keeps an extra 1/4 margin: mu^2 = 9 with lam = 8.8 stays
+    # H5 obeys the same bound as its scalar partners: mu^2 = 9 with lam = 8.8
+    # is pruned, mu^2 = 9 with lam = 9 stays
     chans = enumerate_channels(ts, 1, 8.8)
     h5_mu2 = [float(c.mu2) for c in chans if c.kind == "H5"]
-    assert h5_mu2 == [1.0, 4.0, 9.0]
+    assert h5_mu2 == [1.0, 4.0]
     for c in chans:
-        assert c.prune_bound <= 8.8 + 1e-12
+        assert c.prune_bound == float(c.mu2)
+    h5_mu2 = [float(c.mu2) for c in enumerate_channels(ts, 1, 9.0) if c.kind == "H5"]
+    assert h5_mu2 == [1.0, 4.0, 9.0]
 
 
 def test_enumerate_refuses_insufficient_cutoff():
@@ -203,9 +205,10 @@ def test_enumerate_refuses_insufficient_cutoff():
     with pytest.raises(ValueError, match="cutoff"):
         enumerate_channels(ts, 0, 5.5)
     with pytest.raises(ValueError, match="cutoff"):
-        enumerate_channels(ts, 1, 5.0)  # H5 possible: needs cutoff >= 5.25
-    # boundary passes: p=0 needs exactly lam_max
+        enumerate_channels(ts, 1, 5.5)
+    # boundary passes: every degree, H5 included, needs exactly lam_max
     assert enumerate_channels(ts, 0, 5.0)
+    assert [c.kind for c in enumerate_channels(ts, 1, 5.0)] == ["H1", "H2", "H5", "H5"]
 
 
 def test_enumerate_duality_p_vs_dual():
@@ -281,7 +284,7 @@ def test_spectrum_of_A_consistency_with_potentials():
 
 
 # ---------------------------------------------------------------------------
-# N-operator singularity and rotation
+# N-operator singularity and pair partners
 
 
 def test_n_operator_singular_examples():
@@ -305,49 +308,19 @@ def test_n_operator_singular_rejects_inadmissible():
         n_operator_singular(0.0, -1.0, 1, 1)
 
 
-def test_h5_rotation_45_degrees():
-    R = h5_rotation(1.0, 1, 1, -0.25)
-    expect = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
-    assert R == pytest.approx(expect, abs=1e-14)
-    C = np.array([[1.75, -2.0], [-2.0, 1.75]])
-    D = R.T @ C @ R
-    assert D == pytest.approx(np.diag([-0.25, 3.75]), abs=1e-13)
-    assert R.T @ R == pytest.approx(np.eye(2), abs=1e-14)
-
-
-def test_h5_rotation_validates_lam_s():
+def test_pair_partners_are_the_enumerated_scalars():
+    # H4 of degree p-1 and H3 of degree p+1 at the pair's mu^2 and mult are
+    # exactly the channels enumerate_channels builds in those degrees
+    ts = build_flat_torus_spectrum([TWO_PI, TWO_PI * 1.3, TWO_PI * 0.8], 4)
+    for p in range(1, ts.n + 1):
+        for h5 in (c for c in enumerate_channels(ts, p, 3.0) if c.kind == "H5"):
+            h4, h3 = pair_partners(h5)
+            assert (h4.kind, h4.p, h3.kind, h3.p) == ("H4", p - 1, "H3", p + 1)
+            for part in (h4, h3):
+                same = [c for c in enumerate_channels(ts, part.p, 3.0)
+                        if c.kind == part.kind and c.mu2 == h5.mu2]
+                assert same == [part]
+                assert part.mult == h5.mult
+                assert part.prune_bound == h5.prune_bound
     with pytest.raises(ValueError):
-        h5_rotation(1.0, 1, 1, 0.123)
-    with pytest.raises(ValueError):
-        h5_rotation(0.0, 1, 1, -0.25)
-
-
-def test_h5_rotation_random_diagonalizes():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        n = int(rng.integers(1, 6))
-        p = int(rng.integers(1, n + 1))
-        mu2 = float(rng.uniform(0.01, 20.0))
-        from conebands.channels import degree_constants as dcs
-
-        dc = dcs(n, p)
-        gm, gp = gamma_pm(mu2, float(dc.a))
-        lam_m = gm * (gm + 1)
-        R = h5_rotation(math.sqrt(mu2), p, n, lam_m)
-        C = np.array(
-            [[mu2 + float(dc.f_pm2), -2 * math.sqrt(mu2)],
-             [-2 * math.sqrt(mu2), mu2 + float(dc.f_p)]]
-        )
-        D = R.T @ C @ R
-        assert D[0, 1] == pytest.approx(0.0, abs=1e-10)
-        assert D[0, 0] == pytest.approx(lam_m, rel=1e-10, abs=1e-10)
-
-
-def test_channel_rotation_helper():
-    ts = circle(12)
-    chans = enumerate_channels(ts, 1, 10.0)
-    h5 = [c for c in chans if c.kind == "H5"][0]
-    R = channel_rotation(h5)
-    assert R.shape == (2, 2)
-    scalar = [c for c in chans if c.kind == "H1"][0]
-    assert channel_rotation(scalar).shape == (1, 1)
+        pair_partners(enumerate_channels(ts, 1, 3.0)[0])

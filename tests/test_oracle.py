@@ -28,6 +28,7 @@ from conebands.transversal import build_flat_torus_spectrum
 CIRCLE = build_flat_torus_spectrum([2 * math.pi], 20)
 STD = make_profile(0.2, 1.0, 0.8)  # cyl .4 | cone 0.8 | handle 1 | cone | cyl .4
 FLAT2PI = make_profile(1.0, 2 * math.pi - 1.0, 1.0)
+CUBE_TORI = {n: build_flat_torus_spectrum([2 * math.pi] * n, 8) for n in (1, 2, 3)}
 
 
 def chan(p, kind, mu2=None):
@@ -349,11 +350,15 @@ class TestOracleVsTransfer:
         assert len(got) == len(want)
         np.testing.assert_allclose(got, want, atol=1e-5)
 
-    def test_pair_generic_theta(self):
+    @pytest.mark.parametrize("n,p", [(n, p) for n in (1, 2, 3) for p in range(1, n + 1)])
+    def test_pair_generic_theta(self, n, p):
+        # the coupled pair oracle against the transfer solve of its two
+        # scalar Hodge partners, in every degree that has an H5 channel
         prof = make_profile(0.3, 1.0, 0.8)
-        ch = chan(1, "H5", mu2=1.0)
-        want = floquet_eigenvalues(ch, 1.1, prof, 5.0)
-        got = oracle_eigenvalues(ch, 1.1, prof, 5.0, N=400)
+        ch = next(c for c in enumerate_channels(CUBE_TORI[n], p, 8.0) if c.kind == "H5")
+        want = floquet_eigenvalues(ch, 1.1, prof, 8.0)
+        got = oracle_eigenvalues(ch, 1.1, prof, 8.0, N=400)
+        assert len(want) >= 3
         assert len(got) == len(want)
         np.testing.assert_allclose(got, want, atol=2e-5)
 

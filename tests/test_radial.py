@@ -17,6 +17,7 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import jv
 
 from conebands.channels import Channel, enumerate_channels
+from conebands.oracle import oracle_eigenvalues
 from conebands.radial import (
     BandEdges,
     NumericalError,
@@ -26,7 +27,6 @@ from conebands.radial import (
     cone_propagator,
     det_residual,
     floquet_eigenvalues,
-    interface_map,
     make_profile,
     monodromy,
     segment_propagator,
@@ -269,7 +269,8 @@ class TestConePropagator:
         np.testing.assert_allclose(P_bc @ P_ab, P_ac, rtol=1e-12, atol=1e-12)
 
     def test_determinant_one(self):
-        ch = h5_channel()
+        ch = next(c for c in enumerate_channels(CIRCLE, 0, 10.0)
+                  if c.kind == "H4" and float(c.mu2) == 1.0)
         P = cone_propagator(ch, 4.0, 0.2, 1.0)
         assert np.linalg.det(P) == pytest.approx(1.0, rel=1e-12)
 
@@ -280,12 +281,6 @@ class TestConePropagator:
         P_rk = cone_propagator(ch, 5.0, 0.05, 1.0, method="rk")
         np.testing.assert_allclose(P_series, P_rk, rtol=1e-9, atol=1e-9)
 
-    def test_series_vs_rk_pair(self):
-        ch = h5_channel()
-        P_series = cone_propagator(ch, 3.0, 0.1, 1.0)
-        P_rk = cone_propagator(ch, 3.0, 0.1, 1.0, method="rk")
-        np.testing.assert_allclose(P_series, P_rk, rtol=1e-9, atol=1e-9)
-
     def test_errors(self):
         ch = enumerate_channels(CIRCLE, 0, 10.0)[0]
         with pytest.raises(ValueError):
@@ -294,48 +289,8 @@ class TestConePropagator:
             cone_propagator(ch, 1.0, 0.6, 0.5)
         with pytest.raises(ValueError):
             cone_propagator(ch, 1.0, 0.1, 0.5, method="magic")
-
-
-# ---------------------------------------------------------------------------
-# interfaces
-
-
-class TestInterfaceMap:
-    def test_right_dt_slot_anchor(self):
-        chans = enumerate_channels(CIRCLE, 1, 10.0)
-        h1 = next(c for c in chans if c.kind == "H1")
-        # n = 1 circle: nu = 1/2 - 1 + 1 = 1/2
-        M = interface_map("right", h1, 0.25)
-        np.testing.assert_allclose(M, [[1.0, 0.0], [2.0, 1.0]], atol=1e-15)
-        vec = M @ np.array([1.0, 3.0])
-        assert vec[0] == pytest.approx(1.0)
-        assert vec[1] == pytest.approx(3.0 + 0.5 / 0.25)
-
-    def test_left_flips(self):
-        chans = enumerate_channels(CIRCLE, 1, 10.0)
-        h1 = next(c for c in chans if c.kind == "H1")
-        h2 = next(c for c in chans if c.kind == "H2")
-        Mb = interface_map("left", h1, 0.5)
-        np.testing.assert_allclose(Mb, [[-1.0, 0.0], [1.0, 1.0]], atol=1e-15)
-        wa = float(h2.interface_weights[0])
-        Ma = interface_map("left", h2, 0.5)
-        np.testing.assert_allclose(Ma, [[1.0, 0.0], [-wa / 0.5, -1.0]], atol=1e-15)
-
-    def test_pair_left_equals_flip_then_jump(self):
-        ch = h5_channel()
-        rho = 0.3
-        K = np.diag([-1.0, 1.0, 1.0, -1.0])
-        W = np.diag([float(w) for w in ch.interface_weights])
-        J = np.eye(4)
-        J[2:, :2] = -W / rho
-        np.testing.assert_allclose(interface_map("left", ch, rho), J @ K, atol=1e-14)
-
-    def test_errors(self):
-        ch = enumerate_channels(CIRCLE, 0, 10.0)[0]
-        with pytest.raises(ValueError):
-            interface_map("middle", ch, 0.5)
-        with pytest.raises(ValueError):
-            interface_map("left", ch, 0.0)
+        with pytest.raises(ValueError, match="pair_partners"):
+            cone_propagator(h5_channel(), 1.0, 0.1, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -343,31 +298,21 @@ class TestInterfaceMap:
 
 
 def rk_monodromy(channel, profile, lam):
-    """Independent monodromy: Runge-Kutta across each segment of the global
-    second-order system plus explicit derivative jumps at slope breaks.  On
-    the descending cone the pair potential conjugates by diag(-1, 1)."""
-    m = channel.ncomp
-    S = np.diag([-1.0, 1.0])
-    C = channel.potential_matrix()
-    M = np.eye(2 * m)
+    """Independent monodromy of a scalar channel: Runge-Kutta across each
+    segment of the global second-order equation plus explicit derivative
+    jumps at slope breaks."""
+    c = float(channel.cone_potential[0])
+    w = float(channel.interface_weights[0])
+    M = np.eye(2)
     segs = profile.segments
     for i, seg in enumerate(segs):
-        if seg.kind in ("cylinder", "handle"):
-            V = float(channel.handle_mass) * np.eye(m)
-        elif seg.kind == "cone_up":
-            V = C.copy()
-        else:
-            V = S @ C @ S if m == 2 else C.copy()
+        V = float(channel.handle_mass) if seg.kind in ("cylinder", "handle") else c
 
         def rhs(tau, y, V=V, seg=seg):
-            rho = seg.rho(tau)
-            sig, dsig = y[:m], y[m:]
-            return np.concatenate([dsig, (V @ sig) / rho**2 - lam * sig])
+            return [y[1], (V / seg.rho(tau) ** 2 - lam) * y[0]]
 
         cols = []
-        for k in range(2 * m):
-            y0 = np.zeros(2 * m)
-            y0[k] = 1.0
+        for y0 in ([1.0, 0.0], [0.0, 1.0]):
             sol = solve_ivp(rhs, (seg.tau0, seg.tau1), y0, rtol=1e-12, atol=1e-13)
             assert sol.success
             cols.append(sol.y[:, -1])
@@ -375,12 +320,7 @@ def rk_monodromy(channel, profile, lam):
         nxt = segs[(i + 1) % len(segs)]
         dslope = seg.slope_out - nxt.slope_in
         if dslope != 0.0:
-            rho_j = seg.rho(seg.tau1)
-            J = np.eye(2 * m)
-            J[m:, :m] = dslope / rho_j * np.diag(
-                [float(w) for w in channel.interface_weights]
-            )
-            M = J @ M
+            M = np.array([[1.0, 0.0], [dslope / seg.rho(seg.tau1) * w, 1.0]]) @ M
     return M
 
 
@@ -395,13 +335,10 @@ class TestMonodromy:
 
     def test_invariants(self):
         prof = make_profile(0.3, 1.0, 0.8)
-        for ch in (
-            next(c for c in enumerate_channels(CIRCLE, 0, 10.0) if float(c.mu2) == 1.0),
-            h5_channel(),
-        ):
-            M = monodromy(ch, 4.7, prof)
-            assert det_residual(M) <= 1e-10
-            assert symplectic_residual(M) <= 1e-10
+        ch = next(c for c in enumerate_channels(CIRCLE, 0, 10.0) if float(c.mu2) == 1.0)
+        M = monodromy(ch, 4.7, prof)
+        assert det_residual(M) <= 1e-10
+        assert symplectic_residual(M) <= 1e-10
 
     @pytest.mark.parametrize("l_out", [0.8, 0.0])
     def test_scalar_against_rk(self, l_out):
@@ -422,13 +359,6 @@ class TestMonodromy:
             M_rk = rk_monodromy(ch, prof, lam)
             np.testing.assert_allclose(M, M_rk, rtol=1e-8, atol=1e-8)
 
-    def test_pair_against_rk(self):
-        prof = make_profile(0.3, 1.0, 0.8)
-        ch = h5_channel()
-        M = monodromy(ch, 4.0, prof).dense()
-        M_rk = rk_monodromy(ch, prof, 4.0)
-        np.testing.assert_allclose(M, M_rk, rtol=5e-8, atol=5e-8)
-
     def test_kernel_at_lambda_zero(self):
         # theta = 0 keeps the harmonic form: monodromy fixes a vector
         prof = make_profile(0.2, math.pi, 1.0)
@@ -442,6 +372,10 @@ class TestMonodromy:
         ch = next(c for c in enumerate_channels(CIRCLE, 0, 10.0) if c.kind == "H2")
         with pytest.raises(ValueError):
             monodromy(ch, 1.0, prof)
+
+    def test_refuses_pairs(self):
+        with pytest.raises(ValueError, match="pair_partners"):
+            monodromy(h5_channel(), 1.0, make_profile(0.3, 1.0, 0.8))
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +454,9 @@ class TestFloquetEigenvalues:
         np.testing.assert_allclose(got[1::2], expect, atol=1e-7)
 
     def test_pair_doubles_survive_deep_handle(self):
-        # the two pair branches are isospectral partners (one is the d-image
-        # of the other), so F has exact double zeros at every theta; with a
-        # narrow handle the c2 cancellation once hid them below a noise
-        # floor that tracked |c2| instead of the O(1) trace roundoff
+        # n = 1, p = 1 is the middle degree: the pair's Hodge partners H4 of
+        # degree 0 and H3 of degree 2 are isospectral, so every eigenvalue
+        # doubles; the two scalar solves must agree with a narrow handle too
         prof = make_profile(0.1, 1.0, 1.0)
         ch = h5_channel()
         got = floquet_eigenvalues(ch, 0.8, prof, 6.0)
@@ -558,6 +491,8 @@ class TestFloquetEigenvalues:
         )
         with pytest.raises(NumericalError):
             floquet_eigenvalues(bogus, 0.9, prof, 10.0)
+        with pytest.raises(NumericalError):
+            band_edges(bogus, prof, 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -596,10 +531,27 @@ class TestBandEdges:
     def test_pair_band_edges_cover_roots(self):
         prof = make_profile(0.3, 1.0, 0.8)
         ch = h5_channel()
-        be = band_edges(ch, prof, 6.0, theta_grid_size=65)
+        be = band_edges(ch, prof, 6.0)
         r0 = floquet_eigenvalues(ch, 0.0, prof, 6.0)
         r_mid = floquet_eigenvalues(ch, 1.0, prof, 6.0)
         for lam in r0 + r_mid:
             assert any(lo - 1e-6 <= lam <= hi + 1e-6 for lo, hi in be.bands)
         for lo, hi in be.bands:
             assert lo <= hi + 1e-12
+
+    def test_pair_window_cuts_one_partner(self):
+        # on the 2-torus at p = 1 the partners H4 of degree 0 and H3 of
+        # degree 2 differ; lam_max = 7.2 cuts only H3's band [6.92, 7.45],
+        # while H4's band [6.80, 6.96] ends below it
+        ts = build_flat_torus_spectrum([2 * math.pi, 2 * math.pi], 8)
+        ch = next(c for c in enumerate_channels(ts, 1, 7.2) if c.kind == "H5" and c.mu2 == 1)
+        prof = make_profile(0.3, 1.0, 0.8)
+        be = band_edges(ch, prof, 7.2)
+        assert be.truncated
+        assert [hi for _, hi in be.bands].count(7.2) == 1
+        assert be.bands[-1][1] == 7.2
+        edges = [x for band in be.bands for x in band][:-1]
+        want = sorted(oracle_eigenvalues(ch, 0.0, prof, 7.2)
+                      + oracle_eigenvalues(ch, math.pi, prof, 7.2))
+        assert len(edges) == len(want) == 7
+        np.testing.assert_allclose(sorted(edges), want, atol=1e-6)
