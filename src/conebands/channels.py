@@ -97,8 +97,6 @@ class Channel:
     gammas: indicial tip exponents, ascending; one per branch (H5 has two).
     interface_weights: w per section component; the derivative jump at a
         profile slope break is (slope difference) * w / rho.
-    slots: section slot per component, 'beta' (dt-slot) or 'alpha'
-        (tangential).
     prune_bound: rigorous lower bound for every eigenvalue of this channel;
         also the threshold used to prune channels above lam_max.
     """
@@ -112,7 +110,6 @@ class Channel:
     handle_mass: Scalar
     gammas: tuple[float, ...]
     interface_weights: tuple[Fraction, ...]
-    slots: tuple[str, ...]
     prune_bound: float
 
     @property
@@ -128,8 +125,7 @@ def _tip_gamma(mu2: float, b: float) -> float:
     return -0.5 + math.sqrt(float(mu2) + b * b)
 
 
-def _scalar_channel(kind, dc, mu2, mult, shift: Fraction, w: Fraction, b: float,
-                    slot: str) -> Channel:
+def _scalar_channel(kind, dc, mu2, mult, shift: Fraction, w: Fraction, b: float) -> Channel:
     """Scalar channel with tip exponent _tip_gamma(mu2, b); its eigenvalues
     obey lambda >= mu^2 (completed-square form bound)."""
     c = (mu2 + shift) if isinstance(mu2, Fraction) else float(mu2) + float(shift)
@@ -143,19 +139,18 @@ def _scalar_channel(kind, dc, mu2, mult, shift: Fraction, w: Fraction, b: float,
         handle_mass=mu2,
         gammas=(_tip_gamma(mu2, b),),
         interface_weights=(w,),
-        slots=(slot,),
         prune_bound=float(mu2),
     )
 
 
 def _dt_channel(kind: str, dc: DegreeConstants, mu2, mult: int) -> Channel:
     """H1 (mu2 = 0) or H3: a (p-1)-form in the dt-slot."""
-    return _scalar_channel(kind, dc, mu2, mult, dc.f_pm2, dc.nu, float(dc.a) + 1.0, "beta")
+    return _scalar_channel(kind, dc, mu2, mult, dc.f_pm2, dc.nu, float(dc.a) + 1.0)
 
 
 def _tangential_channel(kind: str, dc: DegreeConstants, mu2, mult: int) -> Channel:
     """H2 (mu2 = 0) or H4: a p-form in the tangential slot."""
-    return _scalar_channel(kind, dc, mu2, mult, dc.f_p, dc.w_alpha, float(dc.a) - 1.0, "alpha")
+    return _scalar_channel(kind, dc, mu2, mult, dc.f_p, dc.w_alpha, float(dc.a) - 1.0)
 
 
 def pair_partners(ch: Channel) -> tuple[Channel, Channel]:
@@ -235,7 +230,6 @@ def enumerate_channels(ts: TransversalSpectrum, p: int, lam_max: float) -> list[
                 handle_mass=mu2,
                 gammas=(gm, gp),
                 interface_weights=(dc.nu, dc.w_alpha),
-                slots=("beta", "alpha"),
                 prune_bound=float(mu2),
             )
         )

@@ -23,16 +23,25 @@ K = diag(1, -1) of (sigma, sigma').
 Floquet eigenvalues at quasimomentum theta are the lambda with
 tr M = 2 cos theta for the period monodromy M.  The spectrum of an H5 pair
 is the disjoint union of those of its two scalar Hodge partners
-(channels.pair_partners), so the pair is solved as those two channels.
-Monodromies are accumulated with an explicit log scale so deep spectral
-gaps (huge hyperbolic growth) never overflow.
+(channels.pair_partners), so the pair is solved as those two channels, or
+once when the two are the same scalar problem.
+
+The cone's Frobenius recurrences do not involve lambda: lambda enters only
+through z = lambda t^2.  A root scan therefore builds one lambda-free
+coefficient table per channel (cone_basis, valid up to lam_max t_max^2) and
+evaluates the monodromy for the whole lambda grid at once, as (G, 2, 2)
+arrays with one log scale per point, so deep spectral gaps (huge hyperbolic
+growth) never overflow.  Root polishing evaluates single points through the
+same batched code and the same table, so a polished value at a grid node
+equals the scanned one bit for bit.  The cone evaluation checks the
+numerical Wronskian of every point and raises NumericalError once the series
+has lost its digits (lambda t^2 beyond about 400).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -40,7 +49,10 @@ from scipy.optimize import brentq, minimize_scalar
 
 from .channels import Channel, pair_partners
 
-SCAN_STEPS = 2000  # lambda grid resolution for root scans
+# lambda grid resolution for root scans: one batched monodromy evaluation of
+# SCAN_STEPS + 1 points per scalar problem, then single-point polish on the
+# same coefficient table
+SCAN_STEPS = 2000
 
 
 class NumericalError(RuntimeError):
@@ -200,17 +212,6 @@ class ScaledMatrix:
     mat: np.ndarray
     logscale: float = 0.0
 
-    @staticmethod
-    def of(mat: np.ndarray, logscale: float = 0.0) -> "ScaledMatrix":
-        m = np.asarray(mat, dtype=float)
-        s = float(np.max(np.abs(m)))
-        if s == 0.0 or not math.isfinite(s):
-            raise NumericalError("degenerate transfer matrix (zero or non-finite)")
-        return ScaledMatrix(m / s, logscale + math.log(s))
-
-    def __matmul__(self, other: "ScaledMatrix") -> "ScaledMatrix":
-        return ScaledMatrix.of(self.mat @ other.mat, self.logscale + other.logscale)
-
     def dense(self) -> np.ndarray:
         if self.logscale > 600.0:
             raise NumericalError("transfer matrix overflows double precision")
@@ -237,197 +238,229 @@ def symplectic_residual(sm: ScaledMatrix) -> float:
 
 
 # ---------------------------------------------------------------------------
-# elementary propagators
+# flat segments
+
+
+def _put(P: np.ndarray, mask: np.ndarray, a, b, c, d) -> None:
+    P[mask, 0, 0], P[mask, 0, 1], P[mask, 1, 0], P[mask, 1, 1] = a, b, c, d
+
+
+def _flat_propagators(mass2: float, lam: np.ndarray, ell: float) -> tuple[np.ndarray, np.ndarray]:
+    """Transfer matrices of -u'' + mass2 u = lam u over a length-ell flat
+    piece, acting on (u, u'), for every lam: (G, 2, 2) matrices and (G,) log
+    scales, the propagator being matrix * exp(logscale).  Exact free, trig,
+    hyperbolic and scaled-hyperbolic forms, picked per point; det = 1."""
+    w2 = lam - mass2
+    P = np.empty(lam.shape + (2, 2))
+    logs = np.zeros(lam.shape)
+    # free limit; the trig corrections are below double rounding here
+    free = np.abs(w2) * (ell * ell) < 1e-14
+    osc = ~free & (w2 > 0)
+    k = np.sqrt(np.maximum(-w2, 0.0))
+    big = ~free & (k * ell > 30.0)
+    hyp = ~(free | osc | big)
+    if free.any():
+        _put(P, free, 1.0, ell, -w2[free] * ell, 1.0)
+    if osc.any():
+        w = np.sqrt(w2[osc])
+        c, s = np.cos(w * ell), np.sin(w * ell)
+        _put(P, osc, c, s / w, -w * s, c)
+    if hyp.any():
+        kh = k[hyp]
+        c, s = np.cosh(kh * ell), np.sinh(kh * ell)
+        _put(P, hyp, c, s / kh, kh * s, c)
+    if big.any():
+        kb = k[big]
+        q = np.exp(-2.0 * kb * ell)
+        _put(P, big, 1.0 + q, (1.0 - q) / kb, kb * (1.0 - q), 1.0 + q)
+        logs[big] = kb * ell - math.log(2.0)
+    return P, logs
 
 
 def segment_propagator(mass2: float, lam: float, ell: float) -> np.ndarray:
     """Transfer matrix of -u'' + mass2 u = lam u over a length-ell flat piece,
-    acting on (u, u').  Exact trig/hyperbolic/polynomial forms, det = 1."""
+    acting on (u, u'): one point of the batched flat forms, det = 1."""
     mass2, lam, ell = float(mass2), float(lam), float(ell)
     if ell < 0:
         raise ValueError("segment length must be nonnegative")
-    if ell == 0.0:
-        return np.eye(2)
-    w2 = lam - mass2
-    if abs(w2) * ell * ell < 1e-14:
-        # free limit; the trig corrections are below double rounding here
-        return np.array([[1.0, ell], [-w2 * ell, 1.0]])
-    if w2 > 0:
-        w = math.sqrt(w2)
-        c, s = math.cos(w * ell), math.sin(w * ell)
-        return np.array([[c, s / w], [-w * s, c]])
-    k = math.sqrt(-w2)
-    if k * ell > 350.0:
+    if lam < mass2 and math.sqrt(mass2 - lam) * ell > 350.0:
         raise NumericalError(
-            f"hyperbolic segment overflow (kappa*ell = {k * ell:.1f}); "
-            "use the scaled variant"
+            f"hyperbolic segment overflow (kappa*ell = {math.sqrt(mass2 - lam) * ell:.1f}); "
+            "only the log-scaled monodromy holds it"
         )
-    c, s = math.cosh(k * ell), math.sinh(k * ell)
-    return np.array([[c, s / k], [k * s, c]])
-
-
-def _segment_propagator_scaled(mass2: float, lam: float, ell: float) -> ScaledMatrix:
-    w2 = float(lam) - float(mass2)
-    if ell == 0.0:
-        return ScaledMatrix(np.eye(2), 0.0)
-    if w2 >= 0 or math.sqrt(-w2) * ell <= 30.0:
-        return ScaledMatrix.of(segment_propagator(mass2, lam, ell))
-    k = math.sqrt(-w2)
-    q = math.exp(-2.0 * k * ell)
-    mat = np.array([[1.0 + q, (1.0 - q) / k], [k * (1.0 - q), 1.0 + q]])
-    return ScaledMatrix.of(mat, k * ell - math.log(2.0))
+    P, logs = _flat_propagators(mass2, np.array([lam]), ell)
+    return P[0] * math.exp(logs[0])
 
 
 # ---------------------------------------------------------------------------
-# Frobenius basis on the cone
+# Frobenius table on the cone
+
+SERIES_RTOL = 1e-16  # a series stops once its last term at z_max is this small
+WRONSKIAN_RTOL = 1e-6  # largest relative Wronskian residual a cone evaluation accepts
 
 
 @dataclass
-class ConeSolutionBasis:
-    """Fundamental pair of -u'' + gamma(gamma+1)/t^2 u = lam u on ]0, t_max].
+class ConeSeries:
+    """Fundamental pair of -u'' + gamma(gamma+1)/t^2 u = lam u as a table of
+    lambda-free Frobenius coefficients, valid wherever |lam| t^2 <= z_max.
 
-    f(t) = t^{gamma+1} F(lam t^2) is the regular branch, F(0) = 1.
-    g(t) = a log(t) f(t) + t^{-gamma} G(lam t^2) is the singular branch,
-    G(0) = 1; the log coefficient a is nonzero exactly when
-    gamma + 1/2 is a nonnegative integer.
-    Wronskian f g' - f' g = -(2 gamma + 1), or +1 when gamma = -1/2.
+    With z = lam t^2,
+        f(t) = t^{gamma+1} F(z)                              (regular branch)
+        g(t) = t^{-gamma} (G(z) + a_z log(t) z^m F(z))       (singular branch)
+    where F = sum f_coef[j] z^j and G = sum g_coef[j] z^j, F(0) = G(0) = 1.
+    The log term is present exactly when m = gamma + 1/2 is a nonnegative
+    integer (is_log).  Wronskian f g' - f' g = -(2 gamma + 1), or +1 when
+    gamma = -1/2.
     """
 
     gamma: float
-    lam: float
-    t_max: float
+    z_max: float
     is_log: bool
-    a_log: float
+    m: int
+    a_z: float
     f_coef: np.ndarray
     g_coef: np.ndarray
     wronskian: float
+    # Horner rows (F, F', G, G') by degree, highest first
+    rows: np.ndarray = field(repr=False)
 
-    def _poly(self, coef: np.ndarray, z: float) -> float:
-        acc = 0.0
-        for c in coef[::-1]:
-            acc = acc * z + c
-        return acc
+    def state(self, lam: np.ndarray, radii) -> np.ndarray:
+        """State matrices [[f, g], [f', g']] at each radius for every lam,
+        shape (len(radii), len(lam), 2, 2).
 
-    def _dpoly(self, coef: np.ndarray, z: float) -> float:
-        acc = 0.0
-        for j in range(len(coef) - 1, 0, -1):
-            acc = acc * z + j * coef[j]
-        return acc
+        One Horner pass evaluates F, F', G and G' for all points at once.
+        Raises NumericalError where the Wronskian f g' - f' g strays from
+        its constant by more than WRONSKIAN_RTOL relative: the series has lost
+        its digits to cancellation there (lam t^2 too large).
+        """
+        lam = np.asarray(lam, dtype=float)
+        t = np.asarray(radii, dtype=float)
+        if not np.all(t > 0.0):
+            raise ValueError("cone radii must be positive")
+        z = (t * t)[:, None] * lam[None, :]
+        if np.max(np.abs(z), initial=0.0) > self.z_max * (1.0 + 1e-12):
+            raise ValueError(f"lam t^2 up to {np.max(np.abs(z)):.6g} leaves the table "
+                             f"window z_max = {self.z_max:.6g}")
+        acc = np.zeros(z.shape + (4,))
+        zc = z[..., None]
+        for row in self.rows:
+            acc *= zc
+            acc += row
+        F, dF, G, dG = np.moveaxis(acc, -1, 0)
+        gam = self.gamma
+        A = (gam + 1.0) * F + 2.0 * z * dF  # t^-gamma f'
+        B = -gam * G + 2.0 * z * dG  # t^(gamma+1) g' without the log term
+        if self.is_log:
+            L = self.a_z * z**self.m
+            log_t = np.log(t)[:, None]
+            G = G + log_t * L * F
+            B = B + L * (log_t * A + F)
+        W = self.wronskian
+        residual = np.abs(F * B - A * G - W) / abs(W)
+        if not np.all(residual <= WRONSKIAN_RTOL):
+            raise NumericalError(
+                f"cone series lost accuracy: Wronskian residual {np.nanmax(residual):.3g} "
+                f"> {WRONSKIAN_RTOL:g} at gamma = {gam}, |lam| t^2 up to {np.max(np.abs(z)):.6g}"
+            )
+        tc = t[:, None]
+        S = np.empty(z.shape + (2, 2))
+        S[..., 0, 0] = tc ** (gam + 1.0) * F
+        S[..., 1, 0] = tc**gam * A
+        S[..., 0, 1] = tc ** (-gam) * G
+        S[..., 1, 1] = tc ** (-gam - 1.0) * B
+        return S
 
-    def f(self, t: float) -> float:
-        z = self.lam * t * t
-        return t ** (self.gamma + 1.0) * self._poly(self.f_coef, z)
 
-    def df(self, t: float) -> float:
-        z = self.lam * t * t
-        F = self._poly(self.f_coef, z)
-        dF = self._dpoly(self.f_coef, z)
-        return t**self.gamma * ((self.gamma + 1.0) * F + 2.0 * z * dF)
+def cone_basis(gamma: float, z_max: float) -> ConeSeries:
+    """Frobenius table for every lam and t with |lam| t^2 <= z_max.
 
-    def g(self, t: float) -> float:
-        z = self.lam * t * t
-        G = self._poly(self.g_coef, z)
-        out = t ** (-self.gamma) * G
-        if self.is_log and self.a_log != 0.0:
-            out += self.a_log * math.log(t) * self.f(t)
-        return out
-
-    def dg(self, t: float) -> float:
-        z = self.lam * t * t
-        G = self._poly(self.g_coef, z)
-        dG = self._dpoly(self.g_coef, z)
-        out = t ** (-self.gamma - 1.0) * (-self.gamma * G + 2.0 * z * dG)
-        if self.is_log and self.a_log != 0.0:
-            out += self.a_log * (math.log(t) * self.df(t) + self.f(t) / t)
-        return out
-
-    def state_matrix(self, t: float) -> np.ndarray:
-        return np.array([[self.f(t), self.g(t)], [self.df(t), self.dg(t)]])
-
-
-def cone_basis(gamma: float, lam: float, t_max: float = 1.0) -> ConeSolutionBasis:
-    """Frobenius fundamental pair; series truncated below 1e-15 relative at
-    |lam| t_max^2.  gamma within 1e-9 of a half-integer >= -1/2 is snapped to
-    it (the resonant recurrence is singular there)."""
-    gamma, lam, t_max = float(gamma), float(lam), float(t_max)
+    No recurrence involves lam, so one table serves a whole lambda scan and
+    the root polish on it.  Each series runs until its last term at z_max is
+    below SERIES_RTOL of its largest one.  gamma within 1e-9 of a
+    half-integer >= -1/2 is snapped to it (the resonant recurrence is
+    singular there).
+    """
+    gamma, z_max = float(gamma), float(z_max)
     if gamma < -0.5 - 1e-12:
         raise ValueError(f"gamma must be >= -1/2, got {gamma}")
-    if not 0.0 < t_max <= 1.0 + 1e-12:
-        raise ValueError("t_max must lie in ]0, 1]")
+    if not 0.0 <= z_max < math.inf:
+        raise ValueError(f"z_max must be finite and nonnegative, got {z_max}")
     m_near = round(gamma + 0.5)
     is_log = m_near >= 0 and abs(gamma + 0.5 - m_near) <= 1e-9
     if is_log:
         gamma = m_near - 0.5
-    z_max = abs(lam) * t_max * t_max
 
-    def converged(coefs: list[float], j: int) -> bool:
-        if j < 4:
-            return False
+    def grow(coefs: list[float], step, stop: int, min_j: int = 4) -> bool:
+        """Append step(j) for j = len(coefs), ..., stop - 1 until the tail
+        test passes at some j >= min_j; False if it never does."""
         scale = max(abs(c) * z_max**k for k, c in enumerate(coefs))
-        tail = abs(coefs[-1]) * z_max ** (len(coefs) - 1)
-        return tail <= 1e-16 * max(scale, 1e-300) or tail == 0.0
+        for j in range(len(coefs), stop):
+            coefs.append(step(j))
+            tail = abs(coefs[-1]) * z_max**j
+            scale = max(scale, tail)
+            if j >= min_j and (tail <= SERIES_RTOL * max(scale, 1e-300) or tail == 0.0):
+                return True
+        return False
 
     # regular branch
     f = [1.0]
-    j = 1
-    while True:
-        f.append(-f[-1] / (2.0 * j * (2.0 * gamma + 1.0 + 2.0 * j)))
-        if converged(f, j) or j > 400:
-            break
-        j += 1
-    if j > 400:
+    if not grow(f, lambda j: -f[-1] / (2.0 * j * (2.0 * gamma + 1.0 + 2.0 * j)), 402):
         raise NumericalError("cone series did not converge (regular branch)")
 
+    def f_at(j: int) -> float:
+        return f[j] if j < len(f) else 0.0
+
     # singular branch
-    a_log = 0.0
+    m, a_z = 0, 0.0
+    g = [1.0]
     if not is_log:
-        g = [1.0]
-        j = 1
-        while True:
-            g.append(g[-1] / (2.0 * j * (2.0 * gamma + 1.0 - 2.0 * j)))
-            if converged(g, j) or j > 400:
-                break
-            j += 1
+        if not grow(g, lambda j: g[-1] / (2.0 * j * (2.0 * gamma + 1.0 - 2.0 * j)), 402):
+            raise NumericalError("cone series did not converge (singular branch)")
         wron = -(2.0 * gamma + 1.0)
+    elif m_near == 0:
+        a_z = 1.0
+        grow(g, lambda j: -(g[-1] + 4.0 * j * f_at(j)) / (4.0 * j * j), len(f) + 4,
+             min_j=max(4, len(f)))
+        wron = 1.0
     else:
         m = m_near
-        g = [1.0]
-        if m == 0:
-            a_log = 1.0
-            for j in range(1, len(f) + 4):
-                fj = f[j] if j < len(f) else 0.0
-                g.append(-(g[-1] + 4.0 * j * fj) / (4.0 * j * j))
-                if converged(g, j) and j >= len(f):
-                    break
-            wron = 1.0
-        else:
-            for j in range(1, m):
-                g.append(g[-1] / (2.0 * j * (2.0 * gamma + 1.0 - 2.0 * j)))
-            a_z = -g[m - 1] / (2.0 * m)
-            a_log = a_z * lam**m
-            g.append(0.0)  # gauge: no t^{gamma+1} admixture in G
-            for j in range(m + 1, m + len(f) + 4):
-                fj = f[j - m] if j - m < len(f) else 0.0
-                num = g[-1] + a_z * (2.0 * m + 4.0 * (j - m)) * fj
-                g.append(num / (2.0 * j * (2.0 * gamma + 1.0 - 2.0 * j)))
-                if converged(g, j) and j - m >= len(f):
-                    break
-            wron = -(2.0 * gamma + 1.0)
+        for j in range(1, m):
+            g.append(g[-1] / (2.0 * j * (2.0 * gamma + 1.0 - 2.0 * j)))
+        a_z = -g[m - 1] / (2.0 * m)
+        g.append(0.0)  # gauge: no t^{gamma+1} admixture in G
+        grow(g, lambda j: (g[-1] + a_z * (2.0 * m + 4.0 * (j - m)) * f_at(j - m))
+             / (2.0 * j * (2.0 * gamma + 1.0 - 2.0 * j)),
+             m + len(f) + 4, min_j=max(4, m + len(f)))
+        wron = -(2.0 * gamma + 1.0)
 
-    return ConeSolutionBasis(
-        gamma=gamma,
-        lam=lam,
-        t_max=t_max,
-        is_log=is_log,
-        a_log=a_log,
-        f_coef=np.array(f),
-        g_coef=np.array(g),
-        wronskian=wron,
-    )
+    f_coef, g_coef = np.array(f), np.array(g)
+    cols = np.zeros((max(len(f), len(g)), 4))
+    cols[: len(f), 0] = f_coef
+    cols[: len(f) - 1, 1] = np.arange(1, len(f)) * f_coef[1:]
+    cols[: len(g), 2] = g_coef
+    cols[: len(g) - 1, 3] = np.arange(1, len(g)) * g_coef[1:]
+    return ConeSeries(gamma=gamma, z_max=z_max, is_log=is_log, m=m, a_z=a_z,
+                      f_coef=f_coef, g_coef=g_coef, wronskian=wron,
+                      rows=cols[::-1].copy())
 
 
 # ---------------------------------------------------------------------------
-# cone propagator
+# batched transfer matrices
+
+
+def _mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Pointwise product of two stacks of 2x2 matrices, in elementwise
+    float arithmetic, so a point's product does not depend on the stack."""
+    return A[..., :, :1] * B[..., :1, :] + A[..., :, 1:] * B[..., 1:, :]
+
+
+def _transfer(S0: np.ndarray, S1: np.ndarray, wronskian: float) -> np.ndarray:
+    """Propagators S1 S0^-1 between two states of one fundamental pair; the
+    inverse comes from the constant Wronskian determinant det S0 = W."""
+    inv0 = np.empty_like(S0)
+    inv0[..., 0, 0], inv0[..., 0, 1] = S0[..., 1, 1], -S0[..., 0, 1]
+    inv0[..., 1, 0], inv0[..., 1, 1] = -S0[..., 1, 0], S0[..., 0, 0]
+    return _mul(S1, inv0 / wronskian)
 
 
 def _require_scalar(channel: Channel) -> None:
@@ -436,22 +469,11 @@ def _require_scalar(channel: Channel) -> None:
                          "channels.pair_partners")
 
 
-def _scalar_cone_propagator(channel: Channel, lam: float, t_from: float,
-                            t_to: float) -> np.ndarray:
-    basis = cone_basis(channel.gammas[0], lam, t_max=max(t_from, t_to))
-    M1 = basis.state_matrix(t_to)
-    M0 = basis.state_matrix(t_from)
-    W = basis.wronskian
-    # inv(M0) via the constant Wronskian determinant: det state_matrix = W
-    inv0 = np.array([[M0[1, 1], -M0[0, 1]], [-M0[1, 0], M0[0, 0]]]) / W
-    return M1 @ inv0
-
-
 def cone_propagator(channel: Channel, lam: float, t0: float, t1: float,
                     method: str = "series") -> np.ndarray:
     """Transfer matrix of a scalar channel across the ascending cone from
-    radius t0 to t1, state (sigma, dsigma/dt).  method='rk' integrates the
-    ODE instead (cross-check)."""
+    radius t0 to t1, state (sigma, dsigma/dt): one point of the batched
+    series evaluation.  method='rk' integrates the ODE instead (cross-check)."""
     _require_scalar(channel)
     if not (0.0 < t0 <= t1 <= 1.0 + 1e-12):
         raise ValueError(f"need 0 < t0 <= t1 <= 1, got ({t0}, {t1})")
@@ -461,7 +483,9 @@ def cone_propagator(channel: Channel, lam: float, t0: float, t1: float,
         return _cone_propagator_rk(channel, lam, t0, t1)
     if method != "series":
         raise ValueError(f"unknown method {method!r}")
-    return _scalar_cone_propagator(channel, lam, t0, t1)
+    table = cone_basis(channel.gammas[0], abs(lam) * t1 * t1)
+    S = table.state(np.array([float(lam)]), (t0, t1))
+    return _transfer(S[0], S[1], table.wronskian)[0]
 
 
 def _cone_propagator_rk(channel: Channel, lam: float, t0: float, t1: float) -> np.ndarray:
@@ -480,87 +504,136 @@ def _cone_propagator_rk(channel: Channel, lam: float, t0: float, t1: float) -> n
 
 
 # ---------------------------------------------------------------------------
-# junctions and monodromy
-
-# Global-frame conjugation for traversing a cone against its radial
-# coordinate: the value keeps its sign, the derivative flips.
-_FLIP = np.diag([1.0, -1.0])
+# monodromy
 
 
-def _junction_matrix(channel: Channel, dslope: float, rho_j: float) -> np.ndarray:
-    return np.array([[1.0, 0.0], [dslope / rho_j * float(channel.interface_weights[0]), 1.0]])
+class _PeriodMap:
+    """Period monodromy of a scalar channel for every lam with
+    |lam| <= lam_bound, starting at the mid-cylinder cut.
 
+    The cones' Frobenius table is built once, here; a call evaluates the
+    ordered product of segment propagators and junction jumps for a whole
+    array of lam as (G, 2, 2) arrays.  After each factor every point is
+    divided by its largest entry and the log of that entry is added to the
+    point's log scale (the ScaledMatrix form).  A single lam is a length-one
+    call of the same elementwise arithmetic, so it reproduces a grid value
+    bit for bit.
+    """
 
-def _segment_prop(channel: Channel, seg: Segment, lam: float) -> ScaledMatrix:
-    if seg.kind in ("cylinder", "handle"):
-        rho = seg.rho(seg.tau0)
-        return _segment_propagator_scaled(float(channel.handle_mass) / (rho * rho), lam,
-                                          seg.length)
-    if seg.kind == "cone_up":
-        t0, t1 = seg.rho(seg.tau0), seg.rho(seg.tau1)
-        return ScaledMatrix.of(_scalar_cone_propagator(channel, lam, t0, t1))
-    if seg.kind == "cone_down":
-        t_hi, t_lo = seg.rho(seg.tau0), seg.rho(seg.tau1)
-        P = _scalar_cone_propagator(channel, lam, t_hi, t_lo)  # runs 1 -> eps
-        return ScaledMatrix.of(_FLIP @ P @ _FLIP)
-    raise ValueError(f"monodromy cannot cross segment kind {seg.kind!r}")
+    def __init__(self, channel: Channel, profile: Profile, lam_bound: float):
+        _require_scalar(channel)
+        if profile.eta != 0.0:
+            raise ValueError("monodromy needs a piecewise profile (eta = 0)")
+        w = float(channel.interface_weights[0])
+        segs = profile.segments
+        self.radii: list[float] = []
+        self.steps: list[tuple] = []  # ("flat", mass2, ell) | ("cone", i0, i1, flip) | ("jump", k)
+        for i, seg in enumerate(segs):
+            r0, r1 = seg.rho(seg.tau0), seg.rho(seg.tau1)
+            if seg.kind in ("cylinder", "handle"):
+                self.steps.append(("flat", float(channel.handle_mass) / (r0 * r0), seg.length))
+            elif seg.kind in ("cone_up", "cone_down"):
+                self.radii += [r for r in (r0, r1) if r not in self.radii]
+                # the descending cone runs against its radial coordinate:
+                # conjugating by the flip diag(1, -1) negates the off-diagonal
+                self.steps.append(("cone", self.radii.index(r0), self.radii.index(r1),
+                                   seg.kind == "cone_down"))
+            else:
+                raise ValueError(f"monodromy cannot cross segment kind {seg.kind!r}")
+            dslope = seg.slope_out - segs[(i + 1) % len(segs)].slope_in
+            if dslope != 0.0:
+                self.steps.append(("jump", dslope / r1 * w))
+        self.table = (cone_basis(channel.gammas[0], float(lam_bound) * max(self.radii) ** 2)
+                      if self.radii else None)
+
+    def __call__(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Scaled monodromies (G, 2, 2) and their log scales (G,)."""
+        lam = np.asarray(lam, dtype=float)
+        S = self.table.state(lam, self.radii) if self.table is not None else None
+        M = np.zeros(lam.shape + (2, 2))
+        M[..., 0, 0] = M[..., 1, 1] = 1.0
+        logs = np.zeros(lam.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for step in self.steps:
+                if step[0] == "jump":
+                    M[..., 1, :] += step[1] * M[..., 0, :]
+                else:
+                    if step[0] == "flat":
+                        P, s = _flat_propagators(step[1], lam, step[2])
+                        logs += s
+                    else:
+                        P = _transfer(S[step[1]], S[step[2]], self.table.wronskian)
+                        if step[3]:
+                            P[..., 0, 1] *= -1.0
+                            P[..., 1, 0] *= -1.0
+                    M = _mul(P, M)
+                scale = np.abs(M).max(axis=(-2, -1))
+                M /= scale[..., None, None]
+                logs += np.log(scale)
+        if not (np.isfinite(M).all() and np.isfinite(logs).all()):
+            raise NumericalError("degenerate transfer matrix (zero or non-finite)")
+        return M, logs
+
+    def trace(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(tr Mhat, logscale) of the monodromies at every lam."""
+        M, logs = self(lam)
+        return M[..., 0, 0] + M[..., 1, 1], logs
 
 
 def monodromy(channel: Channel, lam: float, profile: Profile) -> ScaledMatrix:
     """Ordered product of segment propagators and junction jumps over one
-    period, starting at the mid-cylinder cut.  Scalar channels and piecewise
-    profiles only."""
-    _require_scalar(channel)
-    if profile.eta != 0.0:
-        raise ValueError("monodromy needs a piecewise profile (eta = 0)")
-    segs = profile.segments
-    M = ScaledMatrix(np.eye(2), 0.0)
-    for i, seg in enumerate(segs):
-        M = _segment_prop(channel, seg, lam) @ M
-        nxt = segs[(i + 1) % len(segs)]
-        dslope = seg.slope_out - nxt.slope_in
-        if dslope != 0.0:
-            rho_j = seg.rho(seg.tau1)
-            M = ScaledMatrix.of(_junction_matrix(channel, dslope, rho_j)) @ M
-    return M
+    period, starting at the mid-cylinder cut: one point of the batched
+    evaluation.  Scalar channels and piecewise profiles only."""
+    lam = float(lam)
+    M, logs = _PeriodMap(channel, profile, abs(lam))(np.array([lam]))
+    return ScaledMatrix(M[0], float(logs[0]))
 
 
 # ---------------------------------------------------------------------------
 # Floquet root finding
 
 
-def _invariants(channel: Channel, lam: float, profile: Profile) -> tuple[float, float]:
-    """(tr_hat, logscale) of the monodromy at lam."""
-    M = monodromy(channel, lam, profile)
-    return float(np.trace(M.mat)), M.logscale
-
-
-def _floquet_F(channel: Channel, lam: float, profile: Profile, y: float,
-               inv: Optional[tuple] = None) -> tuple[float, float]:
+def _floquet_F(tr: np.ndarray, logs: np.ndarray, y: float) -> tuple[np.ndarray, np.ndarray]:
     """Scaled characteristic function tr M - y whose zeros are Floquet
-    eigenvalues, and the noise scale for tangency decisions."""
-    c1, s = inv if inv is not None else _invariants(channel, lam, profile)
-    e1 = math.exp(-s) if s < 690 else 0.0
-    F = c1 - y * e1
-    noise = 1e-11 * (abs(c1) + abs(y) * e1) + 1e-13
+    eigenvalues, and the noise scale for tangency decisions, from the scaled
+    traces and log scales of the monodromies."""
+    e1 = np.where(logs < 690.0, np.exp(-logs), 0.0)
+    F = tr - y * e1
+    noise = 1e-11 * (np.abs(tr) + abs(y) * e1) + 1e-13
     return F, noise
 
 
-def _scalar_parts(channel: Channel) -> tuple[Channel, ...]:
-    return pair_partners(channel) if channel.kind == "H5" else (channel,)
+def _hill_data(channel: Channel) -> tuple:
+    """Everything the scalar Hill problem of a channel depends on."""
+    return (channel.cone_potential, channel.handle_mass, channel.gammas,
+            channel.interface_weights, channel.prune_bound)
+
+
+def _scalar_problems(channel: Channel) -> list[tuple[Channel, int]]:
+    """The distinct scalar problems of a channel, each with its number of
+    copies.  An H5 pair is its two Hodge partners, which are one problem
+    twice for n odd and p = (n+1)/2."""
+    if channel.kind != "H5":
+        return [(channel, 1)]
+    h4, h3 = pair_partners(channel)
+    if _hill_data(h4) == _hill_data(h3):
+        return [(h4, 2)]
+    return [(h4, 1), (h3, 1)]
 
 
 def _floquet_roots(channel: Channel, thetas: tuple[float, ...], profile: Profile,
                    lam_max: float, tol: float) -> list[list[float]]:
-    """Floquet roots of a scalar channel at each theta, from one scan of the
-    monodromy trace over the lambda grid (the trace does not depend on
-    theta).  Raises when a root violates the channel's lower bound."""
+    """Floquet roots of a scalar channel at each theta, from one batched
+    evaluation of the monodromy trace over the lambda grid (the trace does
+    not depend on theta); roots are polished on the same table.  Raises when
+    a root violates the channel's lower bound."""
+    period = _PeriodMap(channel, profile, lam_max)
     grid = np.linspace(0.0, float(lam_max), SCAN_STEPS + 1)
-    invs = [_invariants(channel, x, profile) for x in grid]
+    tr, logs = period.trace(grid)
     guard = channel.prune_bound - 1e-6
     out = []
     for theta in thetas:
-        roots = _roots_on_grid(channel, theta, profile, tol, grid, invs)
+        roots = _roots_on_grid(period, theta, tol, grid, tr, logs)
         for r in roots:
             if r < guard:
                 raise NumericalError(
@@ -576,21 +649,23 @@ def floquet_eigenvalues(channel: Channel, theta: float, profile: Profile,
     """All lambda in [0, lam_max] whose Floquet multiplier is e^{i theta},
     sorted, repeated per intrinsic multiplicity.  Channel.mult is not
     applied here.  An H5 pair returns the union of its partners' roots."""
-    return sorted(r for part in _scalar_parts(channel)
-                  for r in _floquet_roots(part, (theta,), profile, lam_max, tol)[0])
+    roots: list[float] = []
+    for part, copies in _scalar_problems(channel):
+        roots += copies * _floquet_roots(part, (theta,), profile, lam_max, tol)[0]
+    return sorted(roots)
 
 
-def _roots_on_grid(channel: Channel, theta: float, profile: Profile, tol: float,
-                   grid: np.ndarray, invs: list) -> list[float]:
+def _roots_on_grid(period: _PeriodMap, theta: float, tol: float, grid: np.ndarray,
+                   tr: np.ndarray, logs: np.ndarray) -> list[float]:
     y = 2.0 * math.cos(theta)
+    Fs, noises = _floquet_F(tr, logs, y)
 
-    Fs = np.empty(len(grid))
-    noises = np.empty(len(grid))
-    for i, inv in enumerate(invs):
-        Fs[i], noises[i] = _floquet_F(channel, grid[i], profile, y, inv)
+    def F_noise(x: float) -> tuple[float, float]:
+        F, noise = _floquet_F(*period.trace(np.array([x])), y)
+        return float(F[0]), float(noise[0])
 
     def F_at(x: float) -> float:
-        return _floquet_F(channel, x, profile, y)[0]
+        return F_noise(x)[0]
 
     roots: list[float] = []
 
@@ -647,7 +722,7 @@ def _roots_on_grid(channel: Channel, theta: float, profile: Profile, tol: float,
         )
         xstar = float(res.x)
         fstar = float(res.fun)  # = s0 * F(xstar), negative iff F crossed zero
-        _, noise_star = _floquet_F(channel, xstar, profile, y)
+        _, noise_star = F_noise(xstar)
         if fstar < -noise_star:
             # two genuine crossings hiding inside one grid cell
             roots.append(bisect(float(grid[i - 1]), xstar))
@@ -677,16 +752,18 @@ def band_edges(channel: Channel, profile: Profile, lam_max: float,
     of a scalar channel interlace, so consecutive entries of the merged list
     are the band edges (Magnus-Winkler, Hill's Equation).  An odd count
     leaves a last band cut at lam_max.  An H5 pair returns the bands of its
-    two scalar partners together.
+    two scalar partners together; partners that are one problem are solved
+    once and their bands listed twice.
     """
     bands: list[tuple[float, float]] = []
     truncated = False
-    for part in _scalar_parts(channel):
+    for part, copies in _scalar_problems(channel):
         r0, r1 = _floquet_roots(part, (0.0, math.pi), profile, lam_max, tol)
         edges = sorted(r0 + r1)
-        bands += [(edges[k], edges[k + 1]) for k in range(0, len(edges) - 1, 2)]
+        part_bands = [(edges[k], edges[k + 1]) for k in range(0, len(edges) - 1, 2)]
         if len(edges) % 2 == 1:
-            bands.append((edges[-1], float(lam_max)))
+            part_bands.append((edges[-1], float(lam_max)))
             truncated = True
+        bands += copies * part_bands
     bands.sort(key=lambda band: (band[1], band[0]))
     return BandEdges(channel, bands, truncated)

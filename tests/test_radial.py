@@ -16,9 +16,11 @@ from scipy.integrate import solve_ivp
 from scipy.special import gamma as gamma_fn
 from scipy.special import jv
 
-from conebands.channels import Channel, enumerate_channels
+from conebands import radial
+from conebands.channels import Channel, enumerate_channels, pair_partners
 from conebands.oracle import oracle_eigenvalues
 from conebands.radial import (
+    SCAN_STEPS,
     BandEdges,
     NumericalError,
     ScaledMatrix,
@@ -35,6 +37,9 @@ from conebands.radial import (
 from conebands.transversal import build_flat_torus_spectrum
 
 CIRCLE = build_flat_torus_spectrum([2 * math.pi], 11)
+# the circle-high benchmark census: circle of length 2 pi / 3 at p = 0 up to
+# lambda = 400, with mu^2 = 9 k^2 and cone exponents gamma = 3k - 1/2
+CIRCLE_HIGH = enumerate_channels(build_flat_torus_spectrum([2 * math.pi / 3], 400.0), 0, 400.0)
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +184,21 @@ def bessel_g(gamma, lam, t):
     return gamma_fn(1 - nu) * (math.sqrt(lam) / 2) ** nu * math.sqrt(t) * jv(-nu, math.sqrt(lam) * t)
 
 
+def basis_at(table, lam, t):
+    """(f, f', g, g') of a cone table's fundamental pair at one (lam, t)."""
+    S = table.state(np.array([lam]), (t,))[0, 0]
+    return S[0, 0], S[1, 0], S[0, 1], S[1, 1]
+
+
 class TestConeBasis:
     def test_lambda_zero_closed_forms(self):
         b = cone_basis(0.7, 0.0)
         for t in (0.1, 0.45, 1.0):
-            assert b.f(t) == pytest.approx(t**1.7, rel=1e-14)
-            assert b.df(t) == pytest.approx(1.7 * t**0.7, rel=1e-14)
-            assert b.g(t) == pytest.approx(t**-0.7, rel=1e-14)
-            assert b.dg(t) == pytest.approx(-0.7 * t**-1.7, rel=1e-14)
+            f, df, g, dg = basis_at(b, 0.0, t)
+            assert f == pytest.approx(t**1.7, rel=1e-14)
+            assert df == pytest.approx(1.7 * t**0.7, rel=1e-14)
+            assert g == pytest.approx(t**-0.7, rel=1e-14)
+            assert dg == pytest.approx(-0.7 * t**-1.7, rel=1e-14)
         assert not b.is_log
         assert b.wronskian == pytest.approx(-2.4)
 
@@ -194,33 +206,40 @@ class TestConeBasis:
         b = cone_basis(-0.5, 0.0)
         assert b.is_log
         for t in (0.2, 0.8):
-            assert b.f(t) == pytest.approx(math.sqrt(t), rel=1e-14)
-            assert b.g(t) == pytest.approx(math.sqrt(t) * (1 + math.log(t)), rel=1e-13)
+            f, _, g, _ = basis_at(b, 0.0, t)
+            assert f == pytest.approx(math.sqrt(t), rel=1e-14)
+            assert g == pytest.approx(math.sqrt(t) * (1 + math.log(t)), rel=1e-13)
         assert b.wronskian == pytest.approx(1.0)
 
     @pytest.mark.parametrize("gamma", [0.3, 1.0, 2.7])
     @pytest.mark.parametrize("lam", [2.5, 9.0])
     def test_bessel_oracle(self, gamma, lam):
-        b = cone_basis(gamma, lam)
+        b = cone_basis(gamma, 9.0)  # one table serves both lam
         assert not b.is_log
         for t in (0.3, 0.9):
-            assert b.f(t) == pytest.approx(bessel_f(gamma, lam, t), rel=1e-11)
-            assert b.g(t) == pytest.approx(bessel_g(gamma, lam, t), rel=1e-11)
+            f, _, g, _ = basis_at(b, lam, t)
+            assert f == pytest.approx(bessel_f(gamma, lam, t), rel=1e-11)
+            assert g == pytest.approx(bessel_g(gamma, lam, t), rel=1e-11)
         h = 1e-6
         for t in (0.5,):
+            _, df, _, dg = basis_at(b, lam, t)
             fd = (bessel_f(gamma, lam, t + h) - bessel_f(gamma, lam, t - h)) / (2 * h)
-            assert b.df(t) == pytest.approx(fd, rel=1e-8)
+            assert df == pytest.approx(fd, rel=1e-8)
             gd = (bessel_g(gamma, lam, t + h) - bessel_g(gamma, lam, t - h)) / (2 * h)
-            assert b.dg(t) == pytest.approx(gd, rel=1e-8)
+            assert dg == pytest.approx(gd, rel=1e-8)
 
     @pytest.mark.parametrize("gamma,lam", [(0.5, 3.0), (1.5, 2.5), (-0.5, 3.0), (2.5, 7.0)])
     def test_log_branch_solves_ode(self, gamma, lam):
         b = cone_basis(gamma, lam)
         assert b.is_log
-        assert b.a_log != 0.0
+        assert b.a_z != 0.0
         h = 1e-4
         for t in (0.3, 0.7):
-            for u in (b.f, b.g):
+            for branch in (0, 2):  # f, g
+
+                def u(x):
+                    return basis_at(b, lam, x)[branch]
+
                 d2 = (u(t + h) - 2 * u(t) + u(t - h)) / (h * h)
                 residual = -d2 + gamma * (gamma + 1) / (t * t) * u(t) - lam * u(t)
                 scale = max(abs(u(t)), 1.0) * max(lam, gamma * (gamma + 1) + 2) / (t * t)
@@ -232,8 +251,9 @@ class TestConeBasis:
             gamma = rng.uniform(-0.5, 4.0)
             lam = rng.uniform(0.0, 12.0)
             t = rng.uniform(0.05, 1.0)
-            b = cone_basis(gamma, lam)
-            w = b.f(t) * b.dg(t) - b.df(t) * b.g(t)
+            b = cone_basis(gamma, 12.0)
+            f, df, g, dg = basis_at(b, lam, t)
+            w = f * dg - df * g
             assert w == pytest.approx(b.wronskian, rel=1e-10, abs=1e-12)
 
     def test_near_half_integer_snaps(self):
@@ -241,13 +261,58 @@ class TestConeBasis:
         near = cone_basis(0.5 + 3e-10, 4.0)
         assert near.is_log
         for t in (0.2, 0.9):
-            assert near.g(t) == pytest.approx(exact.g(t), rel=1e-9)
+            assert basis_at(near, 4.0, t)[2] == pytest.approx(basis_at(exact, 4.0, t)[2],
+                                                              rel=1e-9)
+
+    @pytest.mark.parametrize("gamma", [0.3, 2.5])
+    def test_window_table_matches_point_tables(self, gamma):
+        # the lam = 400 scan table evaluated at small lam agrees with the
+        # table truncated for that lam alone
+        wide = cone_basis(gamma, 400.0)
+        lams = np.array([0.0, 0.7, 3.1, 9.0])
+        S_wide = wide.state(lams, (0.2, 1.0))
+        for k, lam in enumerate(lams):
+            S_one = cone_basis(gamma, lam).state(np.array([lam]), (0.2, 1.0))[:, 0]
+            np.testing.assert_allclose(S_wide[:, k], S_one, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("gamma", [-0.5, 0.618, 2.5])
+    def test_tail_test_stops_where_the_quadratic_scan_did(self, gamma):
+        # reference: rescan every term on every step, first j >= 4 whose
+        # term at z_max is below 1e-16 of the largest one
+        z_max = 400.0
+        f = [1.0]
+        while True:
+            j = len(f)
+            f.append(-f[-1] / (2.0 * j * (2.0 * gamma + 1.0 + 2.0 * j)))
+            terms = [abs(c) * z_max**k for k, c in enumerate(f)]
+            if j >= 4 and terms[-1] <= 1e-16 * max(terms):
+                break
+        b = cone_basis(gamma, z_max)
+        assert len(b.f_coef) == len(f)
+        np.testing.assert_array_equal(b.f_coef, f)
+
+    @pytest.mark.parametrize("gamma", [-0.5, 0.618, 1.0, 2.5, 8.5, 17.5])
+    def test_wronskian_guard_refuses_large_lambda(self, gamma):
+        # the series keeps about 1e-8 of the Wronskian at lam t^2 = 400 and
+        # loses it all by 2000; the evaluation must raise, not return noise
+        b = cone_basis(gamma, 2000.0)
+        b.state(np.array([400.0]), (0.19, 1.0))
+        with pytest.raises(NumericalError, match="Wronskian"):
+            b.state(np.array([2000.0]), (0.19, 1.0))
+        if gamma == -0.5:
+            with pytest.raises(NumericalError, match="Wronskian"):
+                b.state(np.array([800.0]), (0.19, 1.0))
 
     def test_errors(self):
         with pytest.raises(ValueError):
             cone_basis(-0.6, 1.0)
         with pytest.raises(ValueError):
-            cone_basis(0.5, 1.0, t_max=0.0)
+            cone_basis(0.5, -1.0)
+        b = cone_basis(0.5, 1.0)
+        with pytest.raises(ValueError):
+            b.state(np.array([1.0]), (0.0,))
+        with pytest.raises(ValueError, match="window"):
+            b.state(np.array([1.5]), (1.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +345,14 @@ class TestConePropagator:
         P_series = cone_propagator(ch, 5.0, 0.05, 1.0)
         P_rk = cone_propagator(ch, 5.0, 0.05, 1.0, method="rk")
         np.testing.assert_allclose(P_series, P_rk, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("mu2", [0.0, 9.0, 324.0])
+    def test_series_vs_rk_at_lambda_400(self, mu2):
+        ch = next(c for c in CIRCLE_HIGH if float(c.mu2) == mu2)
+        P_series = cone_propagator(ch, 400.0, 0.2, 1.0)
+        P_rk = cone_propagator(ch, 400.0, 0.2, 1.0, method="rk")
+        np.testing.assert_allclose(P_series, P_rk, rtol=1e-7,
+                                   atol=1e-7 * np.max(np.abs(P_rk)))
 
     def test_errors(self):
         ch = enumerate_channels(CIRCLE, 0, 10.0)[0]
@@ -376,6 +449,50 @@ class TestMonodromy:
     def test_refuses_pairs(self):
         with pytest.raises(ValueError, match="pair_partners"):
             monodromy(h5_channel(), 1.0, make_profile(0.3, 1.0, 0.8))
+
+    @pytest.mark.parametrize("p,l_out", [(0, 0.8), (0, 0.0), (1, 0.8)])
+    def test_batched_trace_matches_one_point(self, p, l_out):
+        # the scan's table is truncated for lam_max, a one-point monodromy's
+        # for its own lam; up to 50 the traces agree to 1e-12 of the scale
+        prof = make_profile(0.3, 1.0, l_out)
+        grid = np.linspace(0.0, 50.0, 101)
+        for ch in enumerate_channels(build_flat_torus_spectrum([2 * math.pi], 50.0), p, 50.0):
+            if ch.kind == "H5":
+                continue
+            tr, logs = radial._PeriodMap(ch, prof, 50.0).trace(grid)
+            for lam, t_b, s_b in zip(grid, tr, logs):
+                M = monodromy(ch, lam, prof)
+                t_1 = np.trace(M.mat) * math.exp(M.logscale)
+                assert abs(t_b * math.exp(s_b) - t_1) <= 1e-12 * max(1.0, math.exp(M.logscale))
+
+    def test_refuses_lambda_beyond_the_series(self):
+        prof = make_profile(0.2, 1.0, 0.8)
+        ch = next(c for c in enumerate_channels(CIRCLE, 0, 10.0) if c.kind == "H2")
+        monodromy(ch, 400.0, prof)
+        with pytest.raises(NumericalError, match="Wronskian"):
+            monodromy(ch, 2000.0, prof)
+
+
+class TestBatchedScan:
+    @pytest.mark.parametrize("kind,mu2", [("H2", 0.0), ("H4", 324.0)])
+    def test_polish_point_equals_grid_bitwise(self, kind, mu2):
+        # root polishing evaluates single points through the scan's table and
+        # arithmetic, so at a grid node it must reproduce the scanned value
+        ch = next(c for c in CIRCLE_HIGH if c.kind == kind and float(c.mu2) == mu2)
+        period = radial._PeriodMap(ch, make_profile(0.2, 1.0, 0.8), 400.0)
+        grid = np.linspace(0.0, 400.0, SCAN_STEPS + 1)
+        tr, logs = period.trace(grid)
+        for k, lam in enumerate(grid):
+            tr1, logs1 = period.trace(np.array([float(lam)]))
+            assert tr1[0] == tr[k] and logs1[0] == logs[k], lam
+
+    @pytest.mark.parametrize("eps", [0.19, 0.2, 0.21])
+    def test_circle_high_scan_stays_inside_the_guard(self, eps):
+        # the benchmark's eps range (+-5%) at lam_max 400: no Wronskian refusal
+        assert len(CIRCLE_HIGH) == 7
+        grid = np.linspace(0.0, 400.0, SCAN_STEPS + 1)
+        for ch in CIRCLE_HIGH:
+            radial._PeriodMap(ch, make_profile(eps, 1.0, 0.8), 400.0).trace(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +603,6 @@ class TestFloquetEigenvalues:
             handle_mass=Fraction(0),
             gammas=(0.5,),
             interface_weights=(Fraction(-1, 2),),
-            slots=("alpha",),
             prune_bound=5.0,
         )
         with pytest.raises(NumericalError):
@@ -538,6 +654,25 @@ class TestBandEdges:
             assert any(lo - 1e-6 <= lam <= hi + 1e-6 for lo, hi in be.bands)
         for lo, hi in be.bands:
             assert lo <= hi + 1e-12
+
+    def test_identical_partners_are_scanned_once(self, monkeypatch):
+        # circle at p = 1: H4 of degree 0 and H3 of degree 2 are the same
+        # scalar problem, so the pair is one scan with every band twice
+        prof = make_profile(0.3, 1.0, 0.8)
+        ch = h5_channel()
+        h4, h3 = pair_partners(ch)
+        single = band_edges(h4, prof, 6.0)
+        scans = []
+        scan = radial._floquet_roots
+        monkeypatch.setattr(radial, "_floquet_roots",
+                            lambda part, *args: scans.append(part) or scan(part, *args))
+        be = band_edges(ch, prof, 6.0)
+        assert len(scans) == 1
+        assert be.bands[0::2] == be.bands[1::2] == single.bands
+        assert be.truncated == single.truncated
+        roots = floquet_eigenvalues(ch, 0.0, prof, 6.0)
+        assert len(scans) == 2
+        assert roots[0::2] == roots[1::2] == floquet_eigenvalues(h3, 0.0, prof, 6.0)
 
     def test_pair_window_cuts_one_partner(self):
         # on the 2-torus at p = 1 the partners H4 of degree 0 and H3 of
