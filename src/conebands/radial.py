@@ -79,7 +79,8 @@ class Segment:
     def length(self) -> float:
         return self.tau1 - self.tau0
 
-    def rho(self, tau: float) -> float:
+    def rho(self, tau):
+        """Radius at tau, a float or an array of points in [tau0, tau1]."""
         if self.kind == "corner":
             sm, sp, d = self.slope_in, self.slope_out, self.delta
             x = tau - self.corner_tau
@@ -91,7 +92,7 @@ class Segment:
             )
         return self.rho_start + self.slope_in * (tau - self.tau0)
 
-    def rho_prime(self, tau: float) -> float:
+    def rho_prime(self, tau):
         if self.kind == "corner":
             sm, sp, d = self.slope_in, self.slope_out, self.delta
             return 0.5 * (sm + sp) + (sp - sm) * (tau - self.corner_tau) / (2.0 * d)
@@ -107,18 +108,26 @@ class Profile:
     T: float
     segments: list[Segment] = field(default_factory=list)
 
-    def _segment_at(self, tau: float) -> Segment:
-        tau = tau % self.T
-        for seg in self.segments:
-            if seg.tau0 - 1e-12 <= tau <= seg.tau1 + 1e-12:
-                return seg
-        return self.segments[-1]
+    def rho(self, tau):
+        """Radius at tau (a float or an array), periodic in T."""
+        return self._pointwise(tau, Segment.rho)
 
-    def rho(self, tau: float) -> float:
-        return self._segment_at(tau).rho(tau % self.T)
+    def rho_prime(self, tau):
+        """Slope of rho at tau (a float or an array), periodic in T."""
+        return self._pointwise(tau, Segment.rho_prime)
 
-    def rho_prime(self, tau: float) -> float:
-        return self._segment_at(tau).rho_prime(tau % self.T)
+    def _pointwise(self, tau, fn):
+        """fn(segment, tau) on the segment holding each tau, evaluated
+        segment by segment; at a junction (within 1e-12) the earlier
+        segment. A float tau gives a float."""
+        tau = np.asarray(tau, dtype=float) % self.T
+        ends = np.array([seg.tau1 for seg in self.segments]) + 1e-12
+        idx = np.minimum(np.searchsorted(ends, tau), len(self.segments) - 1)
+        out = np.empty(tau.shape)
+        for i, seg in enumerate(self.segments):
+            sel = idx == i
+            out[sel] = fn(seg, tau[sel])
+        return out[()]
 
 
 def make_profile(eps: float, L: float, l_out: float, eta: float = 0.0) -> Profile:

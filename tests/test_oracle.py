@@ -9,11 +9,13 @@ and only then the dual-route comparison against floquet_eigenvalues.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conebands import oracle
 from conebands.channels import enumerate_channels
 from conebands.oracle import (
     FormMatrix,
@@ -95,6 +97,15 @@ class TestWarpCoefficient:
         for t in (0.1, 0.6, 1.5, 2.4, 3.3):
             B = warp_coefficient(ch, STD, t)
             assert B[0, 1] == B[1, 0]
+
+    @pytest.mark.parametrize("kind,p,mu2", [("H4", 0, 1.0), ("H2", 0, None), ("H5", 1, 1.0)])
+    def test_array_matches_pointwise(self, kind, p, mu2):
+        ch = chan(p, kind, mu2=mu2)
+        for prof in (STD, make_profile(0.2, 1.0, 0.8, eta=0.05)):
+            ts = np.linspace(0.01, prof.T - 0.01, 301)
+            B = warp_coefficient(ch, prof, ts)
+            assert B.shape == (len(ts), 2, ch.ncomp)
+            np.testing.assert_array_equal(B, [warp_coefficient(ch, prof, t) for t in ts])
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +290,119 @@ class TestDenseHermitianEigenvalues:
             dense_hermitian_eigenvalues(np.eye(3), np.ones(2))
         with pytest.raises(ValueError):
             dense_hermitian_eigenvalues(np.eye(2), np.array([1.0, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# band storage and the band solve
+
+
+BAND_CASES = [(chan(0, "H4", mu2=1.0), STD)] + [
+    (next(c for c in enumerate_channels(CUBE_TORI[n], 1, 8.0) if c.kind == "H5"),
+     make_profile(0.3, 1.0, 0.8))
+    for n in (1, 2, 3)
+]
+
+
+def loop_assemble(ch, theta, prof, N):
+    """Reference K: one interval at a time, h |c . (s_j, s_next)|^2 per row
+    of B, with the phase on the wrap interval's next-node half."""
+    nodes = oracle._nodes_from_counts(oracle._piece_counts(prof, N))
+    M, m = len(nodes), ch.ncomp
+    K = np.zeros((M * m, M * m), dtype=complex)
+    S = np.eye(2)[:, :m]
+    for j in range(M):
+        jn = (j + 1) % M
+        t1 = nodes[j + 1] if j + 1 < M else prof.T
+        h = t1 - nodes[j]
+        E = warp_coefficient(ch, prof, 0.5 * (nodes[j] + t1))
+        ph = np.exp(1j * theta) if jn == 0 else 1.0
+        idx = list(range(j * m, j * m + m)) + list(range(jn * m, jn * m + m))
+        for row in np.hstack([-S / h + 0.5 * E, ph * (S / h + 0.5 * E)]):
+            K[np.ix_(idx, idx)] += h * np.outer(np.conj(row), row)
+    return K
+
+
+class TestBandSolve:
+    @pytest.mark.parametrize("theta", [0.0, math.pi, 1.1])
+    @pytest.mark.parametrize("case", [0, 2], ids=["scalar", "pair"])
+    def test_vectorised_assembly_matches_interval_loop(self, case, theta):
+        ch, prof = BAND_CASES[case]
+        fm = assemble(ch, theta, prof, 120)
+        want = loop_assemble(ch, theta, prof, 120)
+        np.testing.assert_allclose(fm.K, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi, 0.7, 2.0])
+    @pytest.mark.parametrize("case", range(len(BAND_CASES)), ids=["scalar", "n1", "n2", "n3"])
+    def test_band_oracle_matches_dense_pencil(self, case, theta):
+        ch, prof = BAND_CASES[case]
+        fm = assemble(ch, theta, prof, 200)
+        dense = dense_hermitian_eigenvalues(fm.K, fm.W, lam_window=(-1.0, 9.0))
+        got = oracle_eigenvalues(ch, theta, prof, 8.0, N=200, richardson=False)
+        want = dense[dense <= 8.0]
+        assert len(want) >= 2
+        assert len(got) == len(want)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("case", [0, 2], ids=["scalar", "pair"])
+    def test_fold_band_is_the_permuted_dense_pencil(self, case):
+        ch, prof = BAND_CASES[case]
+        m = ch.ncomp
+        G, X, w, _ = oracle._blocks(ch, 0.7, prof, oracle._piece_counts(prof, 120))
+        ab = oracle._band(G, X, w)
+        n = ab.shape[1]
+        # half-width 3m - 1 holds the periodic wrap, and it is needed
+        assert ab.shape[0] == 3 * m
+        assert np.any(ab[-1] != 0.0)
+        H = np.zeros((n, n), dtype=ab.dtype)
+        for d in range(3 * m):
+            i = np.arange(n - d)
+            H[i + d, i] = ab[d, : n - d]
+            H[i, i + d] = np.conj(ab[d, : n - d])
+        fm = assemble(ch, 0.7, prof, 120)
+        s = 1.0 / np.sqrt(fm.W)
+        want = s[:, None] * fm.K * s[None, :]
+        band_pos = oracle._fold_index(len(w), m).ravel()
+        np.testing.assert_allclose(H[np.ix_(band_pos, band_pos)], want,
+                                   rtol=1e-14, atol=1e-14 * np.abs(want).max())
+
+    def test_hot_path_builds_no_dense_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolver called")
+
+        monkeypatch.setattr(oracle, "dense_hermitian_eigenvalues", refuse)
+        monkeypatch.setattr(oracle, "eigh", refuse)
+        ch, prof = BAND_CASES[2]
+        tracemalloc.start()
+        try:
+            evs = oracle_eigenvalues(ch, 0.7, prof, 8.0, N=500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(evs) >= 3
+        # the doubled grid has about 2000 unknowns: one dense real copy of
+        # the pencil would take 32 MB
+        assert peak < 4e6
+
+
+class TestRichardsonPairing:
+    @pytest.mark.parametrize("short_grid", ["N", "2N"])
+    def test_unpaired_eigenvalue_below_the_window_edge_raises(self, monkeypatch, short_grid):
+        # free circle of length 2 pi: 0, 1, 1, 4, 4 in the window (-1, 5.2];
+        # losing the top value on one grid leaves the other grid's unpaired
+        solve = oracle.band_hermitian_eigenvalues
+        calls = []
+
+        def drop_top(ab, lam_window):
+            calls.append(ab.shape[1])
+            evs = solve(ab, lam_window)
+            return evs[:-1] if (len(calls) == 1) == (short_grid == "N") else evs
+
+        ch = chan(0, "H2")
+        assert len(oracle_eigenvalues(ch, 0.0, FLAT2PI, 4.2, N=200)) == 5
+        monkeypatch.setattr(oracle, "band_hermitian_eigenvalues", drop_top)
+        with pytest.raises(NumericalError, match="no partner"):
+            oracle_eigenvalues(ch, 0.0, FLAT2PI, 4.2, N=200)
+        assert calls[1] == 2 * calls[0]
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,20 @@ class TestMakeProfile:
         for tau in (0.2, 0.7, 1.7, 2.5, 3.2):
             assert smooth.rho(tau) == pytest.approx(sharp.rho(tau), abs=1e-14)
 
+    @pytest.mark.parametrize("eta", [0.0, 0.02])
+    def test_array_radius_matches_segment_scan(self, eta):
+        # reference: the first segment within 1e-12 of each point, one by one
+        prof = make_profile(0.2, 1.0, 0.8, eta=eta)
+        taus = np.concatenate([np.linspace(0.0, prof.T, 997),
+                               [s.tau0 for s in prof.segments],
+                               [s.tau1 for s in prof.segments]])
+        segs = [next(s for s in prof.segments if s.tau0 - 1e-12 <= t % prof.T <= s.tau1 + 1e-12)
+                for t in taus]
+        want = [s.rho(t % prof.T) for s, t in zip(segs, taus)]
+        np.testing.assert_array_equal(prof.rho(taus), want)
+        want = [s.rho_prime(t % prof.T) for s, t in zip(segs, taus)]
+        np.testing.assert_array_equal(prof.rho_prime(taus), want)
+
 
 # ---------------------------------------------------------------------------
 # flat segments
