@@ -3,7 +3,7 @@ warped products whose profile alternates thin handles and unit cones.
 
 Submodules:
   transversal  cross-section (flat torus) spectral data
-  channels     mode decomposition into radial channels, extension theory
+  channels     mode decomposition into radial channels
   radial       profile, transfer matrices, Floquet eigenvalues, band edges
   oracle       independent finite-difference eigenvalue check
 """

@@ -15,10 +15,6 @@ degree p-1 and H3 of degree p+1 at the same mu^2 (pair_partners).
 On a cone of radius t each channel sees the potential c/t^2 where c is the
 (block) eigenvalue of the combined zeroth-order term; its indicial exponents
 at the tip are gamma+1 (regular) and -gamma (singular) with gamma >= -1/2.
-
-The degree shift operator A (the Mellin symbol of the cone operator, up to
-the radial derivative) has the closed-form spectrum used by spectrum_of_A;
-its part in the open gap ]-1/2, 1/2[ decides self-adjoint extensions.
 """
 
 from __future__ import annotations
@@ -27,8 +23,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
-
-import numpy as np
 
 from .transversal import TransversalSpectrum
 
@@ -115,9 +109,6 @@ class Channel:
     @property
     def ncomp(self) -> int:
         return 2 if self.kind == "H5" else 1
-
-    def potential_matrix(self) -> np.ndarray:
-        return np.atleast_2d(np.array(self.cone_potential, dtype=float))
 
 
 def _tip_gamma(mu2: float, b: float) -> float:
@@ -237,133 +228,3 @@ def enumerate_channels(ts: TransversalSpectrum, p: int, lam_max: float) -> list[
     order = {"H1": 0, "H2": 1, "H3": 2, "H4": 3, "H5": 4}
     out.sort(key=lambda c: (order[c.kind], float(c.mu2)))
     return out
-
-
-@dataclass
-class ExtensionRegime:
-    """Self-adjoint extension data for one degree.
-
-    gamma_in_gap lists (gamma, mu2, mult) for Mellin-symbol eigenvalues in
-    the open gap ]-1/2, 1/2[, with gamma reported as sqrt(mu2 + a_p^2) - 1/2
-    for the coupled pairs and 0 for harmonic couplings.  Empty gap means the
-    operator is essentially self-adjoint in degree p.
-    """
-
-    p: int
-    gamma_in_gap: list[tuple[float, Scalar, int]]
-    essentially_selfadjoint: bool
-    case_tag: str  # friedrichs | dmin_dmax | coupled-middle | unclassified
-
-
-def spectrum_of_A(ts: TransversalSpectrum, lam_A: float):
-    """Spectrum of the degree-shift symbol A in [-lam_A, lam_A], aggregated
-    over all degrees, plus the per-degree extension regimes.
-
-    Per coexact q-eigenvalue mu^2 the total space contributes the quadruple
-    +-1/2 +- sqrt(mu^2 + a_{q+1}^2); each harmonic q-class contributes
-    n/2 - q and q - n/2 once per slot copy.
-    """
-    lam_A = float(lam_A)
-    n = ts.n
-    need = (lam_A + 0.5) ** 2
-    if float(ts.cutoff) < need - 1e-9:
-        raise ValueError(
-            f"transversal cutoff {float(ts.cutoff)} cannot certify the A-spectrum "
-            f"window [-{lam_A}, {lam_A}] (needs cutoff >= {need})"
-        )
-
-    agg: list[tuple[float, int]] = []
-
-    def push(val: float, mult: int):
-        if abs(val) <= lam_A + 1e-12 and mult > 0:
-            agg.append((val, mult))
-
-    for q in range(n + 1):
-        a_next = float(Fraction(n + 1, 2) - (q + 1))
-        for mu2, m in ts.coexact_at(q):
-            s = math.sqrt(float(mu2) + a_next * a_next)
-            for sign_half in (0.5, -0.5):
-                for sign_s in (1.0, -1.0):
-                    push(sign_half + sign_s * s, m)
-        bq = ts.betti[q]
-        push(n / 2.0 - q, bq)
-        push(q - n / 2.0, bq)
-
-    # merge coincident values
-    agg.sort(key=lambda t: t[0])
-    merged: list[tuple[float, int]] = []
-    for v, m in agg:
-        if merged and abs(merged[-1][0] - v) <= 1e-12:
-            merged[-1] = (merged[-1][0], merged[-1][1] + m)
-        else:
-            merged.append((v, m))
-
-    regimes: dict[int, ExtensionRegime] = {}
-    for p in range(0, n + 2):
-        regimes[p] = _extension_regime(ts, p)
-    return merged, regimes
-
-
-def _extension_regime(ts: TransversalSpectrum, p: int) -> ExtensionRegime:
-    n = ts.n
-    dc = degree_constants(n, p)
-    gap: list[tuple[float, Scalar, int]] = []
-
-    for mu2, m in ts.coexact_at(p - 1):
-        # s < 1 strictly; rationals decide exactly
-        s2 = (mu2 + dc.a * dc.a) if isinstance(mu2, Fraction) else float(mu2) + float(dc.a) ** 2
-        in_gap = s2 < 1 if isinstance(s2, Fraction) else s2 < 1.0 - 1e-14
-        if in_gap:
-            gap.append((math.sqrt(float(s2)) - 0.5, mu2, m))
-    b_prev = ts.betti[p - 1] if 0 <= p - 1 <= n else 0
-    b_here = ts.betti[p] if 0 <= p <= n else 0
-    if dc.nu == 0 and b_prev > 0:
-        gap.append((0.0, Fraction(0), b_prev))
-    if dc.w_alpha == 0 and b_here > 0:
-        gap.append((0.0, Fraction(0), b_here))
-
-    middle_even = n % 2 == 0 and p in (n // 2, n // 2 + 1)
-    if middle_even and ts.betti[n // 2] > 0:
-        tag = "coupled-middle"
-    elif n % 2 == 1 and 2 * p == n + 1 and any(
-        (mu2 < 1 if isinstance(mu2, Fraction) else float(mu2) < 1.0 - 1e-14)
-        for mu2, _ in ts.coexact_at(p - 1)
-    ):
-        tag = "dmin_dmax"
-    else:
-        tag = "friedrichs"
-
-    return ExtensionRegime(
-        p=p,
-        gamma_in_gap=gap,
-        essentially_selfadjoint=not gap,
-        case_tag=tag,
-    )
-
-
-def n_operator_singular(gamma: float, mu: float, p: int, n: int) -> bool:
-    """Whether the interface normal-operator family degenerates at (gamma, mu).
-
-    True exactly on the minus branch of the middle degree (n odd,
-    p = (n+1)/2) for mu in ]0, 1], where gamma = 1/2 - mu.  gamma must be an
-    admissible tip exponent for (mu, p, n).
-    """
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    dc = degree_constants(n, p)
-    mu2 = float(mu) ** 2
-    a = float(dc.a)
-    gm, gp = gamma_pm(mu2, a)
-    g3, g4 = _tip_gamma(mu2, a + 1.0), _tip_gamma(mu2, a - 1.0)
-    admissible = {"minus": gm, "plus": gp, "h3": g3, "h4": g4}
-    match = None
-    for name, val in admissible.items():
-        if abs(val - float(gamma)) <= 1e-9 * max(1.0, abs(val)):
-            match = name
-            break
-    if match is None:
-        raise ValueError(
-            f"gamma={gamma} is not an admissible tip exponent for mu={mu}, p={p}, n={n} "
-            f"(candidates {sorted(set(admissible.values()))})"
-        )
-    return match == "minus" and 2 * p == n + 1 and mu <= 1.0 + 1e-12

@@ -246,10 +246,9 @@ def dense_hermitian_eigenvalues(K: np.ndarray, W: np.ndarray,
                                 ) -> np.ndarray:
     """Ascending eigenvalues of the pencil (K, W) with W positive diagonal.
 
-    Reduces to W^{-1/2} K W^{-1/2}; complex Hermitian input is realified to
-    the doubled real symmetric problem [[Re, -Im], [Im, Re]] and the exact
-    eigenvalue pairs are de-duplicated afterwards.  The oracle does not call
-    it: it is the dense cross-check of band_hermitian_eigenvalues.
+    Reduces to the real symmetric or complex Hermitian W^{-1/2} K W^{-1/2}
+    and solves it densely.  The oracle does not call it: it is the dense
+    cross-check of band_hermitian_eigenvalues.
     """
     W = np.asarray(W, dtype=float)
     if K.shape[0] != K.shape[1] or K.shape[0] != W.shape[0]:
@@ -258,34 +257,14 @@ def dense_hermitian_eigenvalues(K: np.ndarray, W: np.ndarray,
         raise ValueError("mass matrix must be positive")
     d = 1.0 / np.sqrt(W)
     H = d[:, None] * K * d[None, :]
-    doubled = np.iscomplexobj(H)
-    if doubled:
-        Hr = np.block([[H.real, -H.imag], [H.imag, H.real]])
-    else:
-        Hr = H
     kwargs = {}
     if lam_window is not None:
         kwargs = {"subset_by_value": lam_window, "driver": "evr"}
     try:
-        evs = eigh(Hr, eigvals_only=True, **kwargs)
+        evs = eigh(H, eigvals_only=True, **kwargs)
     except LinAlgError as exc:
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-    evs = np.sort(evs)
-    if not doubled:
-        return evs
-    if len(evs) % 2 != 0:
-        raise NumericalError(
-            "realified spectrum has odd length; the doubling pairing broke "
-            "(likely an eigenvalue sitting on the window edge)"
-        )
-    a, b = evs[0::2], evs[1::2]
-    tol = 1e-8 * np.maximum(1.0, np.abs(a))
-    if np.any(np.abs(a - b) > tol):
-        k = int(np.argmax(np.abs(a - b) - tol))
-        raise NumericalError(
-            f"realification pair {k} split: {a[k]} vs {b[k]}"
-        )
-    return a
+    return np.sort(evs)
 
 
 def oracle_eigenvalues(channel: Channel, theta: float, profile: Profile,

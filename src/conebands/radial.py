@@ -44,7 +44,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, minimize_scalar
 
 from .channels import Channel, pair_partners
@@ -227,25 +226,6 @@ class ScaledMatrix:
         return self.mat * math.exp(self.logscale)
 
 
-def det_residual(sm: ScaledMatrix) -> float:
-    """|log det M| of the physical matrix; 0 for a unimodular transfer map."""
-    sign, logdet = np.linalg.slogdet(sm.mat)
-    if sign <= 0:
-        return math.inf
-    n = sm.mat.shape[0]
-    return abs(logdet + n * sm.logscale)
-
-
-def symplectic_residual(sm: ScaledMatrix) -> float:
-    """Absolute residual of Mhat^T J Mhat = e^{-2 logscale} J; the stored
-    matrix has O(1) entries, so this is scale-free."""
-    n = sm.mat.shape[0] // 2
-    J = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
-    lhs = sm.mat.T @ J @ sm.mat
-    target = math.exp(-2.0 * sm.logscale) if sm.logscale < 300.0 else 0.0
-    return float(np.max(np.abs(lhs - target * J)))
-
-
 # ---------------------------------------------------------------------------
 # flat segments
 
@@ -284,21 +264,6 @@ def _flat_propagators(mass2: float, lam: np.ndarray, ell: float) -> tuple[np.nda
         _put(P, big, 1.0 + q, (1.0 - q) / kb, kb * (1.0 - q), 1.0 + q)
         logs[big] = kb * ell - math.log(2.0)
     return P, logs
-
-
-def segment_propagator(mass2: float, lam: float, ell: float) -> np.ndarray:
-    """Transfer matrix of -u'' + mass2 u = lam u over a length-ell flat piece,
-    acting on (u, u'): one point of the batched flat forms, det = 1."""
-    mass2, lam, ell = float(mass2), float(lam), float(ell)
-    if ell < 0:
-        raise ValueError("segment length must be nonnegative")
-    if lam < mass2 and math.sqrt(mass2 - lam) * ell > 350.0:
-        raise NumericalError(
-            f"hyperbolic segment overflow (kappa*ell = {math.sqrt(mass2 - lam) * ell:.1f}); "
-            "only the log-scaled monodromy holds it"
-        )
-    P, logs = _flat_propagators(mass2, np.array([lam]), ell)
-    return P[0] * math.exp(logs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +367,17 @@ def cone_basis(gamma: float, z_max: float) -> ConeSeries:
     def grow(coefs: list[float], step, stop: int, min_j: int = 4) -> bool:
         """Append step(j) for j = len(coefs), ..., stop - 1 until the tail
         test passes at some j >= min_j; False if it never does."""
-        scale = max(abs(c) * z_max**k for k, c in enumerate(coefs))
-        for j in range(len(coefs), stop):
-            coefs.append(step(j))
-            tail = abs(coefs[-1]) * z_max**j
-            scale = max(scale, tail)
-            if j >= min_j and (tail <= SERIES_RTOL * max(scale, 1e-300) or tail == 0.0):
-                return True
+        try:
+            scale = max(abs(c) * z_max**k for k, c in enumerate(coefs))
+            for j in range(len(coefs), stop):
+                coefs.append(step(j))
+                tail = abs(coefs[-1]) * z_max**j
+                scale = max(scale, tail)
+                if j >= min_j and (tail <= SERIES_RTOL * max(scale, 1e-300) or tail == 0.0):
+                    return True
+        except OverflowError:
+            raise NumericalError(f"cone series overflows double precision at gamma = "
+                                 f"{gamma}, z_max = {z_max:.6g}") from None
         return False
 
     # regular branch
@@ -472,46 +441,6 @@ def _transfer(S0: np.ndarray, S1: np.ndarray, wronskian: float) -> np.ndarray:
     return _mul(S1, inv0 / wronskian)
 
 
-def _require_scalar(channel: Channel) -> None:
-    if channel.kind == "H5":
-        raise ValueError("transfer matrices are scalar; solve an H5 pair through "
-                         "channels.pair_partners")
-
-
-def cone_propagator(channel: Channel, lam: float, t0: float, t1: float,
-                    method: str = "series") -> np.ndarray:
-    """Transfer matrix of a scalar channel across the ascending cone from
-    radius t0 to t1, state (sigma, dsigma/dt): one point of the batched
-    series evaluation.  method='rk' integrates the ODE instead (cross-check)."""
-    _require_scalar(channel)
-    if not (0.0 < t0 <= t1 <= 1.0 + 1e-12):
-        raise ValueError(f"need 0 < t0 <= t1 <= 1, got ({t0}, {t1})")
-    if t0 == t1:
-        return np.eye(2)
-    if method == "rk":
-        return _cone_propagator_rk(channel, lam, t0, t1)
-    if method != "series":
-        raise ValueError(f"unknown method {method!r}")
-    table = cone_basis(channel.gammas[0], abs(lam) * t1 * t1)
-    S = table.state(np.array([float(lam)]), (t0, t1))
-    return _transfer(S[0], S[1], table.wronskian)[0]
-
-
-def _cone_propagator_rk(channel: Channel, lam: float, t0: float, t1: float) -> np.ndarray:
-    c = float(channel.cone_potential[0])
-
-    def rhs(t, y):
-        return [y[1], (c / (t * t) - lam) * y[0]]
-
-    cols = []
-    for y0 in ([1.0, 0.0], [0.0, 1.0]):
-        sol = solve_ivp(rhs, (t0, t1), y0, rtol=1e-11, atol=1e-13, method="RK45")
-        if not sol.success:
-            raise NumericalError(f"RK cross-check failed: {sol.message}")
-        cols.append(sol.y[:, -1])
-    return np.column_stack(cols)
-
-
 # ---------------------------------------------------------------------------
 # monodromy
 
@@ -530,7 +459,9 @@ class _PeriodMap:
     """
 
     def __init__(self, channel: Channel, profile: Profile, lam_bound: float):
-        _require_scalar(channel)
+        if channel.kind == "H5":
+            raise ValueError("transfer matrices are scalar; solve an H5 pair through "
+                             "channels.pair_partners")
         if profile.eta != 0.0:
             raise ValueError("monodromy needs a piecewise profile (eta = 0)")
         w = float(channel.interface_weights[0])

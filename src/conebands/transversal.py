@@ -68,21 +68,6 @@ class TransversalSpectrum:
             return []
         return list(self.coexact[q])
 
-    def total_dim_at(self, mu2: Scalar) -> int:
-        """Total dimension of the full form-valued eigenspace at mu2 > 0.
-
-        Sums dim over all degrees q: coexact[q] + exact[q] contributions.
-        """
-        total = 0
-        for q in range(self.n + 1):
-            for m2, m in self.coexact_at(q):
-                if _same_mu2(m2, mu2):
-                    total += m
-            for m2, m in self.exact(q):
-                if _same_mu2(m2, mu2):
-                    total += m
-        return total
-
 
 @dataclass
 class ValidationReport:
@@ -204,10 +189,9 @@ def validate(ts: TransversalSpectrum) -> ValidationReport:
     """Consistency checks on cross-section data.
 
     Checked: list lengths, Betti duality b_q = b_{n-q}, Euler characteristic
-    zero for n >= 1 (odd tori and products always satisfy it... any flat
-    manifold with a parallel vector field does), positivity of mu^2 and
-    multiplicities, Hodge-star pairing coexact[q] ~ coexact[n-q-1], and
-    completeness ordering below cutoff.
+    zero (every closed flat manifold has chi = 0, by Gauss-Bonnet-Chern),
+    positivity of mu^2 and multiplicities, Hodge-star pairing coexact[q] ~
+    coexact[n-q-1], and completeness ordering below cutoff.
     """
     v: list[str] = []
     n = ts.n

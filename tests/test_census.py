@@ -1,0 +1,73 @@
+"""Band census over whole degrees: the paper's gap dichotomy and Hodge-star
+duality, read off the union of the channels' bands.
+
+For a flat torus cross-section of dimension n the handle pinching eps -> 0
+opens ever more spectral gaps in every degree p, except p in {n/2, n/2 + 1}
+when H^{n/2} != 0.  On the 2-torus that exception is p = 1, 2: there the H2
+channel has interface weight p - n/2 = 0 and no potential shift, so it is the
+free line and its bands cover [0, lam_max].
+"""
+
+import math
+
+import pytest
+
+from conebands.channels import enumerate_channels
+from conebands.radial import band_edges, make_profile
+from conebands.transversal import build_flat_torus_spectrum
+
+TWO_PI = 2.0 * math.pi
+TORI = {n: build_flat_torus_spectrum([TWO_PI] * n, 8) for n in (1, 2, 3)}
+
+
+def degree_bands(ts, p, profile, lam_max):
+    """Sorted bands of every channel of degree p below lam_max, each listed
+    Channel.mult times."""
+    bands = []
+    for ch in enumerate_channels(ts, p, lam_max):
+        bands += ch.mult * band_edges(ch, profile, lam_max).bands
+    return sorted(bands)
+
+
+def union_gaps(bands):
+    """Open gaps between the bands' union, from the bottom band up."""
+    gaps = []
+    top = bands[0][1]
+    for lo, hi in bands[1:]:
+        if lo > top:
+            gaps.append((top, lo))
+        top = max(top, hi)
+    return gaps
+
+
+def wide_gap_count(n, p, eps, lam_max=6.0, width=0.05):
+    bands = degree_bands(TORI[n], p, make_profile(eps, 1.0, 0.8), lam_max)
+    return sum(1 for lo, hi in union_gaps(bands) if hi - lo > width)
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.1])
+def test_middle_degrees_of_the_two_torus_have_no_gap(eps):
+    # H^1(T^2) != 0, so p = n/2 and n/2 + 1 are the exceptional degrees
+    for p in (1, 2):
+        bands = degree_bands(TORI[2], p, make_profile(eps, 1.0, 0.8), 6.0)
+        assert bands[0][0] == 0.0 and max(hi for _, hi in bands) == 6.0
+        assert union_gaps(bands) == [], (p, eps)
+
+
+def test_gaps_open_in_the_other_degrees():
+    for eps in (0.3, 0.1):
+        assert wide_gap_count(2, 0, eps) == 4
+        assert wide_gap_count(2, 3, eps) == 4
+    # pinching the handle opens more gaps below lam = 6
+    assert (wide_gap_count(1, 0, 0.3), wide_gap_count(1, 0, 0.1)) == (2, 3)
+    assert (wide_gap_count(3, 1, 0.3), wide_gap_count(3, 1, 0.1)) == (3, 7)
+
+
+@pytest.mark.parametrize("n,lam_max", [(1, 8.0), (2, 8.0), (3, 6.0)])
+def test_hodge_star_duality_of_band_lists(n, lam_max):
+    # the Hodge star maps degree p to n + 1 - p: the same scalar problems
+    # with the same multiplicities, so the band lists agree exactly
+    prof = make_profile(0.3, 1.0, 0.8)
+    bands = [degree_bands(TORI[n], p, prof, lam_max) for p in range(n + 2)]
+    for p in range(n + 2):
+        assert bands[p] == bands[n + 1 - p], p

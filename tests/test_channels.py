@@ -6,13 +6,10 @@ import pytest
 
 from conebands.channels import (
     Channel,
-    ExtensionRegime,
     degree_constants,
     enumerate_channels,
     gamma_pm,
-    n_operator_singular,
     pair_partners,
-    spectrum_of_A,
 )
 from conebands.transversal import build_flat_torus_spectrum
 
@@ -222,90 +219,21 @@ def test_enumerate_duality_p_vs_dual():
     assert pots_a == pytest.approx(pots_b)
 
 
-# ---------------------------------------------------------------------------
-# A-spectrum and extensions
-
-
-def test_spectrum_of_A_circle():
-    ts = circle(5)
-    spec, regimes = spectrum_of_A(ts, 1.6)
-    # coexact mu = 1 contributes +-1/2 +- 1 = {-1.5, -0.5, 0.5, 1.5} x2;
-    # coexact mu = 2 contributes +-(1/2 - 2) = +-1.5 x2 inside the window;
-    # harmonics contribute +-1/2 once per slot pair (b_0 and b_1)
-    as_dict = {}
-    for g, m in spec:
-        as_dict[round(g, 12)] = as_dict.get(round(g, 12), 0) + m
-    assert as_dict == {-1.5: 4, -0.5: 4, 0.5: 4, 1.5: 4}
-    for p in range(0, 3):
-        assert regimes[p].essentially_selfadjoint
-        assert regimes[p].case_tag == "friedrichs"
-
-
-def test_extension_regime_dmin_dmax_on_long_circle():
-    # circumference 4*pi: mu^2 = 1/4 sits inside ]0,1[, so the middle degree
-    # p = 1 admits the gap value gamma = s - 1/2 = 0 with multiplicity 2
-    ts = build_flat_torus_spectrum([2 * TWO_PI], 7)
-    _, regimes = spectrum_of_A(ts, 2.0)
-    r1 = regimes[1]
-    assert r1.case_tag == "dmin_dmax"
-    assert not r1.essentially_selfadjoint
-    assert len(r1.gamma_in_gap) == 1
-    g, mu2, mult = r1.gamma_in_gap[0]
-    assert g == pytest.approx(0.0, abs=1e-14)
-    assert mu2 == Fraction(1, 4) and mult == 2
-    assert regimes[0].case_tag == "friedrichs"
-    assert regimes[2].case_tag == "friedrichs"
-
-
-def test_extension_regime_coupled_middle():
-    ts = build_flat_torus_spectrum([TWO_PI, TWO_PI], 3)
-    _, regimes = spectrum_of_A(ts, 1.2)
-    assert regimes[1].case_tag == "coupled-middle"
-    assert regimes[2].case_tag == "coupled-middle"
-    assert regimes[0].case_tag == "friedrichs"
-    assert regimes[3].case_tag == "friedrichs"
-    # the harmonic coupling contributes gamma = 0 with mult b_1 = 2
-    entries1 = [(g, m) for g, _, m in regimes[1].gamma_in_gap]
-    assert (0.0, 2) in entries1
-
-
-def test_spectrum_of_A_consistency_with_potentials():
-    # every channel potential eigenvalue equals x(x+1) for some aggregate
-    # A-eigenvalue x
-    ts = build_flat_torus_spectrum([TWO_PI, TWO_PI], 13)
-    spec, _ = spectrum_of_A(ts, 3.0)
-    avals = [g for g, _ in spec]
-    for p in range(0, ts.n + 2):
-        for ch in enumerate_channels(ts, p, 2.0):
-            pot = np.atleast_2d(np.array(ch.cone_potential, dtype=float))
-            for lam in np.linalg.eigvalsh(pot):
-                ok = any(abs(x * (x + 1) - lam) < 1e-9 for x in avals)
-                assert ok, (p, ch.kind, lam)
+def test_cone_potential_eigenvalues_match_gammas():
+    # each eigenvalue c of a channel's cone potential is gamma (gamma + 1)
+    # of its own tip exponent, in ascending order
+    for n in (1, 2, 3):
+        ts = build_flat_torus_spectrum([TWO_PI] * n, 8)
+        for p in range(0, n + 2):
+            for ch in enumerate_channels(ts, p, 8.0):
+                pot = np.atleast_2d(np.array(ch.cone_potential, dtype=float))
+                want = [g * (g + 1.0) for g in ch.gammas]
+                np.testing.assert_allclose(np.linalg.eigvalsh(pot), want, rtol=0, atol=1e-12,
+                                           err_msg=f"n={n} p={p} {ch.kind} mu2={ch.mu2}")
 
 
 # ---------------------------------------------------------------------------
-# N-operator singularity and pair partners
-
-
-def test_n_operator_singular_examples():
-    # qualifying: n = 1, p = 1 (middle), mu = 1/2, gamma = gamma_-(1/4) = 0
-    assert n_operator_singular(0.0, 0.5, 1, 1) is True
-    # boundary mu = 1 still counts (gamma = -1/2)
-    assert n_operator_singular(-0.5, 1.0, 1, 1) is True
-    # gamma_- of mu = 2 is 1/2 but mu > 1: not singular
-    assert n_operator_singular(0.5, 2.0, 1, 1) is False
-    # plus branch never qualifies
-    assert n_operator_singular(1.5, 1.0, 1, 1) is False
-    # off-middle degree never qualifies (H4 exponent, p = 0)
-    g4 = -0.5 + math.sqrt(1.0 + 0.0)  # a_{p+1} = 0 for n=1, p=0
-    assert n_operator_singular(g4, 1.0, 0, 1) is False
-
-
-def test_n_operator_singular_rejects_inadmissible():
-    with pytest.raises(ValueError):
-        n_operator_singular(0.123, 1.0, 1, 1)
-    with pytest.raises(ValueError):
-        n_operator_singular(0.0, -1.0, 1, 1)
+# pair partners
 
 
 def test_pair_partners_are_the_enumerated_scalars():

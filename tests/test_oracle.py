@@ -178,14 +178,14 @@ class TestPotentialReproduction:
 
     def test_pair_ascending_cone(self):
         ch = chan(1, "H5", mu2=1.0)
-        C = ch.potential_matrix()
+        C = np.array(ch.cone_potential, dtype=float)
         self.check(ch, STD, 2.3, 2.9, lambda t: C / STD.rho(t) ** 2)
 
     def test_pair_descending_cone_flips_coupling(self):
         # global frame on the way down conjugates by diag(-1, 1)
         ch = chan(1, "H5", mu2=1.0)
         F = np.diag([-1.0, 1.0])
-        C = F @ ch.potential_matrix() @ F
+        C = F @ np.array(ch.cone_potential, dtype=float) @ F
         self.check(ch, STD, 0.5, 1.1, lambda t: C / STD.rho(t) ** 2)
 
     def test_pair_handle_decouples(self):
@@ -260,7 +260,7 @@ class TestDenseHermitianEigenvalues:
         evs = dense_hermitian_eigenvalues(np.array([[8.0]]), np.array([4.0]))
         np.testing.assert_allclose(evs, [2.0], atol=1e-14)
 
-    def test_realification_matches_direct_complex_solver(self):
+    def test_complex_hermitian_matches_eigvalsh(self):
         rng = np.random.default_rng(11)
         A = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
         K = A + A.conj().T

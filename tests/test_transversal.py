@@ -101,8 +101,14 @@ def test_total_dimension_matches_brute_force(sides, cutoff):
     expect = brute_force_form_dims(sides, cutoff, n)
     got_levels = {round(float(mu2), 9) for mu2, _ in ts.coexact[0]}
     assert got_levels == set(expect)
-    for mu2 in got_levels:
-        assert ts.total_dim_at(mu2) == expect[mu2]
+    # total dimension of the form-valued eigenspace: coexact plus exact
+    # q-forms, summed over every degree q
+    total: dict[float, int] = {}
+    for q in range(n + 1):
+        for mu2, m in ts.coexact_at(q) + ts.exact(q):
+            key = round(float(mu2), 9)
+            total[key] = total.get(key, 0) + m
+    assert total == expect
 
 
 def test_exact_equals_shifted_coexact():
