@@ -31,9 +31,11 @@ through z = lambda t^2.  A root scan therefore builds one lambda-free
 coefficient table per channel (cone_basis, valid up to lam_max t_max^2) and
 evaluates the monodromy for the whole lambda grid at once, as (G, 2, 2)
 arrays with one log scale per point, so deep spectral gaps (huge hyperbolic
-growth) never overflow.  Root polishing evaluates single points through the
-same batched code and the same table, so a polished value at a grid node
-equals the scanned one bit for bit.  The cone evaluation checks the
+growth) never overflow.  Root polishing is one batched bracket solve per
+scalar problem: every sign-change bracket of every theta goes through the
+same batched code and the same table in one elementwise call.  The
+evaluator is elementwise, so a polished value at a grid node equals the
+scanned one bit for bit.  The cone evaluation checks the
 numerical Wronskian of every point and raises NumericalError once the series
 has lost its digits (lambda t^2 beyond about 400).
 """
@@ -44,13 +46,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
+from scipy.optimize.elementwise import find_root
 
 from .channels import Channel, pair_partners
 
 # lambda grid resolution for root scans: one batched monodromy evaluation of
-# SCAN_STEPS + 1 points per scalar problem, then single-point polish on the
-# same coefficient table
+# SCAN_STEPS + 1 points per scalar problem, then one batched bracket solve per
+# scalar problem on the same coefficient table
 SCAN_STEPS = 2000
 
 
@@ -533,10 +536,12 @@ def monodromy(channel: Channel, lam: float, profile: Profile) -> ScaledMatrix:
 # Floquet root finding
 
 
-def _floquet_F(tr: np.ndarray, logs: np.ndarray, y: float) -> tuple[np.ndarray, np.ndarray]:
+def _floquet_F(tr: np.ndarray, logs: np.ndarray,
+               y: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scaled characteristic function tr M - y whose zeros are Floquet
     eigenvalues, and the noise scale for tangency decisions, from the scaled
-    traces and log scales of the monodromies."""
+    traces and log scales of the monodromies; y is one target or one per
+    point."""
     e1 = np.where(logs < 690.0, np.exp(-logs), 0.0)
     F = tr - y * e1
     noise = 1e-11 * (np.abs(tr) + abs(y) * e1) + 1e-13
@@ -565,22 +570,38 @@ def _floquet_roots(channel: Channel, thetas: tuple[float, ...], profile: Profile
                    lam_max: float, tol: float) -> list[list[float]]:
     """Floquet roots of a scalar channel at each theta, from one batched
     evaluation of the monodromy trace over the lambda grid (the trace does
-    not depend on theta); roots are polished on the same table.  Raises when
-    a root violates the channel's lower bound."""
+    not depend on theta).  The brackets of every theta are polished together
+    in one solve on the same table.  Raises when a root violates the
+    channel's lower bound."""
     period = _PeriodMap(channel, profile, lam_max)
     grid = np.linspace(0.0, float(lam_max), SCAN_STEPS + 1)
     tr, logs = period.trace(grid)
+    out: list[list[float]] = []
+    brackets: list[tuple[float, float, float, int]] = []  # lo, hi, 2 cos theta, theta index
+    for k, theta in enumerate(thetas):
+        y = 2.0 * math.cos(theta)
+        Fs, noises = _floquet_F(tr, logs, y)
+        roots, cells, dips = _roots_on_grid(grid, Fs, noises)
+        brackets += [(lo, hi, y, k) for lo, hi in cells]
+        for i in dips:
+            double, pair = _resolve_dip(period, y, tol, float(grid[i - 1]), float(grid[i + 1]),
+                                        math.copysign(1.0, Fs[i]))
+            roots += double
+            brackets += [(lo, hi, y, k) for lo, hi in pair]
+        out.append(roots)
+    if brackets:
+        lo, hi, ys, owner = (np.array(col) for col in zip(*brackets))
+        for k, x in zip(owner, _polish(period, lo, hi, ys, tol)):
+            out[k].append(float(x))
     guard = channel.prune_bound - 1e-6
-    out = []
-    for theta in thetas:
-        roots = _roots_on_grid(period, theta, tol, grid, tr, logs)
+    for roots in out:
+        roots.sort()
         for r in roots:
             if r < guard:
                 raise NumericalError(
                     f"eigenvalue {r} violates the channel lower bound "
                     f"{channel.prune_bound}; pruning rule unsound here"
                 )
-        out.append(roots)
     return out
 
 
@@ -595,82 +616,85 @@ def floquet_eigenvalues(channel: Channel, theta: float, profile: Profile,
     return sorted(roots)
 
 
-def _roots_on_grid(period: _PeriodMap, theta: float, tol: float, grid: np.ndarray,
-                   tr: np.ndarray, logs: np.ndarray) -> list[float]:
-    y = 2.0 * math.cos(theta)
-    Fs, noises = _floquet_F(tr, logs, y)
+def _roots_on_grid(grid: np.ndarray, Fs: np.ndarray,
+                   noises: np.ndarray) -> tuple[list[float], list[tuple[float, float]], np.ndarray]:
+    """Read the sampled characteristic function Fs on the lambda grid.
+
+    Returns the roots taken straight from the grid, the sign-change cells
+    to polish and the dip candidates.  A maximal run of zeroish samples
+    (|F| <= noise) gives its centre: once where it touches an end of the
+    window or F changes sign across it, twice (a tangency) where it does
+    not; a run covering the whole window gives nothing.  A cell
+    (grid[i], grid[i+1]) of two non-zeroish samples of opposite sign is a
+    bracket.  A dip is an index i whose three samples i-1, i, i+1 are
+    non-zeroish and of one sign, with |F| smallest in the middle; two
+    crossings or a tangency may hide in [grid[i-1], grid[i+1]] there.
+    """
+    zeroish = np.abs(Fs) <= noises
+    edge = np.diff(np.concatenate(([False], zeroish, [False])).astype(np.int8))
+    start, end = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1) - 1
+    # a one-sample run's centre is that sample exactly: 0.5 * (x + x) == x
+    center = 0.5 * (grid[start] + grid[end])
+    first, last = start == 0, end == len(grid) - 1
+    inner = ~(first | last)
+    crosses = np.zeros(len(start), dtype=bool)
+    crosses[inner] = Fs[start[inner] - 1] * Fs[end[inner] + 1] < 0
+    copies = np.where(first & last, 0, np.where(inner & ~crosses, 2, 1))
+    roots = np.repeat(center, copies).tolist()
+
+    live = ~zeroish
+    cell = live[:-1] & live[1:] & (Fs[:-1] * Fs[1:] < 0)
+    cells = list(zip(grid[:-1][cell].tolist(), grid[1:][cell].tolist()))
+
+    neg, mag = np.signbit(Fs), np.abs(Fs)
+    dip = (live[:-2] & live[1:-1] & live[2:]
+           & (neg[:-2] == neg[1:-1]) & (neg[2:] == neg[1:-1])
+           & (mag[1:-1] < mag[:-2]) & (mag[1:-1] < mag[2:]))
+    return roots, cells, np.flatnonzero(dip) + 1
+
+
+def _resolve_dip(period: _PeriodMap, y: float, tol: float, lo: float, hi: float,
+                 s0: float) -> tuple[list[float], list[tuple[float, float]]]:
+    """Minimise s0 F over [lo, hi], where the sampled s0 F dips toward zero.
+
+    Returns a double root at the minimiser when the minimum lies within
+    the noise, the two brackets (lo, x*) and (x*, hi) when F crosses zero
+    there, and nothing otherwise."""
 
     def F_noise(x: float) -> tuple[float, float]:
         F, noise = _floquet_F(*period.trace(np.array([x])), y)
         return float(F[0]), float(noise[0])
 
-    def F_at(x: float) -> float:
-        return F_noise(x)[0]
+    res = minimize_scalar(lambda x: s0 * F_noise(x)[0], bounds=(lo, hi), method="bounded",
+                          options={"xatol": max(tol, 1e-12)})
+    xstar = float(res.x)
+    fstar = float(res.fun)  # = s0 * F(xstar), negative iff F crossed zero
+    _, noise_star = F_noise(xstar)
+    if fstar < -noise_star:
+        return [], [(lo, xstar), (xstar, hi)]
+    if fstar <= noise_star:
+        return [xstar, xstar], []
+    return [], []
 
-    roots: list[float] = []
 
-    def bisect(a: float, b: float) -> float:
-        return float(brentq(F_at, a, b, xtol=tol, maxiter=200))
+def _polish(period: _PeriodMap, lo: np.ndarray, hi: np.ndarray, y: np.ndarray,
+            tol: float) -> np.ndarray:
+    """The root of tr M = y[k] inside every bracket [lo[k], hi[k]], all in
+    one elementwise Chandrupatla solve on the scan's table.  Raises
+    NumericalError unless every bracket converges."""
 
-    zeroish = np.abs(Fs) <= noises
-    i = 0
-    ng = len(grid)
-    while i < ng:
-        if zeroish[i]:
-            j = i
-            while j + 1 < ng and zeroish[j + 1]:
-                j += 1
-            left = i - 1
-            right = j + 1
-            center = 0.5 * (grid[i] + grid[j])
-            if left < 0 and right < ng:
-                roots.append(float(grid[i]) if i == j else center)
-            elif right >= ng and left >= 0:
-                roots.append(float(grid[j]) if i == j else center)
-            elif left >= 0 and right < ng:
-                if Fs[left] * Fs[right] < 0:
-                    roots.append(center)
-                else:
-                    roots.extend([center, center])  # tangency through zero
-            i = j + 1
-            continue
-        if i + 1 < ng and not zeroish[i + 1] and Fs[i] * Fs[i + 1] < 0:
-            roots.append(bisect(float(grid[i]), float(grid[i + 1])))
-        i += 1
+    def F(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return _floquet_F(*period.trace(x), y)[0]
 
-    # interior extrema dipping toward zero: resolve narrow pairs / tangencies
-    for i in range(1, ng - 1):
-        if zeroish[i - 1] or zeroish[i] or zeroish[i + 1]:
-            continue
-        s0 = math.copysign(1.0, Fs[i])
-        if math.copysign(1.0, Fs[i - 1]) != s0 or math.copysign(1.0, Fs[i + 1]) != s0:
-            continue
-        y1, y2, y3 = s0 * Fs[i - 1], s0 * Fs[i], s0 * Fs[i + 1]
-        if not (y2 < y1 and y2 < y3):
-            continue
-        # parabolic depth estimate; a shallow dip cannot host a double root
-        a_fit = 0.5 * (y1 + y3) - y2
-        b_fit = 0.5 * (y3 - y1)
-        vertex = y2 - b_fit * b_fit / (4.0 * a_fit) if a_fit > 0 else y2
-        if vertex > 1e-2 * 0.5 * (y1 + y3):
-            continue
-        res = minimize_scalar(
-            lambda x: s0 * F_at(x),
-            bounds=(float(grid[i - 1]), float(grid[i + 1])),
-            method="bounded",
-            options={"xatol": max(tol, 1e-12)},
-        )
-        xstar = float(res.x)
-        fstar = float(res.fun)  # = s0 * F(xstar), negative iff F crossed zero
-        _, noise_star = F_noise(xstar)
-        if fstar < -noise_star:
-            # two genuine crossings hiding inside one grid cell
-            roots.append(bisect(float(grid[i - 1]), xstar))
-            roots.append(bisect(xstar, float(grid[i + 1])))
-        elif fstar <= noise_star:
-            roots.extend([xstar, xstar])
-    roots.sort()
-    return roots
+    res = find_root(F, (lo, hi), args=(y,),
+                    tolerances={"xatol": tol, "xrtol": 4 * np.finfo(float).eps})
+    bad = np.flatnonzero(res.status != 0)
+    if bad.size:
+        k = bad[0]
+        raise NumericalError(f"root polish ended with status {int(res.status[k])} on the "
+                             f"bracket [{float(lo[k])!r}, {float(hi[k])!r}] of "
+                             f"tr M = {float(y[k])!r}")
+    return res.x
 
 
 @dataclass

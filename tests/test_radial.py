@@ -658,6 +658,142 @@ class TestFloquetEigenvalues:
 
 
 # ---------------------------------------------------------------------------
+# grid walk and batched polish
+
+
+def roots_on_grid_loop(grid, Fs, noises):
+    """Reference grid walk: the sample-by-sample loop the root finder used
+    before it was vectorised, with each sign-change cell and each dip
+    candidate recorded instead of solved.  Returns (roots, brackets, dips)."""
+    roots, brackets, dips = [], [], []
+    zeroish = np.abs(Fs) <= noises
+    i = 0
+    ng = len(grid)
+    while i < ng:
+        if zeroish[i]:
+            j = i
+            while j + 1 < ng and zeroish[j + 1]:
+                j += 1
+            left = i - 1
+            right = j + 1
+            center = 0.5 * (grid[i] + grid[j])
+            if left < 0 and right < ng:
+                roots.append(float(grid[i]) if i == j else center)
+            elif right >= ng and left >= 0:
+                roots.append(float(grid[j]) if i == j else center)
+            elif left >= 0 and right < ng:
+                if Fs[left] * Fs[right] < 0:
+                    roots.append(center)
+                else:
+                    roots.extend([center, center])  # tangency through zero
+            i = j + 1
+            continue
+        if i + 1 < ng and not zeroish[i + 1] and Fs[i] * Fs[i + 1] < 0:
+            brackets.append((float(grid[i]), float(grid[i + 1])))
+        i += 1
+    for i in range(1, ng - 1):
+        if zeroish[i - 1] or zeroish[i] or zeroish[i + 1]:
+            continue
+        s0 = math.copysign(1.0, Fs[i])
+        if math.copysign(1.0, Fs[i - 1]) != s0 or math.copysign(1.0, Fs[i + 1]) != s0:
+            continue
+        y1, y2, y3 = s0 * Fs[i - 1], s0 * Fs[i], s0 * Fs[i + 1]
+        if y2 < y1 and y2 < y3:
+            dips.append(i)
+    return roots, brackets, dips
+
+
+def assert_walks_agree(grid, Fs, noises):
+    roots, cells, dips = radial._roots_on_grid(grid, Fs, noises)
+    ref_roots, ref_cells, ref_dips = roots_on_grid_loop(grid, Fs, noises)
+    assert sorted(roots) == sorted(ref_roots)
+    assert sorted(cells) == sorted(ref_cells)
+    assert dips.tolist() == ref_dips
+
+
+TORUS_P1 = enumerate_channels(build_flat_torus_spectrum([2 * math.pi, 2 * math.pi], 8.25), 1, 8.0)
+
+
+class TestGridWalk:
+    @pytest.mark.parametrize("params", [(0.2, 1.0, 0.8), (0.21, 1.05, 0.84), (0.19, 0.95, 0.76)])
+    @pytest.mark.parametrize("census,lam_max", [(TORUS_P1, 8.0), (CIRCLE_HIGH, 400.0)],
+                             ids=["torus-p1", "circle-high"])
+    def test_census_walk_is_the_loop(self, census, lam_max, params):
+        prof = make_profile(*params)
+        grid = np.linspace(0.0, lam_max, SCAN_STEPS + 1)
+        for ch in census:
+            for part, _ in radial._scalar_problems(ch):
+                tr, logs = radial._PeriodMap(part, prof, lam_max).trace(grid)
+                for theta in (0.0, math.pi):
+                    assert_walks_agree(grid, *radial._floquet_F(tr, logs, 2.0 * math.cos(theta)))
+
+    @pytest.mark.parametrize("Fs", [
+        # runs touching both ends, a crossing cell, a tangency run of signed
+        # zeros, a dip, a one-sample run crossing zero
+        [0.0, 1e-4, 0.5, 0.2, 0.3, -0.2, -0.0, 0.0, -0.3, -0.1, -0.4, 1e-5, 0.2, -1e-4],
+        [-0.0, 0.4, -0.0, 0.4, 0.3, 0.5, -0.0],  # one-sample runs at both ends
+        [1e-4, -0.0, 0.0, -1e-5],  # one run covering the window
+        [0.3, 0.2, 0.2, 0.3, -0.1, -0.1, -0.2],  # equal neighbours are no dip
+    ])
+    def test_synthetic_walk_is_the_loop(self, Fs):
+        Fs = np.array(Fs)
+        grid = np.linspace(0.0, 1.0, len(Fs))
+        assert_walks_agree(grid, Fs, np.full(len(Fs), 1e-3))
+
+    def test_random_walk_is_the_loop(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            Fs = rng.normal(size=40) * 10.0 ** rng.integers(-4, 1, size=40)
+            Fs[rng.random(40) < 0.1] = 0.0
+            Fs[rng.random(40) < 0.1] = -0.0
+            assert_walks_agree(np.linspace(0.0, 1.0, 40), Fs, np.full(40, 1e-3))
+
+
+class TestPolish:
+    def test_bracket_without_sign_change_raises(self):
+        # a genuine antiperiodic bracket from the grid, and one of the same
+        # target without a sign change: the solve must refuse, not return
+        ch = next(c for c in CIRCLE_HIGH if c.kind == "H2")
+        period = radial._PeriodMap(ch, make_profile(0.2, 1.0, 0.8), 10.0)
+        grid = np.linspace(0.0, 10.0, 51)
+        Fs, noises = radial._floquet_F(*period.trace(grid), -2.0)
+        (good, *_), _ = radial._roots_on_grid(grid, Fs, noises)[1:]
+        lo, hi = np.array([good[0], 0.0]), np.array([good[1], 0.2])
+        F = radial._floquet_F(*period.trace(np.concatenate([lo, hi])), -2.0)[0]
+        assert F[0] * F[2] < 0 < F[1] * F[3]
+        y = np.array([-2.0, -2.0])
+        assert radial._polish(period, lo[:1], hi[:1], y[:1], 1e-10)[0] == pytest.approx(
+            floquet_eigenvalues(ch, math.pi, make_profile(0.2, 1.0, 0.8), 10.0)[0], abs=1e-9)
+        with pytest.raises(NumericalError, match=r"status -1 on the bracket \[0\.0, 0\.2\]"):
+            radial._polish(period, lo, hi, y, 1e-10)
+
+    def test_two_crossings_in_one_cell(self):
+        # circle-high at seed 0: the H2 antiperiodic gap (69.616, 69.743) is
+        # narrower than the 0.2 grid step and lies inside the cell
+        # [69.6, 69.8], so only the dip solve can split it into two brackets
+        ch = next(c for c in CIRCLE_HIGH if c.kind == "H2")
+        prof = make_profile(0.2, 1.0, 0.8)
+        got = [x for x in floquet_eigenvalues(ch, math.pi, prof, 400.0) if 69.6 < x < 69.8]
+        want = [x for x in oracle_eigenvalues(ch, math.pi, prof, 71.0, N=2000) if 69.6 < x < 69.8]
+        assert len(got) == len(want) == 2
+        assert got[1] - got[0] < 400.0 / SCAN_STEPS
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-6)
+
+    def test_shallow_dip_pair_is_found(self):
+        # circle-high at seed 5, H4 mu^2 = 9: the antiperiodic pair near 250.08
+        # and 250.11 leaves grid samples of 3.6e-4 and 4.1e-4 around a dip
+        # whose parabolic vertex (1.2e-4) looks shallow; the dip must still
+        # be minimised, and it crosses zero
+        ch = next(c for c in CIRCLE_HIGH if c.kind == "H4" and float(c.mu2) == 9.0)
+        prof = make_profile(0.20245803389779404, 1.024178698926073, 0.8236154852452557)
+        got = [x for x in floquet_eigenvalues(ch, math.pi, prof, 400.0) if 249.0 < x < 251.0]
+        want = [x for x in oracle_eigenvalues(ch, math.pi, prof, 252.0, N=4000)
+                if 249.0 < x < 251.0]
+        assert len(got) == len(want) == 2
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=5e-6)
+
+
+# ---------------------------------------------------------------------------
 # band edges
 
 
