@@ -757,7 +757,7 @@ class TestPolish:
         period = radial._PeriodMap(ch, make_profile(0.2, 1.0, 0.8), 10.0)
         grid = np.linspace(0.0, 10.0, 51)
         Fs, noises = radial._floquet_F(*period.trace(grid), -2.0)
-        (good, *_), _ = radial._roots_on_grid(grid, Fs, noises)[1:]
+        good = radial._roots_on_grid(grid, Fs, noises)[1][0]
         lo, hi = np.array([good[0], 0.0]), np.array([good[1], 0.2])
         F = radial._floquet_F(*period.trace(np.concatenate([lo, hi])), -2.0)[0]
         assert F[0] * F[2] < 0 < F[1] * F[3]
