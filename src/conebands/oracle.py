@@ -56,7 +56,7 @@ def warp_coefficient(channel: Channel, profile: Profile, t) -> np.ndarray:
     if not np.all(rho > 0):
         raise NumericalError(f"profile radius vanished at t={np.asarray(t)[~(rho > 0)][0]}")
     rp = profile.rho_prime(t)
-    mu = math.sqrt(float(channel.handle_mass))
+    mu = math.sqrt(float(channel.mu2))
     B = np.zeros(rho.shape + (2, channel.ncomp))
     if channel.ncomp == 1:
         w = float(channel.interface_weights[0])

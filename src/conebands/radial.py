@@ -10,8 +10,9 @@ picture, the Hill equation
 
     -sigma'' + V(tau) sigma = lambda sigma
 
-with V = c / rho^2 on cones (c = channel.cone_potential), V = mu^2 / rho^2
-on flat parts, and at every slope break of rho the derivative jumps by
+with V = gamma (gamma + 1) / rho^2 on cones (gamma = channel.gammas[0]),
+V = mu^2 / rho^2 on flat parts (mu^2 = channel.mu2), and at every slope
+break of rho the derivative jumps by
 
     sigma'(+) = sigma'(-) + (slope_- - slope_+) / rho * w sigma,
 
@@ -55,6 +56,8 @@ from .channels import Channel, pair_partners
 # SCAN_STEPS + 1 points per scalar problem, then one batched bracket solve per
 # scalar problem on the same coefficient table
 SCAN_STEPS = 2000
+# absolute tolerance of a polished or dip-minimised Floquet root
+ROOT_TOL = 1e-10
 
 
 class NumericalError(RuntimeError):
@@ -210,23 +213,6 @@ def make_profile(eps: float, L: float, l_out: float, eta: float = 0.0) -> Profil
             cursor = tc + d
             ci += 1
     return Profile(eps, L, l_out, eta, T, segments)
-
-
-# ---------------------------------------------------------------------------
-# scaled matrices
-
-
-@dataclass
-class ScaledMatrix:
-    """matrix * exp(logscale), with the stored matrix kept at O(1) entries."""
-
-    mat: np.ndarray
-    logscale: float = 0.0
-
-    def dense(self) -> np.ndarray:
-        if self.logscale > 600.0:
-            raise NumericalError("transfer matrix overflows double precision")
-        return self.mat * math.exp(self.logscale)
 
 
 # ---------------------------------------------------------------------------
@@ -456,17 +442,15 @@ class _PeriodMap:
     ordered product of segment propagators and junction jumps for a whole
     array of lam as (G, 2, 2) arrays.  After each factor every point is
     divided by its largest entry and the log of that entry is added to the
-    point's log scale (the ScaledMatrix form).  A single lam is a length-one
-    call of the same elementwise arithmetic, so it reproduces a grid value
-    bit for bit.
+    point's log scale.  A single lam is a length-one call of the same
+    elementwise arithmetic, so it reproduces a grid value bit for bit.
+    Piecewise profiles only: a smoothed corner segment is refused.
     """
 
     def __init__(self, channel: Channel, profile: Profile, lam_bound: float):
         if channel.kind == "H5":
             raise ValueError("transfer matrices are scalar; solve an H5 pair through "
                              "channels.pair_partners")
-        if profile.eta != 0.0:
-            raise ValueError("monodromy needs a piecewise profile (eta = 0)")
         w = float(channel.interface_weights[0])
         segs = profile.segments
         self.radii: list[float] = []
@@ -474,7 +458,7 @@ class _PeriodMap:
         for i, seg in enumerate(segs):
             r0, r1 = seg.rho(seg.tau0), seg.rho(seg.tau1)
             if seg.kind in ("cylinder", "handle"):
-                self.steps.append(("flat", float(channel.handle_mass) / (r0 * r0), seg.length))
+                self.steps.append(("flat", float(channel.mu2) / (r0 * r0), seg.length))
             elif seg.kind in ("cone_up", "cone_down"):
                 self.radii += [r for r in (r0, r1) if r not in self.radii]
                 # the descending cone runs against its radial coordinate:
@@ -523,15 +507,6 @@ class _PeriodMap:
         return M[..., 0, 0] + M[..., 1, 1], logs
 
 
-def monodromy(channel: Channel, lam: float, profile: Profile) -> ScaledMatrix:
-    """Ordered product of segment propagators and junction jumps over one
-    period, starting at the mid-cylinder cut: one point of the batched
-    evaluation.  Scalar channels and piecewise profiles only."""
-    lam = float(lam)
-    M, logs = _PeriodMap(channel, profile, abs(lam))(np.array([lam]))
-    return ScaledMatrix(M[0], float(logs[0]))
-
-
 # ---------------------------------------------------------------------------
 # Floquet root finding
 
@@ -549,9 +524,9 @@ def _floquet_F(tr: np.ndarray, logs: np.ndarray,
 
 
 def _hill_data(channel: Channel) -> tuple:
-    """Everything the scalar Hill problem of a channel depends on."""
-    return (channel.cone_potential, channel.handle_mass, channel.gammas,
-            channel.interface_weights, channel.prune_bound)
+    """Everything the scalar Hill problem of a channel depends on: the key
+    (mu^2, gamma, w) of the problem."""
+    return (channel.mu2, channel.gammas, channel.interface_weights)
 
 
 def _scalar_problems(channel: Channel) -> list[tuple[Channel, int]]:
@@ -567,12 +542,12 @@ def _scalar_problems(channel: Channel) -> list[tuple[Channel, int]]:
 
 
 def _floquet_roots(channel: Channel, thetas: tuple[float, ...], profile: Profile,
-                   lam_max: float, tol: float) -> list[list[float]]:
+                   lam_max: float) -> list[list[float]]:
     """Floquet roots of a scalar channel at each theta, from one batched
     evaluation of the monodromy trace over the lambda grid (the trace does
     not depend on theta).  The brackets of every theta are polished together
     in one solve on the same table.  Raises when a root violates the
-    channel's lower bound."""
+    channel's lower bound mu^2."""
     period = _PeriodMap(channel, profile, lam_max)
     grid = np.linspace(0.0, float(lam_max), SCAN_STEPS + 1)
     tr, logs = period.trace(grid)
@@ -584,35 +559,35 @@ def _floquet_roots(channel: Channel, thetas: tuple[float, ...], profile: Profile
         roots, cells, dips = _roots_on_grid(grid, Fs, noises)
         brackets += [(lo, hi, y, k) for lo, hi in cells]
         for i in dips:
-            double, pair = _resolve_dip(period, y, tol, float(grid[i - 1]), float(grid[i + 1]),
+            double, pair = _resolve_dip(period, y, float(grid[i - 1]), float(grid[i + 1]),
                                         math.copysign(1.0, Fs[i]))
             roots += double
             brackets += [(lo, hi, y, k) for lo, hi in pair]
         out.append(roots)
     if brackets:
         lo, hi, ys, owner = (np.array(col) for col in zip(*brackets))
-        for k, x in zip(owner, _polish(period, lo, hi, ys, tol)):
+        for k, x in zip(owner, _polish(period, lo, hi, ys)):
             out[k].append(float(x))
-    guard = channel.prune_bound - 1e-6
+    guard = float(channel.mu2) - 1e-6
     for roots in out:
         roots.sort()
         for r in roots:
             if r < guard:
                 raise NumericalError(
                     f"eigenvalue {r} violates the channel lower bound "
-                    f"{channel.prune_bound}; pruning rule unsound here"
+                    f"{float(channel.mu2)}; pruning rule unsound here"
                 )
     return out
 
 
 def floquet_eigenvalues(channel: Channel, theta: float, profile: Profile,
-                        lam_max: float, tol: float = 1e-10) -> list[float]:
+                        lam_max: float) -> list[float]:
     """All lambda in [0, lam_max] whose Floquet multiplier is e^{i theta},
     sorted, repeated per intrinsic multiplicity.  Channel.mult is not
     applied here.  An H5 pair returns the union of its partners' roots."""
     roots: list[float] = []
     for part, copies in _scalar_problems(channel):
-        roots += copies * _floquet_roots(part, (theta,), profile, lam_max, tol)[0]
+        roots += copies * _floquet_roots(part, (theta,), profile, lam_max)[0]
     return sorted(roots)
 
 
@@ -653,7 +628,7 @@ def _roots_on_grid(grid: np.ndarray, Fs: np.ndarray,
     return roots, cells, np.flatnonzero(dip) + 1
 
 
-def _resolve_dip(period: _PeriodMap, y: float, tol: float, lo: float, hi: float,
+def _resolve_dip(period: _PeriodMap, y: float, lo: float, hi: float,
                  s0: float) -> tuple[list[float], list[tuple[float, float]]]:
     """Minimise s0 F over [lo, hi], where the sampled s0 F dips toward zero.
 
@@ -666,7 +641,7 @@ def _resolve_dip(period: _PeriodMap, y: float, tol: float, lo: float, hi: float,
         return float(F[0]), float(noise[0])
 
     res = minimize_scalar(lambda x: s0 * F_noise(x)[0], bounds=(lo, hi), method="bounded",
-                          options={"xatol": max(tol, 1e-12)})
+                          options={"xatol": ROOT_TOL})
     xstar = float(res.x)
     fstar = float(res.fun)  # = s0 * F(xstar), negative iff F crossed zero
     _, noise_star = F_noise(xstar)
@@ -677,8 +652,8 @@ def _resolve_dip(period: _PeriodMap, y: float, tol: float, lo: float, hi: float,
     return [], []
 
 
-def _polish(period: _PeriodMap, lo: np.ndarray, hi: np.ndarray, y: np.ndarray,
-            tol: float) -> np.ndarray:
+def _polish(period: _PeriodMap, lo: np.ndarray, hi: np.ndarray,
+            y: np.ndarray) -> np.ndarray:
     """The root of tr M = y[k] inside every bracket [lo[k], hi[k]], all in
     one elementwise Chandrupatla solve on the scan's table.  Raises
     NumericalError unless every bracket converges."""
@@ -687,7 +662,7 @@ def _polish(period: _PeriodMap, lo: np.ndarray, hi: np.ndarray, y: np.ndarray,
         return _floquet_F(*period.trace(x), y)[0]
 
     res = find_root(F, (lo, hi), args=(y,),
-                    tolerances={"xatol": tol, "xrtol": 4 * np.finfo(float).eps})
+                    tolerances={"xatol": ROOT_TOL, "xrtol": 4 * np.finfo(float).eps})
     bad = np.flatnonzero(res.status != 0)
     if bad.size:
         k = bad[0]
@@ -708,8 +683,7 @@ class BandEdges:
     truncated: bool
 
 
-def band_edges(channel: Channel, profile: Profile, lam_max: float,
-               tol: float = 1e-10) -> BandEdges:
+def band_edges(channel: Channel, profile: Profile, lam_max: float) -> BandEdges:
     """Band intervals of a channel by the Hill pairing.
 
     The sorted periodic (theta = 0) and antiperiodic (theta = pi) eigenvalues
@@ -722,7 +696,7 @@ def band_edges(channel: Channel, profile: Profile, lam_max: float,
     bands: list[tuple[float, float]] = []
     truncated = False
     for part, copies in _scalar_problems(channel):
-        r0, r1 = _floquet_roots(part, (0.0, math.pi), profile, lam_max, tol)
+        r0, r1 = _floquet_roots(part, (0.0, math.pi), profile, lam_max)
         edges = sorted(r0 + r1)
         part_bands = [(edges[k], edges[k + 1]) for k in range(0, len(edges) - 1, 2)]
         if len(edges) % 2 == 1:

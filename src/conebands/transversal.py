@@ -245,13 +245,18 @@ def _scalar_to_json(x: Scalar):
     return float(x)
 
 
+def _is_int(x) -> bool:
+    """True for a JSON integer; JSON true/false load as bool, an int subclass."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _scalar_from_json(x) -> Scalar:
     if isinstance(x, str):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as e:
             raise SpectrumFormatError(f"bad rational literal {x!r}: {e}") from e
-    if isinstance(x, (int, float)):
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
         return float(x)
     raise SpectrumFormatError(f"expected number or rational string, got {type(x).__name__}")
 
@@ -284,10 +289,10 @@ def load_spectrum(path) -> TransversalSpectrum:
         if key not in doc:
             raise SpectrumFormatError(f"{path}: missing field '{key}'")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise SpectrumFormatError(f"{path}: field 'n' must be a positive integer")
     betti = doc["betti"]
-    if not isinstance(betti, list) or not all(isinstance(b, int) for b in betti):
+    if not isinstance(betti, list) or not all(_is_int(b) for b in betti):
         raise SpectrumFormatError(f"{path}: field 'betti' must be a list of integers")
     raw_co = doc["coexact"]
     if not isinstance(raw_co, list):
@@ -300,7 +305,7 @@ def load_spectrum(path) -> TransversalSpectrum:
             if not isinstance(item, dict) or "mu2" not in item or "mult" not in item:
                 raise SpectrumFormatError(f"{where}: expected object with 'mu2' and 'mult'")
             mult = item["mult"]
-            if not isinstance(mult, int) or mult <= 0:
+            if not _is_int(mult) or mult <= 0:
                 raise SpectrumFormatError(f"{where}: 'mult' must be a positive integer")
             entries.append((_scalar_from_json(item["mu2"]), mult))
         entries.sort(key=lambda t: _as_float(t[0]))

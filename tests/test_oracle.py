@@ -3,8 +3,11 @@
 Anchors that do not depend on the transfer-matrix code path:
   - flat circle of circumference T: eigenvalues mu^2 + ((theta + 2 pi k)/T)^2
   - expanding integral |s' + B s|^2 by parts must reproduce the channel
-    potential (cone_potential in the global frame, mu^2/rho^2 on flats)
-    plus a pure boundary term, on arbitrary smooth test sections
+    potential plus a pure boundary term, on arbitrary smooth test sections:
+    on cones gamma (gamma + 1)/rho^2, the potential the transfer-matrix
+    solver integrates, for a scalar channel, and for a pair the 2x2 block
+    [[mu^2 + f(p-2), -2 mu], [-2 mu, mu^2 + f(p)]] / rho^2 in the global
+    frame; mu^2/rho^2 on flats
 and only then the dual-route comparison against floquet_eigenvalues.
 """
 
@@ -155,6 +158,17 @@ def pair_section():
     return sig, dsig
 
 
+def pair_cone_potential(ch):
+    """The pair block C of an H5 channel, with f(q) = (n/2 - q)(n/2 - q - 1)."""
+
+    def f(q):
+        return (ch.n / 2 - q) * (ch.n / 2 - q - 1)
+
+    mu2 = float(ch.mu2)
+    mu = math.sqrt(mu2)
+    return np.array([[mu2 + f(ch.p - 2), -2.0 * mu], [-2.0 * mu, mu2 + f(ch.p)]])
+
+
 class TestPotentialReproduction:
     def check(self, ch, prof, a, b, V_of_t):
         sig, dsig = scalar_section() if ch.ncomp == 1 else pair_section()
@@ -164,12 +178,14 @@ class TestPotentialReproduction:
 
     def test_scalar_ascending_cone(self):
         ch = chan(0, "H4", mu2=1.0)
-        c = float(ch.cone_potential[0])
+        g = ch.gammas[0]
+        c = g * (g + 1.0)
         self.check(ch, STD, 2.3, 2.9, lambda t: np.array([[c / STD.rho(t) ** 2]]))
 
     def test_scalar_descending_cone(self):
         ch = chan(0, "H4", mu2=1.0)
-        c = float(ch.cone_potential[0])
+        g = ch.gammas[0]
+        c = g * (g + 1.0)
         self.check(ch, STD, 0.5, 1.1, lambda t: np.array([[c / STD.rho(t) ** 2]]))
 
     def test_scalar_handle(self):
@@ -178,14 +194,15 @@ class TestPotentialReproduction:
 
     def test_pair_ascending_cone(self):
         ch = chan(1, "H5", mu2=1.0)
-        C = np.array(ch.cone_potential, dtype=float)
+        C = pair_cone_potential(ch)
+        np.testing.assert_array_equal(C, [[1.75, -2.0], [-2.0, 1.75]])
         self.check(ch, STD, 2.3, 2.9, lambda t: C / STD.rho(t) ** 2)
 
     def test_pair_descending_cone_flips_coupling(self):
         # global frame on the way down conjugates by diag(-1, 1)
         ch = chan(1, "H5", mu2=1.0)
         F = np.diag([-1.0, 1.0])
-        C = F @ np.array(ch.cone_potential, dtype=float) @ F
+        C = F @ pair_cone_potential(ch) @ F
         self.check(ch, STD, 0.5, 1.1, lambda t: C / STD.rho(t) ** 2)
 
     def test_pair_handle_decouples(self):

@@ -23,12 +23,10 @@ from conebands.radial import (
     SCAN_STEPS,
     BandEdges,
     NumericalError,
-    ScaledMatrix,
     band_edges,
     cone_basis,
     floquet_eigenvalues,
     make_profile,
-    monodromy,
 )
 from conebands.transversal import build_flat_torus_spectrum
 
@@ -365,8 +363,9 @@ def cone_transfer(channel, lam, t0, t1):
 
 def rk_cone_propagator(channel, lam, t0, t1):
     """Independent cone transfer matrix: Runge-Kutta on
-    -u'' + c/t^2 u = lam u from t0 to t1."""
-    c = float(channel.cone_potential[0])
+    -u'' + c/t^2 u = lam u from t0 to t1, c = gamma (gamma + 1)."""
+    g = channel.gammas[0]
+    c = g * (g + 1.0)
 
     def rhs(t, y):
         return [y[1], (c / (t * t) - lam) * y[0]]
@@ -418,12 +417,13 @@ def rk_monodromy(channel, profile, lam):
     """Independent monodromy of a scalar channel: Runge-Kutta across each
     segment of the global second-order equation plus explicit derivative
     jumps at slope breaks."""
-    c = float(channel.cone_potential[0])
+    g = channel.gammas[0]
+    c = g * (g + 1.0)
     w = float(channel.interface_weights[0])
     M = np.eye(2)
     segs = profile.segments
     for i, seg in enumerate(segs):
-        V = float(channel.handle_mass) if seg.kind in ("cylinder", "handle") else c
+        V = float(channel.mu2) if seg.kind in ("cylinder", "handle") else c
 
         def rhs(tau, y, V=V, seg=seg):
             return [y[1], (V / seg.rho(tau) ** 2 - lam) * y[0]]
@@ -441,23 +441,36 @@ def rk_monodromy(channel, profile, lam):
     return M
 
 
+def monodromy(channel, lam, profile):
+    """Scaled monodromy (M, logscale) at one lam, the true one being
+    M exp(logscale): a length-one call of the batched evaluation, from a
+    table cut at |lam|."""
+    M, logs = radial._PeriodMap(channel, profile, abs(lam))(np.array([float(lam)]))
+    return M[0], float(logs[0])
+
+
+def dense_monodromy(channel, lam, profile):
+    M, logscale = monodromy(channel, lam, profile)
+    return M * math.exp(logscale)
+
+
 class TestMonodromy:
     def test_flat_circle_trace(self):
         prof = make_profile(1.0, 2.0, 1.0)
         ch = next(c for c in enumerate_channels(CIRCLE, 0, 10.0) if c.kind == "H2")
         for lam in (0.7, 2.3, 9.1):
-            M = monodromy(ch, lam, prof)
-            tr = np.trace(M.mat) * math.exp(M.logscale)
+            M, logscale = monodromy(ch, lam, prof)
+            tr = np.trace(M) * math.exp(logscale)
             assert tr == pytest.approx(2 * math.cos(math.sqrt(lam) * 3.0), abs=1e-10)
 
     def test_invariants(self):
         prof = make_profile(0.3, 1.0, 0.8)
         ch = next(c for c in enumerate_channels(CIRCLE, 0, 10.0) if float(c.mu2) == 1.0)
-        M = monodromy(ch, 4.7, prof)
+        M, logscale = monodromy(ch, 4.7, prof)
         # det M = 1; for a 2x2 matrix that is also M^T J M = J
-        sign, logdet = np.linalg.slogdet(M.mat)
+        sign, logdet = np.linalg.slogdet(M)
         assert sign > 0
-        assert abs(logdet + 2.0 * M.logscale) <= 1e-10
+        assert abs(logdet + 2.0 * logscale) <= 1e-10
 
     @pytest.mark.parametrize("l_out", [0.8, 0.0])
     def test_scalar_against_rk(self, l_out):
@@ -465,7 +478,7 @@ class TestMonodromy:
         chans = enumerate_channels(CIRCLE, 0, 10.0)
         ch = next(c for c in chans if c.kind == "H4" and float(c.mu2) == 1.0)
         for lam in (2.0, 6.5):
-            M = monodromy(ch, lam, prof).dense()
+            M = dense_monodromy(ch, lam, prof)
             M_rk = rk_monodromy(ch, prof, lam)
             np.testing.assert_allclose(M, M_rk, rtol=1e-8, atol=1e-8)
 
@@ -474,7 +487,7 @@ class TestMonodromy:
         prof = make_profile(0.25, 1.2, 0.6)
         ch = next(c for c in enumerate_channels(CIRCLE, 1, 10.0) if c.kind == "H1")
         for lam in (1.1, 5.2):
-            M = monodromy(ch, lam, prof).dense()
+            M = dense_monodromy(ch, lam, prof)
             M_rk = rk_monodromy(ch, prof, lam)
             np.testing.assert_allclose(M, M_rk, rtol=1e-8, atol=1e-8)
 
@@ -482,14 +495,14 @@ class TestMonodromy:
         # theta = 0 keeps the harmonic form: monodromy fixes a vector
         prof = make_profile(0.2, math.pi, 1.0)
         ch = next(c for c in enumerate_channels(CIRCLE, 0, 10.0) if c.kind == "H2")
-        M = monodromy(ch, 0.0, prof)
-        tr = np.trace(M.mat) * math.exp(M.logscale)
+        M, logscale = monodromy(ch, 0.0, prof)
+        tr = np.trace(M) * math.exp(logscale)
         assert tr == pytest.approx(2.0, abs=1e-11)
 
     def test_requires_piecewise(self):
         prof = make_profile(0.3, 1.0, 0.8, eta=0.01)
         ch = next(c for c in enumerate_channels(CIRCLE, 0, 10.0) if c.kind == "H2")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="corner"):
             monodromy(ch, 1.0, prof)
 
     def test_refuses_pairs(self):
@@ -507,9 +520,9 @@ class TestMonodromy:
                 continue
             tr, logs = radial._PeriodMap(ch, prof, 50.0).trace(grid)
             for lam, t_b, s_b in zip(grid, tr, logs):
-                M = monodromy(ch, lam, prof)
-                t_1 = np.trace(M.mat) * math.exp(M.logscale)
-                assert abs(t_b * math.exp(s_b) - t_1) <= 1e-12 * max(1.0, math.exp(M.logscale))
+                M, logscale = monodromy(ch, lam, prof)
+                t_1 = np.trace(M) * math.exp(logscale)
+                assert abs(t_b * math.exp(s_b) - t_1) <= 1e-12 * max(1.0, math.exp(logscale))
 
     def test_refuses_lambda_beyond_the_series(self):
         prof = make_profile(0.2, 1.0, 0.8)
@@ -638,22 +651,22 @@ class TestFloquetEigenvalues:
             assert abs(a - b) < 0.05
 
     def test_lower_bound_guard_trips(self):
-        prof = make_profile(1.0, 2.0, 1.0)
+        # gamma = 0.5 is too small a cone potential for mu^2 = 5 (H4 of the
+        # circle at p = 0 would have gamma = sqrt(5.25) - 1/2): the root near
+        # 4.33 lies below the bound lambda >= mu^2
+        prof = make_profile(0.2, 1.0, 0.8)
         bogus = Channel(
             kind="H4",
             n=1,
             p=0,
-            mu2=Fraction(0),
+            mu2=Fraction(5),
             mult=1,
-            cone_potential=(Fraction(0),),
-            handle_mass=Fraction(0),
             gammas=(0.5,),
             interface_weights=(Fraction(-1, 2),),
-            prune_bound=5.0,
         )
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="lower bound 5.0"):
             floquet_eigenvalues(bogus, 0.9, prof, 10.0)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="lower bound 5.0"):
             band_edges(bogus, prof, 10.0)
 
 
@@ -762,10 +775,10 @@ class TestPolish:
         F = radial._floquet_F(*period.trace(np.concatenate([lo, hi])), -2.0)[0]
         assert F[0] * F[2] < 0 < F[1] * F[3]
         y = np.array([-2.0, -2.0])
-        assert radial._polish(period, lo[:1], hi[:1], y[:1], 1e-10)[0] == pytest.approx(
+        assert radial._polish(period, lo[:1], hi[:1], y[:1])[0] == pytest.approx(
             floquet_eigenvalues(ch, math.pi, make_profile(0.2, 1.0, 0.8), 10.0)[0], abs=1e-9)
         with pytest.raises(NumericalError, match=r"status -1 on the bracket \[0\.0, 0\.2\]"):
-            radial._polish(period, lo, hi, y, 1e-10)
+            radial._polish(period, lo, hi, y)
 
     def test_two_crossings_in_one_cell(self):
         # circle-high at seed 0: the H2 antiperiodic gap (69.616, 69.743) is

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -168,6 +169,28 @@ def test_load_rejects_garbage(tmp_path):
         ' "coexact": [[{"mu2": "1", "mult": 0}], []]}'
     )
     with pytest.raises(SpectrumFormatError, match="mult"):
+        load_spectrum(p)
+
+
+def _spectrum_doc(n=1, cutoff="5", betti=(1, 1), mu2="1", mult=2):
+    return {"n": n, "label": "x", "cutoff": cutoff, "betti": list(betti),
+            "coexact": [[{"mu2": mu2, "mult": mult}, {"mu2": "4", "mult": 2}], []]}
+
+
+@pytest.mark.parametrize("field,value,message", [
+    pytest.param("n", True, "'n' must be a positive integer", id="n"),
+    pytest.param("betti", (True, 1), "'betti' must be a list of integers", id="betti"),
+    pytest.param("mult", True, "'mult' must be a positive integer", id="mult"),
+    pytest.param("mu2", True, "expected number or rational string, got bool", id="mu2"),
+    pytest.param("cutoff", True, "expected number or rational string, got bool", id="cutoff"),
+])
+def test_load_rejects_json_booleans(tmp_path, field, value, message):
+    # JSON true loads as Python True, an int subclass; it is no number here
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(_spectrum_doc()))
+    assert load_spectrum(p).coexact[0] == [(Fraction(1), 2), (Fraction(4), 2)]
+    p.write_text(json.dumps(_spectrum_doc(**{field: value})))
+    with pytest.raises(SpectrumFormatError, match=message):
         load_spectrum(p)
 
 
