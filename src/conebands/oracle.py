@@ -267,33 +267,35 @@ def dense_hermitian_eigenvalues(K: np.ndarray, W: np.ndarray,
     return np.sort(evs)
 
 
+def _grid_eigenvalues(channel: Channel, theta: float, profile: Profile,
+                      counts: list[tuple[float, float, int]],
+                      window: tuple[float, float]) -> np.ndarray:
+    """Eigenvalues in the window of the form on the grid of `counts`,
+    assembled straight into fold-ordered band storage and solved by a
+    banded eigensolver (complex Hermitian at generic theta)."""
+    G, X, w, _ = _blocks(channel, theta, profile, counts)
+    return band_hermitian_eigenvalues(_band(G, X, w), window)
+
+
 def oracle_eigenvalues(channel: Channel, theta: float, profile: Profile,
-                       lam_max: float, N: int = 500,
-                       richardson: bool = True) -> list[float]:
+                       lam_max: float, N: int = 500) -> list[float]:
     """Reference eigenvalues <= lam_max for one channel and quasimomentum.
 
-    Each grid is assembled straight into fold-ordered band storage and
-    solved in the window (-1, lam_max + 1] by a banded eigensolver, complex
-    Hermitian at generic theta; no dense matrix is formed.  With richardson
-    (default), solves on the N grid and the exactly doubled grid and
-    combines index-paired eigenvalues as (4 l_2N - l_N) / 3.  Raises
-    NumericalError when a pair drifts by more than 0.5, or when a value
-    <= lam_max + 0.5 on either grid has no partner on the other.
+    Solves in the window (-1, lam_max + 1] on the N grid and on the exactly
+    doubled grid (_grid_eigenvalues; no dense matrix is formed) and
+    combines index-paired eigenvalues by Richardson extrapolation,
+    (4 l_2N - l_N) / 3.  Raises NumericalError when a pair drifts by more
+    than 0.5, or when a value <= lam_max + 0.5 on either grid has no
+    partner on the other.
     """
     if N < 100:
         raise ValueError(f"grid size N must be at least 100, got {N}")
     lam_max = float(lam_max)
     counts = _piece_counts(profile, N)
     window = (-1.0, lam_max + 1.0)
-
-    def solve(cts):
-        G, X, w, _ = _blocks(channel, theta, profile, cts)
-        return band_hermitian_eigenvalues(_band(G, X, w), window)
-
-    e1 = solve(counts)
-    if not richardson:
-        return [float(x) for x in e1 if x <= lam_max]
-    e2 = solve([(a, b, 2 * k) for a, b, k in counts])
+    e1 = _grid_eigenvalues(channel, theta, profile, counts, window)
+    e2 = _grid_eigenvalues(channel, theta, profile, [(a, b, 2 * k) for a, b, k in counts],
+                           window)
     npair = min(len(e1), len(e2))
     for grid, evs in (("N", e1), ("2N", e2)):
         if len(evs) > npair and evs[npair] <= lam_max + 0.5:

@@ -10,13 +10,14 @@ picture, the Hill equation
 
     -sigma'' + V(tau) sigma = lambda sigma
 
-with V = gamma (gamma + 1) / rho^2 on cones (gamma = channel.gammas[0]),
-V = mu^2 / rho^2 on flat parts (mu^2 = channel.mu2), and at every slope
-break of rho the derivative jumps by
+with V = mu^2 / rho^2 on flat parts (mu^2 = channel.mu2), at every slope
+break of rho the derivative jump
 
     sigma'(+) = sigma'(-) + (slope_- - slope_+) / rho * w sigma,
 
-w = channel.interface_weights[0].  On the left (descending) cone the
+w = channel.interface_weights[0], and V = gamma (gamma + 1) / rho^2 on
+cones, where gamma = tip_exponent(mu^2, w) is the cone's indicial exponent
+(Cheeger, J. Diff. Geom. 1983).  On the left (descending) cone the
 traversal runs against the cone's own radial coordinate; in global
 coordinates that conjugates the ascending-cone propagator by the flip
 K = diag(1, -1) of (sigma, sigma').
@@ -106,10 +107,6 @@ class Segment:
 
 @dataclass
 class Profile:
-    eps: float
-    L: float
-    l_out: float
-    eta: float
     T: float
     segments: list[Segment] = field(default_factory=list)
 
@@ -172,7 +169,7 @@ def make_profile(eps: float, L: float, l_out: float, eta: float = 0.0) -> Profil
 
     if eta == 0.0:
         segments = [Segment(kind, a, b, r0, s, s) for kind, a, b, s, r0 in raw]
-        return Profile(eps, L, l_out, eta, T, segments)
+        return Profile(T, segments)
 
     # corner roundings
     if has_cones and (L == 0.0 or l_out == 0.0):
@@ -212,7 +209,7 @@ def make_profile(eps: float, L: float, l_out: float, eta: float = 0.0) -> Profil
             )
             cursor = tc + d
             ci += 1
-    return Profile(eps, L, l_out, eta, T, segments)
+    return Profile(T, segments)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +257,15 @@ def _flat_propagators(mass2: float, lam: np.ndarray, ell: float) -> tuple[np.nda
 
 SERIES_RTOL = 1e-16  # a series stops once its last term at z_max is this small
 WRONSKIAN_RTOL = 1e-6  # largest relative Wronskian residual a cone evaluation accepts
+
+
+def tip_exponent(mu2, w) -> float:
+    """Tip exponent gamma = -1/2 + sqrt(mu^2 + (w + 1/2)^2) >= -1/2 of the
+    scalar Hill problem (mu^2, w): on a cone of radius t its potential is
+    gamma (gamma + 1) / t^2, with indicial exponents gamma + 1 (regular)
+    and -gamma (singular)."""
+    b = float(w) + 0.5
+    return -0.5 + math.sqrt(float(mu2) + b * b)
 
 
 @dataclass
@@ -470,8 +476,8 @@ class _PeriodMap:
             dslope = seg.slope_out - segs[(i + 1) % len(segs)].slope_in
             if dslope != 0.0:
                 self.steps.append(("jump", dslope / r1 * w))
-        self.table = (cone_basis(channel.gammas[0], float(lam_bound) * max(self.radii) ** 2)
-                      if self.radii else None)
+        self.table = (cone_basis(tip_exponent(channel.mu2, w),
+                                 float(lam_bound) * max(self.radii) ** 2) if self.radii else None)
 
     def __call__(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Scaled monodromies (G, 2, 2) and their log scales (G,)."""
@@ -525,8 +531,8 @@ def _floquet_F(tr: np.ndarray, logs: np.ndarray,
 
 def _hill_data(channel: Channel) -> tuple:
     """Everything the scalar Hill problem of a channel depends on: the key
-    (mu^2, gamma, w) of the problem."""
-    return (channel.mu2, channel.gammas, channel.interface_weights)
+    (mu^2, (w,)) of the problem, whose tip exponent follows from it."""
+    return (channel.mu2, channel.interface_weights)
 
 
 def _scalar_problems(channel: Channel) -> list[tuple[Channel, int]]:
@@ -556,6 +562,10 @@ def _floquet_roots(channel: Channel, thetas: tuple[float, ...], profile: Profile
     for k, theta in enumerate(thetas):
         y = 2.0 * math.cos(theta)
         Fs, noises = _floquet_F(tr, logs, y)
+        if y == 2.0 and channel.mu2 == 0:
+            # the form's kernel rho^-w is periodic: lambda = 0 is exactly the
+            # simple bottom of the theta = 0 spectrum, whatever the sampled sign
+            Fs[0] = 0.0
         roots, cells, dips = _roots_on_grid(grid, Fs, noises)
         brackets += [(lo, hi, y, k) for lo, hi in cells]
         for i in dips:
@@ -678,7 +688,6 @@ class BandEdges:
     (hi, lo).  truncated marks bands cut off at lam_max; they come last (an
     H5 pair can have one per partner)."""
 
-    channel: Channel
     bands: list[tuple[float, float]]
     truncated: bool
 
@@ -704,4 +713,4 @@ def band_edges(channel: Channel, profile: Profile, lam_max: float) -> BandEdges:
             truncated = True
         bands += copies * part_bands
     bands.sort(key=lambda band: (band[1], band[0]))
-    return BandEdges(channel, bands, truncated)
+    return BandEdges(bands, truncated)

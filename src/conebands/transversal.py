@@ -33,10 +33,6 @@ class SpectrumFormatError(ValueError):
     """Raised when a spectrum file is malformed."""
 
 
-def _as_float(x: Scalar) -> float:
-    return float(x)
-
-
 def _same_mu2(a: Scalar, b: Scalar) -> bool:
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a == b
@@ -92,8 +88,8 @@ def build_flat_torus_spectrum(side_lengths, cutoff, label: str | None = None) ->
         raise ValueError("need at least one side length")
 
     cut = _parse_scalar(cutoff)
-    if _as_float(cut) <= 0:
-        raise ValueError("cutoff must be positive")
+    if not 0 < float(cut) < math.inf:
+        raise ValueError(f"cutoff must be positive and finite, got {cutoff!r}")
 
     # weight_i = (2 pi / l_i)^2, exact when l_i/(2 pi) snaps to a rational.
     weights: list[Scalar] = []
@@ -156,7 +152,7 @@ def build_flat_torus_spectrum(side_lengths, cutoff, label: str | None = None) ->
         if per_mode > 0:
             for mu2, m in lattice.items():
                 entries.append((mu2, m * per_mode))
-        entries.sort(key=lambda t: _as_float(t[0]))
+        entries.sort(key=lambda t: float(t[0]))
         coexact.append(entries)
     # degree n carries no coexact forms (top degree) but keep the slot so
     # indexing by q in [0, n] is uniform.
@@ -208,11 +204,11 @@ def validate(ts: TransversalSpectrum) -> ValidationReport:
             v.append(f"Euler characteristic {chi} != 0")
         for q in range(n + 1):
             for mu2, m in ts.coexact[q]:
-                if _as_float(mu2) <= 0:
+                if float(mu2) <= 0:
                     v.append(f"coexact[{q}] contains mu2={mu2} <= 0")
                 if m <= 0:
                     v.append(f"coexact[{q}] has nonpositive multiplicity at mu2={mu2}")
-                if _as_float(mu2) > _as_float(ts.cutoff) * (1 + MU2_RTOL):
+                if float(mu2) > float(ts.cutoff) * (1 + MU2_RTOL):
                     v.append(f"coexact[{q}] contains mu2={mu2} above cutoff {ts.cutoff}")
         if ts.coexact[n]:
             v.append("coexact in top degree n must be empty")
@@ -227,8 +223,8 @@ def validate(ts: TransversalSpectrum) -> ValidationReport:
 def _same_multiset(a: list[tuple[Scalar, int]], b: list[tuple[Scalar, int]]) -> bool:
     if len(a) != len(b):
         return False
-    sa = sorted(a, key=lambda t: _as_float(t[0]))
-    sb = sorted(b, key=lambda t: _as_float(t[0]))
+    sa = sorted(a, key=lambda t: float(t[0]))
+    sb = sorted(b, key=lambda t: float(t[0]))
     for (m1, c1), (m2, c2) in zip(sa, sb):
         if c1 != c2 or not _same_mu2(m1, m2):
             return False
@@ -250,15 +246,21 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _scalar_from_json(x) -> Scalar:
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as e:
-            raise SpectrumFormatError(f"bad rational literal {x!r}: {e}") from e
-    if isinstance(x, (int, float)) and not isinstance(x, bool):
-        return float(x)
-    raise SpectrumFormatError(f"expected number or rational string, got {type(x).__name__}")
+def _scalar_from_json(x, where: str) -> Scalar:
+    """The number or rational string x of the field `where`, finite as a double."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, str)):
+        raise SpectrumFormatError(f"{where}: expected number or rational string, "
+                                  f"got {type(x).__name__}")
+    try:
+        val = Fraction(x) if isinstance(x, str) else x
+        finite = math.isfinite(val)
+    except (ValueError, ZeroDivisionError) as e:
+        raise SpectrumFormatError(f"{where}: bad rational literal {x!r}: {e}") from e
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise SpectrumFormatError(f"{where}: must be finite, got {x!r}")
+    return val if isinstance(val, Fraction) else float(val)
 
 
 def save_spectrum(ts: TransversalSpectrum, path) -> None:
@@ -299,6 +301,8 @@ def load_spectrum(path) -> TransversalSpectrum:
         raise SpectrumFormatError(f"{path}: field 'coexact' must be a list")
     coexact = []
     for q, level in enumerate(raw_co):
+        if not isinstance(level, list):
+            raise SpectrumFormatError(f"{path}: coexact[{q}] must be a list")
         entries = []
         for j, item in enumerate(level):
             where = f"{path}: coexact[{q}][{j}]"
@@ -307,13 +311,13 @@ def load_spectrum(path) -> TransversalSpectrum:
             mult = item["mult"]
             if not _is_int(mult) or mult <= 0:
                 raise SpectrumFormatError(f"{where}: 'mult' must be a positive integer")
-            entries.append((_scalar_from_json(item["mu2"]), mult))
-        entries.sort(key=lambda t: _as_float(t[0]))
+            entries.append((_scalar_from_json(item["mu2"], f"{where}: 'mu2'"), mult))
+        entries.sort(key=lambda t: float(t[0]))
         coexact.append(entries)
     ts = TransversalSpectrum(
         n=n,
         label=str(doc["label"]),
-        cutoff=_scalar_from_json(doc["cutoff"]),
+        cutoff=_scalar_from_json(doc["cutoff"], f"{path}: field 'cutoff'"),
         betti=betti,
         coexact=coexact,
     )

@@ -13,6 +13,7 @@ import math
 import pytest
 
 from conebands.channels import enumerate_channels
+from conebands.oracle import oracle_eigenvalues
 from conebands.radial import band_edges, make_profile
 from conebands.transversal import build_flat_torus_spectrum
 
@@ -71,3 +72,26 @@ def test_hodge_star_duality_of_band_lists(n, lam_max):
     bands = [degree_bands(TORI[n], p, prof, lam_max) for p in range(n + 2)]
     for p in range(n + 2):
         assert bands[p] == bands[n + 1 - p], p
+
+
+def test_torus_p1_census_matches_the_oracle():
+    # every channel of the 2-torus at p = 1, H5 pairs included: the census
+    # edges are the oracle's theta = 0 and pi eigenvalues, in count exactly
+    # and to 1e-6 relative; values within 1e-6 lam_max of lam_max may fall
+    # on either side of the window and are left out of both lists
+    prof = make_profile(0.2, 1.0, 0.8)
+    lam_max = 8.0
+
+    def inside(xs):
+        return sorted(x for x in xs if abs(x - lam_max) > 1e-6 * lam_max)
+
+    total = 0
+    for ch in enumerate_channels(TORI[2], 1, lam_max):
+        got = inside(x for band in band_edges(ch, prof, lam_max).bands for x in band)
+        want = inside(oracle_eigenvalues(ch, 0.0, prof, lam_max, N=500)
+                      + oracle_eigenvalues(ch, math.pi, prof, lam_max, N=500))
+        assert len(got) == len(want), (ch.kind, ch.mu2)
+        err = max((abs(a - b) / max(1.0, abs(b)) for a, b in zip(got, want)), default=0.0)
+        assert err <= 1e-6, (ch.kind, ch.mu2, err)
+        total += len(got)
+    assert total == 43

@@ -5,10 +5,11 @@ import pytest
 
 from conebands.channels import (
     Channel,
-    degree_constants,
+    degree_weights,
     enumerate_channels,
     pair_partners,
 )
+from conebands.radial import tip_exponent
 from conebands.transversal import build_flat_torus_spectrum
 
 TWO_PI = 2.0 * math.pi
@@ -30,10 +31,15 @@ def scalar_channels(n: int):
                 yield (p if ch.kind in ("H2", "H4") else p - 2), ch
 
 
+def gamma_of(ch: Channel) -> float:
+    """Tip exponent of a scalar channel."""
+    return tip_exponent(ch.mu2, ch.interface_weights[0])
+
+
 def cone_shift(ch: Channel) -> float:
     """gamma (gamma + 1) - mu^2: the cone potential a scalar channel's solver
     integrates, less the flat mass."""
-    g = ch.gammas[0]
+    g = gamma_of(ch)
     return g * (g + 1.0) - float(ch.mu2)
 
 
@@ -42,25 +48,21 @@ def cone_shift(ch: Channel) -> float:
 
 
 def test_degree_constants_n2_p1():
-    dc = degree_constants(2, 1)
-    assert dc.a == Fraction(1, 2)
-    assert dc.nu == 1
-    assert dc.w_alpha == 0
+    assert degree_weights(2, 1) == (1, 0)
 
 
 def test_degree_constants_exact_sweep():
     for n in range(1, 7):
         for p in range(0, n + 2):
-            dc = degree_constants(n, p)
-            assert dc.nu == Fraction(n, 2) - p + 1
-            assert dc.a == Fraction(n + 1, 2) - p
-            assert dc.w_alpha == p - Fraction(n, 2)
+            nu, w_alpha = degree_weights(n, p)
+            assert nu == Fraction(n, 2) - p + 1
+            assert w_alpha == p - Fraction(n, 2)
     # on channels, (gamma + 1/2)^2 - mu^2 = a_{q+1}^2 with a_q = (n+1)/2 - q,
     # so f(q) = a_{q+1}^2 - 1/4
     for n in (1, 2, 3):
         for q, ch in scalar_channels(n):
             a_next = Fraction(n + 1, 2) - (q + 1)
-            got = (ch.gammas[0] + 0.5) ** 2 - float(ch.mu2)
+            got = (gamma_of(ch) + 0.5) ** 2 - float(ch.mu2)
             assert got == pytest.approx(float(a_next * a_next), rel=0, abs=1e-12), (n, ch)
             assert f(n, q) == a_next * a_next - Fraction(1, 4)
 
@@ -88,11 +90,11 @@ def test_f_minimum_and_zeros():
 
 def test_degree_constants_range_errors():
     with pytest.raises(ValueError):
-        degree_constants(2, -1)
+        degree_weights(2, -1)
     with pytest.raises(ValueError):
-        degree_constants(2, 4)
+        degree_weights(2, 4)
     with pytest.raises(ValueError):
-        degree_constants(0, 0)
+        degree_weights(0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +112,13 @@ def test_enumerate_circle_p0():
     assert kinds == ["H2", "H4", "H4"]
     h2 = chans[0]
     assert h2.mult == 1 and h2.mu2 == 0
-    assert h2.gammas == pytest.approx((-0.5,))
+    assert gamma_of(h2) == pytest.approx(-0.5)
     assert float(h2.interface_weights[0]) == pytest.approx(-0.5)
     h4a, h4b = chans[1], chans[2]
     assert (h4a.mu2, h4a.mult) == (Fraction(1), 2)
     assert (h4b.mu2, h4b.mult) == (Fraction(4), 2)
-    assert h4a.gammas == pytest.approx((0.5,))
-    assert h4b.gammas == pytest.approx((1.5,))
+    assert gamma_of(h4a) == pytest.approx(0.5)
+    assert gamma_of(h4b) == pytest.approx(1.5)
 
 
 def test_enumerate_circle_p1():
@@ -128,11 +130,10 @@ def test_enumerate_circle_p1():
     h1, h2 = chans[0], chans[1]
     assert float(h1.interface_weights[0]) == pytest.approx(0.5)   # nu = 1/2
     assert float(h2.interface_weights[0]) == pytest.approx(0.5)   # p - n/2
-    assert h1.gammas == pytest.approx((0.5,))
-    assert h2.gammas == pytest.approx((0.5,))
+    assert gamma_of(h1) == pytest.approx(0.5)
+    assert gamma_of(h2) == pytest.approx(0.5)
     h5 = chans[2]
     assert h5.mu2 == Fraction(1) and h5.mult == 2
-    assert h5.gammas == ()
     assert [float(w) for w in h5.interface_weights] == pytest.approx([0.5, 0.5])
 
 
@@ -141,12 +142,13 @@ def test_enumerate_torus_p1_h5_block():
     chans = enumerate_channels(ts, 1, 2.5)
     h5s = [c for c in chans if c.kind == "H5"]
     assert h5s[0].mult == 4
-    assert h5s[0].gammas == ()
     assert h5s[0].interface_weights == (Fraction(1), Fraction(0))
-    # the partners carry the exponents: at mu^2 = 1 both have b^2 = 1/4, so
-    # gamma = -1/2 + sqrt(5)/2
+    # the partners carry the exponents: at mu^2 = 1 both have (w + 1/2)^2 =
+    # 1/4, so gamma = -1/2 + sqrt(5)/2
     s = math.sqrt(1.25)
-    assert [part.gammas for part in pair_partners(h5s[0])] == pytest.approx([(s - 0.5,)] * 2)
+    h4, h3 = pair_partners(h5s[0])
+    assert (h4.interface_weights, h3.interface_weights) == ((-1,), (0,))
+    assert [gamma_of(h4), gamma_of(h3)] == pytest.approx([s - 0.5] * 2)
 
 
 def test_enumerate_prunes_by_rigorous_bound():
@@ -181,8 +183,8 @@ def test_enumerate_duality_p_vs_dual():
     a = enumerate_channels(ts, 0, 10.0)
     b = enumerate_channels(ts, 2, 10.0)
     assert len(a) == len(b)
-    gammas_a = sorted(c.gammas[0] for c in a)
-    gammas_b = sorted(c.gammas[0] for c in b)
+    gammas_a = sorted(gamma_of(c) for c in a)
+    gammas_b = sorted(gamma_of(c) for c in b)
     assert gammas_a == pytest.approx(gammas_b)
 
 
@@ -215,3 +217,26 @@ def test_pair_partners_are_the_enumerated_scalars():
                 assert part.mult == h5.mult
     with pytest.raises(ValueError):
         pair_partners(enumerate_channels(ts, 1, 3.0)[0])
+
+
+def slot_formula_gamma(ch: Channel) -> float:
+    """Reference tip exponent by degree slot: -1/2 + sqrt(mu^2 + b^2) with
+    a = (n+1)/2 - p, b = a + 1 in the dt-slot (H1, H3) and b = a - 1 in the
+    tangential slot (H2, H4)."""
+    a = float(Fraction(ch.n + 1, 2) - ch.p)
+    b = a + 1.0 if ch.kind in ("H1", "H3") else a - 1.0
+    return -0.5 + math.sqrt(float(ch.mu2) + b * b)
+
+
+def test_tip_exponent_matches_the_slot_formula():
+    # (mu^2, w) fixes gamma: w + 1/2 = +-b exactly, so the two agree bit for
+    # bit on every scalar channel and every H5 partner, n = 1..6, every p
+    checked = 0
+    for n in range(1, 7):
+        ts = build_flat_torus_spectrum([TWO_PI] * n, 3)
+        for p in range(0, n + 2):
+            for ch in enumerate_channels(ts, p, 3.0):
+                for part in pair_partners(ch) if ch.kind == "H5" else (ch,):
+                    assert gamma_of(part) == slot_formula_gamma(part), (n, p, part)
+                    checked += 1
+    assert checked > 100

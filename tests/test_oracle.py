@@ -27,13 +27,20 @@ from conebands.oracle import (
     oracle_eigenvalues,
     warp_coefficient,
 )
-from conebands.radial import NumericalError, floquet_eigenvalues, make_profile
+from conebands.radial import NumericalError, floquet_eigenvalues, make_profile, tip_exponent
 from conebands.transversal import build_flat_torus_spectrum
 
 CIRCLE = build_flat_torus_spectrum([2 * math.pi], 20)
 STD = make_profile(0.2, 1.0, 0.8)  # cyl .4 | cone 0.8 | handle 1 | cone | cyl .4
 FLAT2PI = make_profile(1.0, 2 * math.pi - 1.0, 1.0)
 CUBE_TORI = {n: build_flat_torus_spectrum([2 * math.pi] * n, 8) for n in (1, 2, 3)}
+
+
+def single_grid(ch, theta, prof, lam_max, N):
+    """Eigenvalues <= lam_max on the N grid alone, without extrapolation."""
+    counts = oracle._piece_counts(prof, N)
+    evs = oracle._grid_eigenvalues(ch, theta, prof, counts, (-1.0, lam_max + 1.0))
+    return [float(x) for x in evs if x <= lam_max]
 
 
 def chan(p, kind, mu2=None):
@@ -178,13 +185,13 @@ class TestPotentialReproduction:
 
     def test_scalar_ascending_cone(self):
         ch = chan(0, "H4", mu2=1.0)
-        g = ch.gammas[0]
+        g = tip_exponent(ch.mu2, ch.interface_weights[0])
         c = g * (g + 1.0)
         self.check(ch, STD, 2.3, 2.9, lambda t: np.array([[c / STD.rho(t) ** 2]]))
 
     def test_scalar_descending_cone(self):
         ch = chan(0, "H4", mu2=1.0)
-        g = ch.gammas[0]
+        g = tip_exponent(ch.mu2, ch.interface_weights[0])
         c = g * (g + 1.0)
         self.check(ch, STD, 0.5, 1.1, lambda t: np.array([[c / STD.rho(t) ** 2]]))
 
@@ -354,7 +361,7 @@ class TestBandSolve:
         ch, prof = BAND_CASES[case]
         fm = assemble(ch, theta, prof, 200)
         dense = dense_hermitian_eigenvalues(fm.K, fm.W, lam_window=(-1.0, 9.0))
-        got = oracle_eigenvalues(ch, theta, prof, 8.0, N=200, richardson=False)
+        got = single_grid(ch, theta, prof, 8.0, 200)
         want = dense[dense <= 8.0]
         assert len(want) >= 2
         assert len(got) == len(want)
@@ -436,9 +443,7 @@ class TestFlatCircle:
 
     def test_massive_circle_first_eigenvalue_is_one(self):
         # raw second-order accuracy, no extrapolation
-        evs = oracle_eigenvalues(
-            chan(0, "H4", mu2=1.0), 0.0, FLAT2PI, 3.0, N=400, richardson=False
-        )
+        evs = single_grid(chan(0, "H4", mu2=1.0), 0.0, FLAT2PI, 3.0, 400)
         assert evs[0] == pytest.approx(1.0, abs=5e-3)
         evs_r = oracle_eigenvalues(chan(0, "H4", mu2=1.0), 0.0, FLAT2PI, 3.0, N=400)
         assert evs_r[0] == pytest.approx(1.0, abs=1e-6)
@@ -520,7 +525,7 @@ class TestRichardsonAndStability:
         # index 0 is the constant eigenvector (exact at any h); index 1 drifts
         ch = chan(0, "H4", mu2=1.0)
         lam = [
-            oracle_eigenvalues(ch, 0.0, FLAT2PI, 3.0, N=n, richardson=False)[1]
+            single_grid(ch, 0.0, FLAT2PI, 3.0, n)[1]
             for n in (150, 300, 600)
         ]
         r = (lam[0] - lam[1]) / (lam[1] - lam[2])
@@ -529,12 +534,7 @@ class TestRichardsonAndStability:
     def test_theta_continuity(self):
         ch = chan(0, "H4", mu2=1.0)
         thetas = np.linspace(0.0, math.pi, 33)
-        lam0 = np.array(
-            [
-                oracle_eigenvalues(ch, t, STD, 4.0, N=150, richardson=False)[0]
-                for t in thetas
-            ]
-        )
+        lam0 = np.array([single_grid(ch, t, STD, 4.0, 150)[0] for t in thetas])
         jumps = np.abs(np.diff(lam0))
         budget = 10.0 * (lam0.max() - lam0.min()) / (len(thetas) - 1)
         assert jumps.max() <= budget + 1e-3

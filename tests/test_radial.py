@@ -27,6 +27,7 @@ from conebands.radial import (
     cone_basis,
     floquet_eigenvalues,
     make_profile,
+    tip_exponent,
 )
 from conebands.transversal import build_flat_torus_spectrum
 
@@ -353,10 +354,15 @@ def h5_channel(eps_section=CIRCLE, p=1, mu2=1):
     return next(c for c in chans if c.kind == "H5" and float(c.mu2) == mu2)
 
 
+def gamma_of(channel):
+    """Tip exponent of a scalar channel."""
+    return tip_exponent(channel.mu2, channel.interface_weights[0])
+
+
 def cone_transfer(channel, lam, t0, t1):
     """Transfer matrix of a scalar channel across the ascending cone from
     radius t0 to t1, state (sigma, dsigma/dt), from a table cut at lam t1^2."""
-    table = cone_basis(channel.gammas[0], abs(lam) * t1 * t1)
+    table = cone_basis(gamma_of(channel), abs(lam) * t1 * t1)
     S = table.state(np.array([float(lam)]), (t0, t1))
     return radial._transfer(S[0], S[1], table.wronskian)[0]
 
@@ -364,7 +370,7 @@ def cone_transfer(channel, lam, t0, t1):
 def rk_cone_propagator(channel, lam, t0, t1):
     """Independent cone transfer matrix: Runge-Kutta on
     -u'' + c/t^2 u = lam u from t0 to t1, c = gamma (gamma + 1)."""
-    g = channel.gammas[0]
+    g = gamma_of(channel)
     c = g * (g + 1.0)
 
     def rhs(t, y):
@@ -417,7 +423,7 @@ def rk_monodromy(channel, profile, lam):
     """Independent monodromy of a scalar channel: Runge-Kutta across each
     segment of the global second-order equation plus explicit derivative
     jumps at slope breaks."""
-    g = channel.gammas[0]
+    g = gamma_of(channel)
     c = g * (g + 1.0)
     w = float(channel.interface_weights[0])
     M = np.eye(2)
@@ -650,20 +656,14 @@ class TestFloquetEigenvalues:
         for a, b in zip(r1, r2):
             assert abs(a - b) < 0.05
 
-    def test_lower_bound_guard_trips(self):
+    def test_lower_bound_guard_trips(self, monkeypatch):
         # gamma = 0.5 is too small a cone potential for mu^2 = 5 (H4 of the
-        # circle at p = 0 would have gamma = sqrt(5.25) - 1/2): the root near
-        # 4.33 lies below the bound lambda >= mu^2
+        # circle at p = 0 has gamma = sqrt(5.25) - 1/2): the root near 4.33
+        # lies below the bound lambda >= mu^2
+        monkeypatch.setattr(radial, "tip_exponent", lambda mu2, w: 0.5)
         prof = make_profile(0.2, 1.0, 0.8)
-        bogus = Channel(
-            kind="H4",
-            n=1,
-            p=0,
-            mu2=Fraction(5),
-            mult=1,
-            gammas=(0.5,),
-            interface_weights=(Fraction(-1, 2),),
-        )
+        bogus = Channel(kind="H4", n=1, p=0, mu2=Fraction(5), mult=1,
+                        interface_weights=(Fraction(-1, 2),))
         with pytest.raises(NumericalError, match="lower bound 5.0"):
             floquet_eigenvalues(bogus, 0.9, prof, 10.0)
         with pytest.raises(NumericalError, match="lower bound 5.0"):
@@ -868,6 +868,25 @@ class TestBandEdges:
         roots = floquet_eigenvalues(ch, 0.0, prof, 6.0)
         assert len(scans) == 2
         assert roots[0::2] == roots[1::2] == floquet_eigenvalues(h3, 0.0, prof, 6.0)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.03, 0.015, 0.01, 0.005])
+    def test_zero_mode_of_a_massless_channel_is_kept(self, eps):
+        # H1 of the 2-torus at p = 1 (mu^2 = 0, w = 1): the form's kernel
+        # rho^-w is periodic, so lambda = 0 is the bottom theta = 0
+        # eigenvalue.  At eps 0.015 and 0.01 the sampled tr M - 2 at 0 lies
+        # in the noise with its neighbour's sign; reading the root from that
+        # sign dropped it and shifted every band by one edge
+        ts = build_flat_torus_spectrum([2 * math.pi, 2 * math.pi], 12)
+        ch = next(c for c in enumerate_channels(ts, 1, 12.0) if c.kind == "H1")
+        prof = make_profile(eps, 1.0, 0.8)
+        be = band_edges(ch, prof, 12.0)
+        assert be.bands[0][0] == 0.0
+        edges = [x for band in be.bands for x in band if abs(x - 12.0) > 1.2e-5]
+        want = [x for theta in (0.0, math.pi)
+                for x in oracle_eigenvalues(ch, theta, prof, 12.0, N=2000)
+                if abs(x - 12.0) > 1.2e-5]
+        assert len(edges) == len(want)
+        np.testing.assert_allclose(sorted(edges), sorted(want), rtol=0.0, atol=1e-4)
 
     def test_pair_window_cuts_one_partner(self):
         # on the 2-torus at p = 1 the partners H4 of degree 0 and H3 of

@@ -201,3 +201,35 @@ def test_build_rejects_bad_input():
         build_flat_torus_spectrum([TWO_PI], 0)
     with pytest.raises(ValueError):
         build_flat_torus_spectrum([-1.0], 5)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 10**400], ids=["nan", "inf", "huge"])
+def test_load_rejects_nonfinite_cutoff(tmp_path, value):
+    # a cutoff of NaN or Infinity would pass enumerate_channels' window
+    # check; an integer beyond double range has no float value
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(_spectrum_doc(cutoff=value)))
+    with pytest.raises(SpectrumFormatError, match="field 'cutoff': must be finite"):
+        load_spectrum(p)
+
+
+def test_load_rejects_nonfinite_mu2(tmp_path):
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(_spectrum_doc(mu2=math.nan)))
+    with pytest.raises(SpectrumFormatError, match=r"coexact\[0\]\[0\]: 'mu2': must be finite"):
+        load_spectrum(p)
+
+
+def test_load_rejects_a_coexact_level_that_is_no_list(tmp_path):
+    p = tmp_path / "spec.json"
+    doc = _spectrum_doc()
+    doc["coexact"] = [5, []]
+    p.write_text(json.dumps(doc))
+    with pytest.raises(SpectrumFormatError, match=r"coexact\[0\] must be a list"):
+        load_spectrum(p)
+
+
+@pytest.mark.parametrize("cutoff", [math.inf, math.nan], ids=["inf", "nan"])
+def test_build_rejects_nonfinite_cutoff(cutoff):
+    with pytest.raises(ValueError, match="cutoff must be positive and finite"):
+        build_flat_torus_spectrum([TWO_PI], cutoff)
