@@ -33,11 +33,13 @@ through z = lambda t^2.  A root scan therefore builds one lambda-free
 coefficient table per channel (cone_basis, valid up to lam_max t_max^2) and
 evaluates the monodromy for the whole lambda grid at once, as (G, 2, 2)
 arrays with one log scale per point, so deep spectral gaps (huge hyperbolic
-growth) never overflow.  Root polishing is one batched bracket solve per
-scalar problem: every sign-change bracket of every theta goes through the
-same batched code and the same table in one elementwise call.  The
-evaluator is elementwise, so a polished value at a grid node equals the
-scanned one bit for bit.  The cone evaluation checks the
+growth) never overflow.  The roots then come from two batched searches per
+scalar problem on the same table, in plain numpy: a zoom over every dip of
+every theta (a dip may hide two crossings or a tangency between samples),
+then a Chandrupatla iteration over every sign-change bracket of every
+theta, which evaluates only the brackets still open.  The evaluator is
+elementwise, so a value at a grid node equals the scanned one bit for bit
+and the scanned F at bracket ends is reused.  The cone evaluation checks the
 numerical Wronskian of every point and raises NumericalError once the series
 has lost its digits (lambda t^2 beyond about 400).
 """
@@ -48,17 +50,20 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.optimize.elementwise import find_root
 
 from .channels import Channel, pair_partners
 
 # lambda grid resolution for root scans: one batched monodromy evaluation of
-# SCAN_STEPS + 1 points per scalar problem, then one batched bracket solve per
-# scalar problem on the same coefficient table
+# SCAN_STEPS + 1 points per scalar problem, then one batched dip search and
+# one batched bracket polish per scalar problem on the same coefficient table
 SCAN_STEPS = 2000
 # absolute tolerance of a polished or dip-minimised Floquet root
 ROOT_TOL = 1e-10
+# samples per step of the dip search: each step narrows a dip 16-fold
+DIP_POINTS = 33
+# steps after which the polish gives up on a bracket (bisection from the
+# whole window to ROOT_TOL takes about 42)
+POLISH_STEPS = 200
 
 
 class NumericalError(RuntimeError):
@@ -551,14 +556,17 @@ def _floquet_roots(channel: Channel, thetas: tuple[float, ...], profile: Profile
                    lam_max: float) -> list[list[float]]:
     """Floquet roots of a scalar channel at each theta, from one batched
     evaluation of the monodromy trace over the lambda grid (the trace does
-    not depend on theta).  The brackets of every theta are polished together
-    in one solve on the same table.  Raises when a root violates the
-    channel's lower bound mu^2."""
+    not depend on theta).  The dips of every theta are searched together,
+    then every bracket of every theta is polished together, all on the same
+    table; a bracket end on the grid keeps its scanned F.  Raises when a
+    root violates the channel's lower bound mu^2."""
     period = _PeriodMap(channel, profile, lam_max)
     grid = np.linspace(0.0, float(lam_max), SCAN_STEPS + 1)
     tr, logs = period.trace(grid)
     out: list[list[float]] = []
-    brackets: list[tuple[float, float, float, int]] = []  # lo, hi, 2 cos theta, theta index
+    # columns (theta index, 2 cos theta, lo, hi, F(lo), F(hi)), one tuple per batch
+    brackets: list[tuple] = []
+    dips: list[tuple] = []  # the same columns and the sign of F at the dip's middle
     for k, theta in enumerate(thetas):
         y = 2.0 * math.cos(theta)
         Fs, noises = _floquet_F(tr, logs, y)
@@ -566,17 +574,25 @@ def _floquet_roots(channel: Channel, thetas: tuple[float, ...], profile: Profile
             # the form's kernel rho^-w is periodic: lambda = 0 is exactly the
             # simple bottom of the theta = 0 spectrum, whatever the sampled sign
             Fs[0] = 0.0
-        roots, cells, dips = _roots_on_grid(grid, Fs, noises)
-        brackets += [(lo, hi, y, k) for lo, hi in cells]
-        for i in dips:
-            double, pair = _resolve_dip(period, y, float(grid[i - 1]), float(grid[i + 1]),
-                                        math.copysign(1.0, Fs[i]))
-            roots += double
-            brackets += [(lo, hi, y, k) for lo, hi in pair]
+        roots, cells, mid = _roots_on_grid(grid, Fs, noises)
         out.append(roots)
-    if brackets:
-        lo, hi, ys, owner = (np.array(col) for col in zip(*brackets))
-        for k, x in zip(owner, _polish(period, lo, hi, ys)):
+        i = np.searchsorted(grid, [lo for lo, _ in cells]).astype(int)  # cells start on nodes
+        brackets.append((np.full(i.size, k), np.full(i.size, y),
+                         grid[i], grid[i + 1], Fs[i], Fs[i + 1]))
+        dips.append((np.full(mid.size, k), np.full(mid.size, y),
+                     grid[mid - 1], grid[mid + 1], Fs[mid - 1], Fs[mid + 1], np.sign(Fs[mid])))
+    dk, dy, dlo, dhi, df_lo, df_hi, s0 = map(np.concatenate, zip(*dips))
+    if dk.size:
+        xs, fs, cross, double = _resolve_dips(period, dlo, dhi, dy, s0)
+        for k, x in zip(dk[double], xs[double]):
+            out[k] += [float(x), float(x)]
+        # a crossing dip splits at its minimiser into two brackets
+        c = cross
+        brackets.append((dk[c], dy[c], dlo[c], xs[c], df_lo[c], fs[c]))
+        brackets.append((dk[c], dy[c], xs[c], dhi[c], fs[c], df_hi[c]))
+    owner, ys, lo, hi, f_lo, f_hi = map(np.concatenate, zip(*brackets))
+    if owner.size:
+        for k, x in zip(owner, _polish(period, lo, hi, ys, f_lo, f_hi)):
             out[k].append(float(x))
     guard = float(channel.mu2) - 1e-6
     for roots in out:
@@ -638,48 +654,102 @@ def _roots_on_grid(grid: np.ndarray, Fs: np.ndarray,
     return roots, cells, np.flatnonzero(dip) + 1
 
 
-def _resolve_dip(period: _PeriodMap, y: float, lo: float, hi: float,
-                 s0: float) -> tuple[list[float], list[tuple[float, float]]]:
-    """Minimise s0 F over [lo, hi], where the sampled s0 F dips toward zero.
+def _resolve_dips(period: _PeriodMap, lo: np.ndarray, hi: np.ndarray, y: np.ndarray,
+                  s0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Minimise s0[k] F over every dip [lo[k], hi[k]] of tr M = y[k] at once,
+    where the sampled s0 F dips toward zero.
 
-    Returns a double root at the minimiser when the minimum lies within
-    the noise, the two brackets (lo, x*) and (x*, hi) when F crosses zero
-    there, and nothing otherwise."""
+    Each step samples DIP_POINTS evenly spaced points of every open dip in
+    one batched evaluation and narrows the dip to the two cells around its
+    smallest sample, until the spacing is below ROOT_TOL.  Returns the
+    smallest sample x* of each dip, F(x*), and two masks: cross, where
+    s0 F(x*) < -noise (F crosses zero twice, in (lo, x*) and (x*, hi); the
+    dip closes at the first such sample), and double, where a closed dip
+    ends with |F(x*)| <= noise (a double root at x*).  Neither holds where
+    the dip stays clear of zero."""
+    u = np.linspace(0.0, 1.0, DIP_POINTS)
+    a, b = lo.copy(), hi.copy()
+    xs, fs = np.empty(lo.size), np.empty(lo.size)
+    cross, double = np.zeros(lo.size, dtype=bool), np.zeros(lo.size, dtype=bool)
+    live = np.arange(lo.size)
+    while live.size:
+        x = a[:, None] + (b - a)[:, None] * u
+        F, noise = (v.reshape(x.shape) for v in _floquet_F(
+            *period.trace(x.ravel()), np.repeat(y[live], DIP_POINTS)))
+        j = np.argmin(s0[live, None] * F, axis=1)
+        rows = np.arange(live.size)
+        xs[live], fs[live], noise = x[rows, j], F[rows, j], noise[rows, j]
+        cross[live] = s0[live] * fs[live] < -noise
+        closed = cross[live] | ((b - a) / (DIP_POINTS - 1) <= ROOT_TOL)
+        double[live] = closed & (np.abs(fs[live]) <= noise)
+        keep = ~closed
+        live, a, b, j = live[keep], a[keep], b[keep], j[keep]
+        # the samples either side of the smallest, computed as x was
+        a, b = (a + (b - a) * u[np.maximum(j - 1, 0)],
+                a + (b - a) * u[np.minimum(j + 1, DIP_POINTS - 1)])
+    return xs, fs, cross, double
 
-    def F_noise(x: float) -> tuple[float, float]:
-        F, noise = _floquet_F(*period.trace(np.array([x])), y)
-        return float(F[0]), float(noise[0])
 
-    res = minimize_scalar(lambda x: s0 * F_noise(x)[0], bounds=(lo, hi), method="bounded",
-                          options={"xatol": ROOT_TOL})
-    xstar = float(res.x)
-    fstar = float(res.fun)  # = s0 * F(xstar), negative iff F crossed zero
-    _, noise_star = F_noise(xstar)
-    if fstar < -noise_star:
-        return [], [(lo, xstar), (xstar, hi)]
-    if fstar <= noise_star:
-        return [xstar, xstar], []
-    return [], []
+def _polish(period: _PeriodMap, lo: np.ndarray, hi: np.ndarray, y: np.ndarray,
+            f_lo: np.ndarray | None = None, f_hi: np.ndarray | None = None) -> np.ndarray:
+    """The root of tr M = y[k] inside every bracket [lo[k], hi[k]], by one
+    vectorised Chandrupatla iteration (Adv. Eng. Software 28, 1997) on the
+    scan's table.
 
+    f_lo and f_hi are F at the bracket ends where the caller has them;
+    otherwise they are evaluated.  Each step evaluates only the open
+    brackets.  A bracket closes once F vanishes at an end or its width is
+    below ROOT_TOL + 4 eps |x|, and returns the end with the smaller |F|.
+    Raises NumericalError on a bracket without a sign change, on a NaN F
+    and when a bracket is still open after POLISH_STEPS steps."""
+    lo, hi, y = (np.asarray(v, dtype=float) for v in (lo, hi, y))
 
-def _polish(period: _PeriodMap, lo: np.ndarray, hi: np.ndarray,
-            y: np.ndarray) -> np.ndarray:
-    """The root of tr M = y[k] inside every bracket [lo[k], hi[k]], all in
-    one elementwise Chandrupatla solve on the scan's table.  Raises
-    NumericalError unless every bracket converges."""
+    def refuse(k: int, why: str):
+        raise NumericalError(f"root polish {why} on the bracket [{float(lo[k])!r}, "
+                             f"{float(hi[k])!r}] of tr M = {float(y[k])!r}")
 
-    def F(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return _floquet_F(*period.trace(x), y)[0]
-
-    res = find_root(F, (lo, hi), args=(y,),
-                    tolerances={"xatol": ROOT_TOL, "xrtol": 4 * np.finfo(float).eps})
-    bad = np.flatnonzero(res.status != 0)
-    if bad.size:
-        k = bad[0]
-        raise NumericalError(f"root polish ended with status {int(res.status[k])} on the "
-                             f"bracket [{float(lo[k])!r}, {float(hi[k])!r}] of "
-                             f"tr M = {float(y[k])!r}")
-    return res.x
+    live = np.arange(lo.size)
+    if f_lo is None:
+        f_lo, f_hi = np.split(_floquet_F(*period.trace(np.concatenate([lo, hi])),
+                                         np.concatenate([y, y]))[0], 2)
+    x1, x2, f1, f2 = lo, hi, np.asarray(f_lo, dtype=float), np.asarray(f_hi, dtype=float)
+    for bad, why in ((np.isnan(f1) | np.isnan(f2), "met a NaN F"),
+                     (np.sign(f1) * np.sign(f2) > 0, "found no sign change")):
+        if bad.any():
+            refuse(np.flatnonzero(bad)[0], why)
+    t = np.full(lo.size, 0.5)  # the first step bisects
+    x3 = f3 = None
+    root = np.empty(lo.size)
+    for _ in range(POLISH_STEPS):
+        smaller = np.abs(f1) < np.abs(f2)
+        xm, fm = np.where(smaller, x1, x2), np.where(smaller, f1, f2)
+        dx = np.abs(x2 - x1)
+        tol = ROOT_TOL + 4.0 * np.finfo(float).eps * np.abs(xm)
+        done = (fm == 0.0) | (dx < tol)
+        root[live[done]] = xm[done]
+        if done.all():
+            return root
+        keep = ~done
+        live, x1, x2, f1, f2, dx, tol, t = (v[keep] for v in (live, x1, x2, f1, f2, dx, tol, t))
+        if x3 is not None:
+            # inverse quadratic interpolation through the last three points
+            # where Chandrupatla's test says it stays inside, else bisection
+            x3, f3 = x3[keep], f3[keep]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+                iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+                t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2)
+                             - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+        tl = 0.5 * tol / dx
+        x = x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1)
+        f = _floquet_F(*period.trace(x), y[live])[0]
+        if np.isnan(f).any():
+            refuse(live[np.flatnonzero(np.isnan(f))[0]], "met a NaN F")
+        same = np.sign(f) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, f
+    refuse(live[0], f"is still open after {POLISH_STEPS} steps")
 
 
 @dataclass

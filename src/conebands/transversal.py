@@ -88,7 +88,11 @@ def build_flat_torus_spectrum(side_lengths, cutoff, label: str | None = None) ->
         raise ValueError("need at least one side length")
 
     cut = _parse_scalar(cutoff)
-    if not 0 < float(cut) < math.inf:
+    try:
+        finite = 0 < float(cut) < math.inf
+    except OverflowError:  # an integer or rational beyond double range
+        finite = False
+    if not finite:
         raise ValueError(f"cutoff must be positive and finite, got {cutoff!r}")
 
     # weight_i = (2 pi / l_i)^2, exact when l_i/(2 pi) snaps to a rational.

@@ -8,7 +8,11 @@ direct Runge-Kutta integration of the global-frame system.
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -777,7 +781,7 @@ class TestPolish:
         y = np.array([-2.0, -2.0])
         assert radial._polish(period, lo[:1], hi[:1], y[:1])[0] == pytest.approx(
             floquet_eigenvalues(ch, math.pi, make_profile(0.2, 1.0, 0.8), 10.0)[0], abs=1e-9)
-        with pytest.raises(NumericalError, match=r"status -1 on the bracket \[0\.0, 0\.2\]"):
+        with pytest.raises(NumericalError, match=r"no sign change on the bracket \[0\.0, 0\.2\]"):
             radial._polish(period, lo, hi, y)
 
     def test_two_crossings_in_one_cell(self):
@@ -804,6 +808,92 @@ class TestPolish:
                 if 249.0 < x < 251.0]
         assert len(got) == len(want) == 2
         np.testing.assert_allclose(got, want, rtol=0.0, atol=5e-6)
+
+
+class SyntheticPeriod:
+    """Stand-in for a _PeriodMap whose scaled trace is fn(lam) at log scale
+    0, so F = fn(lam) - y; records the points of every evaluation."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls: list[np.ndarray] = []
+
+    def trace(self, lam):
+        lam = np.asarray(lam, dtype=float)
+        self.calls.append(lam)
+        return self.fn(lam), np.zeros(lam.shape)
+
+
+def closes_within_tol(x, root):
+    return abs(x - root) <= radial.ROOT_TOL + 4.0 * np.finfo(float).eps * abs(root)
+
+
+class TestSyntheticPolish:
+    # F = lam^3 - y on every bracket: the root of bracket k is cbrt(y[k])
+    def test_mixed_widths_and_exact_ends(self):
+        period = SyntheticPeriod(lambda x: x**3)
+        lo = np.array([1.0, 0.5, 2.0, 1.0, 3.0, 1.2])
+        hi = np.array([3.0, 3.5, 3.0, 1.5, 3.0 + 1e-3, 1.2 + 4e-11])
+        y = np.array([8.0, 5.0, 8.0, 3.0, 27.001, 1.2**3])
+        f_lo, f_hi = lo**3 - y, hi**3 - y
+        x = radial._polish(period, lo, hi, y, f_lo, f_hi)
+        assert x[2] == 2.0  # F(lo) == 0: closed before any evaluation
+        assert x[5] == 1.2  # narrower than the tolerance from the start
+        for k in (0, 1, 3, 4):
+            assert closes_within_tol(x[k], np.cbrt(y[k])), k
+        # the given end values are used, not recomputed: the first step
+        # evaluates one midpoint per open bracket and nothing else
+        assert period.calls[0].tolist() == (lo + 0.5 * (hi - lo))[[0, 1, 3, 4]].tolist()
+        # [1, 3] for y = 8 hits its root with that bisection and closes
+        assert x[0] == 2.0
+        # later steps evaluate only the brackets still open
+        assert all(len(c) <= 3 for c in period.calls[1:]) and len(period.calls) > 3
+
+    def test_ends_are_evaluated_when_not_given(self):
+        period = SyntheticPeriod(lambda x: x**3)
+        lo, hi, y = np.array([0.5, 2.0]), np.array([3.5, 4.0]), np.array([5.0, 8.0])
+        x = radial._polish(period, lo, hi, y)
+        assert period.calls[0].tolist() == [0.5, 2.0, 3.5, 4.0]
+        assert closes_within_tol(x[0], np.cbrt(5.0)) and x[1] == 2.0
+
+    def test_nan_inside_a_bracket_names_it(self):
+        # the first bisection of the second bracket lands in the NaN window
+        period = SyntheticPeriod(lambda x: np.where(np.abs(x - 5.5) < 0.1, np.nan, x**3))
+        lo, hi, y = np.array([1.0, 5.0]), np.array([1.5, 6.0]), np.array([2.0, 5.3**3])
+        with pytest.raises(NumericalError, match=r"NaN F on the bracket \[5\.0, 6\.0\]"):
+            radial._polish(period, lo, hi, y)
+
+    def test_dip_search_decides_each_dip(self):
+        # F = (lam - 1)^2 - y on [0.9, 1.1]: two crossings at 1 -+ 0.01, a
+        # double root at 1 and no root, all in one batched search
+        period = SyntheticPeriod(lambda x: (x - 1.0) ** 2)
+        lo, hi = np.full(3, 0.9), np.full(3, 1.1)
+        xs, fs, cross, double = radial._resolve_dips(
+            period, lo, hi, np.array([1e-4, 0.0, -1e-4]), np.ones(3))
+        assert cross.tolist() == [True, False, False]
+        assert double.tolist() == [False, True, False]
+        assert 0.99 < xs[0] < 1.01 and fs[0] < 0.0
+        assert abs(xs[1] - 1.0) <= radial.ROOT_TOL and abs(xs[2] - 1.0) <= radial.ROOT_TOL
+        # one evaluation per zoom step, each over every open dip: the
+        # crossing one closes at the first
+        assert [len(c) for c in period.calls][:2] == [3 * radial.DIP_POINTS,
+                                                      2 * radial.DIP_POINTS]
+        assert len(period.calls) <= 8
+
+
+def test_radial_imports_no_scipy():
+    # the census path is numpy-only; only the oracle pulls in scipy.linalg
+    code = ("import sys\n"
+            "import conebands.radial\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'radial'\n"
+            "import conebands.oracle\n"
+            "assert 'scipy.linalg' in sys.modules, 'oracle without scipy.linalg'\n"
+            "assert 'scipy.optimize' not in sys.modules, 'oracle'\n")
+    src = str(Path(radial.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

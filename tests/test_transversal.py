@@ -233,3 +233,12 @@ def test_load_rejects_a_coexact_level_that_is_no_list(tmp_path):
 def test_build_rejects_nonfinite_cutoff(cutoff):
     with pytest.raises(ValueError, match="cutoff must be positive and finite"):
         build_flat_torus_spectrum([TWO_PI], cutoff)
+
+
+@pytest.mark.parametrize("cutoff", [10**400, Fraction(10**400, 3), "10" * 200],
+                         ids=["int", "fraction", "string"])
+def test_build_rejects_cutoff_beyond_double_range(cutoff):
+    # float() of such a cutoff overflows; the builder must refuse it as the
+    # loader does, not leak OverflowError
+    with pytest.raises(ValueError, match="cutoff must be positive and finite"):
+        build_flat_torus_spectrum([TWO_PI], cutoff)
