@@ -1,4 +1,4 @@
-"""Radial problem: periodic profile, transfer matrices, Floquet eigenvalues.
+"""Radial problem: periodic profile, half-period map, Floquet eigenvalues.
 
 One period of the profile rho(tau), parametrized from a cut placed in the
 middle of the outer cylinder (so rho(0) = rho(T) = 1):
@@ -17,31 +17,44 @@ break of rho the derivative jump
 
 w = channel.interface_weights[0], and V = gamma (gamma + 1) / rho^2 on
 cones, where gamma = tip_exponent(mu^2, w) is the cone's indicial exponent
-(Cheeger, J. Diff. Geom. 1983).  On the left (descending) cone the
-traversal runs against the cone's own radial coordinate; in global
-coordinates that conjugates the ascending-cone propagator by the flip
-K = diag(1, -1) of (sigma, sigma').
+(Cheeger, J. Diff. Geom. 1983).
 
 Floquet eigenvalues at quasimomentum theta are the lambda with
-tr M = 2 cos theta for the period monodromy M.  The spectrum of an H5 pair
-is the disjoint union of those of its two scalar Hodge partners
+tr M = 2 cos theta for the period monodromy M.  The profile, and with it
+the equation, is mirror symmetric about the handle centre.  Let
+A = [[a, b], [c, d]] carry (sigma, sigma') from the handle centre to the
+cut: the half handle, the jump -w/eps, the cone from eps to 1, the jump +w
+and the half cylinder.  The descending half is then K A^-1 K with
+K = diag(1, -1), so M = A K A^-1 K and, since det A = 1,
+
+    tr M - 2 = 4 b c,        tr M + 2 = 4 a d.
+
+The periodic (theta = 0) eigenvalues are the zeros of b and c, the
+antiperiodic (theta = pi) ones the zeros of a and d: the Dirichlet and
+Neumann spectra of the half period (Magnus-Winkler, Hill's Equation, 1966).
+Each entry's zeros are a Sturm-Liouville spectrum with separated boundary
+conditions, so every zero is simple and shows as a sign change of its own
+entry, and the two edges of any gap lie in different entries.  Changing
+one boundary condition interlaces two of these spectra, which certifies
+the counts.  The merged zeros are the band edges; inside a band tr M runs
+monotonically between -2 and 2, so at any other theta the band holds one
+Floquet eigenvalue, the zero of b c + sin^2(theta/2).  The spectrum of an
+H5 pair is the disjoint union of those of its two scalar Hodge partners
 (channels.pair_partners), so the pair is solved as those two channels, or
 once when the two are the same scalar problem.
 
 The cone's Frobenius recurrences do not involve lambda: lambda enters only
 through z = lambda t^2.  A root scan therefore builds one lambda-free
-coefficient table per channel (cone_basis, valid up to lam_max t_max^2) and
-evaluates the monodromy for the whole lambda grid at once, as (G, 2, 2)
-arrays with one log scale per point, so deep spectral gaps (huge hyperbolic
-growth) never overflow.  The roots then come from two batched searches per
-scalar problem on the same table, in plain numpy: a zoom over every dip of
-every theta (a dip may hide two crossings or a tangency between samples),
-then a Chandrupatla iteration over every sign-change bracket of every
-theta, which evaluates only the brackets still open.  The evaluator is
-elementwise, so a value at a grid node equals the scanned one bit for bit
-and the scanned F at bracket ends is reused.  The cone evaluation checks the
-numerical Wronskian of every point and raises NumericalError once the series
-has lost its digits (lambda t^2 beyond about 400).
+coefficient table per scalar problem (cone_basis, valid up to lam_max) and
+evaluates A for the whole lambda grid at once, as (G, 2, 2) arrays with one
+log scale per point, so deep spectral gaps (huge hyperbolic growth) never
+overflow.  The zeros of all four entries are then polished in one batched
+Chandrupatla iteration on the same table, in plain numpy.  The evaluator
+is elementwise, so a value at a grid node equals the scanned one bit for
+bit and the scanned values at bracket ends are reused.  The cone
+evaluation checks the numerical Wronskian of every point and raises
+NumericalError once the series has lost its digits (lambda t^2 beyond
+about 400).
 """
 
 from __future__ import annotations
@@ -53,14 +66,12 @@ import numpy as np
 
 from .channels import Channel, pair_partners
 
-# lambda grid resolution for root scans: one batched monodromy evaluation of
-# SCAN_STEPS + 1 points per scalar problem, then one batched dip search and
-# one batched bracket polish per scalar problem on the same coefficient table
+# lambda grid resolution for root scans: one batched evaluation of the
+# half-period map at SCAN_STEPS + 1 points per scalar problem, then one
+# batched bracket polish per scalar problem on the same coefficient table
 SCAN_STEPS = 2000
-# absolute tolerance of a polished or dip-minimised Floquet root
+# absolute tolerance of a polished Floquet root
 ROOT_TOL = 1e-10
-# samples per step of the dip search: each step narrows a dip 16-fold
-DIP_POINTS = 33
 # steps after which the polish gives up on a bracket (bisection from the
 # whole window to ROOT_TOL takes about 42)
 POLISH_STEPS = 200
@@ -112,8 +123,16 @@ class Segment:
 
 @dataclass
 class Profile:
+    """One period of rho.  segments describe rho pointwise; eps, L, l_out
+    and eta are make_profile's parameters, from which the transfer matrices
+    take the exact radii and lengths."""
+
     T: float
-    segments: list[Segment] = field(default_factory=list)
+    segments: list[Segment]
+    eps: float
+    L: float
+    l_out: float
+    eta: float
 
     def rho(self, tau):
         """Radius at tau (a float or an array), periodic in T."""
@@ -174,7 +193,7 @@ def make_profile(eps: float, L: float, l_out: float, eta: float = 0.0) -> Profil
 
     if eta == 0.0:
         segments = [Segment(kind, a, b, r0, s, s) for kind, a, b, s, r0 in raw]
-        return Profile(T, segments)
+        return Profile(T, segments, eps, L, l_out, eta)
 
     # corner roundings
     if has_cones and (L == 0.0 or l_out == 0.0):
@@ -214,7 +233,7 @@ def make_profile(eps: float, L: float, l_out: float, eta: float = 0.0) -> Profil
             )
             cursor = tc + d
             ci += 1
-    return Profile(T, segments)
+    return Profile(T, segments, eps, L, l_out, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -442,96 +461,58 @@ def _transfer(S0: np.ndarray, S1: np.ndarray, wronskian: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# monodromy
+# half-period map
 
 
-class _PeriodMap:
-    """Period monodromy of a scalar channel for every lam with
-    |lam| <= lam_bound, starting at the mid-cylinder cut.
+class _HalfPeriod:
+    """Half-period map A of a scalar channel, from the handle centre to the
+    mid-cylinder cut, for every lam with |lam| <= lam_bound.
 
-    The cones' Frobenius table is built once, here; a call evaluates the
-    ordered product of segment propagators and junction jumps for a whole
-    array of lam as (G, 2, 2) arrays.  After each factor every point is
-    divided by its largest entry and the log of that entry is added to the
-    point's log scale.  A single lam is a length-one call of the same
-    elementwise arithmetic, so it reproduces a grid value bit for bit.
-    Piecewise profiles only: a smoothed corner segment is refused.
+    The cone's Frobenius table is built once, here, and evaluated at the
+    profile's own radii eps and 1.  A call evaluates the product of the half
+    handle, the jump -w/eps, the cone, the jump +w and the half cylinder for
+    a whole array of lam as (G, 2, 2) arrays, each point divided by its
+    largest entry, whose log is the point's log scale.  A single lam is a
+    length-one call of the same elementwise arithmetic, so it reproduces a
+    grid value bit for bit.  Piecewise profiles only: a smoothed corner is
+    refused.
     """
 
     def __init__(self, channel: Channel, profile: Profile, lam_bound: float):
         if channel.kind == "H5":
             raise ValueError("transfer matrices are scalar; solve an H5 pair through "
                              "channels.pair_partners")
-        w = float(channel.interface_weights[0])
-        segs = profile.segments
-        self.radii: list[float] = []
-        self.steps: list[tuple] = []  # ("flat", mass2, ell) | ("cone", i0, i1, flip) | ("jump", k)
-        for i, seg in enumerate(segs):
-            r0, r1 = seg.rho(seg.tau0), seg.rho(seg.tau1)
-            if seg.kind in ("cylinder", "handle"):
-                self.steps.append(("flat", float(channel.mu2) / (r0 * r0), seg.length))
-            elif seg.kind in ("cone_up", "cone_down"):
-                self.radii += [r for r in (r0, r1) if r not in self.radii]
-                # the descending cone runs against its radial coordinate:
-                # conjugating by the flip diag(1, -1) negates the off-diagonal
-                self.steps.append(("cone", self.radii.index(r0), self.radii.index(r1),
-                                   seg.kind == "cone_down"))
-            else:
-                raise ValueError(f"monodromy cannot cross segment kind {seg.kind!r}")
-            dslope = seg.slope_out - segs[(i + 1) % len(segs)].slope_in
-            if dslope != 0.0:
-                self.steps.append(("jump", dslope / r1 * w))
-        self.table = (cone_basis(tip_exponent(channel.mu2, w),
-                                 float(lam_bound) * max(self.radii) ** 2) if self.radii else None)
+        if profile.eta > 0.0 and profile.eps < 1.0:
+            raise ValueError("monodromy cannot cross segment kind 'corner'")
+        mu2, w, eps = float(channel.mu2), float(channel.interface_weights[0]), profile.eps
+        self.handle = (mu2 / (eps * eps), 0.5 * profile.L)
+        self.cylinder = (mu2, 0.5 * profile.l_out)
+        self.eps, self.w = eps, w
+        # no cone and no slope break on a flat circle
+        self.table = cone_basis(tip_exponent(mu2, w), float(lam_bound)) if eps < 1.0 else None
 
     def __call__(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Scaled monodromies (G, 2, 2) and their log scales (G,)."""
+        """Scaled maps (G, 2, 2) and their log scales (G,)."""
         lam = np.asarray(lam, dtype=float)
-        S = self.table.state(lam, self.radii) if self.table is not None else None
-        M = np.zeros(lam.shape + (2, 2))
-        M[..., 0, 0] = M[..., 1, 1] = 1.0
-        logs = np.zeros(lam.shape)
+        A, logs = _flat_propagators(self.handle[0], lam, self.handle[1])
+        if self.table is not None:
+            A[..., 1, :] -= self.w / self.eps * A[..., 0, :]
+            S = self.table.state(lam, (self.eps, 1.0))
+            A = _mul(_transfer(S[0], S[1], self.table.wronskian), A)
+            A[..., 1, :] += self.w * A[..., 0, :]
+        P, s = _flat_propagators(self.cylinder[0], lam, self.cylinder[1])
+        A = _mul(P, A)
         with np.errstate(divide="ignore", invalid="ignore"):
-            for step in self.steps:
-                if step[0] == "jump":
-                    M[..., 1, :] += step[1] * M[..., 0, :]
-                else:
-                    if step[0] == "flat":
-                        P, s = _flat_propagators(step[1], lam, step[2])
-                        logs += s
-                    else:
-                        P = _transfer(S[step[1]], S[step[2]], self.table.wronskian)
-                        if step[3]:
-                            P[..., 0, 1] *= -1.0
-                            P[..., 1, 0] *= -1.0
-                    M = _mul(P, M)
-                scale = np.abs(M).max(axis=(-2, -1))
-                M /= scale[..., None, None]
-                logs += np.log(scale)
-        if not (np.isfinite(M).all() and np.isfinite(logs).all()):
+            scale = np.abs(A).max(axis=(-2, -1))
+            A /= scale[..., None, None]
+            logs = logs + s + np.log(scale)
+        if not (np.isfinite(A).all() and np.isfinite(logs).all()):
             raise NumericalError("degenerate transfer matrix (zero or non-finite)")
-        return M, logs
-
-    def trace(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(tr Mhat, logscale) of the monodromies at every lam."""
-        M, logs = self(lam)
-        return M[..., 0, 0] + M[..., 1, 1], logs
+        return A, logs
 
 
 # ---------------------------------------------------------------------------
 # Floquet root finding
-
-
-def _floquet_F(tr: np.ndarray, logs: np.ndarray,
-               y: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled characteristic function tr M - y whose zeros are Floquet
-    eigenvalues, and the noise scale for tangency decisions, from the scaled
-    traces and log scales of the monodromies; y is one target or one per
-    point."""
-    e1 = np.where(logs < 690.0, np.exp(-logs), 0.0)
-    F = tr - y * e1
-    noise = 1e-11 * (np.abs(tr) + abs(y) * e1) + 1e-13
-    return F, noise
 
 
 def _hill_data(channel: Channel) -> tuple:
@@ -552,58 +533,102 @@ def _scalar_problems(channel: Channel) -> list[tuple[Channel, int]]:
     return [(h4, 1), (h3, 1)]
 
 
-def _floquet_roots(channel: Channel, thetas: tuple[float, ...], profile: Profile,
-                   lam_max: float) -> list[list[float]]:
-    """Floquet roots of a scalar channel at each theta, from one batched
-    evaluation of the monodromy trace over the lambda grid (the trace does
-    not depend on theta).  The dips of every theta are searched together,
-    then every bracket of every theta is polished together, all on the same
-    table; a bracket end on the grid keeps its scanned F.  Raises when a
-    root violates the channel's lower bound mu^2."""
-    period = _PeriodMap(channel, profile, lam_max)
+def _floquet_roots(channel: Channel, profile: Profile,
+                   lam_max: float) -> tuple[_HalfPeriod, list[list[float]]]:
+    """The half-period map of a scalar channel and the sorted zeros of its
+    entries a, b, c, d in [0, lam_max].
+
+    One batched evaluation over the lambda grid gives the signs of all four
+    entries; a node where an entry vanishes is one of its zeros, and every
+    cell over which an entry changes sign is polished, all of them together
+    on the same table, each end keeping its scanned value.  Raises when a
+    zero violates the channel's lower bound mu^2 or the zeros fail the
+    count certificate."""
+    half = _HalfPeriod(channel, profile, lam_max)
     grid = np.linspace(0.0, float(lam_max), SCAN_STEPS + 1)
-    tr, logs = period.trace(grid)
-    out: list[list[float]] = []
-    # columns (theta index, 2 cos theta, lo, hi, F(lo), F(hi)), one tuple per batch
-    brackets: list[tuple] = []
-    dips: list[tuple] = []  # the same columns and the sign of F at the dip's middle
-    for k, theta in enumerate(thetas):
-        y = 2.0 * math.cos(theta)
-        Fs, noises = _floquet_F(tr, logs, y)
-        if y == 2.0 and channel.mu2 == 0:
-            # the form's kernel rho^-w is periodic: lambda = 0 is exactly the
-            # simple bottom of the theta = 0 spectrum, whatever the sampled sign
-            Fs[0] = 0.0
-        roots, cells, mid = _roots_on_grid(grid, Fs, noises)
-        out.append(roots)
-        i = np.searchsorted(grid, [lo for lo, _ in cells]).astype(int)  # cells start on nodes
-        brackets.append((np.full(i.size, k), np.full(i.size, y),
-                         grid[i], grid[i + 1], Fs[i], Fs[i + 1]))
-        dips.append((np.full(mid.size, k), np.full(mid.size, y),
-                     grid[mid - 1], grid[mid + 1], Fs[mid - 1], Fs[mid + 1], np.sign(Fs[mid])))
-    dk, dy, dlo, dhi, df_lo, df_hi, s0 = map(np.concatenate, zip(*dips))
-    if dk.size:
-        xs, fs, cross, double = _resolve_dips(period, dlo, dhi, dy, s0)
-        for k, x in zip(dk[double], xs[double]):
-            out[k] += [float(x), float(x)]
-        # a crossing dip splits at its minimiser into two brackets
-        c = cross
-        brackets.append((dk[c], dy[c], dlo[c], xs[c], df_lo[c], fs[c]))
-        brackets.append((dk[c], dy[c], xs[c], dhi[c], fs[c], df_hi[c]))
-    owner, ys, lo, hi, f_lo, f_hi = map(np.concatenate, zip(*brackets))
-    if owner.size:
-        for k, x in zip(owner, _polish(period, lo, hi, ys, f_lo, f_hi)):
-            out[k].append(float(x))
-    guard = float(channel.mu2) - 1e-6
-    for roots in out:
-        roots.sort()
-        for r in roots:
-            if r < guard:
-                raise NumericalError(
-                    f"eigenvalue {r} violates the channel lower bound "
-                    f"{float(channel.mu2)}; pruning rule unsound here"
-                )
-    return out
+    F = half(grid)[0].reshape(-1, 4)  # columns a, b, c, d
+    if channel.mu2 == 0:
+        # the form's kernel rho^-w is even and periodic: lambda = 0 is
+        # exactly the bottom of the spectrum, a zero of c, whatever the
+        # sampled sign
+        F[0, 2] = 0.0
+    (node, at), (cell, of) = _roots_on_grid(F)
+
+    def entry(x, k):
+        return half(x)[0].reshape(-1, 4)[np.arange(x.size), of[k]]
+
+    x = _polish(entry, grid[cell], grid[cell + 1], F[cell, of], F[cell + 1, of])
+    roots = [sorted(grid[node[at == j]].tolist() + x[of == j].tolist()) for j in range(4)]
+    low = [r for col in roots for r in col if r < float(channel.mu2) - 1e-6]
+    if low:
+        raise NumericalError(f"eigenvalue {min(low)} violates the channel lower bound "
+                             f"{float(channel.mu2)}; pruning rule unsound here")
+    _certify(roots, lam_max)
+    return half, roots
+
+
+def _roots_on_grid(F: np.ndarray) -> tuple[tuple, tuple]:
+    """Read the sampled values F (G, k) of k functions with simple zeros on
+    the lambda grid: the index arrays (node, column) where F vanishes, and
+    (cell, column) where F changes sign over the cell (grid[i], grid[i+1])."""
+    s = np.sign(F)
+    return np.nonzero(s == 0.0), np.nonzero(s[:-1] * s[1:] < 0.0)
+
+
+def _certify(roots: list[list[float]], lam_max: float) -> None:
+    """Check the zeros of a, b, c, d against the interlacing of
+    Sturm-Liouville spectra that differ in one boundary condition: Neumann
+    before Dirichlet at the cut (c/a, d/b) and at the handle centre (c/d,
+    a/b).  Each pair alternates strictly from the bottom, starting with the
+    first list, which has 0 or 1 more zeros in [0, lam_max].
+
+    Consecutive zeros of a pair are the two edges of a band.  In an
+    exponentially thin band they may come out in either order, by up to the
+    accuracy of the map: ROOT_TOL from the polish and WRONSKIAN_RTOL
+    relative from the cone series.  Raises NumericalError naming the pair
+    and the interval where the check fails: a zero was missed or invented
+    there."""
+    for first, second in ("ca", "db", "cd", "ab"):
+        x, y = roots["abcd".index(first)], roots["abcd".index(second)]
+        if not 0 <= len(x) - len(y) <= 1:
+            raise NumericalError(f"count certificate: {len(x)} zeros of {first} against "
+                                 f"{len(y)} of {second} on [0, {float(lam_max)!r}]")
+        z = np.empty(len(x) + len(y))
+        z[0::2], z[1::2] = x, y
+        bad = np.flatnonzero(np.diff(z) < -(ROOT_TOL + WRONSKIAN_RTOL * z[1:]))
+        if bad.size:
+            k = bad[0]
+            raise NumericalError(f"count certificate: the zeros of {first} and {second} do "
+                                 f"not alternate on [{float(z[k + 1])!r}, {float(z[k])!r}]")
+
+
+def _band_roots(half: _HalfPeriod, roots: list[list[float]], theta: float,
+                lam_max: float) -> list[float]:
+    """The Floquet eigenvalue of every band at a theta other than 0 and pi.
+
+    Inside a band tr M runs monotonically between -2 and 2, so the band
+    holds one zero of b c + sin^2(theta/2).  That function is
+    sin^2(theta/2) at a periodic edge (b c = 0) and -cos^2(theta/2) at an
+    antiperiodic one (a d = 0, so b c = -1); a band cut at lam_max takes
+    its value there, and holds no zero when that has the lower edge's sign.
+    """
+    s2, c2 = math.sin(0.5 * theta) ** 2, math.cos(0.5 * theta) ** 2
+    a, b, c, d = roots
+
+    def F(x, k):
+        A, logs = half(x)
+        return A[:, 0, 1] * A[:, 1, 0] * np.exp(2.0 * logs) + s2
+
+    edges = sorted([(x, s2) for x in b + c] + [(x, -c2) for x in a + d])
+    if len(edges) % 2:
+        top = float(lam_max)
+        f_top = float(F(np.array([top]), None)[0])
+        if f_top * edges[-1][1] <= 0.0:
+            edges.append((top, f_top))
+        else:
+            edges.pop()
+    x, f = np.array(edges, dtype=float).reshape(-1, 2).T
+    return _polish(F, x[0::2], x[1::2], f[0::2], f[1::2]).tolist()
 
 
 def floquet_eigenvalues(channel: Channel, theta: float, profile: Profile,
@@ -611,107 +636,39 @@ def floquet_eigenvalues(channel: Channel, theta: float, profile: Profile,
     """All lambda in [0, lam_max] whose Floquet multiplier is e^{i theta},
     sorted, repeated per intrinsic multiplicity.  Channel.mult is not
     applied here.  An H5 pair returns the union of its partners' roots."""
+    cos = math.cos(theta)
     roots: list[float] = []
     for part, copies in _scalar_problems(channel):
-        roots += copies * _floquet_roots(part, (theta,), profile, lam_max)[0]
+        half, zeros = _floquet_roots(part, profile, lam_max)
+        a, b, c, d = zeros
+        if cos == 1.0:
+            part_roots = b + c
+        elif cos == -1.0:
+            part_roots = a + d
+        else:
+            part_roots = _band_roots(half, zeros, theta, lam_max)
+        roots += copies * part_roots
     return sorted(roots)
 
 
-def _roots_on_grid(grid: np.ndarray, Fs: np.ndarray,
-                   noises: np.ndarray) -> tuple[list[float], list[tuple[float, float]], np.ndarray]:
-    """Read the sampled characteristic function Fs on the lambda grid.
+def _polish(F, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
+            f_hi: np.ndarray) -> np.ndarray:
+    """The zero of F(., k) inside every bracket [lo[k], hi[k]], by one
+    vectorised Chandrupatla iteration (Adv. Eng. Software 28, 1997).
 
-    Returns the roots taken straight from the grid, the sign-change cells
-    to polish and the dip candidates.  A maximal run of zeroish samples
-    (|F| <= noise) gives its centre: once where it touches an end of the
-    window or F changes sign across it, twice (a tangency) where it does
-    not; a run covering the whole window gives nothing.  A cell
-    (grid[i], grid[i+1]) of two non-zeroish samples of opposite sign is a
-    bracket.  A dip is an index i whose three samples i-1, i, i+1 are
-    non-zeroish and of one sign, with |F| smallest in the middle; two
-    crossings or a tangency may hide in [grid[i-1], grid[i+1]] there.
-    """
-    zeroish = np.abs(Fs) <= noises
-    edge = np.diff(np.concatenate(([False], zeroish, [False])).astype(np.int8))
-    start, end = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1) - 1
-    # a one-sample run's centre is that sample exactly: 0.5 * (x + x) == x
-    center = 0.5 * (grid[start] + grid[end])
-    first, last = start == 0, end == len(grid) - 1
-    inner = ~(first | last)
-    crosses = np.zeros(len(start), dtype=bool)
-    crosses[inner] = Fs[start[inner] - 1] * Fs[end[inner] + 1] < 0
-    copies = np.where(first & last, 0, np.where(inner & ~crosses, 2, 1))
-    roots = np.repeat(center, copies).tolist()
-
-    live = ~zeroish
-    cell = live[:-1] & live[1:] & (Fs[:-1] * Fs[1:] < 0)
-    cells = list(zip(grid[:-1][cell].tolist(), grid[1:][cell].tolist()))
-
-    neg, mag = np.signbit(Fs), np.abs(Fs)
-    dip = (live[:-2] & live[1:-1] & live[2:]
-           & (neg[:-2] == neg[1:-1]) & (neg[2:] == neg[1:-1])
-           & (mag[1:-1] < mag[:-2]) & (mag[1:-1] < mag[2:]))
-    return roots, cells, np.flatnonzero(dip) + 1
-
-
-def _resolve_dips(period: _PeriodMap, lo: np.ndarray, hi: np.ndarray, y: np.ndarray,
-                  s0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Minimise s0[k] F over every dip [lo[k], hi[k]] of tr M = y[k] at once,
-    where the sampled s0 F dips toward zero.
-
-    Each step samples DIP_POINTS evenly spaced points of every open dip in
-    one batched evaluation and narrows the dip to the two cells around its
-    smallest sample, until the spacing is below ROOT_TOL.  Returns the
-    smallest sample x* of each dip, F(x*), and two masks: cross, where
-    s0 F(x*) < -noise (F crosses zero twice, in (lo, x*) and (x*, hi); the
-    dip closes at the first such sample), and double, where a closed dip
-    ends with |F(x*)| <= noise (a double root at x*).  Neither holds where
-    the dip stays clear of zero."""
-    u = np.linspace(0.0, 1.0, DIP_POINTS)
-    a, b = lo.copy(), hi.copy()
-    xs, fs = np.empty(lo.size), np.empty(lo.size)
-    cross, double = np.zeros(lo.size, dtype=bool), np.zeros(lo.size, dtype=bool)
-    live = np.arange(lo.size)
-    while live.size:
-        x = a[:, None] + (b - a)[:, None] * u
-        F, noise = (v.reshape(x.shape) for v in _floquet_F(
-            *period.trace(x.ravel()), np.repeat(y[live], DIP_POINTS)))
-        j = np.argmin(s0[live, None] * F, axis=1)
-        rows = np.arange(live.size)
-        xs[live], fs[live], noise = x[rows, j], F[rows, j], noise[rows, j]
-        cross[live] = s0[live] * fs[live] < -noise
-        closed = cross[live] | ((b - a) / (DIP_POINTS - 1) <= ROOT_TOL)
-        double[live] = closed & (np.abs(fs[live]) <= noise)
-        keep = ~closed
-        live, a, b, j = live[keep], a[keep], b[keep], j[keep]
-        # the samples either side of the smallest, computed as x was
-        a, b = (a + (b - a) * u[np.maximum(j - 1, 0)],
-                a + (b - a) * u[np.minimum(j + 1, DIP_POINTS - 1)])
-    return xs, fs, cross, double
-
-
-def _polish(period: _PeriodMap, lo: np.ndarray, hi: np.ndarray, y: np.ndarray,
-            f_lo: np.ndarray | None = None, f_hi: np.ndarray | None = None) -> np.ndarray:
-    """The root of tr M = y[k] inside every bracket [lo[k], hi[k]], by one
-    vectorised Chandrupatla iteration (Adv. Eng. Software 28, 1997) on the
-    scan's table.
-
-    f_lo and f_hi are F at the bracket ends where the caller has them;
-    otherwise they are evaluated.  Each step evaluates only the open
-    brackets.  A bracket closes once F vanishes at an end or its width is
-    below ROOT_TOL + 4 eps |x|, and returns the end with the smaller |F|.
-    Raises NumericalError on a bracket without a sign change, on a NaN F
-    and when a bracket is still open after POLISH_STEPS steps."""
-    lo, hi, y = (np.asarray(v, dtype=float) for v in (lo, hi, y))
+    F(x, k) evaluates bracket k[i] at x[i] for an index array k of open
+    brackets; f_lo and f_hi are F at the bracket ends.  Each step evaluates
+    only the open brackets.  A bracket closes once F vanishes at an end or
+    its width is below ROOT_TOL + 4 eps |x|, and returns the end with the
+    smaller |F|.  Raises NumericalError on a bracket without a sign change,
+    on a NaN F and when a bracket is still open after POLISH_STEPS steps."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
 
     def refuse(k: int, why: str):
-        raise NumericalError(f"root polish {why} on the bracket [{float(lo[k])!r}, "
-                             f"{float(hi[k])!r}] of tr M = {float(y[k])!r}")
+        raise NumericalError(f"root polish {why} on the bracket "
+                             f"[{float(lo[k])!r}, {float(hi[k])!r}]")
 
     live = np.arange(lo.size)
-    if f_lo is None:
-        f_lo, f_hi = np.split(_floquet_F(*period.trace(np.concatenate([lo, hi])),
-                                         np.concatenate([y, y]))[0], 2)
     x1, x2, f1, f2 = lo, hi, np.asarray(f_lo, dtype=float), np.asarray(f_hi, dtype=float)
     for bad, why in ((np.isnan(f1) | np.isnan(f2), "met a NaN F"),
                      (np.sign(f1) * np.sign(f2) > 0, "found no sign change")):
@@ -742,7 +699,7 @@ def _polish(period: _PeriodMap, lo: np.ndarray, hi: np.ndarray, y: np.ndarray,
                              - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
         tl = 0.5 * tol / dx
         x = x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1)
-        f = _floquet_F(*period.trace(x), y[live])[0]
+        f = F(x, live)
         if np.isnan(f).any():
             refuse(live[np.flatnonzero(np.isnan(f))[0]], "met a NaN F")
         same = np.sign(f) == np.sign(f1)
@@ -765,18 +722,23 @@ class BandEdges:
 def band_edges(channel: Channel, profile: Profile, lam_max: float) -> BandEdges:
     """Band intervals of a channel by the Hill pairing.
 
-    The sorted periodic (theta = 0) and antiperiodic (theta = pi) eigenvalues
-    of a scalar channel interlace, so consecutive entries of the merged list
-    are the band edges (Magnus-Winkler, Hill's Equation).  An odd count
-    leaves a last band cut at lam_max.  An H5 pair returns the bands of its
-    two scalar partners together; partners that are one problem are solved
-    once and their bands listed twice.
+    The sorted periodic (zeros of b and c) and antiperiodic (zeros of a and
+    d) eigenvalues of a scalar channel interlace, so consecutive entries of
+    the merged list are the band edges (Magnus-Winkler, Hill's Equation).
+    A gap narrower than 2 ROOT_TOL is closed.  An odd count leaves a last
+    band cut at lam_max.  An H5 pair returns the
+    bands of its two scalar partners together; partners that are one
+    problem are solved once and their bands listed twice.
     """
     bands: list[tuple[float, float]] = []
     truncated = False
     for part, copies in _scalar_problems(channel):
-        r0, r1 = _floquet_roots(part, (0.0, math.pi), profile, lam_max)
-        edges = sorted(r0 + r1)
+        edges = sorted(x for roots in _floquet_roots(part, profile, lam_max)[1] for x in roots)
+        for k in range(2, len(edges), 2):
+            # a gap narrower than two polished zeros resolve is closed: its
+            # edges, zeros of b and c or of a and d, are one double eigenvalue
+            if edges[k] - edges[k - 1] < 2.0 * ROOT_TOL:
+                edges[k] = edges[k - 1]
         part_bands = [(edges[k], edges[k + 1]) for k in range(0, len(edges) - 1, 2)]
         if len(edges) % 2 == 1:
             part_bands.append((edges[-1], float(lam_max)))

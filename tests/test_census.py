@@ -74,24 +74,64 @@ def test_hodge_star_duality_of_band_lists(n, lam_max):
         assert bands[p] == bands[n + 1 - p], p
 
 
-def test_torus_p1_census_matches_the_oracle():
-    # every channel of the 2-torus at p = 1, H5 pairs included: the census
-    # edges are the oracle's theta = 0 and pi eigenvalues, in count exactly
-    # and to 1e-6 relative; values within 1e-6 lam_max of lam_max may fall
-    # on either side of the window and are left out of both lists
-    prof = make_profile(0.2, 1.0, 0.8)
-    lam_max = 8.0
+def census_against_the_oracle(ts, p, prof, lam_max, N):
+    """Number of census edges of every channel of degree p, checked against
+    the oracle's theta = 0 and pi eigenvalues: in count exactly and to 1e-6
+    relative.  Values within 1e-6 lam_max of lam_max may fall on either
+    side of the window and are left out of both lists."""
 
     def inside(xs):
         return sorted(x for x in xs if abs(x - lam_max) > 1e-6 * lam_max)
 
     total = 0
-    for ch in enumerate_channels(TORI[2], 1, lam_max):
+    for ch in enumerate_channels(ts, p, lam_max):
         got = inside(x for band in band_edges(ch, prof, lam_max).bands for x in band)
-        want = inside(oracle_eigenvalues(ch, 0.0, prof, lam_max, N=500)
-                      + oracle_eigenvalues(ch, math.pi, prof, lam_max, N=500))
+        want = inside(oracle_eigenvalues(ch, 0.0, prof, lam_max, N=N)
+                      + oracle_eigenvalues(ch, math.pi, prof, lam_max, N=N))
         assert len(got) == len(want), (ch.kind, ch.mu2)
         err = max((abs(a - b) / max(1.0, abs(b)) for a, b in zip(got, want)), default=0.0)
         assert err <= 1e-6, (ch.kind, ch.mu2, err)
         total += len(got)
-    assert total == 43
+    return total
+
+
+def test_torus_p1_census_matches_the_oracle():
+    # every channel of the 2-torus at p = 1, H5 pairs included
+    assert census_against_the_oracle(TORI[2], 1, make_profile(0.2, 1.0, 0.8), 8.0, 500) == 43
+
+
+@pytest.mark.parametrize("params,edges", [
+    ((0.2, 1.0, 0.8), 154),
+    # the H2 theta = 0 gap [399.873, 399.979] lies in the last 0.2-wide
+    # cell of the scan; its edges are zeros of b and c, one sign change each
+    ((0.19181516364847845, 1.034210797765928, 0.8080361794967985), 156),
+], ids=["seed0", "seed203"])
+def test_circle_high_census_matches_the_oracle(params, edges):
+    # the circle of length 2 pi / 3 at p = 0 up to lambda = 400, where the
+    # cone series nears its Wronskian guard
+    circle = build_flat_torus_spectrum([TWO_PI / 3.0], 400.0)
+    assert census_against_the_oracle(circle, 0, make_profile(*params), 400.0, 2000) == edges
+
+
+@pytest.mark.parametrize("n,p,lam_max", [(2, 1, 8.0), (1, 0, 400.0)], ids=["torus-p1", "circle-high"])
+def test_census_edges_survive_one_ulp_of_the_profile(n, p, lam_max):
+    # eps, L and l_out nudged by one ulp either way: every edge moves by at
+    # most 1e-9 of max(1, lam).  Above lam ~ 200 the cone series' rounding
+    # (lam t^2 near 400) leaves the polish a noise band up to 1.2e-7 wide at
+    # seed 0, so there the bound is relative
+    ts = TORI[2] if n == 2 else build_flat_torus_spectrum([TWO_PI / 3.0], 400.0)
+    chans = enumerate_channels(ts, p, lam_max)
+
+    def edges(params):
+        prof = make_profile(*params)
+        return [x for ch in chans for band in band_edges(ch, prof, lam_max).bands for x in band]
+
+    base = (0.2, 1.0, 0.8)
+    want = edges(base)
+    for i in range(3):
+        for toward in (-math.inf, math.inf):
+            params = list(base)
+            params[i] = math.nextafter(params[i], toward)
+            got = edges(params)
+            assert len(got) == len(want)
+            assert max(abs(a - b) / max(1.0, b) for a, b in zip(got, want)) <= 1e-9, params

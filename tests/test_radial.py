@@ -3,8 +3,9 @@
 The cone series is checked against closed Bessel forms,
     f_gamma(t) = Gamma(nu+1) (2/sqrt(lam))^nu sqrt(t) J_nu(sqrt(lam) t)
     g_gamma(t) = Gamma(1-nu) (sqrt(lam)/2)^nu sqrt(t) J_{-nu}(sqrt(lam) t)
-with nu = gamma + 1/2 (non-resonant gamma), and monodromies against a
-direct Runge-Kutta integration of the global-frame system.
+with nu = gamma + 1/2 (non-resonant gamma), and the half-period map and
+the monodromy M = A K A^-1 K it gives against a direct Runge-Kutta
+integration of the global-frame system over the half and the whole period.
 """
 
 import math
@@ -451,17 +452,103 @@ def rk_monodromy(channel, profile, lam):
     return M
 
 
-def monodromy(channel, lam, profile):
-    """Scaled monodromy (M, logscale) at one lam, the true one being
-    M exp(logscale): a length-one call of the batched evaluation, from a
+def half_map(channel, lam, profile):
+    """Scaled half-period map (A, logscale) at one lam, the true one being
+    A exp(logscale): a length-one call of the batched evaluation, from a
     table cut at |lam|."""
-    M, logs = radial._PeriodMap(channel, profile, abs(lam))(np.array([float(lam)]))
-    return M[0], float(logs[0])
+    A, logs = radial._HalfPeriod(channel, profile, abs(lam))(np.array([float(lam)]))
+    return A[0], float(logs[0])
+
+
+def monodromy(channel, lam, profile):
+    """Scaled monodromy (M, logscale) at one lam: M = A K A^-1 K with
+    K = diag(1, -1), where K A^-1 K = [[d, b], [c, a]] since det A = 1.
+    A cut on a cone junction (l_out = 0) has the jump 2w; the two halves
+    take w each, while rk_monodromy takes it whole at the end of the
+    period, so M is returned in that frame, J(w) M J(-w)."""
+    A, logscale = half_map(channel, lam, profile)
+    (a, b), (c, d) = A
+    M = A @ np.array([[d, b], [c, a]])
+    if profile.l_out == 0.0 and profile.eps < 1.0:
+        w = float(channel.interface_weights[0])
+        M = np.array([[1.0, 0.0], [w, 1.0]]) @ M @ np.array([[1.0, 0.0], [-w, 1.0]])
+    return M, 2.0 * logscale
 
 
 def dense_monodromy(channel, lam, profile):
     M, logscale = monodromy(channel, lam, profile)
     return M * math.exp(logscale)
+
+
+def rk_half_map(channel, profile, lam):
+    """Independent half-period map: Runge-Kutta from the handle centre T/2
+    to the cut T across the segments, with the derivative jump of every
+    slope break in between and half the jump of a break at either end (the
+    mirror half takes the other half)."""
+    g = gamma_of(channel)
+    c = g * (g + 1.0)
+    w = float(channel.interface_weights[0])
+    segs = profile.segments
+    centre = 0.5 * profile.T
+
+    def jump(i, share=1.0):
+        seg, nxt = segs[i], segs[(i + 1) % len(segs)]
+        k = share * (seg.slope_out - nxt.slope_in) / seg.rho(seg.tau1) * w
+        return np.array([[1.0, 0.0], [k, 1.0]])
+
+    A = np.eye(2)
+    for i, seg in enumerate(segs):
+        if seg.tau1 < centre + 1e-12:
+            if seg.tau1 > centre - 1e-12:
+                A = jump(i, 0.5) @ A  # a break at the centre (L = 0)
+            continue
+        V = float(channel.mu2) if seg.kind in ("cylinder", "handle") else c
+
+        def rhs(tau, y, V=V, seg=seg):
+            return [y[1], (V / seg.rho(tau) ** 2 - lam) * y[0]]
+
+        cols = []
+        for y0 in ([1.0, 0.0], [0.0, 1.0]):
+            sol = solve_ivp(rhs, (max(seg.tau0, centre), seg.tau1), y0, rtol=1e-12, atol=1e-13)
+            assert sol.success
+            cols.append(sol.y[:, -1])
+        A = jump(i, 0.5 if i == len(segs) - 1 else 1.0) @ np.column_stack(cols) @ A
+    return A
+
+
+def reflection_channel(p):
+    """A circle channel with interface weight w = -1/2 (H4, p = 0) or w = 1
+    (H1, p = 1)."""
+    kind, mu2 = ("H4", 1.0) if p == 0 else ("H1", 0.0)
+    return next(c for c in enumerate_channels(CIRCLE, p, 10.0)
+                if c.kind == kind and float(c.mu2) == mu2)
+
+
+class TestReflection:
+    # w != 0 at both ends of each cone, a cut at a cone junction (l_out = 0),
+    # a centre at a cone junction (L = 0) and the flat circle (eps = 1)
+    PROFILES = [(0.3, 1.0, 0.8), (0.25, 1.2, 0.0), (0.3, 0.0, 0.8), (1.0, 2.0, 1.0)]
+
+    @pytest.mark.parametrize("params", PROFILES)
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_half_map_against_rk(self, params, p):
+        ch, prof = reflection_channel(p), make_profile(*params)
+        for lam in (2.0, 6.5):
+            A, logscale = half_map(ch, lam, prof)
+            A_rk = rk_half_map(ch, prof, lam)
+            np.testing.assert_allclose(A * math.exp(logscale), A_rk, rtol=1e-8, atol=1e-8)
+
+    @pytest.mark.parametrize("params", PROFILES)
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_trace_is_twice_ad_plus_bc(self, params, p):
+        # tr M = 2 (a d + b c), so tr M - 2 = 4 b c and tr M + 2 = 4 a d
+        ch, prof = reflection_channel(p), make_profile(*params)
+        for lam in (2.0, 6.5):
+            A, logscale = half_map(ch, lam, prof)
+            (a, b), (c, d) = A * math.exp(logscale)
+            assert a * d - b * c == pytest.approx(1.0, abs=1e-12)
+            tr_rk = np.trace(rk_monodromy(ch, prof, lam))
+            assert 2.0 * (a * d + b * c) == pytest.approx(tr_rk, rel=1e-8, abs=1e-8)
 
 
 class TestMonodromy:
@@ -521,18 +608,18 @@ class TestMonodromy:
 
     @pytest.mark.parametrize("p,l_out", [(0, 0.8), (0, 0.0), (1, 0.8)])
     def test_batched_trace_matches_one_point(self, p, l_out):
-        # the scan's table is truncated for lam_max, a one-point monodromy's
-        # for its own lam; up to 50 the traces agree to 1e-12 of the scale
+        # the scan's table is truncated for lam_max, a one-point map's for
+        # its own lam; up to 50 the maps agree to 1e-12 of the scale
         prof = make_profile(0.3, 1.0, l_out)
         grid = np.linspace(0.0, 50.0, 101)
         for ch in enumerate_channels(build_flat_torus_spectrum([2 * math.pi], 50.0), p, 50.0):
             if ch.kind == "H5":
                 continue
-            tr, logs = radial._PeriodMap(ch, prof, 50.0).trace(grid)
-            for lam, t_b, s_b in zip(grid, tr, logs):
-                M, logscale = monodromy(ch, lam, prof)
-                t_1 = np.trace(M) * math.exp(logscale)
-                assert abs(t_b * math.exp(s_b) - t_1) <= 1e-12 * max(1.0, math.exp(logscale))
+            A, logs = radial._HalfPeriod(ch, prof, 50.0)(grid)
+            for lam, A_b, s_b in zip(grid, A, logs):
+                A_1, logscale = half_map(ch, lam, prof)
+                assert np.max(np.abs(A_b * math.exp(s_b) - A_1 * math.exp(logscale))) <= (
+                    1e-12 * max(1.0, math.exp(logscale)))
 
     def test_refuses_lambda_beyond_the_series(self):
         prof = make_profile(0.2, 1.0, 0.8)
@@ -548,12 +635,12 @@ class TestBatchedScan:
         # root polishing evaluates single points through the scan's table and
         # arithmetic, so at a grid node it must reproduce the scanned value
         ch = next(c for c in CIRCLE_HIGH if c.kind == kind and float(c.mu2) == mu2)
-        period = radial._PeriodMap(ch, make_profile(0.2, 1.0, 0.8), 400.0)
+        half = radial._HalfPeriod(ch, make_profile(0.2, 1.0, 0.8), 400.0)
         grid = np.linspace(0.0, 400.0, SCAN_STEPS + 1)
-        tr, logs = period.trace(grid)
+        A, logs = half(grid)
         for k, lam in enumerate(grid):
-            tr1, logs1 = period.trace(np.array([float(lam)]))
-            assert tr1[0] == tr[k] and logs1[0] == logs[k], lam
+            A1, logs1 = half(np.array([float(lam)]))
+            assert np.array_equal(A1[0], A[k]) and logs1[0] == logs[k], lam
 
     @pytest.mark.parametrize("eps", [0.19, 0.2, 0.21])
     def test_circle_high_scan_stays_inside_the_guard(self, eps):
@@ -561,7 +648,7 @@ class TestBatchedScan:
         assert len(CIRCLE_HIGH) == 7
         grid = np.linspace(0.0, 400.0, SCAN_STEPS + 1)
         for ch in CIRCLE_HIGH:
-            radial._PeriodMap(ch, make_profile(eps, 1.0, 0.8), 400.0).trace(grid)
+            radial._HalfPeriod(ch, make_profile(eps, 1.0, 0.8), 400.0)(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -678,54 +765,25 @@ class TestFloquetEigenvalues:
 # grid walk and batched polish
 
 
-def roots_on_grid_loop(grid, Fs, noises):
-    """Reference grid walk: the sample-by-sample loop the root finder used
-    before it was vectorised, with each sign-change cell and each dip
-    candidate recorded instead of solved.  Returns (roots, brackets, dips)."""
-    roots, brackets, dips = [], [], []
-    zeroish = np.abs(Fs) <= noises
-    i = 0
-    ng = len(grid)
-    while i < ng:
-        if zeroish[i]:
-            j = i
-            while j + 1 < ng and zeroish[j + 1]:
-                j += 1
-            left = i - 1
-            right = j + 1
-            center = 0.5 * (grid[i] + grid[j])
-            if left < 0 and right < ng:
-                roots.append(float(grid[i]) if i == j else center)
-            elif right >= ng and left >= 0:
-                roots.append(float(grid[j]) if i == j else center)
-            elif left >= 0 and right < ng:
-                if Fs[left] * Fs[right] < 0:
-                    roots.append(center)
-                else:
-                    roots.extend([center, center])  # tangency through zero
-            i = j + 1
-            continue
-        if i + 1 < ng and not zeroish[i + 1] and Fs[i] * Fs[i + 1] < 0:
-            brackets.append((float(grid[i]), float(grid[i + 1])))
-        i += 1
-    for i in range(1, ng - 1):
-        if zeroish[i - 1] or zeroish[i] or zeroish[i + 1]:
-            continue
-        s0 = math.copysign(1.0, Fs[i])
-        if math.copysign(1.0, Fs[i - 1]) != s0 or math.copysign(1.0, Fs[i + 1]) != s0:
-            continue
-        y1, y2, y3 = s0 * Fs[i - 1], s0 * Fs[i], s0 * Fs[i + 1]
-        if y2 < y1 and y2 < y3:
-            dips.append(i)
-    return roots, brackets, dips
+def roots_on_grid_loop(F):
+    """Reference grid walk: column by column and sample by sample, the
+    nodes where F is zero (of either sign) and the cells whose two ends are
+    nonzero of opposite signs, as sorted (index, column) pairs."""
+    nodes, cells = [], []
+    for j in range(F.shape[1]):
+        for i in range(F.shape[0]):
+            if F[i, j] == 0.0:
+                nodes.append((i, j))
+            elif i + 1 < F.shape[0] and F[i + 1, j] != 0.0 and (F[i, j] < 0) != (F[i + 1, j] < 0):
+                cells.append((i, j))
+    return sorted(nodes), sorted(cells)
 
 
-def assert_walks_agree(grid, Fs, noises):
-    roots, cells, dips = radial._roots_on_grid(grid, Fs, noises)
-    ref_roots, ref_cells, ref_dips = roots_on_grid_loop(grid, Fs, noises)
-    assert sorted(roots) == sorted(ref_roots)
-    assert sorted(cells) == sorted(ref_cells)
-    assert dips.tolist() == ref_dips
+def assert_walks_agree(F):
+    nodes, cells = radial._roots_on_grid(F)
+    ref_nodes, ref_cells = roots_on_grid_loop(F)
+    assert sorted(zip(*(v.tolist() for v in nodes))) == ref_nodes
+    assert sorted(zip(*(v.tolist() for v in cells))) == ref_cells
 
 
 TORUS_P1 = enumerate_channels(build_flat_torus_spectrum([2 * math.pi, 2 * math.pi], 8.25), 1, 8.0)
@@ -740,54 +798,54 @@ class TestGridWalk:
         grid = np.linspace(0.0, lam_max, SCAN_STEPS + 1)
         for ch in census:
             for part, _ in radial._scalar_problems(ch):
-                tr, logs = radial._PeriodMap(part, prof, lam_max).trace(grid)
-                for theta in (0.0, math.pi):
-                    assert_walks_agree(grid, *radial._floquet_F(tr, logs, 2.0 * math.cos(theta)))
+                assert_walks_agree(radial._HalfPeriod(part, prof, lam_max)(grid)[0].reshape(-1, 4))
 
     @pytest.mark.parametrize("Fs", [
-        # runs touching both ends, a crossing cell, a tangency run of signed
-        # zeros, a dip, a one-sample run crossing zero
+        # zeros of both signs at both ends and inside, crossing cells,
+        # touching zeros, tiny values
         [0.0, 1e-4, 0.5, 0.2, 0.3, -0.2, -0.0, 0.0, -0.3, -0.1, -0.4, 1e-5, 0.2, -1e-4],
-        [-0.0, 0.4, -0.0, 0.4, 0.3, 0.5, -0.0],  # one-sample runs at both ends
-        [1e-4, -0.0, 0.0, -1e-5],  # one run covering the window
-        [0.3, 0.2, 0.2, 0.3, -0.1, -0.1, -0.2],  # equal neighbours are no dip
+        [-0.0, 0.4, -0.0, 0.4, 0.3, 0.5, -0.0],  # one-sample zeros at both ends
+        [1e-4, -0.0, 0.0, -1e-5],  # a run of zeros
+        [1e-300, -1e-300, 0.3, 0.2, -0.1, -0.1, -0.2],  # products that underflow
     ])
     def test_synthetic_walk_is_the_loop(self, Fs):
-        Fs = np.array(Fs)
-        grid = np.linspace(0.0, 1.0, len(Fs))
-        assert_walks_agree(grid, Fs, np.full(len(Fs), 1e-3))
+        assert_walks_agree(np.array(Fs)[:, None])
 
     def test_random_walk_is_the_loop(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
-            Fs = rng.normal(size=40) * 10.0 ** rng.integers(-4, 1, size=40)
-            Fs[rng.random(40) < 0.1] = 0.0
-            Fs[rng.random(40) < 0.1] = -0.0
-            assert_walks_agree(np.linspace(0.0, 1.0, 40), Fs, np.full(40, 1e-3))
+            F = rng.normal(size=(40, 4)) * 10.0 ** rng.integers(-200, 1, size=(40, 4))
+            F[rng.random((40, 4)) < 0.1] = 0.0
+            F[rng.random((40, 4)) < 0.1] = -0.0
+            assert_walks_agree(F)
 
 
 class TestPolish:
     def test_bracket_without_sign_change_raises(self):
-        # a genuine antiperiodic bracket from the grid, and one of the same
-        # target without a sign change: the solve must refuse, not return
+        # a genuine bracket of the entry a from the grid, and one without a
+        # sign change: the solve must refuse, not return
         ch = next(c for c in CIRCLE_HIGH if c.kind == "H2")
-        period = radial._PeriodMap(ch, make_profile(0.2, 1.0, 0.8), 10.0)
+        prof = make_profile(0.2, 1.0, 0.8)
+        half = radial._HalfPeriod(ch, prof, 10.0)
+
+        def F(x, k):
+            return half(x)[0][:, 0, 0]
+
         grid = np.linspace(0.0, 10.0, 51)
-        Fs, noises = radial._floquet_F(*period.trace(grid), -2.0)
-        good = radial._roots_on_grid(grid, Fs, noises)[1][0]
-        lo, hi = np.array([good[0], 0.0]), np.array([good[1], 0.2])
-        F = radial._floquet_F(*period.trace(np.concatenate([lo, hi])), -2.0)[0]
-        assert F[0] * F[2] < 0 < F[1] * F[3]
-        y = np.array([-2.0, -2.0])
-        assert radial._polish(period, lo[:1], hi[:1], y[:1])[0] == pytest.approx(
-            floquet_eigenvalues(ch, math.pi, make_profile(0.2, 1.0, 0.8), 10.0)[0], abs=1e-9)
+        a = F(grid, None)
+        i = np.flatnonzero(np.sign(a[:-1]) * np.sign(a[1:]) < 0)[0]
+        lo, hi = np.array([grid[i], 0.0]), np.array([grid[i + 1], 0.2])
+        f_lo, f_hi = F(lo, None), F(hi, None)
+        assert f_lo[0] * f_hi[0] < 0 < f_lo[1] * f_hi[1]
+        x = radial._polish(F, lo[:1], hi[:1], f_lo[:1], f_hi[:1])[0]
+        assert min(abs(x - r) for r in floquet_eigenvalues(ch, math.pi, prof, 10.0)) <= 1e-9
         with pytest.raises(NumericalError, match=r"no sign change on the bracket \[0\.0, 0\.2\]"):
-            radial._polish(period, lo, hi, y)
+            radial._polish(F, lo, hi, f_lo, f_hi)
 
     def test_two_crossings_in_one_cell(self):
         # circle-high at seed 0: the H2 antiperiodic gap (69.616, 69.743) is
         # narrower than the 0.2 grid step and lies inside the cell
-        # [69.6, 69.8], so only the dip solve can split it into two brackets
+        # [69.6, 69.8]; its edges are zeros of two entries, a and d
         ch = next(c for c in CIRCLE_HIGH if c.kind == "H2")
         prof = make_profile(0.2, 1.0, 0.8)
         got = [x for x in floquet_eigenvalues(ch, math.pi, prof, 400.0) if 69.6 < x < 69.8]
@@ -810,18 +868,17 @@ class TestPolish:
         np.testing.assert_allclose(got, want, rtol=0.0, atol=5e-6)
 
 
-class SyntheticPeriod:
-    """Stand-in for a _PeriodMap whose scaled trace is fn(lam) at log scale
-    0, so F = fn(lam) - y; records the points of every evaluation."""
+class Recorder:
+    """F(x, k) = fn(x) - y[k] for the synthetic polish, recording the
+    points of every evaluation."""
 
-    def __init__(self, fn):
-        self.fn = fn
+    def __init__(self, fn, y):
+        self.fn, self.y = fn, y
         self.calls: list[np.ndarray] = []
 
-    def trace(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        self.calls.append(lam)
-        return self.fn(lam), np.zeros(lam.shape)
+    def __call__(self, x, k):
+        self.calls.append(x)
+        return self.fn(x) - self.y[k]
 
 
 def closes_within_tol(x, root):
@@ -831,54 +888,66 @@ def closes_within_tol(x, root):
 class TestSyntheticPolish:
     # F = lam^3 - y on every bracket: the root of bracket k is cbrt(y[k])
     def test_mixed_widths_and_exact_ends(self):
-        period = SyntheticPeriod(lambda x: x**3)
         lo = np.array([1.0, 0.5, 2.0, 1.0, 3.0, 1.2])
         hi = np.array([3.0, 3.5, 3.0, 1.5, 3.0 + 1e-3, 1.2 + 4e-11])
         y = np.array([8.0, 5.0, 8.0, 3.0, 27.001, 1.2**3])
-        f_lo, f_hi = lo**3 - y, hi**3 - y
-        x = radial._polish(period, lo, hi, y, f_lo, f_hi)
+        F = Recorder(lambda x: x**3, y)
+        x = radial._polish(F, lo, hi, lo**3 - y, hi**3 - y)
         assert x[2] == 2.0  # F(lo) == 0: closed before any evaluation
         assert x[5] == 1.2  # narrower than the tolerance from the start
         for k in (0, 1, 3, 4):
             assert closes_within_tol(x[k], np.cbrt(y[k])), k
         # the given end values are used, not recomputed: the first step
         # evaluates one midpoint per open bracket and nothing else
-        assert period.calls[0].tolist() == (lo + 0.5 * (hi - lo))[[0, 1, 3, 4]].tolist()
+        assert F.calls[0].tolist() == (lo + 0.5 * (hi - lo))[[0, 1, 3, 4]].tolist()
         # [1, 3] for y = 8 hits its root with that bisection and closes
         assert x[0] == 2.0
         # later steps evaluate only the brackets still open
-        assert all(len(c) <= 3 for c in period.calls[1:]) and len(period.calls) > 3
-
-    def test_ends_are_evaluated_when_not_given(self):
-        period = SyntheticPeriod(lambda x: x**3)
-        lo, hi, y = np.array([0.5, 2.0]), np.array([3.5, 4.0]), np.array([5.0, 8.0])
-        x = radial._polish(period, lo, hi, y)
-        assert period.calls[0].tolist() == [0.5, 2.0, 3.5, 4.0]
-        assert closes_within_tol(x[0], np.cbrt(5.0)) and x[1] == 2.0
+        assert all(len(c) <= 3 for c in F.calls[1:]) and len(F.calls) > 3
 
     def test_nan_inside_a_bracket_names_it(self):
         # the first bisection of the second bracket lands in the NaN window
-        period = SyntheticPeriod(lambda x: np.where(np.abs(x - 5.5) < 0.1, np.nan, x**3))
         lo, hi, y = np.array([1.0, 5.0]), np.array([1.5, 6.0]), np.array([2.0, 5.3**3])
+        F = Recorder(lambda x: np.where(np.abs(x - 5.5) < 0.1, np.nan, x**3), y)
         with pytest.raises(NumericalError, match=r"NaN F on the bracket \[5\.0, 6\.0\]"):
-            radial._polish(period, lo, hi, y)
+            radial._polish(F, lo, hi, lo**3 - y, hi**3 - y)
 
-    def test_dip_search_decides_each_dip(self):
-        # F = (lam - 1)^2 - y on [0.9, 1.1]: two crossings at 1 -+ 0.01, a
-        # double root at 1 and no root, all in one batched search
-        period = SyntheticPeriod(lambda x: (x - 1.0) ** 2)
-        lo, hi = np.full(3, 0.9), np.full(3, 1.1)
-        xs, fs, cross, double = radial._resolve_dips(
-            period, lo, hi, np.array([1e-4, 0.0, -1e-4]), np.ones(3))
-        assert cross.tolist() == [True, False, False]
-        assert double.tolist() == [False, True, False]
-        assert 0.99 < xs[0] < 1.01 and fs[0] < 0.0
-        assert abs(xs[1] - 1.0) <= radial.ROOT_TOL and abs(xs[2] - 1.0) <= radial.ROOT_TOL
-        # one evaluation per zoom step, each over every open dip: the
-        # crossing one closes at the first
-        assert [len(c) for c in period.calls][:2] == [3 * radial.DIP_POINTS,
-                                                      2 * radial.DIP_POINTS]
-        assert len(period.calls) <= 8
+
+@pytest.fixture(scope="module")
+def h2_roots():
+    """The zeros of a, b, c, d of the circle-high H2 channel at seed 0."""
+    assert CIRCLE_HIGH[0].kind == "H2"
+    return radial._floquet_roots(CIRCLE_HIGH[0], make_profile(0.2, 1.0, 0.8), 400.0)[1]
+
+
+class TestCertificate:
+    def test_census_zeros_interlace(self, h2_roots):
+        assert sum(map(len, h2_roots)) == 43
+        radial._certify(h2_roots, 400.0)
+
+    @pytest.mark.parametrize("entry", range(4))
+    @pytest.mark.parametrize("which", ["first", "middle"])
+    def test_a_dropped_zero_is_refused(self, h2_roots, entry, which):
+        roots = [list(col) for col in h2_roots]
+        del roots[entry][0 if which == "first" else len(roots[entry]) // 2]
+        with pytest.raises(NumericalError, match=f"count certificate: .*{'abcd'[entry]}"):
+            radial._certify(roots, 400.0)
+
+    def test_an_invented_zero_is_refused(self, h2_roots):
+        roots = [list(col) for col in h2_roots]
+        roots[1] = sorted(roots[1] + [0.5 * (roots[1][3] + roots[1][4])])
+        with pytest.raises(NumericalError, match=r"the zeros of (d and b|a and b) do not alternate"):
+            radial._certify(roots, 400.0)
+
+    def test_thin_bands_may_swap_within_the_map_accuracy(self):
+        # consecutive zeros of a pair are the edges of a band; in an
+        # exponentially thin band rounding may order them either way, by
+        # less than the tolerance
+        roots = [[1.0, 4.0], [3.5, 6.5], [0.0, 3.0, 6.0], [3.0 + 1e-12, 5.0]]
+        radial._certify(roots, 7.0)
+        roots[3][0] = 3.0 + 2e-10 + 2e-6 * 3.0
+        with pytest.raises(NumericalError, match="the zeros of c and d do not alternate"):
+            radial._certify(roots, 7.0)
 
 
 def test_radial_imports_no_scipy():
