@@ -29,6 +29,10 @@ cross-check of the band path.
 
 Works for smoothed profiles (eta > 0) unchanged, since only rho and rho'
 enter.
+
+Importing this module loads numpy only.  scipy.linalg is imported by the
+eigensolvers on the first solve, so a census that never calls the oracle
+loads no scipy.
 """
 
 from __future__ import annotations
@@ -37,10 +41,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eig_banded, eigh
 
 from .channels import Channel
-from .radial import NumericalError, Profile
+from .radial import NumericalError, Profile, check_lam_max, check_theta
 
 DENSITY_CAP = 8.0  # node density multiplier, relative to 1/rho growth
 MAX_CONE_PIECES = 6
@@ -233,6 +236,8 @@ def _band(G: np.ndarray, X: np.ndarray, w: np.ndarray) -> np.ndarray:
 def band_hermitian_eigenvalues(ab: np.ndarray, lam_window: tuple[float, float]) -> np.ndarray:
     """Ascending eigenvalues in the half-open window (lo, hi] of the
     Hermitian matrix held in lower band storage ab (real or complex)."""
+    from scipy.linalg import LinAlgError, eig_banded
+
     try:
         evs = eig_banded(ab, lower=True, eigvals_only=True, select="v",
                          select_range=lam_window)
@@ -250,6 +255,8 @@ def dense_hermitian_eigenvalues(K: np.ndarray, W: np.ndarray,
     and solves it densely.  The oracle does not call it: it is the dense
     cross-check of band_hermitian_eigenvalues.
     """
+    from scipy.linalg import LinAlgError, eigh
+
     W = np.asarray(W, dtype=float)
     if K.shape[0] != K.shape[1] or K.shape[0] != W.shape[0]:
         raise ValueError("dimension mismatch between K and W")
@@ -286,11 +293,13 @@ def oracle_eigenvalues(channel: Channel, theta: float, profile: Profile,
     combines index-paired eigenvalues by Richardson extrapolation,
     (4 l_2N - l_N) / 3.  Raises NumericalError when a pair drifts by more
     than 0.5, or when a value <= lam_max + 0.5 on either grid has no
-    partner on the other.
+    partner on the other.  Raises ValueError for a non-finite theta or a
+    lam_max that is not finite and >= 0.
     """
+    check_theta(theta)
+    lam_max = check_lam_max(lam_max)
     if N < 100:
         raise ValueError(f"grid size N must be at least 100, got {N}")
-    lam_max = float(lam_max)
     counts = _piece_counts(profile, N)
     window = (-1.0, lam_max + 1.0)
     e1 = _grid_eigenvalues(channel, theta, profile, counts, window)

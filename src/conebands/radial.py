@@ -81,6 +81,21 @@ class NumericalError(RuntimeError):
     """A numerical invariant failed (overflow, residual, non-convergence)."""
 
 
+def check_lam_max(lam_max) -> float:
+    """The spectral window's top lam_max as a float; ValueError unless it
+    is finite and >= 0."""
+    value = float(lam_max)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"lam_max must be finite and >= 0, got {value!r}")
+    return value
+
+
+def check_theta(theta) -> None:
+    """ValueError unless the quasimomentum theta is finite."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
+
+
 # ---------------------------------------------------------------------------
 # profile
 
@@ -545,7 +560,9 @@ def _floquet_roots(channel: Channel, profile: Profile,
     zero violates the channel's lower bound mu^2 or the zeros fail the
     count certificate."""
     half = _HalfPeriod(channel, profile, lam_max)
-    grid = np.linspace(0.0, float(lam_max), SCAN_STEPS + 1)
+    # at lam_max = 0 the grid is the one node 0: repeated nodes would each
+    # count a zero there
+    grid = np.linspace(0.0, float(lam_max), SCAN_STEPS + 1 if lam_max > 0 else 1)
     F = half(grid)[0].reshape(-1, 4)  # columns a, b, c, d
     if channel.mu2 == 0:
         # the form's kernel rho^-w is even and periodic: lambda = 0 is
@@ -635,7 +652,11 @@ def floquet_eigenvalues(channel: Channel, theta: float, profile: Profile,
                         lam_max: float) -> list[float]:
     """All lambda in [0, lam_max] whose Floquet multiplier is e^{i theta},
     sorted, repeated per intrinsic multiplicity.  Channel.mult is not
-    applied here.  An H5 pair returns the union of its partners' roots."""
+    applied here.  An H5 pair returns the union of its partners' roots.
+    Raises ValueError for a non-finite theta or a lam_max that is not
+    finite and >= 0."""
+    check_theta(theta)
+    lam_max = check_lam_max(lam_max)
     cos = math.cos(theta)
     roots: list[float] = []
     for part, copies in _scalar_problems(channel):
@@ -728,8 +749,10 @@ def band_edges(channel: Channel, profile: Profile, lam_max: float) -> BandEdges:
     A gap narrower than 2 ROOT_TOL is closed.  An odd count leaves a last
     band cut at lam_max.  An H5 pair returns the
     bands of its two scalar partners together; partners that are one
-    problem are solved once and their bands listed twice.
+    problem are solved once and their bands listed twice.  Raises
+    ValueError for a lam_max that is not finite and >= 0.
     """
+    lam_max = check_lam_max(lam_max)
     bands: list[tuple[float, float]] = []
     truncated = False
     for part, copies in _scalar_problems(channel):

@@ -16,6 +16,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
 
 from conebands import oracle
@@ -394,7 +395,7 @@ class TestBandSolve:
             raise AssertionError("dense eigensolver called")
 
         monkeypatch.setattr(oracle, "dense_hermitian_eigenvalues", refuse)
-        monkeypatch.setattr(oracle, "eigh", refuse)
+        monkeypatch.setattr(scipy.linalg, "eigh", refuse)
         ch, prof = BAND_CASES[2]
         tracemalloc.start()
         try:

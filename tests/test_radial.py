@@ -950,14 +950,35 @@ class TestCertificate:
             radial._certify(roots, 7.0)
 
 
-def test_radial_imports_no_scipy():
-    # the census path is numpy-only; only the oracle pulls in scipy.linalg
-    code = ("import sys\n"
-            "import conebands.radial\n"
-            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'radial'\n"
-            "import conebands.oracle\n"
-            "assert 'scipy.linalg' in sys.modules, 'oracle without scipy.linalg'\n"
-            "assert 'scipy.optimize' not in sys.modules, 'oracle'\n")
+def test_a_census_loads_no_scipy():
+    # the census path is numpy-only, and the oracle imports scipy.linalg on
+    # its first solve, never at import
+    code = """if True:
+        import math, sys
+        import conebands, conebands.channels, conebands.radial, conebands.oracle
+        from conebands.channels import enumerate_channels
+        from conebands.oracle import oracle_eigenvalues
+        from conebands.radial import band_edges, floquet_eigenvalues, make_profile
+        from conebands.transversal import build_flat_torus_spectrum
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+
+        assert not scipy_modules(), f'import: {scipy_modules()[:5]}'
+        # the seed-0 torus-p1 census of the benchmark
+        ts = build_flat_torus_spectrum([2 * math.pi] * 2, 8.25)
+        channels = enumerate_channels(ts, 1, 8.0)
+        prof = make_profile(0.2, 1.0, 0.8)
+        assert {ch.kind for ch in channels} == {'H1', 'H2', 'H4', 'H5'}
+        edges = [band_edges(ch, prof, 8.0) for ch in channels]
+        assert sum(len(e.bands) for e in edges) > len(channels)
+        assert floquet_eigenvalues(channels[0], 0.7, prof, 8.0)
+        assert not scipy_modules(), f'census: {scipy_modules()[:5]}'
+        assert oracle_eigenvalues(channels[0], 0.0, prof, 8.0)
+        assert 'scipy.linalg' in sys.modules, 'oracle solved without scipy.linalg'
+        assert 'scipy.optimize' not in sys.modules, 'oracle loaded scipy.optimize'
+        assert 'scipy.sparse' not in sys.modules, 'oracle loaded scipy.sparse'
+        """
     src = str(Path(radial.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -1063,3 +1084,46 @@ class TestBandEdges:
                       + oracle_eigenvalues(ch, math.pi, prof, 7.2))
         assert len(edges) == len(want) == 7
         np.testing.assert_allclose(sorted(edges), want, atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# input checks of the public solvers
+
+
+TORUS_P1 = enumerate_channels(build_flat_torus_spectrum([2 * math.pi] * 2, 8.25), 1, 8.0)
+STD = make_profile(0.2, 1.0, 0.8)
+
+
+class TestPublicInput:
+    @pytest.mark.parametrize("solve", [floquet_eigenvalues, oracle_eigenvalues])
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_is_refused(self, solve, theta):
+        # NaN used to give the oracle's theta = 0 spectrum and a NaN error
+        # from the polish, +-inf a bare math domain error
+        with pytest.raises(ValueError, match=r"theta must be finite, got (nan|inf|-inf)$"):
+            solve(TORUS_P1[0], theta, STD, 8.0)
+
+    @pytest.mark.parametrize("solve", [
+        lambda lam_max: band_edges(TORUS_P1[0], STD, lam_max),
+        lambda lam_max: floquet_eigenvalues(TORUS_P1[0], 0.7, STD, lam_max),
+        lambda lam_max: oracle_eigenvalues(TORUS_P1[0], 0.0, STD, lam_max),
+    ], ids=["band_edges", "floquet_eigenvalues", "oracle_eigenvalues"])
+    @pytest.mark.parametrize("lam_max", [math.nan, math.inf, -math.inf, -1.0])
+    def test_lam_max_out_of_range_is_refused(self, solve, lam_max):
+        with pytest.raises(ValueError, match=r"lam_max must be finite and >= 0"):
+            solve(lam_max)
+
+    @pytest.mark.parametrize("kind", ["H1", "H2", "H4", "H5"])
+    def test_lam_max_zero_keeps_only_the_zero_mode(self, kind):
+        # the mu^2 = 0 channels have their kernel at lambda = 0; the free
+        # line H2 (w = 0) once counted it at every node of a grid that was
+        # 2001 copies of 0 and failed the count certificate
+        ch = next(c for c in TORUS_P1 if c.kind == kind)
+        massless = ch.mu2 == 0
+        assert band_edges(ch, STD, 0.0) == BandEdges([(0.0, 0.0)] if massless else [], massless)
+        assert floquet_eigenvalues(ch, 0.0, STD, 0.0) == ([0.0] if massless else [])
+        assert floquet_eigenvalues(ch, math.pi, STD, 0.0) == []
+        assert floquet_eigenvalues(ch, 0.7, STD, 0.0) == []
+        # the oracle's zero mode is 0 to rounding, kept only when it falls
+        # on the low side
+        assert all(abs(x) < 1e-9 for x in oracle_eigenvalues(ch, 0.0, STD, 0.0))
