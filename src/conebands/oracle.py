@@ -170,8 +170,10 @@ def _blocks(channel: Channel, theta: float, profile: Profile,
     G (M, m, m): real symmetric diagonal block of each node.  X (M, m, m):
     block coupling node j (rows) to node j+1 (columns); the last one couples
     to node 0 and carries the phase e^{i theta}, and X is complex unless the
-    phase is +-1.  w (M,): trapezoid weight of each node.
+    phase is +-1.  w (M,): trapezoid weight of each node.  Raises
+    ValueError for a non-finite theta.
     """
+    check_theta(theta)
     nodes = _nodes_from_counts(counts)
     m = channel.ncomp
     t = np.append(nodes, profile.T)
@@ -296,7 +298,6 @@ def oracle_eigenvalues(channel: Channel, theta: float, profile: Profile,
     partner on the other.  Raises ValueError for a non-finite theta or a
     lam_max that is not finite and >= 0.
     """
-    check_theta(theta)
     lam_max = check_lam_max(lam_max)
     if N < 100:
         raise ValueError(f"grid size N must be at least 100, got {N}")

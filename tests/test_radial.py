@@ -23,7 +23,7 @@ from scipy.special import jv
 
 from conebands import radial
 from conebands.channels import Channel, enumerate_channels, pair_partners
-from conebands.oracle import oracle_eigenvalues
+from conebands.oracle import assemble, oracle_eigenvalues
 from conebands.radial import (
     SCAN_STEPS,
     BandEdges,
@@ -1095,13 +1095,17 @@ STD = make_profile(0.2, 1.0, 0.8)
 
 
 class TestPublicInput:
-    @pytest.mark.parametrize("solve", [floquet_eigenvalues, oracle_eigenvalues])
+    @pytest.mark.parametrize("solve", [
+        lambda theta: floquet_eigenvalues(TORUS_P1[0], theta, STD, 8.0),
+        lambda theta: oracle_eigenvalues(TORUS_P1[0], theta, STD, 8.0),
+        lambda theta: assemble(TORUS_P1[0], theta, STD, 200),
+    ], ids=["floquet_eigenvalues", "oracle_eigenvalues", "assemble"])
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_non_finite_theta_is_refused(self, solve, theta):
         # NaN used to give the oracle's theta = 0 spectrum and a NaN error
         # from the polish, +-inf a bare math domain error
         with pytest.raises(ValueError, match=r"theta must be finite, got (nan|inf|-inf)$"):
-            solve(TORUS_P1[0], theta, STD, 8.0)
+            solve(theta)
 
     @pytest.mark.parametrize("solve", [
         lambda lam_max: band_edges(TORUS_P1[0], STD, lam_max),
