@@ -2,7 +2,7 @@
 warped products whose profile alternates thin handles and unit cones.
 
 Submodules:
-  transversal  cross-section (flat torus) spectral data
+  transversal  cross-section spectral data; built for flat tori
   channels     mode decomposition into radial channels
   radial       profile, transfer matrices, Floquet eigenvalues, band edges
   oracle       independent finite-difference eigenvalue check

@@ -20,10 +20,20 @@ tip exponent gamma = -1/2 + sqrt(mu^2 + (w + 1/2)^2) (radial.tip_exponent).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .transversal import Scalar, TransversalSpectrum
+
+
+def check_lam_max(lam_max) -> float:
+    """The spectral window's top lam_max as a float; ValueError unless it
+    is finite and >= 0."""
+    value = float(lam_max)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"lam_max must be finite and >= 0, got {value!r}")
+    return value
 
 
 def degree_weights(n: int, p: int) -> tuple[Fraction, Fraction]:
@@ -87,11 +97,10 @@ def enumerate_channels(ts: TransversalSpectrum, p: int, lam_max: float) -> list[
     Every channel obeys lambda >= mu^2: the scalars by the completed-square
     form bound, an H5 pair because its spectrum is that of its scalar
     partners (pair_partners).  So a channel is pruned iff mu^2 > lam_max.
-    Refuses to run when the cross-section data does not reach lam_max.
+    Raises ValueError for a lam_max that is not finite and >= 0, and when
+    the cross-section data does not reach lam_max.
     """
-    lam_max = float(lam_max)
-    if not lam_max > 0:
-        raise ValueError("lam_max must be positive")
+    lam_max = check_lam_max(lam_max)
     n = ts.n
     nu, w_alpha = degree_weights(n, p)
 

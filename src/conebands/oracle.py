@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel
-from .radial import NumericalError, Profile, check_lam_max, check_theta
+from .channels import Channel, check_lam_max
+from .radial import NumericalError, Profile, check_theta
 
 DENSITY_CAP = 8.0  # node density multiplier, relative to 1/rho growth
 MAX_CONE_PIECES = 6
@@ -86,28 +86,20 @@ def _piece_counts(profile: Profile, n_total: int) -> list[tuple[float, float, in
     resolution follows the 1/rho^2 growth of the potential into the handle.
     """
     pieces: list[tuple[float, float, float]] = []  # (a, b, rho_min)
-    for seg in profile.segments:
-        if seg.kind in ("cylinder", "handle"):
-            pieces.append((seg.tau0, seg.tau1, seg.rho(seg.tau0)))
-        elif seg.kind == "corner":
-            rmin = min(seg.rho(seg.tau0), seg.rho(seg.tau1), seg.corner_rho)
-            pieces.append((seg.tau0, seg.tau1, rmin))
-        else:
-            lo = min(seg.rho(seg.tau0), seg.rho(seg.tau1))
-            hi = max(seg.rho(seg.tau0), seg.rho(seg.tau1))
-            bounds = [lo]
-            while bounds[-1] < hi and len(bounds) < MAX_CONE_PIECES:
-                bounds.append(min(hi, 2.0 * bounds[-1]))
-            bounds[-1] = hi
-            descending = seg.slope_in < 0
-
-            def tau_of_rho(r: float) -> float:
-                return seg.tau0 + (r - seg.rho(seg.tau0)) / seg.slope_in
-
-            rr = bounds[::-1] if descending else bounds
-            for r0, r1 in zip(rr, rr[1:]):
-                a, b = tau_of_rho(r0), tau_of_rho(r1)
-                pieces.append((a, b, min(r0, r1)))
+    for a, b, slope in profile.pieces():
+        ra, rb = profile.rho(a), profile.rho(b)
+        if abs(slope) != 1.0:
+            # flat, or a rounded corner, whose radius is monotone
+            pieces.append((a, b, min(ra, rb)))
+            continue
+        lo, hi = min(ra, rb), max(ra, rb)
+        bounds = [lo]
+        while bounds[-1] < hi and len(bounds) < MAX_CONE_PIECES:
+            bounds.append(min(hi, 2.0 * bounds[-1]))
+        bounds[-1] = hi
+        rr = bounds[::-1] if slope < 0 else bounds
+        for r0, r1 in zip(rr, rr[1:]):
+            pieces.append((a + (r0 - ra) / slope, a + (r1 - ra) / slope, min(r0, r1)))
 
     weights = [(b - a) * min(1.0 / r, DENSITY_CAP) for a, b, r in pieces]
     wsum = sum(weights)
@@ -115,6 +107,12 @@ def _piece_counts(profile: Profile, n_total: int) -> list[tuple[float, float, in
     for (a, b, _), w in zip(pieces, weights):
         out.append((a, b, max(2, round(n_total * w / wsum))))
     return out
+
+
+def _check_grid_size(N) -> None:
+    """ValueError unless the grid size N is an int (not a bool) >= 100."""
+    if not isinstance(N, int) or isinstance(N, bool) or N < 100:
+        raise ValueError(f"grid size N must be an integer >= 100, got {N!r}")
 
 
 def _nodes_from_counts(counts: list[tuple[float, float, int]]) -> np.ndarray:
@@ -150,8 +148,7 @@ def assemble(channel: Channel, theta: float, profile: Profile, N: int) -> FormMa
     vector encodes the interface value condition exactly and the derivative
     jump weakly.
     """
-    if N < 100:
-        raise ValueError(f"grid size N must be at least 100, got {N}")
+    _check_grid_size(N)
     G, X, w, nodes = _blocks(channel, theta, profile, _piece_counts(profile, N))
     M, m = G.shape[:2]
     idx = np.arange(M * m).reshape(M, m)
@@ -295,12 +292,12 @@ def oracle_eigenvalues(channel: Channel, theta: float, profile: Profile,
     combines index-paired eigenvalues by Richardson extrapolation,
     (4 l_2N - l_N) / 3.  Raises NumericalError when a pair drifts by more
     than 0.5, or when a value <= lam_max + 0.5 on either grid has no
-    partner on the other.  Raises ValueError for a non-finite theta or a
-    lam_max that is not finite and >= 0.
+    partner on the other.  Raises ValueError for a non-finite theta, a
+    lam_max that is not finite and >= 0 or a grid size N that is not an
+    integer >= 100.
     """
     lam_max = check_lam_max(lam_max)
-    if N < 100:
-        raise ValueError(f"grid size N must be at least 100, got {N}")
+    _check_grid_size(N)
     counts = _piece_counts(profile, N)
     window = (-1.0, lam_max + 1.0)
     e1 = _grid_eigenvalues(channel, theta, profile, counts, window)

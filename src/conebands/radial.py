@@ -5,6 +5,11 @@ middle of the outer cylinder (so rho(0) = rho(T) = 1):
 
     half cylinder | cone down (1 -> eps) | handle (eps) | cone up | half cyl
 
+Profile holds only make_profile's four parameters (eps, L, l_out, eta).  rho
+is a closed form in the distance s = |tau - T/2| from the handle centre, and
+Profile.pieces lists the flat, cone and rounded-corner pieces for the oracle's
+grid.
+
 A scalar channel with section sigma satisfies, in the unitarily flattened
 picture, the Hill equation
 
@@ -61,10 +66,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
-from .channels import Channel, pair_partners
+from .channels import Channel, check_lam_max, pair_partners
 
 # lambda grid resolution for root scans: one batched evaluation of the
 # half-period map at SCAN_STEPS + 1 points per scalar problem, then one
@@ -81,15 +87,6 @@ class NumericalError(RuntimeError):
     """A numerical invariant failed (overflow, residual, non-convergence)."""
 
 
-def check_lam_max(lam_max) -> float:
-    """The spectral window's top lam_max as a float; ValueError unless it
-    is finite and >= 0."""
-    value = float(lam_max)
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"lam_max must be finite and >= 0, got {value!r}")
-    return value
-
-
 def check_theta(theta) -> None:
     """ValueError unless the quasimomentum theta is finite."""
     if not math.isfinite(theta):
@@ -101,158 +98,114 @@ def check_theta(theta) -> None:
 
 
 @dataclass(frozen=True)
-class Segment:
-    kind: str  # cylinder | handle | cone_up | cone_down | corner
-    tau0: float
-    tau1: float
-    rho_start: float
-    slope_in: float
-    slope_out: float
-    corner_tau: float = math.nan
-    corner_rho: float = math.nan
-    delta: float = math.nan
-
-    @property
-    def length(self) -> float:
-        return self.tau1 - self.tau0
-
-    def rho(self, tau):
-        """Radius at tau, a float or an array of points in [tau0, tau1]."""
-        if self.kind == "corner":
-            sm, sp, d = self.slope_in, self.slope_out, self.delta
-            x = tau - self.corner_tau
-            return (
-                self.corner_rho
-                + 0.5 * (sm + sp) * x
-                + (sp - sm) / (4.0 * d) * x * x
-                + (sp - sm) * d / 4.0
-            )
-        return self.rho_start + self.slope_in * (tau - self.tau0)
-
-    def rho_prime(self, tau):
-        if self.kind == "corner":
-            sm, sp, d = self.slope_in, self.slope_out, self.delta
-            return 0.5 * (sm + sp) + (sp - sm) * (tau - self.corner_tau) / (2.0 * d)
-        return self.slope_in
-
-
-@dataclass
 class Profile:
-    """One period of rho.  segments describe rho pointwise; eps, L, l_out
-    and eta are make_profile's parameters, from which the transfer matrices
-    take the exact radii and lengths."""
+    """One period of the cone-handle profile rho; make_profile checks the
+    parameters and builds it.
 
-    T: float
-    segments: list[Segment]
+    rho is mirror symmetric about the handle centre tau = T/2.  In the
+    distance s = |tau - T/2| from it, the piecewise profile is
+
+        rho = min(eps + max(s - L/2, 0), 1):
+
+    the handle (rho = eps) out to s = L/2, the cone of slope 1 out to
+    s = L/2 + 1 - eps and the outer cylinder (rho = 1) out to the cut at
+    s = T/2, with T = L + 2 (1 - eps) + l_out.  eta > 0 rounds both slope
+    breaks s_c by the C^1 patch (jump / 4 delta) max(delta - |s - s_c|, 0)^2,
+    with jump +1 at the handle and -1 at the cylinder and half-width
+    delta = min(2 rho_c eta, room).  The room is half the shorter of the two
+    pieces the break joins, the half cylinder being l_out / 2.
+    """
+
     eps: float
     L: float
     l_out: float
     eta: float
 
+    @property
+    def T(self) -> float:
+        return self.L + 2.0 * (1.0 - self.eps) + self.l_out
+
+    def _breaks(self) -> tuple[tuple[float, float, float], ...]:
+        """(s_c, jump, delta) of the two slope breaks in s, handle side
+        first; delta = 0 leaves a break sharp."""
+        c = 1.0 - self.eps
+        return ((0.5 * self.L, 1.0, min(2.0 * self.eps * self.eta, 0.5 * min(self.L, c))),
+                (0.5 * self.L + c, -1.0, min(2.0 * self.eta, 0.5 * min(c, 0.5 * self.l_out))))
+
     def rho(self, tau):
         """Radius at tau (a float or an array), periodic in T."""
-        return self._pointwise(tau, Segment.rho)
+        s = np.abs(np.asarray(tau, dtype=float) % self.T - 0.5 * self.T)
+        r = np.minimum(self.eps + np.maximum(s - 0.5 * self.L, 0.0), 1.0)
+        for s_c, jump, d in self._breaks():
+            if d > 0.0:
+                r = r + 0.25 * jump * d * np.maximum(1.0 - np.abs(s - s_c) / d, 0.0) ** 2
+        return r[()]
 
     def rho_prime(self, tau):
-        """Slope of rho at tau (a float or an array), periodic in T."""
-        return self._pointwise(tau, Segment.rho_prime)
+        """Slope of rho at tau (a float or an array), periodic in T.  At a
+        sharp slope break it is the mean of the two one-sided slopes."""
+        u = np.asarray(tau, dtype=float) % self.T - 0.5 * self.T
+        s = np.abs(u)
+        slope = 0.0  # d rho / d s
+        for s_c, jump, d in self._breaks():
+            x = s - s_c
+            # a sharp break is the limit delta -> 0 of the patch's slope
+            step = np.sign(x) if d == 0.0 else np.clip(x / d, -1.0, 1.0)
+            slope = slope + 0.5 * jump * (1.0 + step)
+        # the cut s = T/2 is a mirror point as well: the mean slope there is 0
+        return (np.sign(u) * (s < 0.5 * self.T) * slope)[()]
 
-    def _pointwise(self, tau, fn):
-        """fn(segment, tau) on the segment holding each tau, evaluated
-        segment by segment; at a junction (within 1e-12) the earlier
-        segment. A float tau gives a float."""
-        tau = np.asarray(tau, dtype=float) % self.T
-        ends = np.array([seg.tau1 for seg in self.segments]) + 1e-12
-        idx = np.minimum(np.searchsorted(ends, tau), len(self.segments) - 1)
-        out = np.empty(tau.shape)
-        for i, seg in enumerate(self.segments):
-            sel = idx == i
-            out[sel] = fn(seg, tau[sel])
-        return out[()]
+    def pieces(self) -> list[tuple[float, float, float]]:
+        """(tau0, tau1, slope) of each piece of one period, in order from
+        the cut at 0 to the cut at T: slope 0 on a flat piece, -1 or +1 on a
+        cone and nan on a rounded corner.  Pieces of length zero are left
+        out."""
+        (_, _, d_in), (_, _, d_out) = self._breaks()
+        cyl = 0.5 * self.l_out - d_out
+        cone = 1.0 - self.eps - d_in - d_out
+        handle = self.L - 2.0 * d_in
+        layout = [(cyl, 0.0), (2.0 * d_out, math.nan), (cone, -1.0), (2.0 * d_in, math.nan),
+                  (handle, 0.0), (2.0 * d_in, math.nan), (cone, 1.0), (2.0 * d_out, math.nan),
+                  (cyl, 0.0)]
+        layout = [(length, slope) for length, slope in layout if length > 0.0]
+        knots = list(accumulate((length for length, _ in layout), initial=0.0))
+        knots[-1] = self.T
+        return [(a, b, slope) for a, b, (_, slope) in zip(knots, knots[1:], layout)]
 
 
 def make_profile(eps: float, L: float, l_out: float, eta: float = 0.0) -> Profile:
-    """Cone-handle profile with period T = L + 2(1-eps) + l_out.
+    """Cone-handle profile with handle radius eps, handle length L, outer
+    cylinder length l_out and period T = L + 2(1-eps) + l_out.
 
     eta > 0 rounds every slope break by a C^1 quadratic patch of half-width
     min(2 * rho_corner * eta, room), which keeps |log(rho_eta / rho)| <= eta/2
     pointwise, i.e. the smoothed metric stays within [e^-eta, e^eta] of the
-    piecewise one.
+    piecewise one.  Raises ValueError, naming the parameter, unless
+    0 < eps <= 1, L and l_out are finite and >= 0, 0 <= eta < 1 and T is
+    finite and positive, and when eta > 0 rounds a cone whose handle or
+    outer cylinder has length 0.
     """
     eps, L, l_out, eta = float(eps), float(L), float(l_out), float(eta)
     if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in ]0, 1], got {eps}")
-    if L < 0 or l_out < 0:
-        raise ValueError("segment lengths must be nonnegative")
-    if eta < 0 or eta >= 1:
-        raise ValueError(f"eta must lie in [0, 1[, got {eta}")
-    T = L + 2.0 * (1.0 - eps) + l_out
-    if T <= 0:
-        raise ValueError("degenerate profile: period T = 0")
-
-    has_cones = eps < 1.0
-    half = 0.5 * l_out
-    raw: list[tuple[str, float, float, float, float]] = []  # kind, tau0, tau1, slope, rho(tau0)
-    tau = 0.0
-    for kind, length, slope, rho0 in (
-        ("cylinder", half, 0.0, 1.0),
-        ("cone_down", 1.0 - eps, -1.0, 1.0),
-        ("handle", L, 0.0, eps),
-        ("cone_up", 1.0 - eps, 1.0, eps),
-        ("cylinder", half, 0.0, 1.0),
-    ):
-        if length > 0:
-            raw.append((kind, tau, tau + length, slope, rho0))
-            tau += length
-    assert abs(tau - T) < 1e-12
-
-    if eta == 0.0:
-        segments = [Segment(kind, a, b, r0, s, s) for kind, a, b, s, r0 in raw]
-        return Profile(T, segments, eps, L, l_out, eta)
-
-    # corner roundings
-    if has_cones and (L == 0.0 or l_out == 0.0):
+        raise ValueError(f"eps must lie in ]0, 1], got {eps!r}")
+    for name, length in (("L", L), ("l_out", l_out)):
+        if not 0.0 <= length < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {length!r}")
+    if not 0.0 <= eta < 1.0:
+        raise ValueError(f"eta must lie in [0, 1[, got {eta!r}")
+    profile = Profile(eps, L, l_out, eta)
+    if not 0.0 < profile.T < math.inf:
+        raise ValueError(f"period T must be finite and positive, got {profile.T!r}")
+    if eta > 0.0 and eps < 1.0 and not (L > 0.0 and l_out > 0.0):
         raise ValueError(
             "eta > 0 needs positive handle and outer-cylinder lengths, otherwise "
             "adjacent smoothing regions overlap"
         )
-    corners = []  # (tau_c, rho_c, s_minus, s_plus, delta)
-    for i in range(len(raw) - 1):
-        _, a0, b0, s0, r0 = raw[i]
-        _, a1, b1, s1, _ = raw[i + 1]
-        if s0 == s1:
-            continue
-        rho_c = r0 + s0 * (b0 - a0)
-        room = 0.5 * min(b0 - a0, b1 - a1)
-        delta = min(2.0 * rho_c * eta, room)
-        if delta <= 0:
-            raise ValueError("no room to smooth a corner; reduce eta")
-        corners.append((b0, rho_c, s0, s1, delta))
-
-    segments = []
-    cursor = 0.0
-    ci = 0
-    for kind, a, b, s, r0 in raw:
-        a_eff = max(a, cursor)
-        b_eff = b
-        next_corner_here = ci < len(corners) and abs(corners[ci][0] - b) < 1e-12
-        if next_corner_here:
-            b_eff = corners[ci][0] - corners[ci][4]
-        if b_eff > a_eff + 1e-15:
-            segments.append(Segment(kind, a_eff, b_eff, r0 + s * (a_eff - a), s, s))
-        if next_corner_here:
-            tc, rc, sm, sp, d = corners[ci]
-            segments.append(
-                Segment("corner", tc - d, tc + d, math.nan, sm, sp,
-                        corner_tau=tc, corner_rho=rc, delta=d)
-            )
-            cursor = tc + d
-            ci += 1
-    return Profile(T, segments, eps, L, l_out, eta)
+    return profile
 
 
 # ---------------------------------------------------------------------------
-# flat segments
+# flat pieces
 
 
 def _put(P: np.ndarray, mask: np.ndarray, a, b, c, d) -> None:
@@ -498,7 +451,8 @@ class _HalfPeriod:
             raise ValueError("transfer matrices are scalar; solve an H5 pair through "
                              "channels.pair_partners")
         if profile.eta > 0.0 and profile.eps < 1.0:
-            raise ValueError("monodromy cannot cross segment kind 'corner'")
+            raise ValueError("the half-period map needs a piecewise profile; eta > 0 "
+                             "rounds every corner")
         mu2, w, eps = float(channel.mu2), float(channel.interface_weights[0]), profile.eps
         self.handle = (mu2 / (eps * eps), 0.5 * profile.L)
         self.cylinder = (mu2, 0.5 * profile.l_out)

@@ -1,10 +1,14 @@
 """Transversal (cross-section) spectral data.
 
-The periodic manifold is a warped product over a closed flat cross-section.
+The periodic manifold is a warped product over a closed cross-section.
 Everything downstream needs from the cross-section is:
 
   * Betti numbers b_q,
   * the coexact q-form eigenvalues mu^2 > 0 with multiplicities, for every q.
+
+build_flat_torus_spectrum computes them for a flat torus; load_spectrum
+reads them from a file.  validate's Euler-characteristic check (chi = 0)
+holds for a flat cross-section, so it refuses others, such as the round S^2.
 
 Exact q-form data never needs separate storage: d is an isomorphism from
 coexact (q-1)-forms onto exact q-forms, so exact[q] == coexact[q-1].
@@ -188,10 +192,11 @@ def _parse_scalar(x) -> Scalar:
 def validate(ts: TransversalSpectrum) -> ValidationReport:
     """Consistency checks on cross-section data.
 
-    Checked: list lengths, Betti duality b_q = b_{n-q}, Euler characteristic
-    zero (every closed flat manifold has chi = 0, by Gauss-Bonnet-Chern),
-    positivity of mu^2 and multiplicities, Hodge-star pairing coexact[q] ~
-    coexact[n-q-1], and completeness ordering below cutoff.
+    Checked: list lengths, Betti numbers b_q >= 0, Betti duality
+    b_q = b_{n-q}, Euler characteristic zero (every closed flat manifold has
+    chi = 0, by Gauss-Bonnet-Chern), positivity of mu^2 and multiplicities,
+    Hodge-star pairing coexact[q] ~ coexact[n-q-1], and completeness ordering
+    below cutoff.
     """
     v: list[str] = []
     n = ts.n
@@ -201,6 +206,8 @@ def validate(ts: TransversalSpectrum) -> ValidationReport:
         v.append(f"coexact has length {len(ts.coexact)}, expected {n + 1}")
     if not v:
         for q in range(n + 1):
+            if ts.betti[q] < 0:
+                v.append(f"betti[{q}] = {ts.betti[q]} < 0")
             if ts.betti[q] != ts.betti[n - q]:
                 v.append(f"betti duality violated at q={q}: {ts.betti[q]} != {ts.betti[n - q]}")
         chi = sum((-1) ** q * ts.betti[q] for q in range(n + 1))

@@ -64,6 +64,15 @@ def test_gaps_open_in_the_other_degrees():
     assert (wide_gap_count(3, 1, 0.3), wide_gap_count(3, 1, 0.1)) == (3, 7)
 
 
+def test_census_at_lam_max_zero_is_the_zero_modes():
+    # lam_max = 0 leaves the massless channels, each with the band [0, 0]
+    prof = make_profile(0.2, 1.0, 0.8)
+    chans = enumerate_channels(TORI[2], 1, 0.0)
+    assert [ch.kind for ch in chans] == ["H1", "H2"]
+    for ch in chans:
+        assert band_edges(ch, prof, 0.0).bands == [(0.0, 0.0)]
+
+
 @pytest.mark.parametrize("n,lam_max", [(1, 8.0), (2, 8.0), (3, 6.0)])
 def test_hodge_star_duality_of_band_lists(n, lam_max):
     # the Hodge star maps degree p to n + 1 - p: the same scalar problems

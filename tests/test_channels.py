@@ -177,6 +177,13 @@ def test_enumerate_refuses_insufficient_cutoff():
     assert [c.kind for c in enumerate_channels(ts, 1, 5.0)] == ["H1", "H2", "H5", "H5"]
 
 
+@pytest.mark.parametrize("lam_max", [math.inf, math.nan, -1.0])
+def test_enumerate_refuses_lam_max_out_of_range(lam_max):
+    # inf once blamed the transversal cutoff, and 0 was refused outright
+    with pytest.raises(ValueError, match=r"^lam_max must be finite and >= 0"):
+        enumerate_channels(CUBE_TORI[2], 1, lam_max)
+
+
 def test_enumerate_duality_p_vs_dual():
     # degree p and n+1-p see mirrored channel data
     ts = circle(12)

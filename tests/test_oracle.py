@@ -256,8 +256,8 @@ class TestAssemble:
         assert fm.nodes[0] == 0.0
         assert np.all(np.diff(fm.nodes) > 0)
         assert fm.nodes[-1] < STD.T
-        for seg in STD.segments:
-            assert np.min(np.abs(fm.nodes - seg.tau0)) < 1e-12
+        for a, _, _ in STD.pieces():
+            assert np.min(np.abs(fm.nodes - a)) < 1e-12
 
     def test_grid_refines_into_handle(self):
         prof = make_profile(0.05, 1.0, 1.0)
@@ -270,6 +270,28 @@ class TestAssemble:
     def test_small_grid_refused(self):
         with pytest.raises(ValueError):
             assemble(chan(0, "H2"), 0.0, STD, 99)
+
+    @pytest.mark.parametrize("solve", [
+        lambda N: assemble(chan(0, "H2"), 0.0, STD, N),
+        lambda N: oracle_eigenvalues(chan(0, "H2"), 0.0, STD, 5.0, N=N),
+    ], ids=["assemble", "oracle_eigenvalues"])
+    @pytest.mark.parametrize("N", [500.5, math.nan, math.inf, True],
+                             ids=["fraction", "nan", "inf", "bool"])
+    def test_grid_size_must_be_an_integer(self, solve, N):
+        # 500.5 was accepted, nan and inf failed in int conversion
+        with pytest.raises(ValueError, match=r"grid size N must be an integer >= 100, got "):
+            solve(N)
+
+    @pytest.mark.parametrize("params", [(0.25, 1.2, 0.0), (0.3, 0.0, 0.8), (1.0, 0.0, 1.0),
+                                        (0.2, 1.0, 0.8, 0.05), (0.9, 1.0, 1.0, 0.5)])
+    def test_grid_plan_tiles_the_period(self, params):
+        # (0.25, 1.2, 0.0) once split its last cone at a radius one ulp below
+        # 1, into a piece of length 0 that the oracle refused
+        prof = make_profile(*params)
+        counts = oracle._piece_counts(prof, 500)
+        assert counts[0][0] == 0.0
+        assert all(b > a for a, b, _ in counts)
+        assert np.all(np.diff(oracle._nodes_from_counts(counts)) > 0)
 
 
 # ---------------------------------------------------------------------------

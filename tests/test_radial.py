@@ -8,6 +8,7 @@ the monodromy M = A K A^-1 K it gives against a direct Runge-Kutta
 integration of the global-frame system over the half and the whole period.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -46,12 +47,49 @@ CIRCLE_HIGH = enumerate_channels(build_flat_torus_spectrum([2 * math.pi / 3], 40
 # profile
 
 
+def slopes(prof):
+    """The slope of each piece of a profile, nan on a rounded corner."""
+    return [slope for _, _, slope in prof.pieces()]
+
+
+def piecewise_rho(eps, L, l_out, eta, tau):
+    """Reference (rho, rho') at one tau in [0, T] from the piecewise layout:
+    half cylinder, cone down, handle, cone up, half cylinder, laid out from
+    tau = 0, each slope break rounded by its quadratic corner patch.  The
+    first piece holding tau wins."""
+    c = 1.0 - eps
+    layout = [(0.5 * l_out, 0.0, 1.0), (c, -1.0, 1.0), (L, 0.0, eps), (c, 1.0, eps),
+              (0.5 * l_out, 0.0, 1.0)]  # (length, slope, rho at start)
+    corners = []  # (tau_c, rho_c, slope before, slope after, delta)
+    if eta > 0.0 and eps < 1.0:
+        t = 0.0
+        for (l0, s0, r0), (l1, s1, _) in zip(layout, layout[1:]):
+            t += l0
+            room = 0.5 * min(l0, l1)
+            corners.append((t, r0 + s0 * l0, s0, s1, min(2.0 * (r0 + s0 * l0) * eta, room)))
+    for tc, rc, sm, sp, d in corners:
+        x = tau - tc
+        if abs(x) <= d:
+            return (rc + 0.5 * (sm + sp) * x + (sp - sm) / (4.0 * d) * x * x + (sp - sm) * d / 4.0,
+                    0.5 * (sm + sp) + (sp - sm) * x / (2.0 * d))
+    t = 0.0
+    for length, slope, r0 in layout[:-1]:
+        if tau <= t + length:
+            return r0 + slope * (tau - t), slope
+        t += length
+    return 1.0, 0.0
+
+
 class TestMakeProfile:
     def test_standard_layout(self):
         prof = make_profile(0.2, math.pi, 1.0)
         assert prof.T == pytest.approx(math.pi + 2 * 0.8 + 1.0, abs=1e-14)
-        kinds = [s.kind for s in prof.segments]
-        assert kinds == ["cylinder", "cone_down", "handle", "cone_up", "cylinder"]
+        assert slopes(prof) == [0.0, -1.0, 0.0, 1.0, 0.0]
+        # the pieces tile [0, T]
+        pieces = prof.pieces()
+        assert pieces[0][0] == 0.0 and pieces[-1][1] == prof.T
+        assert all(p[1] == q[0] for p, q in zip(pieces, pieces[1:]))
+        assert [b - a for a, b, _ in pieces] == pytest.approx([0.5, 0.8, math.pi, 0.8, 0.5])
         assert prof.rho(0.0) == pytest.approx(1.0)
         assert prof.rho(prof.T) == pytest.approx(1.0)
         # handle midpoint sits at depth eps
@@ -62,17 +100,21 @@ class TestMakeProfile:
 
     def test_no_outer_cylinder_cuts_at_cone_junction(self):
         prof = make_profile(0.3, 1.5, 0.0)
-        kinds = [s.kind for s in prof.segments]
-        assert kinds == ["cone_down", "handle", "cone_up"]
+        assert slopes(prof) == [-1.0, 0.0, 1.0]
         assert prof.rho(0.0) == pytest.approx(1.0)
-        assert prof.segments[0].slope_in == -1.0
-        assert prof.segments[-1].slope_out == 1.0
 
     def test_flat_circle(self):
         prof = make_profile(1.0, 2.0, 1.0)
         assert prof.T == pytest.approx(3.0)
-        assert all(s.slope_in == 0.0 for s in prof.segments)
+        assert slopes(prof) == [0.0, 0.0, 0.0]
         assert prof.rho(1.7) == pytest.approx(1.0)
+
+    def test_profile_is_its_four_parameters(self):
+        prof = make_profile(0.2, 1.0, 0.8, eta=0.02)
+        assert [f.name for f in dataclasses.fields(prof)] == ["eps", "L", "l_out", "eta"]
+        assert (prof.eps, prof.L, prof.l_out, prof.eta) == (0.2, 1.0, 0.8, 0.02)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prof.eps = 0.3
 
     def test_input_errors(self):
         with pytest.raises(ValueError):
@@ -88,6 +130,24 @@ class TestMakeProfile:
         with pytest.raises(ValueError):
             make_profile(0.5, 1.0, 1.0, eta=1.0)
 
+    @pytest.mark.parametrize("params,name", [
+        ((math.nan, 1.0, 0.8), "eps"),
+        ((math.inf, 1.0, 0.8), "eps"),
+        ((0.2, math.nan, 0.8), "L"),
+        ((0.2, math.inf, 0.8), "L"),
+        ((0.2, 1.0, math.nan), "l_out"),
+        ((0.2, 1.0, math.inf), "l_out"),
+        ((0.2, 1.0, 0.8, math.nan), "eta"),
+        ((0.2, 1.0, 0.8, math.inf), "eta"),
+        ((0.2, 1e308, 1e308), "period T"),
+    ], ids=["eps-nan", "eps-inf", "L-nan", "L-inf", "l_out-nan", "l_out-inf", "eta-nan",
+            "eta-inf", "T-overflow"])
+    def test_non_finite_input_is_refused_by_name(self, params, name):
+        # eta = nan once gave corners with NaN bounds and eta = 0 bands from
+        # band_edges; a non-finite length or period a bare AssertionError
+        with pytest.raises(ValueError, match=rf"^{name} must"):
+            make_profile(*params)
+
     def test_eta_needs_room(self):
         with pytest.raises(ValueError):
             make_profile(0.5, 0.0, 1.0, eta=0.02)
@@ -101,10 +161,11 @@ class TestMakeProfile:
         sharp = make_profile(eps, 1.0, 0.8)
         smooth = make_profile(eps, 1.0, 0.8, eta=eta)
         assert smooth.rho(0.0) == pytest.approx(1.0, abs=1e-12)
-        corners = [s for s in smooth.segments if s.kind == "corner"]
-        assert len(corners) == 4
-        for seg in corners:
-            for edge, kick in ((seg.tau0, -1e-9), (seg.tau1, +1e-9)):
+        np.testing.assert_array_equal(slopes(smooth), [0.0, math.nan, -1.0, math.nan, 0.0,
+                                                       math.nan, 1.0, math.nan, 0.0])
+        corners = [(a, b) for a, b, slope in smooth.pieces() if math.isnan(slope)]
+        for a, b in corners:
+            for edge, kick in ((a, -1e-9), (b, +1e-9)):
                 assert smooth.rho(edge) == pytest.approx(smooth.rho(edge + kick), abs=1e-7)
                 assert smooth.rho_prime(edge) == pytest.approx(
                     smooth.rho_prime(edge + kick), abs=1e-6
@@ -127,18 +188,45 @@ class TestMakeProfile:
             assert smooth.rho(tau) == pytest.approx(sharp.rho(tau), abs=1e-14)
 
     @pytest.mark.parametrize("eta", [0.0, 0.02])
-    def test_array_radius_matches_segment_scan(self, eta):
-        # reference: the first segment within 1e-12 of each point, one by one
+    def test_radius_matches_a_piecewise_reference(self, eta):
         prof = make_profile(0.2, 1.0, 0.8, eta=eta)
-        taus = np.concatenate([np.linspace(0.0, prof.T, 997),
-                               [s.tau0 for s in prof.segments],
-                               [s.tau1 for s in prof.segments]])
-        segs = [next(s for s in prof.segments if s.tau0 - 1e-12 <= t % prof.T <= s.tau1 + 1e-12)
-                for t in taus]
-        want = [s.rho(t % prof.T) for s, t in zip(segs, taus)]
-        np.testing.assert_array_equal(prof.rho(taus), want)
-        want = [s.rho_prime(t % prof.T) for s, t in zip(segs, taus)]
-        np.testing.assert_array_equal(prof.rho_prime(taus), want)
+        knots = [a for a, _, _ in prof.pieces()] + [prof.T]
+        taus = np.concatenate([np.linspace(0.0, prof.T, 997), knots])
+        want = np.array([piecewise_rho(0.2, 1.0, 0.8, eta, t) for t in taus])
+        np.testing.assert_allclose(prof.rho(taus), want[:, 0], rtol=0, atol=1e-15)
+        # the slope away from sharp breaks, which piecewise_rho takes one-sided;
+        # in a corner it is (tau - tau_c) / (2 delta), which magnifies the
+        # rounding of tau by 1 / (2 delta) = 62
+        away = np.min(np.abs(taus[:, None] - np.array(knots)[None, :]), axis=1) > 1e-9
+        away |= eta > 0.0
+        np.testing.assert_allclose(prof.rho_prime(taus[away]), want[away, 1], rtol=0,
+                                   atol=1e-15 if eta == 0.0 else 1e-13)
+
+    @pytest.mark.parametrize("params", [(0.25, 1.0, 0.5, 0.0), (0.25, 1.0, 0.5, 0.02),
+                                        (0.25, 1.0, 0.5, 0.05), (0.3, 1.0, 0.8, 0.02),
+                                        (0.3, 1.0, 0.8, 0.05)])
+    def test_slope_matches_a_central_difference(self, params):
+        # at 2000 points and at every break centre.  A sharp break's central
+        # difference is the mean of its two slopes, and only a tau exactly on
+        # the break has that slope: (0.25, 1, 0.5) puts the centres on
+        # exact doubles
+        prof = make_profile(*params)
+        eps, L = params[:2]
+        T, h = prof.T, 1e-8
+        centres = [0.5 * T + sign * s for sign in (-1, 1) for s in (0.5 * L, 0.5 * L + 1 - eps)]
+        taus = np.concatenate([np.linspace(0.0, T, 2000), centres])
+        diff = (prof.rho(taus + h) - prof.rho(taus - h)) / (2.0 * h)
+        np.testing.assert_allclose(prof.rho_prime(taus), diff, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.05])
+    def test_slope_at_a_break_is_the_mean_of_its_two_slopes(self, eta):
+        # the breaks of (0.25, 1, 0.5) sit at tau = 0.25, 1, 2 and 2.75
+        prof = make_profile(0.25, 1.0, 0.5, eta=eta)
+        assert prof.rho_prime(np.array([0.25, 1.0, 2.0, 2.75])).tolist() == [-0.5, -0.5, 0.5, 0.5]
+        # a handle of length 0 breaks at its centre, a cylinder of length 0 at the cut
+        assert make_profile(0.25, 0.0, 0.5).rho_prime(1.0) == 0.0
+        no_cylinder = make_profile(0.25, 1.0, 0.0)
+        assert no_cylinder.rho_prime(np.array([0.0, no_cylinder.T])).tolist() == [0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -426,29 +514,29 @@ class TestConePropagator:
 
 def rk_monodromy(channel, profile, lam):
     """Independent monodromy of a scalar channel: Runge-Kutta across each
-    segment of the global second-order equation plus explicit derivative
-    jumps at slope breaks."""
+    piece of the global second-order equation, with the mass mu^2 where the
+    slope is 0 and the cone potential gamma (gamma + 1) where it is +-1, plus
+    explicit derivative jumps where consecutive slopes differ."""
     g = gamma_of(channel)
     c = g * (g + 1.0)
     w = float(channel.interface_weights[0])
     M = np.eye(2)
-    segs = profile.segments
-    for i, seg in enumerate(segs):
-        V = float(channel.mu2) if seg.kind in ("cylinder", "handle") else c
+    pieces = profile.pieces()
+    for i, (a, b, slope) in enumerate(pieces):
+        V = float(channel.mu2) if slope == 0.0 else c
 
-        def rhs(tau, y, V=V, seg=seg):
-            return [y[1], (V / seg.rho(tau) ** 2 - lam) * y[0]]
+        def rhs(tau, y, V=V):
+            return [y[1], (V / profile.rho(tau) ** 2 - lam) * y[0]]
 
         cols = []
         for y0 in ([1.0, 0.0], [0.0, 1.0]):
-            sol = solve_ivp(rhs, (seg.tau0, seg.tau1), y0, rtol=1e-12, atol=1e-13)
+            sol = solve_ivp(rhs, (a, b), y0, rtol=1e-12, atol=1e-13)
             assert sol.success
             cols.append(sol.y[:, -1])
         M = np.column_stack(cols) @ M
-        nxt = segs[(i + 1) % len(segs)]
-        dslope = seg.slope_out - nxt.slope_in
+        dslope = slope - pieces[(i + 1) % len(pieces)][2]
         if dslope != 0.0:
-            M = np.array([[1.0, 0.0], [dslope / seg.rho(seg.tau1) * w, 1.0]]) @ M
+            M = np.array([[1.0, 0.0], [dslope / profile.rho(b) * w, 1.0]]) @ M
     return M
 
 
@@ -482,37 +570,37 @@ def dense_monodromy(channel, lam, profile):
 
 def rk_half_map(channel, profile, lam):
     """Independent half-period map: Runge-Kutta from the handle centre T/2
-    to the cut T across the segments, with the derivative jump of every
+    to the cut T across the pieces, with the derivative jump of every
     slope break in between and half the jump of a break at either end (the
     mirror half takes the other half)."""
     g = gamma_of(channel)
     c = g * (g + 1.0)
     w = float(channel.interface_weights[0])
-    segs = profile.segments
+    pieces = profile.pieces()
     centre = 0.5 * profile.T
 
     def jump(i, share=1.0):
-        seg, nxt = segs[i], segs[(i + 1) % len(segs)]
-        k = share * (seg.slope_out - nxt.slope_in) / seg.rho(seg.tau1) * w
+        _, b, slope = pieces[i]
+        k = share * (slope - pieces[(i + 1) % len(pieces)][2]) / profile.rho(b) * w
         return np.array([[1.0, 0.0], [k, 1.0]])
 
     A = np.eye(2)
-    for i, seg in enumerate(segs):
-        if seg.tau1 < centre + 1e-12:
-            if seg.tau1 > centre - 1e-12:
+    for i, (a, b, slope) in enumerate(pieces):
+        if b < centre + 1e-12:
+            if b > centre - 1e-12:
                 A = jump(i, 0.5) @ A  # a break at the centre (L = 0)
             continue
-        V = float(channel.mu2) if seg.kind in ("cylinder", "handle") else c
+        V = float(channel.mu2) if slope == 0.0 else c
 
-        def rhs(tau, y, V=V, seg=seg):
-            return [y[1], (V / seg.rho(tau) ** 2 - lam) * y[0]]
+        def rhs(tau, y, V=V):
+            return [y[1], (V / profile.rho(tau) ** 2 - lam) * y[0]]
 
         cols = []
         for y0 in ([1.0, 0.0], [0.0, 1.0]):
-            sol = solve_ivp(rhs, (max(seg.tau0, centre), seg.tau1), y0, rtol=1e-12, atol=1e-13)
+            sol = solve_ivp(rhs, (max(a, centre), b), y0, rtol=1e-12, atol=1e-13)
             assert sol.success
             cols.append(sol.y[:, -1])
-        A = jump(i, 0.5 if i == len(segs) - 1 else 1.0) @ np.column_stack(cols) @ A
+        A = jump(i, 0.5 if i == len(pieces) - 1 else 1.0) @ np.column_stack(cols) @ A
     return A
 
 

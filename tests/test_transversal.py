@@ -229,6 +229,15 @@ def test_load_rejects_a_coexact_level_that_is_no_list(tmp_path):
         load_spectrum(p)
 
 
+def test_load_rejects_negative_betti_numbers(tmp_path):
+    # b = (-1, -1) keeps duality and chi = 0; it once loaded, and the census
+    # then dropped the H1 and H2 channels without a word
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(_spectrum_doc(betti=(-1, -1))))
+    with pytest.raises(SpectrumFormatError, match=r"betti\[0\] = -1 < 0; betti\[1\] = -1 < 0$"):
+        load_spectrum(p)
+
+
 @pytest.mark.parametrize("cutoff", [math.inf, math.nan], ids=["inf", "nan"])
 def test_build_rejects_nonfinite_cutoff(cutoff):
     with pytest.raises(ValueError, match="cutoff must be positive and finite"):
