@@ -47,6 +47,9 @@ from .radial import NumericalError, Profile, check_theta
 
 DENSITY_CAP = 8.0  # node density multiplier, relative to 1/rho growth
 MAX_CONE_PIECES = 6
+# largest share of the window's scale max(1, |lo|, |hi|) that the banded
+# solver's rounding bound eps * max|H_jj| may reach on a grid
+ROUNDING_TOL = 1e-6
 
 
 def warp_coefficient(channel: Channel, profile: Profile, t) -> np.ndarray:
@@ -278,9 +281,23 @@ def _grid_eigenvalues(channel: Channel, theta: float, profile: Profile,
                       window: tuple[float, float]) -> np.ndarray:
     """Eigenvalues in the window of the form on the grid of `counts`,
     assembled straight into fold-ordered band storage and solved by a
-    banded eigensolver (complex Hermitian at generic theta)."""
+    banded eigensolver (complex Hermitian at generic theta).
+
+    The solver's eigenvalues carry a rounding error of about eps * ||H||.
+    A grid step h gives ||H|| ~ 1/h^2, so a narrow rounded corner can leave
+    that error far above the eigenvalues sought: NumericalError, naming the
+    bound eps * max|H_jj|, when it exceeds ROUNDING_TOL of the window's
+    scale."""
     G, X, w, _ = _blocks(channel, theta, profile, counts)
-    return band_hermitian_eigenvalues(_band(G, X, w), window)
+    ab = _band(G, X, w)
+    bound = np.finfo(float).eps * float(np.abs(ab[0]).max())
+    scale = max(1.0, abs(window[0]), abs(window[1]))
+    if bound > ROUNDING_TOL * scale:
+        raise NumericalError(
+            f"rounding bound eps * max|H_jj| = {bound:.3g} of the {len(w)}-node grid "
+            f"exceeds {ROUNDING_TOL:g} * {scale:g}: a profile piece is too narrow"
+        )
+    return band_hermitian_eigenvalues(ab, window)
 
 
 def oracle_eigenvalues(channel: Channel, theta: float, profile: Profile,
@@ -292,7 +309,8 @@ def oracle_eigenvalues(channel: Channel, theta: float, profile: Profile,
     combines index-paired eigenvalues by Richardson extrapolation,
     (4 l_2N - l_N) / 3.  Raises NumericalError when a pair drifts by more
     than 0.5, or when a value <= lam_max + 0.5 on either grid has no
-    partner on the other.  Raises ValueError for a non-finite theta, a
+    partner on the other, or when a grid's rounding bound is too large
+    (_grid_eigenvalues).  Raises ValueError for a non-finite theta, a
     lam_max that is not finite and >= 0 or a grid size N that is not an
     integer >= 100.
     """

@@ -81,6 +81,9 @@ ROOT_TOL = 1e-10
 # steps after which the polish gives up on a bracket (bisection from the
 # whole window to ROOT_TOL takes about 42)
 POLISH_STEPS = 200
+# narrowest half-width of a rounded corner that make_profile accepts, in
+# units in the last place of the period T
+MIN_CORNER_ULPS = 16
 
 
 class NumericalError(RuntimeError):
@@ -183,7 +186,8 @@ def make_profile(eps: float, L: float, l_out: float, eta: float = 0.0) -> Profil
     piecewise one.  Raises ValueError, naming the parameter, unless
     0 < eps <= 1, L and l_out are finite and >= 0, 0 <= eta < 1 and T is
     finite and positive, and when eta > 0 rounds a cone whose handle or
-    outer cylinder has length 0.
+    outer cylinder has length 0 or a corner narrower than MIN_CORNER_ULPS
+    ulps of T, whose grid steps would round to zero.
     """
     eps, L, l_out, eta = float(eps), float(L), float(l_out), float(eta)
     if not 0.0 < eps <= 1.0:
@@ -201,6 +205,10 @@ def make_profile(eps: float, L: float, l_out: float, eta: float = 0.0) -> Profil
             "eta > 0 needs positive handle and outer-cylinder lengths, otherwise "
             "adjacent smoothing regions overlap"
         )
+    for _, _, delta in profile._breaks():
+        if 0.0 < delta < MIN_CORNER_ULPS * math.ulp(profile.T):
+            raise ValueError(f"eta = {eta!r} rounds a corner to half-width {delta!r}, "
+                             f"below {MIN_CORNER_ULPS} ulps of the period T = {profile.T!r}")
     return profile
 
 

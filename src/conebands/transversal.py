@@ -6,7 +6,8 @@ Everything downstream needs from the cross-section is:
   * Betti numbers b_q,
   * the coexact q-form eigenvalues mu^2 > 0 with multiplicities, for every q.
 
-build_flat_torus_spectrum computes them for a flat torus; load_spectrum
+build_flat_torus_spectrum computes them for a flat torus, the product of
+its circles: the Kuenneth product of the circles' spectra.  load_spectrum
 reads them from a file.  validate's Euler-characteristic check (chi = 0)
 holds for a flat cross-section, so it refuses others, such as the round S^2.
 
@@ -20,6 +21,7 @@ other side length falls back to floats.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -78,17 +80,14 @@ class ValidationReport:
 def build_flat_torus_spectrum(side_lengths, cutoff, label: str | None = None) -> TransversalSpectrum:
     """Spectrum of the flat torus R^n / (l_1 Z x ... x l_n Z) up to `cutoff`.
 
-    A lattice mode k in Z^n has scalar eigenvalue sum_i (2 pi k_i / l_i)^2.
-    On q-forms every scalar eigenfunction is decorated by a constant q-form;
-    splitting along the mode covector gives C(n-1, q) coexact directions per
-    nonzero mode (the rest are exact, i.e. coexact in degree q-1).
-
-    Side lengths that are rational multiples of 2*pi (detected within 1e-12
-    relative) give exact rational eigenvalues.
+    The torus is the product of its circles, so its spectrum is the Kuenneth
+    product (_product) of theirs.  The circle of side l has the eigenvalues
+    (2 pi k / l)^2, k >= 1, each twice, on functions; they are exact
+    rationals when every l / (2 pi) snaps to a rational (within 1e-12
+    relative) and floats otherwise.
     """
     sides = list(side_lengths)
-    n = len(sides)
-    if n < 1:
+    if not sides:
         raise ValueError("need at least one side length")
 
     cut = _parse_scalar(cutoff)
@@ -99,84 +98,82 @@ def build_flat_torus_spectrum(side_lengths, cutoff, label: str | None = None) ->
     if not finite:
         raise ValueError(f"cutoff must be positive and finite, got {cutoff!r}")
 
-    # weight_i = (2 pi / l_i)^2, exact when l_i/(2 pi) snaps to a rational.
-    weights: list[Scalar] = []
-    all_exact = True
-    for s in sides:
-        if isinstance(s, str):
-            s = Fraction(s)
-        if isinstance(s, (Fraction, int)):
-            # side given directly as a multiple of 2*pi? No: sides are true
-            # lengths, so a Fraction side cannot be an exact 2*pi multiple.
-            s = float(s)
-        if not (s > 0) or not math.isfinite(s):
-            raise ValueError("side lengths must be positive and finite")
-        ratio = s / (2.0 * math.pi)
-        # denominator cap 10^4 keeps generic irrational ratios (best error
-        # ~ 5e-9) safely outside the 1e-12 snap window
-        snapped = Fraction(ratio).limit_denominator(10_000)
-        if abs(float(snapped) - ratio) <= 1e-12 * max(1.0, abs(ratio)) and snapped > 0:
-            weights.append(1 / snapped**2)
-        else:
-            weights.append((2.0 * math.pi / s) ** 2)
-            all_exact = False
-
-    if not all_exact:
+    weights = [_circle_weight(float(Fraction(s) if isinstance(s, str) else s)) for s in sides]
+    if not all(isinstance(w, Fraction) for w in weights):
         weights = [float(w) for w in weights]
-        cut_cmp: Scalar = float(cut)
-    else:
-        cut_cmp = cut if isinstance(cut, Fraction) else Fraction(cut).limit_denominator(10**9)
-
-    # Enumerate lattice modes with sum k_i^2 w_i <= cutoff.  mult carries the
-    # sign degeneracy 2 per nonzero k_i.
-    lattice: dict[Scalar, int] = {}
-
-    def within(x: Scalar) -> bool:
-        if all_exact:
-            return x <= cut_cmp
-        return float(x) <= float(cut_cmp) * (1 + 1e-15)
-
-    def recurse(i: int, acc: Scalar, mult: int):
-        if i == n:
-            if acc != 0:
-                _bump(lattice, acc, mult)
-            return
-        w = weights[i]
-        k = 0
-        while True:
-            term = acc + w * k * k
-            if not within(term):
-                break
-            recurse(i + 1, term, mult * (1 if k == 0 else 2))
-            k += 1
-
-    recurse(0, Fraction(0) if all_exact else 0.0, 1)
-
-    betti = [math.comb(n, q) for q in range(n + 1)]
-    coexact: list[list[tuple[Scalar, int]]] = []
-    for q in range(n):
-        per_mode = math.comb(n - 1, q)
-        entries = []
-        if per_mode > 0:
-            for mu2, m in lattice.items():
-                entries.append((mu2, m * per_mode))
-        entries.sort(key=lambda t: float(t[0]))
-        coexact.append(entries)
-    # degree n carries no coexact forms (top degree) but keep the slot so
-    # indexing by q in [0, n] is uniform.
-    coexact.append([])
+    betti, coexact = functools.reduce(lambda a, b: _product(a, b, cut),
+                                      [_circle(w, cut) for w in weights])
 
     if label is None:
         label = "torus(" + ",".join(f"{float(s):.12g}" for s in sides) + ")"
-    return TransversalSpectrum(n=n, label=label, cutoff=cut, betti=betti, coexact=coexact)
+    return TransversalSpectrum(n=len(sides), label=label, cutoff=cut, betti=betti,
+                               coexact=coexact)
 
 
-def _bump(d: dict, key: Scalar, inc: int) -> None:
-    for k in d:
-        if _same_mu2(k, key):
-            d[k] += inc
-            return
-    d[key] = inc
+def _circle_weight(side: float) -> Scalar:
+    """(2 pi / side)^2, a Fraction when side / (2 pi) snaps to a rational."""
+    if not (side > 0) or not math.isfinite(side):
+        raise ValueError("side lengths must be positive and finite")
+    ratio = side / (2.0 * math.pi)
+    # denominator cap 10^4 keeps generic irrational ratios (best error
+    # ~ 5e-9) safely outside the 1e-12 snap window
+    snapped = Fraction(ratio).limit_denominator(10_000)
+    if abs(float(snapped) - ratio) <= 1e-12 * max(1.0, abs(ratio)) and snapped > 0:
+        return 1 / snapped**2
+    return (2.0 * math.pi / side) ** 2
+
+
+def _within(x: Scalar, cut: Scalar) -> bool:
+    """x <= cut, up to the rounding of a float sum of levels."""
+    return float(x) <= float(cut) * (1 + 1e-15)
+
+
+def _circle(w: Scalar, cut: Scalar) -> tuple[list[int], list[list[tuple[Scalar, int]]]]:
+    """(betti, coexact) below cut of the circle whose first eigenvalue is w."""
+    levels = []
+    k = 1
+    while _within(w * k * k, cut):
+        levels.append((w * k * k, 2))
+        k += 1
+    return [1, 1], [levels, []]
+
+
+def _product(A, B, cut: Scalar) -> tuple[list[int], list[list[tuple[Scalar, int]]]]:
+    """(betti, coexact) below cut of A x B, by Kuenneth.  On (i + j)-forms
+    the Hodge Laplacian has the eigenvalues alpha + beta of the i-forms of A
+    and the j-forms of B, multiplicities multiplied.  Less its b_q zeros and
+    its exact forms coexact[q - 1], the q-form spectrum is coexact[q]."""
+    full = [[] for _ in range(len(A[0]) + len(B[0]) - 1)]
+    for i in range(len(A[0])):
+        for j in range(len(B[0])):
+            full[i + j] += [(alpha + beta, ma * mb) for alpha, ma in _forms(A, i)
+                            for beta, mb in _forms(B, j) if _within(alpha + beta, cut)]
+    betti = [sum(m for mu2, m in terms if mu2 == 0) for terms in full]
+    coexact: list[list[tuple[Scalar, int]]] = []
+    for q, terms in enumerate(full):
+        # zeros stay out of the merge: a level below _same_mu2's tolerance
+        # is no zero
+        exact = [(mu2, -m) for mu2, m in (coexact[q - 1] if q else [])]
+        coexact.append(_merge([t for t in terms if t[0] != 0] + exact))
+    return betti, coexact
+
+
+def _forms(spectrum, q: int) -> list[tuple[Scalar, int]]:
+    """The q-form spectrum of (betti, coexact): b_q zeros, coexact, exact."""
+    betti, coexact = spectrum
+    return [(0, betti[q])] + coexact[q] + (coexact[q - 1] if q else [])
+
+
+def _merge(terms: list[tuple[Scalar, int]]) -> list[tuple[Scalar, int]]:
+    """The levels of terms in ascending order, equal ones (_same_mu2) summed
+    into the first, and those whose multiplicities cancel left out."""
+    merged: list[list] = []
+    for mu2, m in sorted(terms, key=lambda t: t[0]):
+        if merged and _same_mu2(merged[-1][0], mu2):
+            merged[-1][1] += m
+        else:
+            merged.append([mu2, m])
+    return [(mu2, m) for mu2, m in merged if m]
 
 
 def _parse_scalar(x) -> Scalar:

@@ -35,6 +35,7 @@ CIRCLE = build_flat_torus_spectrum([2 * math.pi], 20)
 STD = make_profile(0.2, 1.0, 0.8)  # cyl .4 | cone 0.8 | handle 1 | cone | cyl .4
 FLAT2PI = make_profile(1.0, 2 * math.pi - 1.0, 1.0)
 CUBE_TORI = {n: build_flat_torus_spectrum([2 * math.pi] * n, 8) for n in (1, 2, 3)}
+TORUS_P1 = enumerate_channels(build_flat_torus_spectrum([2 * math.pi] * 2, 8.25), 1, 8.0)
 
 
 def single_grid(ch, theta, prof, lam_max, N):
@@ -578,3 +579,22 @@ class TestRichardsonAndStability:
     def test_small_grid_refused(self):
         with pytest.raises(ValueError):
             oracle_eigenvalues(chan(0, "H2"), 0.0, STD, 5.0, N=50)
+
+    @pytest.mark.parametrize("eta", [1e-6, 1e-8, 1e-10, 1e-12])
+    def test_tiny_eta_raises_instead_of_wrong_numbers(self, eta):
+        # a corner of half-width ~ eta drives ||H|| ~ 1/eta^2 and the
+        # solver's rounding with it: at eta 1e-8 the H1 zero mode once came
+        # out -0.107, at 1e-10 H4 mu^2=2 as 4.585 instead of 4.226, and at
+        # 1e-11 the result was []
+        prof = make_profile(0.2, 1.0, 0.8, eta)
+        for ch in TORUS_P1:
+            with pytest.raises(NumericalError, match=r"rounding bound eps \* max\|H_jj\|"):
+                oracle_eigenvalues(ch, 0.0, prof, 8.0)
+
+    @pytest.mark.parametrize("eta", [0.02, 0.05])
+    def test_moderate_eta_passes_the_rounding_check(self, eta):
+        prof = make_profile(0.2, 1.0, 0.8, eta)
+        for ch in TORUS_P1:
+            evs = oracle_eigenvalues(ch, 0.0, prof, 8.0)
+            if ch.mu2 == 0:  # the harmonic channels keep their zero mode
+                assert abs(evs[0]) < 1e-8

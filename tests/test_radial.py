@@ -156,6 +156,13 @@ class TestMakeProfile:
         # no corners at eps = 1, so eta is harmless there
         make_profile(1.0, 1.0, 0.0, eta=0.02)
 
+    @pytest.mark.parametrize("eta", [1e-17, 1e-320])
+    def test_corner_below_a_few_ulps_of_T_is_refused(self, eta):
+        # such a corner once failed in the oracle with "non-positive grid
+        # step", and at 1e-320 rho's division by the half-width overflowed
+        with pytest.raises(ValueError, match=rf"^eta = {eta!r} rounds a corner"):
+            make_profile(0.2, 1.0, 0.8, eta)
+
     def test_smoothed_profile_is_c1_and_close(self):
         eps, eta = 0.2, 0.02
         sharp = make_profile(eps, 1.0, 0.8)

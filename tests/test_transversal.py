@@ -70,10 +70,9 @@ def test_irrational_side_falls_back_to_floats():
     assert ts.coexact[0][0][1] == 2
 
 
-def brute_force_form_dims(sides, cutoff, n):
-    """Independent count: the flat-torus Hodge Laplacian on q-forms has each
-    scalar lattice eigenvalue with multiplicity C(n, q).  Returns dict
-    mu2 -> total dimension summed over all q (= 2^n per lattice mult)."""
+def brute_force_lattice(sides, cutoff):
+    """Independent count: dict mu2 -> number of nonzero lattice modes k in
+    Z^n with scalar eigenvalue mu2 = sum_i (2 pi k_i / l_i)^2 <= cutoff."""
     weights = [(2.0 * math.pi / s) ** 2 for s in sides]
     out: dict[float, int] = {}
     kmax = [int(math.floor(math.sqrt(cutoff / w))) + 1 for w in weights]
@@ -84,7 +83,7 @@ def brute_force_form_dims(sides, cutoff, n):
         if mu2 == 0 or mu2 > cutoff * (1 + 1e-12):
             continue
         key = round(mu2, 9)
-        out[key] = out.get(key, 0) + 2**n
+        out[key] = out.get(key, 0) + 1
     return out
 
 
@@ -94,22 +93,40 @@ def brute_force_form_dims(sides, cutoff, n):
         ([TWO_PI], 7),
         ([TWO_PI, 2 * TWO_PI], 4),
         ([TWO_PI, TWO_PI, TWO_PI], 3),
+        ([TWO_PI] * 4, 10),
+        # float sides: the product sums the levels in another order
+        ([2.0 * math.e] * 3, 30),
+        # a long side: hundreds of circle levels below the cutoff
+        ([40 * TWO_PI, TWO_PI], 50),
     ],
 )
 def test_total_dimension_matches_brute_force(sides, cutoff):
+    # On q-forms every lattice mode carries C(n, q) constant q-forms;
+    # splitting along the mode covector leaves C(n-1, q) of them coexact.
     n = len(sides)
     ts = build_flat_torus_spectrum(sides, cutoff)
-    expect = brute_force_form_dims(sides, cutoff, n)
-    got_levels = {round(float(mu2), 9) for mu2, _ in ts.coexact[0]}
-    assert got_levels == set(expect)
+    lattice = brute_force_lattice(sides, cutoff)
+    for q in range(n + 1):
+        got = {round(float(mu2), 9): m for mu2, m in ts.coexact[q]}
+        assert got == {mu2: math.comb(n - 1, q) * m for mu2, m in lattice.items() if q < n}
     # total dimension of the form-valued eigenspace: coexact plus exact
-    # q-forms, summed over every degree q
+    # q-forms, summed over every degree q, is 2^n per lattice mode
     total: dict[float, int] = {}
     for q in range(n + 1):
         for mu2, m in ts.coexact_at(q) + ts.exact(q):
             key = round(float(mu2), 9)
             total[key] = total.get(key, 0) + m
-    assert total == expect
+    assert total == {mu2: 2**n * m for mu2, m in lattice.items()}
+
+
+def test_float_cutoff_is_compared_as_a_float():
+    # a float cutoff was once snapped to a rational of denominator <= 10^9,
+    # which turned 4e-14 into 0 and dropped every level below it; levels
+    # this small must not merge into the zeros either
+    sides = [1e7 * TWO_PI] * 2
+    want = build_flat_torus_spectrum(sides, "4/100000000000000").coexact
+    assert want[0] == [(Fraction(k, 10**14), 4) for k in (1, 2, 4)]
+    assert build_flat_torus_spectrum(sides, 4e-14).coexact == want
 
 
 def test_exact_equals_shifted_coexact():
