@@ -9,13 +9,15 @@ one-dimensional radial problems ("channels") indexed by cross-section data:
   H4  coexact p-forms in the tangential slot     scalar, mu > 0
   H5  coexact (p-1)-form paired with its d-image coupled 2x2, mu > 0
 
-The radial solver treats an H5 pair as its two scalar Hodge partners, H4 of
-degree p-1 and H3 of degree p+1 at the same mu^2 (pair_partners).
+A scalar channel is the Hill problem fixed by its key (mu^2, w) =
+(mu2, interface_weights[0]): on flat parts it sees the mass mu^2 / rho^2,
+at every slope break the interface weight w, and on a cone of radius t the
+potential gamma (gamma + 1) / t^2 with the tip exponent
+gamma = -1/2 + sqrt(mu^2 + (w + 1/2)^2) (radial.tip_exponent).
 
-A scalar channel is the Hill problem fixed by (mu^2, w): on flat parts it
-sees the mass mu^2 / rho^2, at every slope break the interface weight w,
-and on a cone of radius t the potential gamma (gamma + 1) / t^2 with the
-tip exponent gamma = -1/2 + sqrt(mu^2 + (w + 1/2)^2) (radial.tip_exponent).
+The radial solver takes only the key.  It solves an H5 pair as the keys of
+its two scalar Hodge partners, H4 of degree p-1 and H3 of degree p+1 at the
+same mu^2 (pair_partners); partners with one key are one problem.
 """
 
 from __future__ import annotations

@@ -15,14 +15,15 @@ picture, the Hill equation
 
     -sigma'' + V(tau) sigma = lambda sigma
 
-with V = mu^2 / rho^2 on flat parts (mu^2 = channel.mu2), at every slope
-break of rho the derivative jump
+with V = mu^2 / rho^2 on flat parts, at every slope break of rho the
+derivative jump
 
     sigma'(+) = sigma'(-) + (slope_- - slope_+) / rho * w sigma,
 
-w = channel.interface_weights[0], and V = gamma (gamma + 1) / rho^2 on
-cones, where gamma = tip_exponent(mu^2, w) is the cone's indicial exponent
-(Cheeger, J. Diff. Geom. 1983).
+and V = gamma (gamma + 1) / rho^2 on cones, where gamma = tip_exponent(mu^2,
+w) is the cone's indicial exponent (Cheeger, J. Diff. Geom. 1983).  The key
+(mu^2, w) = (channel.mu2, channel.interface_weights[0]) fixes the problem,
+and it is all the solver below band_edges and floquet_eigenvalues takes.
 
 Floquet eigenvalues at quasimomentum theta are the lambda with
 tr M = 2 cos theta for the period monodromy M.  The profile, and with it
@@ -45,8 +46,8 @@ the counts.  The merged zeros are the band edges; inside a band tr M runs
 monotonically between -2 and 2, so at any other theta the band holds one
 Floquet eigenvalue, the zero of b c + sin^2(theta/2).  The spectrum of an
 H5 pair is the disjoint union of those of its two scalar Hodge partners
-(channels.pair_partners), so the pair is solved as those two channels, or
-once when the two are the same scalar problem.
+(channels.pair_partners), so the pair is solved as the partners' keys,
+counted: partners with one key are one problem solved once.
 
 The cone's Frobenius recurrences do not involve lambda: lambda enters only
 through z = lambda t^2.  A root scan therefore builds one lambda-free
@@ -65,6 +66,7 @@ about 400).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -441,8 +443,8 @@ def _transfer(S0: np.ndarray, S1: np.ndarray, wronskian: float) -> np.ndarray:
 
 
 class _HalfPeriod:
-    """Half-period map A of a scalar channel, from the handle centre to the
-    mid-cylinder cut, for every lam with |lam| <= lam_bound.
+    """Half-period map A of the scalar Hill problem (mu2, w), from the handle
+    centre to the mid-cylinder cut, for every lam with |lam| <= lam_bound.
 
     The cone's Frobenius table is built once, here, and evaluated at the
     profile's own radii eps and 1.  A call evaluates the product of the half
@@ -454,14 +456,11 @@ class _HalfPeriod:
     refused.
     """
 
-    def __init__(self, channel: Channel, profile: Profile, lam_bound: float):
-        if channel.kind == "H5":
-            raise ValueError("transfer matrices are scalar; solve an H5 pair through "
-                             "channels.pair_partners")
+    def __init__(self, mu2, w, profile: Profile, lam_bound: float):
         if profile.eta > 0.0 and profile.eps < 1.0:
             raise ValueError("the half-period map needs a piecewise profile; eta > 0 "
                              "rounds every corner")
-        mu2, w, eps = float(channel.mu2), float(channel.interface_weights[0]), profile.eps
+        mu2, w, eps = float(mu2), float(w), profile.eps
         self.handle = (mu2 / (eps * eps), 0.5 * profile.L)
         self.cylinder = (mu2, 0.5 * profile.l_out)
         self.eps, self.w = eps, w
@@ -492,41 +491,30 @@ class _HalfPeriod:
 # Floquet root finding
 
 
-def _hill_data(channel: Channel) -> tuple:
-    """Everything the scalar Hill problem of a channel depends on: the key
-    (mu^2, (w,)) of the problem, whose tip exponent follows from it."""
-    return (channel.mu2, channel.interface_weights)
+def _scalar_problems(channel: Channel) -> Counter:
+    """The scalar Hill problems (mu^2, w) of a channel, each counted by its
+    copies.  An H5 pair is the problems of its two Hodge partners, which
+    are one problem twice for n odd and p = (n+1)/2."""
+    parts = pair_partners(channel) if channel.kind == "H5" else (channel,)
+    return Counter((part.mu2, part.interface_weights[0]) for part in parts)
 
 
-def _scalar_problems(channel: Channel) -> list[tuple[Channel, int]]:
-    """The distinct scalar problems of a channel, each with its number of
-    copies.  An H5 pair is its two Hodge partners, which are one problem
-    twice for n odd and p = (n+1)/2."""
-    if channel.kind != "H5":
-        return [(channel, 1)]
-    h4, h3 = pair_partners(channel)
-    if _hill_data(h4) == _hill_data(h3):
-        return [(h4, 2)]
-    return [(h4, 1), (h3, 1)]
-
-
-def _floquet_roots(channel: Channel, profile: Profile,
+def _floquet_roots(mu2, w, profile: Profile,
                    lam_max: float) -> tuple[_HalfPeriod, list[list[float]]]:
-    """The half-period map of a scalar channel and the sorted zeros of its
-    entries a, b, c, d in [0, lam_max].
+    """The half-period map of the scalar Hill problem (mu2, w) and the
+    sorted zeros of its entries a, b, c, d in [0, lam_max].
 
     One batched evaluation over the lambda grid gives the signs of all four
     entries; a node where an entry vanishes is one of its zeros, and every
     cell over which an entry changes sign is polished, all of them together
     on the same table, each end keeping its scanned value.  Raises when a
-    zero violates the channel's lower bound mu^2 or the zeros fail the
-    count certificate."""
-    half = _HalfPeriod(channel, profile, lam_max)
+    zero lies below mu^2 or the zeros fail the count certificate."""
+    half = _HalfPeriod(mu2, w, profile, lam_max)
     # at lam_max = 0 the grid is the one node 0: repeated nodes would each
     # count a zero there
     grid = np.linspace(0.0, float(lam_max), SCAN_STEPS + 1 if lam_max > 0 else 1)
     F = half(grid)[0].reshape(-1, 4)  # columns a, b, c, d
-    if channel.mu2 == 0:
+    if mu2 == 0:
         # the form's kernel rho^-w is even and periodic: lambda = 0 is
         # exactly the bottom of the spectrum, a zero of c, whatever the
         # sampled sign
@@ -538,10 +526,10 @@ def _floquet_roots(channel: Channel, profile: Profile,
 
     x = _polish(entry, grid[cell], grid[cell + 1], F[cell, of], F[cell + 1, of])
     roots = [sorted(grid[node[at == j]].tolist() + x[of == j].tolist()) for j in range(4)]
-    low = [r for col in roots for r in col if r < float(channel.mu2) - 1e-6]
+    low = [r for col in roots for r in col if r < float(mu2) - 1e-6]
     if low:
         raise NumericalError(f"eigenvalue {min(low)} violates the channel lower bound "
-                             f"{float(channel.mu2)}; pruning rule unsound here")
+                             f"{float(mu2)}; pruning rule unsound here")
     _certify(roots, lam_max)
     return half, roots
 
@@ -621,8 +609,8 @@ def floquet_eigenvalues(channel: Channel, theta: float, profile: Profile,
     lam_max = check_lam_max(lam_max)
     cos = math.cos(theta)
     roots: list[float] = []
-    for part, copies in _scalar_problems(channel):
-        half, zeros = _floquet_roots(part, profile, lam_max)
+    for (mu2, w), copies in _scalar_problems(channel).items():
+        half, zeros = _floquet_roots(mu2, w, profile, lam_max)
         a, b, c, d = zeros
         if cos == 1.0:
             part_roots = b + c
@@ -710,15 +698,15 @@ def band_edges(channel: Channel, profile: Profile, lam_max: float) -> BandEdges:
     the merged list are the band edges (Magnus-Winkler, Hill's Equation).
     A gap narrower than 2 ROOT_TOL is closed.  An odd count leaves a last
     band cut at lam_max.  An H5 pair returns the
-    bands of its two scalar partners together; partners that are one
-    problem are solved once and their bands listed twice.  Raises
+    bands of its two scalar partners together; partners with one key
+    (mu^2, w) are solved once and their bands listed twice.  Raises
     ValueError for a lam_max that is not finite and >= 0.
     """
     lam_max = check_lam_max(lam_max)
     bands: list[tuple[float, float]] = []
     truncated = False
-    for part, copies in _scalar_problems(channel):
-        edges = sorted(x for roots in _floquet_roots(part, profile, lam_max)[1] for x in roots)
+    for (mu2, w), copies in _scalar_problems(channel).items():
+        edges = sorted(x for roots in _floquet_roots(mu2, w, profile, lam_max)[1] for x in roots)
         for k in range(2, len(edges), 2):
             # a gap narrower than two polished zeros resolve is closed: its
             # edges, zeros of b and c or of a and d, are one double eigenvalue

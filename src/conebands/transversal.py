@@ -43,7 +43,7 @@ def _same_mu2(a: Scalar, b: Scalar) -> bool:
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a == b
     fa, fb = float(a), float(b)
-    return abs(fa - fb) <= MU2_RTOL * max(1.0, abs(fa), abs(fb))
+    return abs(fa - fb) <= MU2_RTOL * max(abs(fa), abs(fb))
 
 
 @dataclass
@@ -151,8 +151,7 @@ def _product(A, B, cut: Scalar) -> tuple[list[int], list[list[tuple[Scalar, int]
     betti = [sum(m for mu2, m in terms if mu2 == 0) for terms in full]
     coexact: list[list[tuple[Scalar, int]]] = []
     for q, terms in enumerate(full):
-        # zeros stay out of the merge: a level below _same_mu2's tolerance
-        # is no zero
+        # zeros stay out of the merge: they are betti, not coexact
         exact = [(mu2, -m) for mu2, m in (coexact[q - 1] if q else [])]
         coexact.append(_merge([t for t in terms if t[0] != 0] + exact))
     return betti, coexact
@@ -220,23 +219,13 @@ def validate(ts: TransversalSpectrum) -> ValidationReport:
                     v.append(f"coexact[{q}] contains mu2={mu2} above cutoff {ts.cutoff}")
         if ts.coexact[n]:
             v.append("coexact in top degree n must be empty")
-        # Hodge star pairs coexact q-forms with coexact (n-q-1)-forms.
+        # Hodge star pairs coexact q-forms with coexact (n-q-1)-forms: the
+        # levels of one less those of the other cancel
         for q in range(n):
             qq = n - q - 1
-            if not _same_multiset(ts.coexact[q], ts.coexact[qq]):
+            if _merge(ts.coexact[q] + [(mu2, -m) for mu2, m in ts.coexact[qq]]):
                 v.append(f"Hodge pairing violated: coexact[{q}] != coexact[{qq}]")
     return ValidationReport(ok=not v, violations=v)
-
-
-def _same_multiset(a: list[tuple[Scalar, int]], b: list[tuple[Scalar, int]]) -> bool:
-    if len(a) != len(b):
-        return False
-    sa = sorted(a, key=lambda t: float(t[0]))
-    sb = sorted(b, key=lambda t: float(t[0]))
-    for (m1, c1), (m2, c2) in zip(sa, sb):
-        if c1 != c2 or not _same_mu2(m1, m2):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -454,9 +455,14 @@ def h5_channel(eps_section=CIRCLE, p=1, mu2=1):
     return next(c for c in chans if c.kind == "H5" and float(c.mu2) == mu2)
 
 
+def key(channel):
+    """The key (mu^2, w) of a scalar channel's Hill problem."""
+    return channel.mu2, channel.interface_weights[0]
+
+
 def gamma_of(channel):
     """Tip exponent of a scalar channel."""
-    return tip_exponent(channel.mu2, channel.interface_weights[0])
+    return tip_exponent(*key(channel))
 
 
 def cone_transfer(channel, lam, t0, t1):
@@ -551,7 +557,7 @@ def half_map(channel, lam, profile):
     """Scaled half-period map (A, logscale) at one lam, the true one being
     A exp(logscale): a length-one call of the batched evaluation, from a
     table cut at |lam|."""
-    A, logs = radial._HalfPeriod(channel, profile, abs(lam))(np.array([float(lam)]))
+    A, logs = radial._HalfPeriod(*key(channel), profile, abs(lam))(np.array([float(lam)]))
     return A[0], float(logs[0])
 
 
@@ -697,10 +703,6 @@ class TestMonodromy:
         with pytest.raises(ValueError, match="corner"):
             monodromy(ch, 1.0, prof)
 
-    def test_refuses_pairs(self):
-        with pytest.raises(ValueError, match="pair_partners"):
-            monodromy(h5_channel(), 1.0, make_profile(0.3, 1.0, 0.8))
-
     @pytest.mark.parametrize("p,l_out", [(0, 0.8), (0, 0.0), (1, 0.8)])
     def test_batched_trace_matches_one_point(self, p, l_out):
         # the scan's table is truncated for lam_max, a one-point map's for
@@ -710,7 +712,7 @@ class TestMonodromy:
         for ch in enumerate_channels(build_flat_torus_spectrum([2 * math.pi], 50.0), p, 50.0):
             if ch.kind == "H5":
                 continue
-            A, logs = radial._HalfPeriod(ch, prof, 50.0)(grid)
+            A, logs = radial._HalfPeriod(*key(ch), prof, 50.0)(grid)
             for lam, A_b, s_b in zip(grid, A, logs):
                 A_1, logscale = half_map(ch, lam, prof)
                 assert np.max(np.abs(A_b * math.exp(s_b) - A_1 * math.exp(logscale))) <= (
@@ -730,7 +732,7 @@ class TestBatchedScan:
         # root polishing evaluates single points through the scan's table and
         # arithmetic, so at a grid node it must reproduce the scanned value
         ch = next(c for c in CIRCLE_HIGH if c.kind == kind and float(c.mu2) == mu2)
-        half = radial._HalfPeriod(ch, make_profile(0.2, 1.0, 0.8), 400.0)
+        half = radial._HalfPeriod(*key(ch), make_profile(0.2, 1.0, 0.8), 400.0)
         grid = np.linspace(0.0, 400.0, SCAN_STEPS + 1)
         A, logs = half(grid)
         for k, lam in enumerate(grid):
@@ -743,7 +745,7 @@ class TestBatchedScan:
         assert len(CIRCLE_HIGH) == 7
         grid = np.linspace(0.0, 400.0, SCAN_STEPS + 1)
         for ch in CIRCLE_HIGH:
-            radial._HalfPeriod(ch, make_profile(eps, 1.0, 0.8), 400.0)(grid)
+            radial._HalfPeriod(*key(ch), make_profile(eps, 1.0, 0.8), 400.0)(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -884,6 +886,29 @@ def assert_walks_agree(F):
 TORUS_P1 = enumerate_channels(build_flat_torus_spectrum([2 * math.pi, 2 * math.pi], 8.25), 1, 8.0)
 
 
+class TestScalarProblems:
+    def test_torus_channels_map_to_their_keys(self):
+        # T^2 at p = 1: nu = 1 and w_alpha = 0, so an H5 pair's partners H4
+        # of degree 0 (w = -1) and H3 of degree 2 (w = 0) are two problems
+        assert {ch.kind for ch in TORUS_P1} == {"H1", "H2", "H4", "H5"}
+        for ch in TORUS_P1:
+            problems = radial._scalar_problems(ch)
+            if ch.kind == "H5":
+                h4, h3 = pair_partners(ch)
+                assert problems == Counter({key(h4): 1, key(h3): 1})
+                assert problems == Counter({(ch.mu2, -1): 1, (ch.mu2, 0): 1})
+            else:
+                assert problems == Counter({key(ch): 1})
+
+    def test_equal_partners_are_one_key_twice(self):
+        # the circle at p = 1 is the middle degree: both partners have
+        # w = -1/2, so every pair is one problem with count 2
+        pairs = [ch for ch in enumerate_channels(CIRCLE, 1, 10.0) if ch.kind == "H5"]
+        assert len(pairs) == 3
+        for ch in pairs:
+            assert radial._scalar_problems(ch) == Counter({(ch.mu2, Fraction(-1, 2)): 2})
+
+
 class TestGridWalk:
     @pytest.mark.parametrize("params", [(0.2, 1.0, 0.8), (0.21, 1.05, 0.84), (0.19, 0.95, 0.76)])
     @pytest.mark.parametrize("census,lam_max", [(TORUS_P1, 8.0), (CIRCLE_HIGH, 400.0)],
@@ -892,8 +917,8 @@ class TestGridWalk:
         prof = make_profile(*params)
         grid = np.linspace(0.0, lam_max, SCAN_STEPS + 1)
         for ch in census:
-            for part, _ in radial._scalar_problems(ch):
-                assert_walks_agree(radial._HalfPeriod(part, prof, lam_max)(grid)[0].reshape(-1, 4))
+            for mu2, w in radial._scalar_problems(ch):
+                assert_walks_agree(radial._HalfPeriod(mu2, w, prof, lam_max)(grid)[0].reshape(-1, 4))
 
     @pytest.mark.parametrize("Fs", [
         # zeros of both signs at both ends and inside, crossing cells,
@@ -921,7 +946,7 @@ class TestPolish:
         # sign change: the solve must refuse, not return
         ch = next(c for c in CIRCLE_HIGH if c.kind == "H2")
         prof = make_profile(0.2, 1.0, 0.8)
-        half = radial._HalfPeriod(ch, prof, 10.0)
+        half = radial._HalfPeriod(*key(ch), prof, 10.0)
 
         def F(x, k):
             return half(x)[0][:, 0, 0]
@@ -1012,7 +1037,7 @@ class TestSyntheticPolish:
 def h2_roots():
     """The zeros of a, b, c, d of the circle-high H2 channel at seed 0."""
     assert CIRCLE_HIGH[0].kind == "H2"
-    return radial._floquet_roots(CIRCLE_HIGH[0], make_profile(0.2, 1.0, 0.8), 400.0)[1]
+    return radial._floquet_roots(*key(CIRCLE_HIGH[0]), make_profile(0.2, 1.0, 0.8), 400.0)[1]
 
 
 class TestCertificate:
@@ -1135,13 +1160,13 @@ class TestBandEdges:
         scans = []
         scan = radial._floquet_roots
         monkeypatch.setattr(radial, "_floquet_roots",
-                            lambda part, *args: scans.append(part) or scan(part, *args))
+                            lambda mu2, w, *args: scans.append((mu2, w)) or scan(mu2, w, *args))
         be = band_edges(ch, prof, 6.0)
-        assert len(scans) == 1
+        assert scans == [key(h4)]
         assert be.bands[0::2] == be.bands[1::2] == single.bands
         assert be.truncated == single.truncated
         roots = floquet_eigenvalues(ch, 0.0, prof, 6.0)
-        assert len(scans) == 2
+        assert scans == [key(h4)] * 2
         assert roots[0::2] == roots[1::2] == floquet_eigenvalues(h3, 0.0, prof, 6.0)
 
     @pytest.mark.parametrize("eps", [0.1, 0.03, 0.015, 0.01, 0.005])

@@ -39,3 +39,12 @@ def test_imports_are_declared():
             undeclared += [f"{path.name}:{node.lineno} {name}" for name in names
                            if name.split(".")[0] not in allowed]
     assert undeclared == []
+
+
+def test_readme_example_runs(capsys):
+    # the first python block of README.md runs as written, so the README
+    # cannot drift from the API
+    match = re.search(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
+    assert match, "README.md has no python block"
+    exec(compile(match.group(1), "README.md", "exec"), {"__name__": "readme"})
+    assert "H5" in capsys.readouterr().out

@@ -129,6 +129,18 @@ def test_float_cutoff_is_compared_as_a_float():
     assert build_flat_torus_spectrum(sides, 4e-14).coexact == want
 
 
+def test_float_levels_below_1e_12_stay_apart():
+    # the mixed torus makes every level a float; the float tolerance was
+    # absolute below 1, which merged these ten levels into one
+    ts = build_flat_torus_spectrum([1e7 * TWO_PI, 2 * math.e], 1e-12)
+    assert len(ts.coexact[0]) == 10
+    for k, (mu2, m) in enumerate(ts.coexact[0], 1):
+        assert mu2 == pytest.approx(1e-14 * k * k, rel=1e-12, abs=0.0)
+        assert m == 2
+    assert ts.coexact[1] == ts.coexact[0]
+    assert validate(ts).ok
+
+
 def test_exact_equals_shifted_coexact():
     ts = build_flat_torus_spectrum([TWO_PI, TWO_PI], 3)
     assert ts.exact(1) == ts.coexact[0]
@@ -151,6 +163,13 @@ def test_validate_catches_negative_mu2_and_pairing():
     assert not rep.ok
     assert any("<= 0" in s for s in rep.violations)
     assert any("pairing" in s for s in rep.violations)
+
+
+def test_validate_pairs_levels_below_1e_12():
+    ts = TransversalSpectrum(n=2, label="tiny", cutoff=1.0, betti=[1, 2, 1],
+                             coexact=[[(1e-14, 2)], [(2e-14, 2)], []])
+    assert validate(ts).violations == ["Hodge pairing violated: coexact[0] != coexact[1]",
+                                       "Hodge pairing violated: coexact[1] != coexact[0]"]
 
 
 def test_roundtrip_exact(tmp_path):
