@@ -49,7 +49,7 @@ H5 pair is the disjoint union of those of its two scalar Hodge partners
 (channels.pair_partners), so the pair is solved as the partners' keys,
 counted: partners with one key are one problem solved once.
 
-The cone's Frobenius recurrences do not involve lambda: lambda enters only
+The cone's Frobenius recurrence does not involve lambda: lambda enters only
 through z = lambda t^2.  A root scan therefore builds one lambda-free
 coefficient table per scalar problem (cone_basis, valid up to lam_max) and
 evaluates A for the whole lambda grid at once, as (G, 2, 2) arrays with one
@@ -225,17 +225,17 @@ def _put(P: np.ndarray, mask: np.ndarray, a, b, c, d) -> None:
 def _flat_propagators(mass2: float, lam: np.ndarray, ell: float) -> tuple[np.ndarray, np.ndarray]:
     """Transfer matrices of -u'' + mass2 u = lam u over a length-ell flat
     piece, acting on (u, u'), for every lam: (G, 2, 2) matrices and (G,) log
-    scales, the propagator being matrix * exp(logscale).  Exact free, trig,
-    hyperbolic and scaled-hyperbolic forms, picked per point; det = 1."""
+    scales, the propagator being matrix * exp(logscale).  Exact free, trig
+    and hyperbolic forms, picked per point; det = 1.  The hyperbolic form is
+    scaled by e^{k ell} / 2, in q = 1 - e^{-2 k ell} by expm1, so that it
+    neither overflows nor cancels."""
     w2 = lam - mass2
     P = np.empty(lam.shape + (2, 2))
     logs = np.zeros(lam.shape)
     # free limit; the trig corrections are below double rounding here
     free = np.abs(w2) * (ell * ell) < 1e-14
     osc = ~free & (w2 > 0)
-    k = np.sqrt(np.maximum(-w2, 0.0))
-    big = ~free & (k * ell > 30.0)
-    hyp = ~(free | osc | big)
+    hyp = ~(free | osc)
     if free.any():
         _put(P, free, 1.0, ell, -w2[free] * ell, 1.0)
     if osc.any():
@@ -243,14 +243,10 @@ def _flat_propagators(mass2: float, lam: np.ndarray, ell: float) -> tuple[np.nda
         c, s = np.cos(w * ell), np.sin(w * ell)
         _put(P, osc, c, s / w, -w * s, c)
     if hyp.any():
-        kh = k[hyp]
-        c, s = np.cosh(kh * ell), np.sinh(kh * ell)
-        _put(P, hyp, c, s / kh, kh * s, c)
-    if big.any():
-        kb = k[big]
-        q = np.exp(-2.0 * kb * ell)
-        _put(P, big, 1.0 + q, (1.0 - q) / kb, kb * (1.0 - q), 1.0 + q)
-        logs[big] = kb * ell - math.log(2.0)
+        k = np.sqrt(-w2[hyp])
+        q = -np.expm1(-2.0 * k * ell)
+        _put(P, hyp, 2.0 - q, q / k, k * q, 2.0 - q)
+        logs[hyp] = k * ell - math.log(2.0)
     return P, logs
 
 
@@ -346,10 +342,13 @@ def cone_basis(gamma: float, z_max: float) -> ConeSeries:
     """Frobenius table for every lam and t with |lam| t^2 <= z_max.
 
     No recurrence involves lam, so one table serves a whole lambda scan and
-    the root polish on it.  Each series runs until its last term at z_max is
-    below SERIES_RTOL of its largest one.  gamma within 1e-9 of a
-    half-integer >= -1/2 is snapped to it (the resonant recurrence is
-    singular there).
+    the root polish on it.  The singular branch is the one recurrence
+    2j (2 gamma + 1 - 2j) g_j = g_{j-1} + a_z (2m + 4(j - m)) f_{j-m}, with
+    f_j = 0 outside its table.  Off resonance m = a_z = 0.  At resonance,
+    m = gamma + 1/2 an integer, a_z = 1 if m = 0; if m > 0 the step j = m
+    fixes a_z = -g_{m-1} / (2m) and the gauge g_m = 0.  gamma within 1e-9 of a half-integer >= -1/2 is
+    snapped to it.  A series stops once its last term at z_max is below
+    SERIES_RTOL of its largest one, and raises NumericalError if it never does.
     """
     gamma, z_max = float(gamma), float(z_max)
     if gamma < -0.5 - 1e-12:
@@ -361,52 +360,42 @@ def cone_basis(gamma: float, z_max: float) -> ConeSeries:
     if is_log:
         gamma = m_near - 0.5
 
-    def grow(coefs: list[float], step, stop: int, min_j: int = 4) -> bool:
-        """Append step(j) for j = len(coefs), ..., stop - 1 until the tail
-        test passes at some j >= min_j; False if it never does."""
+    def grow(coefs: list[float], step, stop: int, min_j: int, branch: str) -> None:
+        """Append step(j) for j = 1, ..., stop - 1 until the tail test
+        passes at some j >= min_j; NumericalError if it never does."""
+        scale = 1.0
         try:
-            scale = max(abs(c) * z_max**k for k, c in enumerate(coefs))
-            for j in range(len(coefs), stop):
+            for j in range(1, stop):
                 coefs.append(step(j))
                 tail = abs(coefs[-1]) * z_max**j
                 scale = max(scale, tail)
                 if j >= min_j and (tail <= SERIES_RTOL * max(scale, 1e-300) or tail == 0.0):
-                    return True
+                    return
         except OverflowError:
             raise NumericalError(f"cone series overflows double precision at gamma = "
                                  f"{gamma}, z_max = {z_max:.6g}") from None
-        return False
+        raise NumericalError(f"cone series did not converge ({branch} branch) at gamma = "
+                             f"{gamma}, z_max = {z_max:.6g}")
 
-    # regular branch
     f = [1.0]
-    if not grow(f, lambda j: -f[-1] / (2.0 * j * (2.0 * gamma + 1.0 + 2.0 * j)), 402):
-        raise NumericalError("cone series did not converge (regular branch)")
+    grow(f, lambda j: -f[-1] / (2.0 * j * (2.0 * gamma + 1.0 + 2.0 * j)), 402, 4, "regular")
 
-    def f_at(j: int) -> float:
-        return f[j] if j < len(f) else 0.0
-
-    # singular branch
-    m, a_z = 0, 0.0
+    m = m_near if is_log else 0
+    a_z = 1.0 if is_log and m == 0 else 0.0
     g = [1.0]
-    if not is_log:
-        if not grow(g, lambda j: g[-1] / (2.0 * j * (2.0 * gamma + 1.0 - 2.0 * j)), 402):
-            raise NumericalError("cone series did not converge (singular branch)")
-        wron = -(2.0 * gamma + 1.0)
-    elif m_near == 0:
-        a_z = 1.0
-        grow(g, lambda j: -(g[-1] + 4.0 * j * f_at(j)) / (4.0 * j * j), len(f) + 4,
-             min_j=max(4, len(f)))
-        wron = 1.0
-    else:
-        m = m_near
-        for j in range(1, m):
-            g.append(g[-1] / (2.0 * j * (2.0 * gamma + 1.0 - 2.0 * j)))
-        a_z = -g[m - 1] / (2.0 * m)
-        g.append(0.0)  # gauge: no t^{gamma+1} admixture in G
-        grow(g, lambda j: (g[-1] + a_z * (2.0 * m + 4.0 * (j - m)) * f_at(j - m))
-             / (2.0 * j * (2.0 * gamma + 1.0 - 2.0 * j)),
-             m + len(f) + 4, min_j=max(4, m + len(f)))
-        wron = -(2.0 * gamma + 1.0)
+
+    def g_step(j: int) -> float:
+        nonlocal a_z
+        if j == m:
+            a_z = -g[-1] / (2.0 * m)
+            return 0.0
+        rhs = g[-1]
+        if a_z:  # a_z = 0 leaves the f term out; it would add zeros
+            rhs += a_z * (2.0 * m + 4.0 * (j - m)) * (f[j - m] if j - m < len(f) else 0.0)
+        return rhs / (2.0 * j * (2.0 * gamma + 1.0 - 2.0 * j))
+
+    grow(g, g_step, max(402, m + len(f) + 4), max(4, m + len(f)) if is_log else 4, "singular")
+    wron = 1.0 if is_log and m == 0 else -(2.0 * gamma + 1.0)
 
     f_coef, g_coef = np.array(f), np.array(g)
     cols = np.zeros((max(len(f), len(g)), 4))

@@ -98,14 +98,15 @@ def build_flat_torus_spectrum(side_lengths, cutoff, label: str | None = None) ->
     if not finite:
         raise ValueError(f"cutoff must be positive and finite, got {cutoff!r}")
 
-    weights = [_circle_weight(float(Fraction(s) if isinstance(s, str) else s)) for s in sides]
+    sides = [float(_parse_scalar(s)) for s in sides]
+    weights = [_circle_weight(s) for s in sides]
     if not all(isinstance(w, Fraction) for w in weights):
         weights = [float(w) for w in weights]
     betti, coexact = functools.reduce(lambda a, b: _product(a, b, cut),
                                       [_circle(w, cut) for w in weights])
 
     if label is None:
-        label = "torus(" + ",".join(f"{float(s):.12g}" for s in sides) + ")"
+        label = "torus(" + ",".join(f"{s:.12g}" for s in sides) + ")"
     return TransversalSpectrum(n=len(sides), label=label, cutoff=cut, betti=betti,
                                coexact=coexact)
 

@@ -253,19 +253,16 @@ class TestSegmentPropagator:
             flat(0.0, 0.0, 2.5), [[1.0, 2.5], [0.0, 1.0]], atol=1e-15
         )
 
-    def test_hyperbolic_anchor(self):
-        P = flat(1.0, 0.0, 1.0)
-        c, s = math.cosh(1.0), math.sinh(1.0)
-        np.testing.assert_allclose(P, [[c, s], [s, c]], rtol=1e-14)
-
-    def test_scaled_hyperbolic_anchor(self):
-        # kappa ell = 40 > 30 takes the log-scaled branch
-        kappa, ell = 4.0, 10.0
-        P, logs = radial._flat_propagators(kappa**2 + 2.0, np.array([2.0]), ell)
-        c, s = math.cosh(kappa * ell), math.sinh(kappa * ell)
+    @pytest.mark.parametrize("kl", [1e-6, 1.0, 30.0 - 1e-9, 30.0 + 1e-9, 40.0])
+    def test_hyperbolic_anchor(self, kl):
+        # one scaled form at every k ell: q = 1 - exp(-2 k ell) by expm1
+        # keeps small k ell exact, the log scale keeps large k ell finite
+        kappa = 4.0
+        P, logs = radial._flat_propagators(kappa**2 + 2.0, np.array([2.0]), kl / kappa)
+        c, s = math.cosh(kl), math.sinh(kl)
         want = np.array([[c, s / kappa], [kappa * s, c]]) * math.exp(-logs[0])
         np.testing.assert_allclose(P[0], want, rtol=1e-14)
-        assert logs[0] == pytest.approx(kappa * ell - math.log(2.0), rel=1e-15)
+        assert logs[0] == pytest.approx(kl - math.log(2.0), rel=1e-15)
 
     def test_oscillatory_anchor(self):
         P = flat(0.0, 4.0, math.pi / 2)
@@ -347,7 +344,8 @@ class TestConeBasis:
             gd = (bessel_g(gamma, lam, t + h) - bessel_g(gamma, lam, t - h)) / (2 * h)
             assert dg == pytest.approx(gd, rel=1e-8)
 
-    @pytest.mark.parametrize("gamma,lam", [(0.5, 3.0), (1.5, 2.5), (-0.5, 3.0), (2.5, 7.0)])
+    @pytest.mark.parametrize("gamma,lam", [(0.5, 3.0), (1.5, 2.5), (-0.5, 3.0), (2.5, 7.0),
+                                           (4.5, 300.0), (8.5, 300.0)])
     def test_log_branch_solves_ode(self, gamma, lam):
         b = cone_basis(gamma, lam)
         assert b.is_log

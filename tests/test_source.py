@@ -48,3 +48,38 @@ def test_readme_example_runs(capsys):
     assert match, "README.md has no python block"
     exec(compile(match.group(1), "README.md", "exec"), {"__name__": "readme"})
     assert "H5" in capsys.readouterr().out
+
+
+def _private_definitions(tree):
+    """(name, node) of every private module-level function, class and
+    constant of a module, and of every private method of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from ((name.id, node) for name in ast.walk(target)
+                            if isinstance(name, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            yield from ((item.name, item) for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def test_private_names_are_used_in_src():
+    # a private helper, constant or method that src itself never references
+    # lives on for the tests alone; it goes, or becomes public API
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
+    uses = [(node.id if isinstance(node, ast.Name) else node.attr, node)
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)]
+    unused = []
+    for path, tree in zip(SOURCES, trees):
+        for name, node in _private_definitions(tree):
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            inside = {id(sub) for sub in ast.walk(node)}
+            if not any(used == name and id(use) not in inside for used, use in uses):
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

@@ -70,6 +70,15 @@ def test_irrational_side_falls_back_to_floats():
     assert ts.coexact[0][0][1] == 2
 
 
+def test_string_side_builds_like_its_fraction():
+    # a side is parsed once, as the cutoff is: the default label once took
+    # float("1/3") and raised
+    ts = build_flat_torus_spectrum(["1/3"], 1000)
+    ref = build_flat_torus_spectrum([Fraction(1, 3)], 1000)
+    assert ts.coexact[0] and (ts.betti, ts.coexact) == (ref.betti, ref.coexact)
+    assert ts.label == ref.label == "torus(0.333333333333)"
+
+
 def brute_force_lattice(sides, cutoff):
     """Independent count: dict mu2 -> number of nonzero lattice modes k in
     Z^n with scalar eigenvalue mu2 = sum_i (2 pi k_i / l_i)^2 <= cutoff."""
