@@ -43,8 +43,10 @@ conditions, so every zero is simple and shows as a sign change of its own
 entry, and the two edges of any gap lie in different entries.  Changing
 one boundary condition interlaces two of these spectra, which certifies
 the counts.  The merged zeros are the band edges; inside a band tr M runs
-monotonically between -2 and 2, so at any other theta the band holds one
-Floquet eigenvalue, the zero of b c + sin^2(theta/2).  The spectrum of an
+monotonically between -2 and 2, so at every theta, 0 and pi included, the
+band holds one Floquet eigenvalue.  It is the zero of b c + sin^2(theta/2),
+or of the equal a d - cos^2(theta/2) when cos^2(theta/2) is the smaller, so
+that near pi the constant does not swamp b c.  The spectrum of an
 H5 pair is the disjoint union of those of its two scalar Hodge partners
 (channels.pair_partners), so the pair is solved as the partners' keys,
 counted: partners with one key are one problem solved once.
@@ -558,33 +560,22 @@ def _certify(roots: list[list[float]], lam_max: float) -> None:
                                  f"not alternate on [{float(z[k + 1])!r}, {float(z[k])!r}]")
 
 
-def _band_roots(half: _HalfPeriod, roots: list[list[float]], theta: float,
-                lam_max: float) -> list[float]:
-    """The Floquet eigenvalue of every band at a theta other than 0 and pi.
-
-    Inside a band tr M runs monotonically between -2 and 2, so the band
-    holds one zero of b c + sin^2(theta/2).  That function is
-    sin^2(theta/2) at a periodic edge (b c = 0) and -cos^2(theta/2) at an
-    antiperiodic one (a d = 0, so b c = -1); a band cut at lam_max takes
-    its value there, and holds no zero when that has the lower edge's sign.
-    """
-    s2, c2 = math.sin(0.5 * theta) ** 2, math.cos(0.5 * theta) ** 2
-    a, b, c, d = roots
-
-    def F(x, k):
-        A, logs = half(x)
-        return A[:, 0, 1] * A[:, 1, 0] * np.exp(2.0 * logs) + s2
-
-    edges = sorted([(x, s2) for x in b + c] + [(x, -c2) for x in a + d])
+def _bands(mu2, w, profile: Profile,
+           lam_max: float) -> tuple[_HalfPeriod, list[tuple[tuple, tuple]]]:
+    """The half-period map of the scalar Hill problem (mu2, w) and its bands
+    in [0, lam_max], sorted pairs of edges (x, s): s = 1 at a periodic edge
+    (a zero of b or c), -1 at an antiperiodic one (of a or d) and 0 at the
+    cut at lam_max that ends an odd count.  A gap narrower than two polished
+    zeros resolve is closed: its edges, both periodic or both antiperiodic,
+    are one double eigenvalue."""
+    half, (a, b, c, d) = _floquet_roots(mu2, w, profile, lam_max)
+    edges = sorted([(x, 1) for x in b + c] + [(x, -1) for x in a + d])
+    for k in range(2, len(edges), 2):
+        if edges[k][0] - edges[k - 1][0] < 2.0 * ROOT_TOL:
+            edges[k] = (edges[k - 1][0], edges[k][1])
     if len(edges) % 2:
-        top = float(lam_max)
-        f_top = float(F(np.array([top]), None)[0])
-        if f_top * edges[-1][1] <= 0.0:
-            edges.append((top, f_top))
-        else:
-            edges.pop()
-    x, f = np.array(edges, dtype=float).reshape(-1, 2).T
-    return _polish(F, x[0::2], x[1::2], f[0::2], f[1::2]).tolist()
+        edges.append((float(lam_max), 0))
+    return half, list(zip(edges[0::2], edges[1::2]))
 
 
 def floquet_eigenvalues(channel: Channel, theta: float, profile: Profile,
@@ -592,22 +583,35 @@ def floquet_eigenvalues(channel: Channel, theta: float, profile: Profile,
     """All lambda in [0, lam_max] whose Floquet multiplier is e^{i theta},
     sorted, repeated per intrinsic multiplicity.  Channel.mult is not
     applied here.  An H5 pair returns the union of its partners' roots.
-    Raises ValueError for a non-finite theta or a lam_max that is not
+
+    Each band of _bands holds one root, the zero of b c + sin^2(theta/2) =
+    a d - cos^2(theta/2), polished in the form whose constant is smaller.
+    It is sin^2(theta/2) at a periodic edge and -cos^2(theta/2) at an
+    antiperiodic one, so at theta = 0 and pi the root is a band edge; a band
+    cut at lam_max holds none when its value there has the lower edge's
+    sign.  Raises ValueError for a non-finite theta or a lam_max that is not
     finite and >= 0."""
     check_theta(theta)
     lam_max = check_lam_max(lam_max)
-    cos = math.cos(theta)
+    phi = math.remainder(theta, 2.0 * math.pi)
+    # each computed where it is small: s2 is exactly 0 at theta = 0, c2 at pi
+    s2, c2 = math.sin(0.5 * phi) ** 2, math.sin(0.5 * (math.pi - abs(phi))) ** 2
     roots: list[float] = []
     for (mu2, w), copies in _scalar_problems(channel).items():
-        half, zeros = _floquet_roots(mu2, w, profile, lam_max)
-        a, b, c, d = zeros
-        if cos == 1.0:
-            part_roots = b + c
-        elif cos == -1.0:
-            part_roots = a + d
-        else:
-            part_roots = _band_roots(half, zeros, theta, lam_max)
-        roots += copies * part_roots
+        half, bands = _bands(mu2, w, profile, lam_max)
+
+        def F(x, k):
+            A, logs = half(x)
+            if s2 <= c2:
+                return A[:, 0, 1] * A[:, 1, 0] * np.exp(2.0 * logs) + s2
+            return A[:, 0, 0] * A[:, 1, 1] * np.exp(2.0 * logs) - c2
+
+        def at(x, s):
+            return s2 if s > 0 else -c2 if s < 0 else float(F(np.array([x]), None)[0])
+
+        ends = [(lo, hi, at(lo, s), at(hi, t)) for (lo, s), (hi, t) in bands]
+        ends = np.array([e for e in ends if e[2] * e[3] <= 0.0]).reshape(-1, 4).T
+        roots += copies * _polish(F, *ends).tolist()
     return sorted(roots)
 
 
@@ -684,9 +688,9 @@ def band_edges(channel: Channel, profile: Profile, lam_max: float) -> BandEdges:
 
     The sorted periodic (zeros of b and c) and antiperiodic (zeros of a and
     d) eigenvalues of a scalar channel interlace, so consecutive entries of
-    the merged list are the band edges (Magnus-Winkler, Hill's Equation).
-    A gap narrower than 2 ROOT_TOL is closed.  An odd count leaves a last
-    band cut at lam_max.  An H5 pair returns the
+    the merged list are the band edges (Magnus-Winkler, Hill's Equation):
+    the bands of _bands, with a gap narrower than 2 ROOT_TOL closed and an
+    odd count leaving a last band cut at lam_max.  An H5 pair returns the
     bands of its two scalar partners together; partners with one key
     (mu^2, w) are solved once and their bands listed twice.  Raises
     ValueError for a lam_max that is not finite and >= 0.
@@ -695,16 +699,8 @@ def band_edges(channel: Channel, profile: Profile, lam_max: float) -> BandEdges:
     bands: list[tuple[float, float]] = []
     truncated = False
     for (mu2, w), copies in _scalar_problems(channel).items():
-        edges = sorted(x for roots in _floquet_roots(mu2, w, profile, lam_max)[1] for x in roots)
-        for k in range(2, len(edges), 2):
-            # a gap narrower than two polished zeros resolve is closed: its
-            # edges, zeros of b and c or of a and d, are one double eigenvalue
-            if edges[k] - edges[k - 1] < 2.0 * ROOT_TOL:
-                edges[k] = edges[k - 1]
-        part_bands = [(edges[k], edges[k + 1]) for k in range(0, len(edges) - 1, 2)]
-        if len(edges) % 2 == 1:
-            part_bands.append((edges[-1], float(lam_max)))
-            truncated = True
-        bands += copies * part_bands
+        part = _bands(mu2, w, profile, lam_max)[1]
+        truncated |= any(s == 0 for _, (_, s) in part)
+        bands += copies * [(lo, hi) for (lo, _), (hi, _) in part]
     bands.sort(key=lambda band: (band[1], band[0]))
     return BandEdges(bands, truncated)

@@ -90,15 +90,8 @@ def build_flat_torus_spectrum(side_lengths, cutoff, label: str | None = None) ->
     if not sides:
         raise ValueError("need at least one side length")
 
-    cut = _parse_scalar(cutoff)
-    try:
-        finite = 0 < float(cut) < math.inf
-    except OverflowError:  # an integer or rational beyond double range
-        finite = False
-    if not finite:
-        raise ValueError(f"cutoff must be positive and finite, got {cutoff!r}")
-
-    sides = [float(_parse_scalar(s)) for s in sides]
+    cut = _positive(cutoff, f"cutoff must be positive and finite, got {cutoff!r}")
+    sides = [float(_positive(s, "side lengths must be positive and finite")) for s in sides]
     weights = [_circle_weight(s) for s in sides]
     if not all(isinstance(w, Fraction) for w in weights):
         weights = [float(w) for w in weights]
@@ -112,16 +105,16 @@ def build_flat_torus_spectrum(side_lengths, cutoff, label: str | None = None) ->
 
 
 def _circle_weight(side: float) -> Scalar:
-    """(2 pi / side)^2, a Fraction when side / (2 pi) snaps to a rational."""
-    if not (side > 0) or not math.isfinite(side):
-        raise ValueError("side lengths must be positive and finite")
+    """(2 pi / side)^2, a Fraction when side / (2 pi) snaps to a rational;
+    inf, a circle with no levels, when the float overflows."""
     ratio = side / (2.0 * math.pi)
     # denominator cap 10^4 keeps generic irrational ratios (best error
     # ~ 5e-9) safely outside the 1e-12 snap window
     snapped = Fraction(ratio).limit_denominator(10_000)
     if abs(float(snapped) - ratio) <= 1e-12 * max(1.0, abs(ratio)) and snapped > 0:
         return 1 / snapped**2
-    return (2.0 * math.pi / side) ** 2
+    k = 2.0 * math.pi / side
+    return k * k
 
 
 def _within(x: Scalar, cut: Scalar) -> bool:
@@ -176,14 +169,18 @@ def _merge(terms: list[tuple[Scalar, int]]) -> list[tuple[Scalar, int]]:
     return [(mu2, m) for mu2, m in merged if m]
 
 
-def _parse_scalar(x) -> Scalar:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, int):
-        return Fraction(x)
-    return float(x)
+def _positive(x, message: str) -> Scalar:
+    """x as a Fraction (from an int, a Fraction or a rational string) or a
+    float; ValueError(message) unless its double value is positive and
+    finite."""
+    try:
+        val = Fraction(x) if isinstance(x, (int, str, Fraction)) else float(x)
+        ok = 0 < float(val) < math.inf
+    except (ZeroDivisionError, OverflowError, ValueError):  # "1/0", 10**400, "x"
+        ok = False
+    if not ok:
+        raise ValueError(message)
+    return val
 
 
 def validate(ts: TransversalSpectrum) -> ValidationReport:
@@ -192,8 +189,8 @@ def validate(ts: TransversalSpectrum) -> ValidationReport:
     Checked: list lengths, Betti numbers b_q >= 0, Betti duality
     b_q = b_{n-q}, Euler characteristic zero (every closed flat manifold has
     chi = 0, by Gauss-Bonnet-Chern), positivity of mu^2 and multiplicities,
-    Hodge-star pairing coexact[q] ~ coexact[n-q-1], and completeness ordering
-    below cutoff.
+    every coexact list non-decreasing in mu^2 and below the cutoff, and the
+    Hodge-star pairing coexact[q] ~ coexact[n-q-1].
     """
     v: list[str] = []
     n = ts.n
@@ -211,6 +208,9 @@ def validate(ts: TransversalSpectrum) -> ValidationReport:
         if chi != 0:
             v.append(f"Euler characteristic {chi} != 0")
         for q in range(n + 1):
+            levels = [float(mu2) for mu2, _ in ts.coexact[q]]
+            if any(b < a for a, b in zip(levels, levels[1:])):
+                v.append(f"coexact[{q}] is not sorted by mu2")
             for mu2, m in ts.coexact[q]:
                 if float(mu2) <= 0:
                     v.append(f"coexact[{q}] contains mu2={mu2} <= 0")

@@ -842,6 +842,38 @@ class TestFloquetEigenvalues:
         for a, b in zip(r1, r2):
             assert abs(a - b) < 0.05
 
+    @pytest.mark.parametrize("theta", [1e-9, -1e-9, math.pi - 1e-9, math.pi + 1e-9,
+                                       2 * math.pi + 1e-9])
+    @pytest.mark.parametrize("case", ["free-circle", "torus-p1"])
+    def test_theta_within_1e_8_of_0_and_pi_on_the_free_line(self, case, theta):
+        # H2 with mu^2 = 0 is the free line, with the roots ((theta + 2 pi k) / T)^2:
+        # on the flat circle, and at w = 0 (T^2, p = 1) under a cone profile.
+        # cos theta rounds to +-1 here; such theta once got the theta = 0 or
+        # pi roots, off by up to 2.1e-9 at the closed gaps
+        if case == "free-circle":
+            channels, prof = enumerate_channels(CIRCLE, 0, 10.0), make_profile(1.0, 2.0, 1.0)
+            lam_max = 10.0
+        else:
+            channels, prof, lam_max = TORUS_P1, STD, 8.0
+        ch = next(c for c in channels if c.kind == "H2")
+        assert ch.mu2 == 0
+        got = floquet_eigenvalues(ch, theta, prof, lam_max)
+        want = free_circle_eigs(prof.T, theta, lam_max)
+        assert len(got) == len(want)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+    def test_a_band_cut_just_above_its_root(self):
+        # free circle of length 2 pi, H4 mu^2 = 16: the double periodic
+        # eigenvalue 16 + 2^2 = lam_max is missed by the scan, so the last
+        # band is cut at 20; at theta = 1e-9 it holds the root 20 - 6.4e-10
+        circle = build_flat_torus_spectrum([2 * math.pi], 20)
+        ch = next(c for c in enumerate_channels(circle, 0, 20.0)
+                  if c.kind == "H4" and c.mu2 == 16)
+        got = floquet_eigenvalues(ch, 1e-9, make_profile(1.0, 0.0, 2 * math.pi), 20.0)
+        want = free_circle_eigs(2 * math.pi, 1e-9, 20.0, mass2=16.0)
+        assert len(got) == len(want) == 4
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
     def test_lower_bound_guard_trips(self, monkeypatch):
         # gamma = 0.5 is too small a cone potential for mu^2 = 5 (H4 of the
         # circle at p = 0 has gamma = sqrt(5.25) - 1/2): the root near 4.33
@@ -1166,6 +1198,27 @@ class TestBandEdges:
         roots = floquet_eigenvalues(ch, 0.0, prof, 6.0)
         assert scans == [key(h4)] * 2
         assert roots[0::2] == roots[1::2] == floquet_eigenvalues(h3, 0.0, prof, 6.0)
+
+    @pytest.mark.parametrize("params", [
+        (0.2, 1.0, 0.8),
+        (0.19268728488224804, 1.0347433736937233, 0.8211019695181291),
+        (0.209120685437785, 1.044782748705935, 0.7645241094181447),
+    ], ids=["seed0", "seed1", "seed2"])
+    @pytest.mark.parametrize("case", ["torus-p1", "circle-high"])
+    def test_theta_0_and_pi_roots_are_the_band_edges(self, case, params):
+        # both entry points read one band list: at theta = 0 and pi each band
+        # holds one of its own edges, closed gaps included.  The lam_max end
+        # of a cut band is no root.  Checked per scalar partner, so a cut
+        # band is the last one
+        channels, lam_max = (TORUS_P1, 8.0) if case == "torus-p1" else (CIRCLE_HIGH, 400.0)
+        prof = make_profile(*params)
+        for ch in channels:
+            for part in pair_partners(ch) if ch.kind == "H5" else (ch,):
+                be = band_edges(part, prof, lam_max)
+                edges = [x for band in be.bands for x in band][:-1 if be.truncated else None]
+                roots = (floquet_eigenvalues(part, 0.0, prof, lam_max)
+                         + floquet_eigenvalues(part, math.pi, prof, lam_max))
+                assert sorted(edges) == sorted(roots), (part.kind, part.mu2)
 
     @pytest.mark.parametrize("eps", [0.1, 0.03, 0.015, 0.01, 0.005])
     def test_zero_mode_of_a_massless_channel_is_kept(self, eps):

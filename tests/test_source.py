@@ -50,9 +50,9 @@ def test_readme_example_runs(capsys):
     assert "H5" in capsys.readouterr().out
 
 
-def _private_definitions(tree):
-    """(name, node) of every private module-level function, class and
-    constant of a module, and of every private method of its classes."""
+def _definitions(tree):
+    """(name, node) of every module-level function, class and constant of a
+    module, and of every method of its classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
@@ -66,20 +66,48 @@ def _private_definitions(tree):
                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
 
 
+def _references(trees):
+    """(name, node) of every name read and every attribute in the trees."""
+    return [(node.id if isinstance(node, ast.Name) else node.attr, node)
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)]
+
+
 def test_private_names_are_used_in_src():
     # a private helper, constant or method that src itself never references
     # lives on for the tests alone; it goes, or becomes public API
     trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
-    uses = [(node.id if isinstance(node, ast.Name) else node.attr, node)
-            for tree in trees for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)]
+    uses = _references(trees)
     unused = []
     for path, tree in zip(SOURCES, trees):
-        for name, node in _private_definitions(tree):
+        for name, node in _definitions(tree):
             if not name.startswith("_") or name.startswith("__"):
                 continue
             inside = {id(sub) for sub in ast.walk(node)}
             if not any(used == name and id(use) not in inside for used, use in uses):
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
+
+
+def test_public_names_have_a_consumer():
+    # a public name that nothing outside its own definition references (src,
+    # the package's imports, README.md or the benchmark under perfbench/)
+    # is API for the tests alone; it goes, or gets a consumer
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
+    uses = _references(trees) + [(alias.name, alias) for tree in trees
+                                 for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                                 for alias in node.names]
+    outside = (ROOT / "README.md").read_text() + "".join(
+        path.read_text() for path in sorted((ROOT / "perfbench").rglob("*.py")))
+    unused = []
+    for path, tree in zip(SOURCES, trees):
+        for name, node in _definitions(tree):
+            if name.startswith("_"):
+                continue
+            inside = {id(sub) for sub in ast.walk(node)}
+            if any(used == name and id(use) not in inside for used, use in uses):
+                continue
+            if not re.search(rf"\b{name}\b", outside):
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []

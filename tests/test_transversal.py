@@ -181,6 +181,15 @@ def test_validate_pairs_levels_below_1e_12():
                                        "Hodge pairing violated: coexact[1] != coexact[0]"]
 
 
+def test_validate_catches_an_unsorted_level_list():
+    # each coexact list is sorted by mu^2 (TransversalSpectrum); this one
+    # used to pass as ok
+    ts = TransversalSpectrum(1, "x", 10, [1, 1], [[(4, 2), (1, 2)], []])
+    assert validate(ts).violations == ["coexact[0] is not sorted by mu2"]
+    ts.coexact[0].reverse()
+    assert validate(ts).ok
+
+
 def test_roundtrip_exact(tmp_path):
     ts = build_flat_torus_spectrum([TWO_PI, 2 * TWO_PI], 5, label="demo")
     p = tmp_path / "spec.json"
@@ -296,3 +305,23 @@ def test_build_rejects_cutoff_beyond_double_range(cutoff):
     # loader does, not leak OverflowError
     with pytest.raises(ValueError, match="cutoff must be positive and finite"):
         build_flat_torus_spectrum([TWO_PI], cutoff)
+
+
+@pytest.mark.parametrize("sides,cutoff,match", [
+    ([10**400], 5, "side lengths must be positive and finite"),
+    (["1/0"], 5, "side lengths must be positive and finite"),
+    ([TWO_PI, "1/0"], 5, "side lengths must be positive and finite"),
+    ([TWO_PI], "1/0", "cutoff must be positive and finite"),
+], ids=["huge-side", "side-1/0", "second-side-1/0", "cutoff-1/0"])
+def test_build_refuses_input_without_a_positive_finite_double(sides, cutoff, match):
+    # these leaked OverflowError and ZeroDivisionError
+    with pytest.raises(ValueError, match=match):
+        build_flat_torus_spectrum(sides, cutoff)
+
+
+@pytest.mark.parametrize("side", [1e-300, 1e-320])
+def test_a_side_whose_first_level_overflows_has_no_levels(side):
+    # (2 pi / side)^2 is beyond double range: valid input, an empty circle
+    ts = build_flat_torus_spectrum([side], 5)
+    assert (ts.betti, ts.coexact) == ([1, 1], [[], []])
+    assert validate(ts).ok
