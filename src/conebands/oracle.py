@@ -18,14 +18,23 @@ module never touches the transfer-matrix code path.
 The midpoint rule couples each node only to its two neighbours, and the
 wrap couples the last node to the first.  Assembly is vectorised over the
 grid: one m x m diagonal block per node and one coupling block per interval
-(the wrap block carries the phase).  The solver stores the blocks in LAPACK
-lower band storage under the fold ordering 0, M-1, 1, M-2, ... of the M
-nodes, which keeps the wrap inside a band of half-width 3m - 1, scales them
-by W^{-1/2} in place and hands them to a banded eigensolver (real symmetric
-at theta = 0 and pi, complex Hermitian otherwise) restricted to the window.
-No dense matrix is formed on that path.  assemble() builds the dense pencil
-from the same blocks; with dense_hermitian_eigenvalues it is the small-N
-cross-check of the band path.
+(the wrap block carries the phase).  At generic theta the solver stores the
+blocks in LAPACK lower band storage under the fold ordering 0, M-1, 1,
+M-2, ... of the M nodes, which keeps the wrap inside a band of half-width
+3m - 1, scales them by W^{-1/2} in place and hands them to a complex
+Hermitian banded eigensolver restricted to the window.
+
+At theta = 0 and pi, the band edges, the phase is real and the mirror
+t -> T - t about the handle centre commutes with the form: rho and the grid
+are mirror symmetric, and the mirror flips A0 and rho' together.  The
+sections even and odd under it are solved apart, each as a real symmetric
+band of half-width 2m - 1 on the nodes from the cut to the centre, with no
+wrap.  The banded solver's reduction to tridiagonal form costs about
+n^2 * kd, so halving n, and for a pair cutting kd from 5 to 3, makes the
+two halves several times cheaper than the fold band.  No dense matrix is
+formed on either path.  assemble() builds the dense pencil from the same
+blocks; with dense_hermitian_eigenvalues it is the small-N cross-check of
+the band paths.
 
 Works for smoothed profiles (eta > 0) unchanged, since only rho and rho'
 enter.
@@ -50,6 +59,8 @@ MAX_CONE_PIECES = 6
 # largest share of the window's scale max(1, |lo|, |hi|) that the banded
 # solver's rounding bound eps * max|H_jj| may reach on a grid
 ROUNDING_TOL = 1e-6
+# largest |t_j + t_(M-j) - T|, in ulps of T, of a grid the mirror split accepts
+MIRROR_ULPS = 4
 
 
 def warp_coefficient(channel: Channel, profile: Profile, t) -> np.ndarray:
@@ -87,9 +98,15 @@ def _piece_counts(profile: Profile, n_total: int) -> list[tuple[float, float, in
     Cones are split dyadically in rho (at most MAX_CONE_PIECES pieces) and
     every piece gets node density proportional to min(1/rho_min, cap), so
     resolution follows the 1/rho^2 growth of the potential into the handle.
+    The plan is made from the cut to the handle centre, a handle piece about
+    the centre taken whole, and mirrored by t -> T - t: node j and node M - j
+    of the grid sit at t and T - t up to rounding, whatever round() does
+    with two mirrored piece weights that differ in the last bit.
     """
+    T = profile.T
+    whole = profile.pieces()
     pieces: list[tuple[float, float, float]] = []  # (a, b, rho_min)
-    for a, b, slope in profile.pieces():
+    for a, b, slope in whole[: (len(whole) + 1) // 2]:
         ra, rb = profile.rho(a), profile.rho(b)
         if abs(slope) != 1.0:
             # flat, or a rounded corner, whose radius is monotone
@@ -105,11 +122,14 @@ def _piece_counts(profile: Profile, n_total: int) -> list[tuple[float, float, in
             pieces.append((a + (r0 - ra) / slope, a + (r1 - ra) / slope, min(r0, r1)))
 
     weights = [(b - a) * min(1.0 / r, DENSITY_CAP) for a, b, r in pieces]
-    wsum = sum(weights)
-    out = []
-    for (a, b, _), w in zip(pieces, weights):
-        out.append((a, b, max(2, round(n_total * w / wsum))))
-    return out
+    centre = len(whole) % 2  # the middle piece of an odd count straddles T/2
+    wsum = 2.0 * sum(weights) - (weights[-1] if centre else 0.0)
+    half = [(a, b, max(2, round(n_total * w / wsum))) for (a, b, _), w in zip(pieces, weights)]
+    middle = []
+    if centre:
+        a, _, k = half.pop()
+        middle = [(a, T - a, k)]
+    return half + middle + [(T - b, T - a, k) for a, b, k in reversed(half)]
 
 
 def _check_grid_size(N) -> None:
@@ -163,6 +183,14 @@ def assemble(channel: Channel, theta: float, profile: Profile, N: int) -> FormMa
     return FormMatrix(K=K, W=np.repeat(w, m), nodes=nodes, theta=theta)
 
 
+def _real_phase(theta: float) -> float | None:
+    """e^{i theta} as the float 1.0 or -1.0 when theta is within 1e-12 of
+    an even or an odd multiple of pi, else None."""
+    if abs(math.remainder(theta, math.pi)) > 1e-12:
+        return None
+    return -1.0 if abs(math.remainder(theta, 2.0 * math.pi)) >= math.pi - 1e-12 else 1.0
+
+
 def _blocks(channel: Channel, theta: float, profile: Profile,
             counts: list[tuple[float, float, int]]) -> tuple:
     """(G, X, w, nodes) of the form on the grid of `counts`.
@@ -192,11 +220,12 @@ def _blocks(channel: Channel, theta: float, profile: Profile,
     X = hh * np.einsum("jki,jkl->jil", P, Q)
     G = A + np.roll(D, 1, axis=0)
     G = 0.5 * (G + G.swapaxes(1, 2))
-    if abs(math.remainder(theta, math.pi)) > 1e-12:
+    phase = _real_phase(theta)
+    if phase is None:
         X = X.astype(complex)
         X[-1] *= np.exp(1j * theta)
-    elif abs(math.remainder(theta, 2.0 * math.pi)) >= math.pi - 1e-12:
-        X[-1] *= -1.0
+    else:
+        X[-1] *= phase
     w = 0.5 * (h + np.roll(h, 1))
     return G, X, w, nodes
 
@@ -228,6 +257,50 @@ def _band(G: np.ndarray, X: np.ndarray, w: np.ndarray) -> np.ndarray:
     s[idx] = 1.0 / np.sqrt(w)[:, None]
     for d in range(3 * m):
         ab[d, : n - d] *= s[d:] * s[: n - d]
+    return ab
+
+
+def _half_band(G: np.ndarray, X: np.ndarray, w: np.ndarray, phase: float,
+               parity: float) -> np.ndarray:
+    """W^{-1/2} K W^{-1/2} at the real phase e^{i theta} = +-1, restricted
+    to the sections of the given parity under the mirror t -> T - t, in
+    natural-order lower band storage on the nodes 0 .. M // 2 of the path
+    from the cut to the handle centre: ab[d, c] = H[c + d, c] for
+    d = 0 .. 2m - 1.
+
+    The mirror sends node j to node M - j and multiplies the components by
+    S = diag(1, -1)[:m] (it flips A0 and rho'), node 0 also by the phase.
+    An interior node stands for the pair (j, M - j), so only the left half
+    of the real blocks G, X, w enters.  A fixed node (0, and M / 2 when M is
+    even) keeps the components the parity allows, its links gain sqrt(2),
+    and for odd M the centre link X_K folds into the last diagonal block as
+    + parity * sym(X_K S).  It needs a mirrored grid (_piece_counts).
+    """
+    M, m = G.shape[:2]
+    K = M // 2
+    sign = np.array([1.0, -1.0])[:m]
+    keep = np.ones((K + 1, m), dtype=bool)
+    keep[0] = phase * sign == parity
+    c = 1.0 / np.sqrt(w[: K + 1])
+    D = G[: K + 1] / w[: K + 1, None, None]
+    L = X[:K] * (c[:-1] * c[1:])[:, None, None]
+    L[0] *= math.sqrt(2.0)
+    if M % 2:
+        F = parity * X[K] * sign
+        D[K] += 0.5 * (F + F.T) / w[K]
+    else:
+        keep[K] = sign == parity
+        L[K - 1] *= math.sqrt(2.0)
+    idx = np.cumsum(keep).reshape(K + 1, m) - 1
+    ab = np.zeros((2 * m, int(keep.sum())))
+    il, jl = np.tril_indices(m)
+    ok = keep[:, il] & keep[:, jl]
+    ab[(idx[:, il] - idx[:, jl])[ok], idx[:, jl][ok]] = D[:, il, jl][ok]
+    # L[j, i, k] couples component i of node j to component k of node j + 1
+    r = np.broadcast_to(idx[1:, None, :], L.shape)
+    col = np.broadcast_to(idx[:-1, :, None], L.shape)
+    ok = keep[:-1, :, None] & keep[1:, None, :]
+    ab[(r - col)[ok], col[ok]] = L[ok]
     return ab
 
 
@@ -280,24 +353,44 @@ def _grid_eigenvalues(channel: Channel, theta: float, profile: Profile,
                       counts: list[tuple[float, float, int]],
                       window: tuple[float, float]) -> np.ndarray:
     """Eigenvalues in the window of the form on the grid of `counts`,
-    assembled straight into fold-ordered band storage and solved by a
-    banded eigensolver (complex Hermitian at generic theta).
+    assembled straight into band storage and solved by a banded
+    eigensolver.
+
+    At theta = 0 and pi (within 1e-12) the mirror t -> T - t commutes with
+    the form, and the grid is mirrored by construction: the two parities
+    are solved apart as real symmetric bands of half-width 2m - 1 on the
+    nodes from the cut to the handle centre (_half_band), with no periodic
+    wrap, and the two lists merged.  NumericalError, naming the largest
+    |t_j + t_(M-j) - T|, when the nodes are not mirrored within
+    MIRROR_ULPS ulps of T.  Any other theta solves the whole period as one
+    complex Hermitian band of half-width 3m - 1 (_band).
 
     The solver's eigenvalues carry a rounding error of about eps * ||H||.
     A grid step h gives ||H|| ~ 1/h^2, so a narrow rounded corner can leave
     that error far above the eigenvalues sought: NumericalError, naming the
     bound eps * max|H_jj|, when it exceeds ROUNDING_TOL of the window's
     scale."""
-    G, X, w, _ = _blocks(channel, theta, profile, counts)
-    ab = _band(G, X, w)
-    bound = np.finfo(float).eps * float(np.abs(ab[0]).max())
+    G, X, w, nodes = _blocks(channel, theta, profile, counts)
+    phase = _real_phase(theta)
+    if phase is None:
+        bands = [_band(G, X, w)]
+    else:
+        t = np.append(nodes, profile.T)
+        asym = float(np.abs(t + t[::-1] - profile.T).max())
+        if asym > MIRROR_ULPS * math.ulp(profile.T):
+            raise NumericalError(
+                f"grid is not mirrored about T/2: |t_j + t_(M-j) - T| reaches {asym:.3g}, "
+                f"above {MIRROR_ULPS} ulps of T = {profile.T!r}"
+            )
+        bands = [_half_band(G, X, w, phase, parity) for parity in (1.0, -1.0)]
+    bound = np.finfo(float).eps * max(float(np.abs(ab[0]).max()) for ab in bands)
     scale = max(1.0, abs(window[0]), abs(window[1]))
     if bound > ROUNDING_TOL * scale:
         raise NumericalError(
             f"rounding bound eps * max|H_jj| = {bound:.3g} of the {len(w)}-node grid "
             f"exceeds {ROUNDING_TOL:g} * {scale:g}: a profile piece is too narrow"
         )
-    return band_hermitian_eigenvalues(ab, window)
+    return np.sort(np.concatenate([band_hermitian_eigenvalues(ab, window) for ab in bands]))
 
 
 def oracle_eigenvalues(channel: Channel, theta: float, profile: Profile,
@@ -307,9 +400,11 @@ def oracle_eigenvalues(channel: Channel, theta: float, profile: Profile,
     Solves in the window (-1, lam_max + 1] on the N grid and on the exactly
     doubled grid (_grid_eigenvalues; no dense matrix is formed) and
     combines index-paired eigenvalues by Richardson extrapolation,
-    (4 l_2N - l_N) / 3.  Raises NumericalError when a pair drifts by more
-    than 0.5, or when a value <= lam_max + 0.5 on either grid has no
-    partner on the other, or when a grid's rounding bound is too large
+    (4 l_2N - l_N) / 3.  At theta = 0 and pi each grid is solved as its two
+    mirror halves.  Raises NumericalError when a pair drifts by more than
+    0.5, or when a value <= lam_max + 0.5 on either grid has no partner on
+    the other, or when a grid's rounding bound is too large or, at theta = 0
+    and pi, its nodes are not mirrored about the handle centre
     (_grid_eigenvalues).  Raises ValueError for a non-finite theta, a
     lam_max that is not finite and >= 0 or a grid size N that is not an
     integer >= 100.

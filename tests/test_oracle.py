@@ -294,6 +294,46 @@ class TestAssemble:
         assert all(b > a for a, b, _ in counts)
         assert np.all(np.diff(oracle._nodes_from_counts(counts)) > 0)
 
+    @pytest.mark.parametrize("params", [(0.2, 1.0, 0.8), (0.2, 1.0, 0.8, 0.02),
+                                        (0.2, 1.0, 0.8, 0.05), (0.25, 1.2, 0.0),
+                                        (0.3, 0.0, 0.8), (1.0, 2 * math.pi - 1.0, 1.0)],
+                             ids=["eta0", "eta0.02", "eta0.05", "l_out0", "L0", "flat-circle"])
+    def test_grid_plan_is_mirrored_about_the_handle_centre(self, params):
+        # node j and node M - j sit at t and T - t, with a centre interval
+        # for odd M and a centre node for even M; with L = 0 the centre is a
+        # piece boundary, a node, for every N.  At N = 110 the l_out = 0 plan
+        # once gave the two cones' pieces nearest the handle 12 and 13
+        # intervals, from piece weights that differ in the last bit
+        prof = make_profile(*params)
+        parities = set()
+        for N in (100, 110, 201, 202, 500, 1000, 1999, 2000):
+            t = np.append(oracle._nodes_from_counts(oracle._piece_counts(prof, N)), prof.T)
+            assert np.abs(t + t[::-1] - prof.T).max() <= oracle.MIRROR_ULPS * math.ulp(prof.T)
+            parities.add(len(t) % 2)
+        assert parities == ({1} if prof.L == 0.0 else {0, 1})
+
+    @pytest.mark.parametrize("skew", ["boundary", "count"])
+    def test_unmirrored_grid_is_refused_at_theta_0_and_pi(self, skew):
+        ch = chan(0, "H4", mu2=1.0)
+        counts = oracle._piece_counts(STD, 200)
+        (a0, b0, k0), (a1, b1, k1) = counts[:2]
+        if skew == "boundary":
+            counts[:2] = [(a0, b0 + 1e-9, k0), (a1 + 1e-9, b1, k1)]
+        else:
+            counts[0] = (a0, b0, k0 + 1)
+        for theta in (0.0, math.pi):
+            with pytest.raises(NumericalError, match=r"grid is not mirrored about T/2: "
+                                                     r"\|t_j \+ t_\(M-j\) - T\| reaches"):
+                oracle._grid_eigenvalues(ch, theta, STD, counts, (-1.0, 9.0))
+        # generic theta solves the whole period and needs no mirror
+        assert len(oracle._grid_eigenvalues(ch, 0.7, STD, counts, (-1.0, 9.0))) >= 2
+
+    @pytest.mark.parametrize("theta,phase", [(2 * math.pi, 1.0), (-math.pi, -1.0),
+                                             (3 * math.pi, -1.0), (1e-13, 1.0), (0.7, None)],
+                             ids=["2pi", "-pi", "3pi", "1e-13", "0.7"])
+    def test_real_phase(self, theta, phase):
+        assert oracle._real_phase(theta) == phase
+
 
 # ---------------------------------------------------------------------------
 # dense eigenvalues
@@ -413,7 +453,8 @@ class TestBandSolve:
         np.testing.assert_allclose(H[np.ix_(band_pos, band_pos)], want,
                                    rtol=1e-14, atol=1e-14 * np.abs(want).max())
 
-    def test_hot_path_builds_no_dense_matrix(self, monkeypatch):
+    @pytest.mark.parametrize("theta", [0.0, math.pi, 0.7])
+    def test_hot_path_builds_no_dense_matrix(self, monkeypatch, theta):
         def refuse(*args, **kwargs):
             raise AssertionError("dense eigensolver called")
 
@@ -422,7 +463,7 @@ class TestBandSolve:
         ch, prof = BAND_CASES[2]
         tracemalloc.start()
         try:
-            evs = oracle_eigenvalues(ch, 0.7, prof, 8.0, N=500)
+            evs = oracle_eigenvalues(ch, theta, prof, 8.0, N=500)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -431,25 +472,68 @@ class TestBandSolve:
         # the pencil would take 32 MB
         assert peak < 4e6
 
+    @pytest.mark.parametrize("eta", [0.0, 0.02])
+    @pytest.mark.parametrize("theta", [0.0, math.pi], ids=["0", "pi"])
+    @pytest.mark.parametrize("case", range(len(BAND_CASES)), ids=["scalar", "n1", "n2", "n3"])
+    def test_mirror_split_matches_the_fold_band(self, case, theta, eta):
+        ch, prof = BAND_CASES[case]
+        prof = make_profile(prof.eps, prof.L, prof.l_out, eta)
+        parities = set()
+        for N in (200, 201, 202):
+            counts = oracle._piece_counts(prof, N)
+            G, X, w, _ = oracle._blocks(ch, theta, prof, counts)
+            want = oracle.band_hermitian_eigenvalues(oracle._band(G, X, w), (-1.0, 30.0))
+            got = oracle._grid_eigenvalues(ch, theta, prof, counts, (-1.0, 30.0))
+            assert len(want) >= 4
+            assert len(got) == len(want)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+            parities.add(len(w) % 2)
+        # an odd M folds a centre interval, an even M has a centre node
+        assert parities == {0, 1}
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi], ids=["0", "pi"])
+    @pytest.mark.parametrize("case", [0, 2], ids=["scalar", "pair"])
+    def test_theta_0_and_pi_never_build_the_fold_band(self, monkeypatch, case, theta):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fold band built at theta = 0 or pi")
+
+        half_band = oracle._half_band
+        widths = []
+
+        def record(*args):
+            ab = half_band(*args)
+            widths.append(ab.shape[0] - 1)
+            return ab
+
+        monkeypatch.setattr(oracle, "_band", refuse)
+        monkeypatch.setattr(oracle, "_half_band", record)
+        ch, prof = BAND_CASES[case]
+        assert len(oracle_eigenvalues(ch, theta, prof, 8.0, N=200)) >= 2
+        # two parities on each of the N and 2N grids, half-width 2m - 1
+        assert widths == [2 * ch.ncomp - 1] * 4
+
 
 class TestRichardsonPairing:
+    @pytest.mark.parametrize("theta,count", [(0.0, 5), (0.7, 4)], ids=["theta0", "theta0.7"])
     @pytest.mark.parametrize("short_grid", ["N", "2N"])
-    def test_unpaired_eigenvalue_below_the_window_edge_raises(self, monkeypatch, short_grid):
-        # free circle of length 2 pi: 0, 1, 1, 4, 4 in the window (-1, 5.2];
+    def test_unpaired_eigenvalue_below_the_window_edge_raises(self, monkeypatch, short_grid,
+                                                              theta, count):
+        # free circle of length 2 pi, window (-1, 5.2]: 0, 1, 1, 4, 4 at
+        # theta 0, and four values below 4.2 and one at 4.45 at theta 0.7;
         # losing the top value on one grid leaves the other grid's unpaired
-        solve = oracle.band_hermitian_eigenvalues
+        solve = oracle._grid_eigenvalues
         calls = []
 
-        def drop_top(ab, lam_window):
-            calls.append(ab.shape[1])
-            evs = solve(ab, lam_window)
+        def drop_top(ch, theta, prof, counts, window):
+            calls.append(sum(k for _, _, k in counts))
+            evs = solve(ch, theta, prof, counts, window)
             return evs[:-1] if (len(calls) == 1) == (short_grid == "N") else evs
 
         ch = chan(0, "H2")
-        assert len(oracle_eigenvalues(ch, 0.0, FLAT2PI, 4.2, N=200)) == 5
-        monkeypatch.setattr(oracle, "band_hermitian_eigenvalues", drop_top)
+        assert len(oracle_eigenvalues(ch, theta, FLAT2PI, 4.2, N=200)) == count
+        monkeypatch.setattr(oracle, "_grid_eigenvalues", drop_top)
         with pytest.raises(NumericalError, match="no partner"):
-            oracle_eigenvalues(ch, 0.0, FLAT2PI, 4.2, N=200)
+            oracle_eigenvalues(ch, theta, FLAT2PI, 4.2, N=200)
         assert calls[1] == 2 * calls[0]
 
 
