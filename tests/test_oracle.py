@@ -309,8 +309,8 @@ class TestAssemble:
         for N in (100, 110, 201, 202, 500, 1000, 1999, 2000):
             t = np.append(oracle._nodes_from_counts(oracle._piece_counts(prof, N)), prof.T)
             assert np.abs(t + t[::-1] - prof.T).max() <= oracle.MIRROR_ULPS * math.ulp(prof.T)
-            parities.add(len(t) % 2)
-        assert parities == ({1} if prof.L == 0.0 else {0, 1})
+            parities.add((len(t) - 1) % 2)
+        assert parities == ({0} if prof.L == 0.0 else {0, 1})
 
     @pytest.mark.parametrize("skew", ["boundary", "count"])
     def test_unmirrored_grid_is_refused_at_theta_0_and_pi(self, skew):
