@@ -15,26 +15,29 @@ the slope breaks of rho' produce the transmission conditions variationally,
 with no hand-coded interface stencils.  That independence is the point: this
 module never touches the transfer-matrix code path.
 
-The midpoint rule couples each node only to its two neighbours, and the
-wrap couples the last node to the first.  Assembly is vectorised over the
-grid: one m x m diagonal block per node and one coupling block per interval
-(the wrap block carries the phase).  At generic theta the solver stores the
-blocks in LAPACK lower band storage under the fold ordering 0, M-1, 1,
-M-2, ... of the M nodes, which keeps the wrap inside a band of half-width
-3m - 1, scales them by W^{-1/2} in place and hands them to a complex
-Hermitian banded eigensolver restricted to the window.
+The midpoint rule couples each node only to its two neighbours, so the
+form on a grid is an open chain (_chain): a diagonal block per node, a
+coupling block per interval and trapezoid weights, half a step at each
+end.  The grid is planned from the cut to the handle centre T/2; the
+period's nodes are those half nodes, then T minus them reversed.
+
+At generic theta the period's chain is glued at the cut: node M (t = T)
+merges into node 0 and the coupling block into it takes the phase
+e^{i theta}.  The solver stores the blocks in LAPACK lower band storage
+under the fold ordering 0, M-1, 1, M-2, ..., which keeps the wrap inside a
+band of half-width 3m - 1, scales them by W^{-1/2} in place and hands them
+to a complex Hermitian banded eigensolver restricted to the window.
 
 At theta = 0 and pi, the band edges, the phase is real and the mirror
-t -> T - t about the handle centre commutes with the form: rho and the grid
-are mirror symmetric, and the mirror flips A0 and rho' together.  The
-sections even and odd under it are solved apart, each as a real symmetric
-band of half-width 2m - 1 on the nodes from the cut to the centre, with no
-wrap.  The banded solver's reduction to tridiagonal form costs about
-n^2 * kd, so halving n, and for a pair cutting kd from 5 to 3, makes the
-two halves several times cheaper than the fold band.  No dense matrix is
-formed on either path.  assemble() builds the dense pencil from the same
-blocks; with dense_hermitian_eigenvalues it is the small-N cross-check of
-the band paths.
+t -> T - t commutes with the form (it flips A0 and rho' together).  A
+section even or odd under it is the form on the half period whose two
+ends, the mirror's fixed points, keep only the components the parity
+allows: each parity is the half chain alone, a real symmetric band of
+half-width 2m - 1.  Halving n, and for a pair cutting kd from 5 to 3,
+makes the banded reduction (about n^2 kd) several times cheaper than the
+fold band.  No dense matrix is formed on either path; assemble() builds
+the dense pencil of the glued period, with dense_hermitian_eigenvalues the
+small-N cross-check of the band paths.
 
 Works for smoothed profiles (eta > 0) unchanged, since only rho and rho'
 enter.
@@ -59,8 +62,6 @@ MAX_CONE_PIECES = 6
 # largest share of the window's scale max(1, |lo|, |hi|) that the banded
 # solver's rounding bound eps * max|H_jj| may reach on a grid
 ROUNDING_TOL = 1e-6
-# largest |t_j + t_(M-j) - T|, in ulps of T, of a grid the mirror split accepts
-MIRROR_ULPS = 4
 
 
 def warp_coefficient(channel: Channel, profile: Profile, t) -> np.ndarray:
@@ -93,17 +94,16 @@ def warp_coefficient(channel: Channel, profile: Profile, t) -> np.ndarray:
 
 
 def _piece_counts(profile: Profile, n_total: int) -> list[tuple[float, float, int]]:
-    """Piecewise-uniform grid plan: (tau_a, tau_b, intervals) per piece.
+    """Piecewise-uniform grid plan of the half period from the cut to the
+    handle centre: (tau_a, tau_b, intervals) per piece, the last piece
+    ending at T/2 exactly.
 
     Cones are split dyadically in rho (at most MAX_CONE_PIECES pieces) and
     every piece gets node density proportional to min(1/rho_min, cap), so
     resolution follows the 1/rho^2 growth of the potential into the handle.
-    The plan is made from the cut to the handle centre, a handle piece about
-    the centre taken whole, and mirrored by t -> T - t: node j and node M - j
-    of the grid sit at t and T - t up to rounding, whatever round() does
-    with two mirrored piece weights that differ in the last bit.
+    The counts sum to about n_total / 2; the period's grid is the half grid
+    and its mirror image under t -> T - t (_period_nodes).
     """
-    T = profile.T
     whole = profile.pieces()
     pieces: list[tuple[float, float, float]] = []  # (a, b, rho_min)
     for a, b, slope in whole[: (len(whole) + 1) // 2]:
@@ -120,16 +120,12 @@ def _piece_counts(profile: Profile, n_total: int) -> list[tuple[float, float, in
         rr = bounds[::-1] if slope < 0 else bounds
         for r0, r1 in zip(rr, rr[1:]):
             pieces.append((a + (r0 - ra) / slope, a + (r1 - ra) / slope, min(r0, r1)))
+    a, _, r = pieces[-1]
+    pieces[-1] = (a, 0.5 * profile.T, r)
 
     weights = [(b - a) * min(1.0 / r, DENSITY_CAP) for a, b, r in pieces]
-    centre = len(whole) % 2  # the middle piece of an odd count straddles T/2
-    wsum = 2.0 * sum(weights) - (weights[-1] if centre else 0.0)
-    half = [(a, b, max(2, round(n_total * w / wsum))) for (a, b, _), w in zip(pieces, weights)]
-    middle = []
-    if centre:
-        a, _, k = half.pop()
-        middle = [(a, T - a, k)]
-    return half + middle + [(T - b, T - a, k) for a, b, k in reversed(half)]
+    wsum = 2.0 * sum(weights)
+    return [(a, b, max(2, round(n_total * w / wsum))) for (a, b, _), w in zip(pieces, weights)]
 
 
 def _check_grid_size(N) -> None:
@@ -139,8 +135,16 @@ def _check_grid_size(N) -> None:
 
 
 def _nodes_from_counts(counts: list[tuple[float, float, int]]) -> np.ndarray:
+    """Nodes of the plan `counts`, both ends included."""
     nodes = [np.linspace(a, b, k, endpoint=False) for a, b, k in counts]
-    return np.concatenate(nodes)
+    return np.append(np.concatenate(nodes), counts[-1][1])
+
+
+def _period_nodes(profile: Profile, counts: list[tuple[float, float, int]]) -> np.ndarray:
+    """Nodes t_0 = 0 .. t_M = T of the period: the half nodes of `counts`,
+    then T minus them reversed."""
+    half = _nodes_from_counts(counts)
+    return np.concatenate([half, profile.T - half[-2::-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +163,6 @@ class FormMatrix:
     K: np.ndarray
     W: np.ndarray
     nodes: np.ndarray
-    theta: float
 
 
 def assemble(channel: Channel, theta: float, profile: Profile, N: int) -> FormMatrix:
@@ -172,7 +175,7 @@ def assemble(channel: Channel, theta: float, profile: Profile, N: int) -> FormMa
     jump weakly.
     """
     _check_grid_size(N)
-    G, X, w, nodes = _blocks(channel, theta, profile, _piece_counts(profile, N))
+    G, X, w, nodes = _period(channel, theta, profile, _piece_counts(profile, N))
     M, m = G.shape[:2]
     idx = np.arange(M * m).reshape(M, m)
     nxt = np.roll(idx, -1, axis=0)
@@ -180,31 +183,28 @@ def assemble(channel: Channel, theta: float, profile: Profile, N: int) -> FormMa
     K[idx[:, :, None], idx[:, None, :]] = G
     K[idx[:, :, None], nxt[:, None, :]] = X
     K[nxt[:, None, :], idx[:, :, None]] = X.conj()
-    return FormMatrix(K=K, W=np.repeat(w, m), nodes=nodes, theta=theta)
+    return FormMatrix(K=K, W=np.repeat(w, m), nodes=nodes)
 
 
 def _real_phase(theta: float) -> float | None:
     """e^{i theta} as the float 1.0 or -1.0 when theta is within 1e-12 of
-    an even or an odd multiple of pi, else None."""
+    an even or an odd multiple of pi, else None.  Raises ValueError for a
+    non-finite theta."""
+    check_theta(theta)
     if abs(math.remainder(theta, math.pi)) > 1e-12:
         return None
     return -1.0 if abs(math.remainder(theta, 2.0 * math.pi)) >= math.pi - 1e-12 else 1.0
 
 
-def _blocks(channel: Channel, theta: float, profile: Profile,
-            counts: list[tuple[float, float, int]]) -> tuple:
-    """(G, X, w, nodes) of the form on the grid of `counts`.
+def _chain(channel: Channel, profile: Profile, t: np.ndarray) -> tuple:
+    """(G, X, w) of the form on the open chain of nodes t, both ends
+    included.
 
-    G (M, m, m): real symmetric diagonal block of each node.  X (M, m, m):
-    block coupling node j (rows) to node j+1 (columns); the last one couples
-    to node 0 and carries the phase e^{i theta}, and X is complex unless the
-    phase is +-1.  w (M,): trapezoid weight of each node.  Raises
-    ValueError for a non-finite theta.
+    G (n + 1, m, m): real symmetric diagonal block of each node.  X (n, m, m):
+    block coupling node j (rows) to node j + 1 (columns).  w (n + 1,):
+    trapezoid weight of each node, half a step at the two ends.
     """
-    check_theta(theta)
-    nodes = _nodes_from_counts(counts)
     m = channel.ncomp
-    t = np.append(nodes, profile.T)
     h = np.diff(t)
     if not np.all(h > 0):
         raise ValueError("non-positive grid step")
@@ -215,19 +215,34 @@ def _blocks(channel: Channel, theta: float, profile: Profile,
     P = -S + 0.5 * E
     Q = S + 0.5 * E
     hh = h[:, None, None]
-    A = hh * np.einsum("jki,jkl->jil", P, P)
-    D = hh * np.einsum("jki,jkl->jil", Q, Q)
-    X = hh * np.einsum("jki,jkl->jil", P, Q)
-    G = A + np.roll(D, 1, axis=0)
+    G = np.zeros((len(t), m, m))
+    G[:-1] += hh * np.einsum("jki,jkl->jil", P, P)
+    G[1:] += hh * np.einsum("jki,jkl->jil", Q, Q)
     G = 0.5 * (G + G.swapaxes(1, 2))
+    X = hh * np.einsum("jki,jkl->jil", P, Q)
+    w = np.zeros(len(t))
+    w[:-1] += 0.5 * h
+    w[1:] += 0.5 * h
+    return G, X, w
+
+
+def _period(channel: Channel, theta: float, profile: Profile,
+            counts: list[tuple[float, float, int]]) -> tuple:
+    """(G, X, w, nodes) of the form on the period's M nodes: the chain of
+    _period_nodes with node M glued onto node 0.  The last block of X
+    couples node M - 1 to node 0 and carries the phase e^{i theta}, and X
+    is complex unless the phase is +-1."""
     phase = _real_phase(theta)
+    t = _period_nodes(profile, counts)
+    G, X, w = _chain(channel, profile, t)
+    G[0] += G[-1]
+    w[0] += w[-1]
     if phase is None:
         X = X.astype(complex)
         X[-1] *= np.exp(1j * theta)
     else:
         X[-1] *= phase
-    w = 0.5 * (h + np.roll(h, 1))
-    return G, X, w, nodes
+    return G[:-1], X, w[:-1], t[:-1]
 
 
 def _fold_index(M: int, m: int) -> np.ndarray:
@@ -262,36 +277,27 @@ def _band(G: np.ndarray, X: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _half_band(G: np.ndarray, X: np.ndarray, w: np.ndarray, phase: float,
                parity: float) -> np.ndarray:
-    """W^{-1/2} K W^{-1/2} at the real phase e^{i theta} = +-1, restricted
-    to the sections of the given parity under the mirror t -> T - t, in
-    natural-order lower band storage on the nodes 0 .. M // 2 of the path
-    from the cut to the handle centre: ab[d, c] = H[c + d, c] for
+    """W^{-1/2} K W^{-1/2} of the half chain (_chain of the nodes from the
+    cut to the handle centre) at the real phase e^{i theta} = +-1, for the
+    sections of the given parity under the mirror t -> T - t, in
+    natural-order lower band storage: ab[d, c] = H[c + d, c] for
     d = 0 .. 2m - 1.
 
-    The mirror sends node j to node M - j and multiplies the components by
-    S = diag(1, -1)[:m] (it flips A0 and rho'), node 0 also by the phase.
-    An interior node stands for the pair (j, M - j), so only the left half
-    of the real blocks G, X, w enters.  A fixed node (0, and M / 2 when M is
-    even) keeps the components the parity allows, its links gain sqrt(2),
-    and for odd M the centre link X_K folds into the last diagonal block as
-    + parity * sym(X_K S).  It needs a mirrored grid (_piece_counts).
+    The mirror multiplies the components by S = diag(1, -1)[:m] (it flips
+    A0 and rho'), and at the cut also by the phase.  A section of the given
+    parity is the form on the half chain whose two end nodes, each fixed by
+    the mirror, keep only the components the parity allows: S_ii = parity
+    at the centre, phase * S_ii = parity at the cut.
     """
-    M, m = G.shape[:2]
-    K = M // 2
+    n, m = G.shape[:2]
     sign = np.array([1.0, -1.0])[:m]
-    keep = np.ones((K + 1, m), dtype=bool)
+    keep = np.ones((n, m), dtype=bool)
     keep[0] = phase * sign == parity
-    c = 1.0 / np.sqrt(w[: K + 1])
-    D = G[: K + 1] / w[: K + 1, None, None]
-    L = X[:K] * (c[:-1] * c[1:])[:, None, None]
-    L[0] *= math.sqrt(2.0)
-    if M % 2:
-        F = parity * X[K] * sign
-        D[K] += 0.5 * (F + F.T) / w[K]
-    else:
-        keep[K] = sign == parity
-        L[K - 1] *= math.sqrt(2.0)
-    idx = np.cumsum(keep).reshape(K + 1, m) - 1
+    keep[-1] = sign == parity
+    idx = np.cumsum(keep).reshape(n, m) - 1
+    c = 1.0 / np.sqrt(w)
+    D = G / w[:, None, None]
+    L = X * (c[:-1] * c[1:])[:, None, None]
     ab = np.zeros((2 * m, int(keep.sum())))
     il, jl = np.tril_indices(m)
     ok = keep[:, il] & keep[:, jl]
@@ -352,36 +358,28 @@ def dense_hermitian_eigenvalues(K: np.ndarray, W: np.ndarray,
 def _grid_eigenvalues(channel: Channel, theta: float, profile: Profile,
                       counts: list[tuple[float, float, int]],
                       window: tuple[float, float]) -> np.ndarray:
-    """Eigenvalues in the window of the form on the grid of `counts`,
-    assembled straight into band storage and solved by a banded
+    """Eigenvalues in the window of the form on the grid of the half plan
+    `counts`, assembled straight into band storage and solved by a banded
     eigensolver.
 
     At theta = 0 and pi (within 1e-12) the mirror t -> T - t commutes with
-    the form, and the grid is mirrored by construction: the two parities
-    are solved apart as real symmetric bands of half-width 2m - 1 on the
-    nodes from the cut to the handle centre (_half_band), with no periodic
-    wrap, and the two lists merged.  NumericalError, naming the largest
-    |t_j + t_(M-j) - T|, when the nodes are not mirrored within
-    MIRROR_ULPS ulps of T.  Any other theta solves the whole period as one
-    complex Hermitian band of half-width 3m - 1 (_band).
+    the form: the chain of the half nodes alone is solved once for each
+    parity as a real symmetric band of half-width 2m - 1 (_half_band), and
+    the two lists merged; no second half is built.  Any other theta solves
+    the whole period, glued at the cut, as one complex Hermitian band of
+    half-width 3m - 1 (_band).  Raises ValueError for a non-finite theta.
 
     The solver's eigenvalues carry a rounding error of about eps * ||H||.
     A grid step h gives ||H|| ~ 1/h^2, so a narrow rounded corner can leave
     that error far above the eigenvalues sought: NumericalError, naming the
     bound eps * max|H_jj|, when it exceeds ROUNDING_TOL of the window's
     scale."""
-    G, X, w, nodes = _blocks(channel, theta, profile, counts)
     phase = _real_phase(theta)
     if phase is None:
+        G, X, w, _ = _period(channel, theta, profile, counts)
         bands = [_band(G, X, w)]
     else:
-        t = np.append(nodes, profile.T)
-        asym = float(np.abs(t + t[::-1] - profile.T).max())
-        if asym > MIRROR_ULPS * math.ulp(profile.T):
-            raise NumericalError(
-                f"grid is not mirrored about T/2: |t_j + t_(M-j) - T| reaches {asym:.3g}, "
-                f"above {MIRROR_ULPS} ulps of T = {profile.T!r}"
-            )
+        G, X, w = _chain(channel, profile, _nodes_from_counts(counts))
         bands = [_half_band(G, X, w, phase, parity) for parity in (1.0, -1.0)]
     bound = np.finfo(float).eps * max(float(np.abs(ab[0]).max()) for ab in bands)
     scale = max(1.0, abs(window[0]), abs(window[1]))
@@ -400,14 +398,13 @@ def oracle_eigenvalues(channel: Channel, theta: float, profile: Profile,
     Solves in the window (-1, lam_max + 1] on the N grid and on the exactly
     doubled grid (_grid_eigenvalues; no dense matrix is formed) and
     combines index-paired eigenvalues by Richardson extrapolation,
-    (4 l_2N - l_N) / 3.  At theta = 0 and pi each grid is solved as its two
-    mirror halves.  Raises NumericalError when a pair drifts by more than
-    0.5, or when a value <= lam_max + 0.5 on either grid has no partner on
-    the other, or when a grid's rounding bound is too large or, at theta = 0
-    and pi, its nodes are not mirrored about the handle centre
-    (_grid_eigenvalues).  Raises ValueError for a non-finite theta, a
-    lam_max that is not finite and >= 0 or a grid size N that is not an
-    integer >= 100.
+    (4 l_2N - l_N) / 3.  At theta = 0 and pi each grid is solved on the
+    half period alone, once for each mirror parity.  Raises NumericalError
+    when a pair drifts by more than 0.5, or when a value <= lam_max + 0.5
+    on either grid has no partner on the other, or when a grid's rounding
+    bound is too large (_grid_eigenvalues).  Raises ValueError for a
+    non-finite theta, a lam_max that is not finite and >= 0 or a grid size
+    N that is not an integer >= 100.
     """
     lam_max = check_lam_max(lam_max)
     _check_grid_size(N)

@@ -171,11 +171,11 @@ def _merge(terms: list[tuple[Scalar, int]]) -> list[tuple[Scalar, int]]:
 
 def _positive(x, message: str) -> Scalar:
     """x as a Fraction (from an int, a Fraction or a rational string) or a
-    float; ValueError(message) unless its double value is positive and
-    finite."""
+    float; ValueError(message) for a bool or unless its double value is
+    positive and finite."""
     try:
         val = Fraction(x) if isinstance(x, (int, str, Fraction)) else float(x)
-        ok = 0 < float(val) < math.inf
+        ok = not isinstance(x, bool) and 0 < float(val) < math.inf
     except (ZeroDivisionError, OverflowError, ValueError):  # "1/0", 10**400, "x"
         ok = False
     if not ok:

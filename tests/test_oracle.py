@@ -299,40 +299,31 @@ class TestAssemble:
                                         (0.3, 0.0, 0.8), (1.0, 2 * math.pi - 1.0, 1.0)],
                              ids=["eta0", "eta0.02", "eta0.05", "l_out0", "L0", "flat-circle"])
     def test_grid_plan_is_mirrored_about_the_handle_centre(self, params):
-        # node j and node M - j sit at t and T - t, with a centre interval
-        # for odd M and a centre node for even M; with L = 0 the centre is a
-        # piece boundary, a node, for every N.  At N = 110 the l_out = 0 plan
-        # once gave the two cones' pieces nearest the handle 12 and 13
+        # the plan ends at the centre T/2 and node j and node M - j of the
+        # period sit at t and T - t, so M is even.  At N = 110 the l_out = 0
+        # plan once gave the two cones' pieces nearest the handle 12 and 13
         # intervals, from piece weights that differ in the last bit
         prof = make_profile(*params)
-        parities = set()
         for N in (100, 110, 201, 202, 500, 1000, 1999, 2000):
-            t = np.append(oracle._nodes_from_counts(oracle._piece_counts(prof, N)), prof.T)
-            assert np.abs(t + t[::-1] - prof.T).max() <= oracle.MIRROR_ULPS * math.ulp(prof.T)
-            parities.add((len(t) - 1) % 2)
-        assert parities == ({0} if prof.L == 0.0 else {0, 1})
-
-    @pytest.mark.parametrize("skew", ["boundary", "count"])
-    def test_unmirrored_grid_is_refused_at_theta_0_and_pi(self, skew):
-        ch = chan(0, "H4", mu2=1.0)
-        counts = oracle._piece_counts(STD, 200)
-        (a0, b0, k0), (a1, b1, k1) = counts[:2]
-        if skew == "boundary":
-            counts[:2] = [(a0, b0 + 1e-9, k0), (a1 + 1e-9, b1, k1)]
-        else:
-            counts[0] = (a0, b0, k0 + 1)
-        for theta in (0.0, math.pi):
-            with pytest.raises(NumericalError, match=r"grid is not mirrored about T/2: "
-                                                     r"\|t_j \+ t_\(M-j\) - T\| reaches"):
-                oracle._grid_eigenvalues(ch, theta, STD, counts, (-1.0, 9.0))
-        # generic theta solves the whole period and needs no mirror
-        assert len(oracle._grid_eigenvalues(ch, 0.7, STD, counts, (-1.0, 9.0))) >= 2
+            counts = oracle._piece_counts(prof, N)
+            assert counts[-1][1] == 0.5 * prof.T
+            t = oracle._period_nodes(prof, counts)
+            assert (t[0], t[-1]) == (0.0, prof.T)
+            assert (len(t) - 1) % 2 == 0
+            assert np.abs(t + t[::-1] - prof.T).max() <= math.ulp(prof.T)
 
     @pytest.mark.parametrize("theta,phase", [(2 * math.pi, 1.0), (-math.pi, -1.0),
-                                             (3 * math.pi, -1.0), (1e-13, 1.0), (0.7, None)],
-                             ids=["2pi", "-pi", "3pi", "1e-13", "0.7"])
+                                             (3 * math.pi, -1.0), (1e-13, 1.0), (0.7, None),
+                                             (math.nan, ValueError), (math.inf, ValueError),
+                                             (-math.inf, ValueError)],
+                             ids=["2pi", "-pi", "3pi", "1e-13", "0.7", "nan", "inf", "-inf"])
     def test_real_phase(self, theta, phase):
-        assert oracle._real_phase(theta) == phase
+        # nan once read as theta = 0
+        if phase is ValueError:
+            with pytest.raises(ValueError, match="theta must be finite"):
+                oracle._real_phase(theta)
+        else:
+            assert oracle._real_phase(theta) == phase
 
 
 # ---------------------------------------------------------------------------
@@ -391,18 +382,17 @@ BAND_CASES = [(chan(0, "H4", mu2=1.0), STD)] + [
 ]
 
 
-def loop_assemble(ch, theta, prof, N):
-    """Reference K: one interval at a time, h |c . (s_j, s_next)|^2 per row
-    of B, with the phase on the wrap interval's next-node half."""
-    nodes = oracle._nodes_from_counts(oracle._piece_counts(prof, N))
-    M, m = len(nodes), ch.ncomp
+def loop_assemble(ch, theta, prof, t):
+    """Reference K on the period's nodes t_0 = 0 .. t_M = T: one interval at
+    a time, h |c . (s_j, s_next)|^2 per row of B, with the phase on the wrap
+    interval's next-node half."""
+    M, m = len(t) - 1, ch.ncomp
     K = np.zeros((M * m, M * m), dtype=complex)
     S = np.eye(2)[:, :m]
     for j in range(M):
         jn = (j + 1) % M
-        t1 = nodes[j + 1] if j + 1 < M else prof.T
-        h = t1 - nodes[j]
-        E = warp_coefficient(ch, prof, 0.5 * (nodes[j] + t1))
+        h = t[j + 1] - t[j]
+        E = warp_coefficient(ch, prof, 0.5 * (t[j] + t[j + 1]))
         ph = np.exp(1j * theta) if jn == 0 else 1.0
         idx = list(range(j * m, j * m + m)) + list(range(jn * m, jn * m + m))
         for row in np.hstack([-S / h + 0.5 * E, ph * (S / h + 0.5 * E)]):
@@ -416,7 +406,8 @@ class TestBandSolve:
     def test_vectorised_assembly_matches_interval_loop(self, case, theta):
         ch, prof = BAND_CASES[case]
         fm = assemble(ch, theta, prof, 120)
-        want = loop_assemble(ch, theta, prof, 120)
+        want = loop_assemble(ch, theta, prof,
+                             oracle._period_nodes(prof, oracle._piece_counts(prof, 120)))
         np.testing.assert_allclose(fm.K, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
 
     @pytest.mark.parametrize("theta", [0.0, math.pi, 0.7, 2.0])
@@ -435,7 +426,7 @@ class TestBandSolve:
     def test_fold_band_is_the_permuted_dense_pencil(self, case):
         ch, prof = BAND_CASES[case]
         m = ch.ncomp
-        G, X, w, _ = oracle._blocks(ch, 0.7, prof, oracle._piece_counts(prof, 120))
+        G, X, w, _ = oracle._period(ch, 0.7, prof, oracle._piece_counts(prof, 120))
         ab = oracle._band(G, X, w)
         n = ab.shape[1]
         # half-width 3m - 1 holds the periodic wrap, and it is needed
@@ -478,18 +469,14 @@ class TestBandSolve:
     def test_mirror_split_matches_the_fold_band(self, case, theta, eta):
         ch, prof = BAND_CASES[case]
         prof = make_profile(prof.eps, prof.L, prof.l_out, eta)
-        parities = set()
         for N in (200, 201, 202):
             counts = oracle._piece_counts(prof, N)
-            G, X, w, _ = oracle._blocks(ch, theta, prof, counts)
+            G, X, w, _ = oracle._period(ch, theta, prof, counts)
             want = oracle.band_hermitian_eigenvalues(oracle._band(G, X, w), (-1.0, 30.0))
             got = oracle._grid_eigenvalues(ch, theta, prof, counts, (-1.0, 30.0))
             assert len(want) >= 4
             assert len(got) == len(want)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
-            parities.add(len(w) % 2)
-        # an odd M folds a centre interval, an even M has a centre node
-        assert parities == {0, 1}
 
     @pytest.mark.parametrize("theta", [0.0, math.pi], ids=["0", "pi"])
     @pytest.mark.parametrize("case", [0, 2], ids=["scalar", "pair"])
@@ -511,6 +498,24 @@ class TestBandSolve:
         assert len(oracle_eigenvalues(ch, theta, prof, 8.0, N=200)) >= 2
         # two parities on each of the N and 2N grids, half-width 2m - 1
         assert widths == [2 * ch.ncomp - 1] * 4
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi], ids=["0", "pi"])
+    @pytest.mark.parametrize("case", [0, 2], ids=["scalar", "pair"])
+    def test_theta_0_and_pi_assemble_the_half_period_alone(self, monkeypatch, case, theta):
+        ch, prof = BAND_CASES[case]
+        M = len(assemble(ch, theta, prof, 200).nodes)
+        coefficient = oracle.warp_coefficient
+        midpoints = []
+
+        def record(ch, prof, t):
+            midpoints.append(np.size(t))
+            return coefficient(ch, prof, t)
+
+        monkeypatch.setattr(oracle, "warp_coefficient", record)
+        assert len(oracle_eigenvalues(ch, theta, prof, 8.0, N=200)) >= 2
+        # M / 2 midpoints on the N grid and M on the 2N grid: the second
+        # half of the period is never assembled
+        assert midpoints == [M // 2, M]
 
 
 class TestRichardsonPairing:

@@ -312,9 +312,11 @@ def test_build_rejects_cutoff_beyond_double_range(cutoff):
     (["1/0"], 5, "side lengths must be positive and finite"),
     ([TWO_PI, "1/0"], 5, "side lengths must be positive and finite"),
     ([TWO_PI], "1/0", "cutoff must be positive and finite"),
-], ids=["huge-side", "side-1/0", "second-side-1/0", "cutoff-1/0"])
+    ([True], 5, "side lengths must be positive and finite"),
+    ([TWO_PI], True, "cutoff must be positive and finite"),
+], ids=["huge-side", "side-1/0", "second-side-1/0", "cutoff-1/0", "side-bool", "cutoff-bool"])
 def test_build_refuses_input_without_a_positive_finite_double(sides, cutoff, match):
-    # these leaked OverflowError and ZeroDivisionError
+    # these leaked OverflowError and ZeroDivisionError; a bool was read as 1
     with pytest.raises(ValueError, match=match):
         build_flat_torus_spectrum(sides, cutoff)
 
