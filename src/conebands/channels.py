@@ -30,21 +30,22 @@ from .transversal import Scalar, TransversalSpectrum
 
 
 def check_lam_max(lam_max) -> float:
-    """The spectral window's top lam_max as a float; ValueError unless it
-    is finite and >= 0."""
+    """The spectral window's top lam_max as a float; ValueError for a bool
+    or unless it is finite and >= 0."""
     value = float(lam_max)
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"lam_max must be finite and >= 0, got {value!r}")
+    if isinstance(lam_max, bool) or not 0.0 <= value < math.inf:
+        raise ValueError(f"lam_max must be finite and >= 0, got {lam_max!r}")
     return value
 
 
 def degree_weights(n: int, p: int) -> tuple[Fraction, Fraction]:
     """Exact interface weights (nu, w_alpha) of degree p over an
     n-dimensional cross-section: nu = n/2 - p + 1 in the dt-slot,
-    w_alpha = p - n/2 in the tangential slot."""
-    if not isinstance(n, int) or n < 1:
+    w_alpha = p - n/2 in the tangential slot.  ValueError unless n is a
+    positive integer and p an integer in [0, n + 1], a bool being neither."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"cross-section dimension n must be a positive integer, got {n}")
-    if not isinstance(p, int) or p < 0 or p > n + 1:
+    if not isinstance(p, int) or isinstance(p, bool) or p < 0 or p > n + 1:
         raise ValueError(f"form degree p must lie in [0, {n + 1}], got {p}")
     return Fraction(n, 2) - p + 1, Fraction(p) - Fraction(n, 2)
 

@@ -18,26 +18,27 @@ module never touches the transfer-matrix code path.
 The midpoint rule couples each node only to its two neighbours, so the
 form on a grid is an open chain (_chain): a diagonal block per node, a
 coupling block per interval and trapezoid weights, half a step at each
-end.  The grid is planned from the cut to the handle centre T/2; the
-period's nodes are those half nodes, then T minus them reversed.
+end.  The grid is planned from the cut to the handle centre T/2, and the
+solver assembles that half chain alone, at every theta.
 
-At generic theta the period's chain is glued at the cut: node M (t = T)
-merges into node 0 and the coupling block into it takes the phase
-e^{i theta}.  The solver stores the blocks in LAPACK lower band storage
-under the fold ordering 0, M-1, 1, M-2, ..., which keeps the wrap inside a
-band of half-width 3m - 1, scales them by W^{-1/2} in place and hands them
-to a complex Hermitian banded eigensolver restricted to the window.
+The mirror t -> T - t commutes with the form: it flips A0 and rho'
+together, so it acts on the components by S = diag(1, -1)[:m].  A section
+sigma of the period is two copies of the half chain, u = sigma and
+v = S sigma(T - t), that share their end nodes, the mirror's fixed points:
+v = e^{i theta} S u at the cut and v = S u at the centre.  At theta = 0
+and pi, the band edges, the phase is real and the sections even and odd
+under the mirror, v = +-u, decouple: each parity is one copy of the half
+chain whose ends keep only the components the parity allows, a real
+symmetric band of half-width 2m - 1.  At any other theta the two copies
+are interleaved node by node, a complex Hermitian band of half-width
+3m - 1.  One writer (_band) lays out both, scaled by W^{-1/2}, in LAPACK
+lower band storage for a banded eigensolver restricted to the window.
 
-At theta = 0 and pi, the band edges, the phase is real and the mirror
-t -> T - t commutes with the form (it flips A0 and rho' together).  A
-section even or odd under it is the form on the half period whose two
-ends, the mirror's fixed points, keep only the components the parity
-allows: each parity is the half chain alone, a real symmetric band of
-half-width 2m - 1.  Halving n, and for a pair cutting kd from 5 to 3,
-makes the banded reduction (about n^2 kd) several times cheaper than the
-fold band.  No dense matrix is formed on either path; assemble() builds
-the dense pencil of the glued period, with dense_hermitian_eigenvalues the
-small-N cross-check of the band paths.
+No dense matrix is formed on the solver's path.  assemble() alone builds
+the glued period: the chain of the whole period with node M (t = T)
+merged into node 0 and the phase e^{i theta} on the coupling into it.
+With dense_hermitian_eigenvalues it is the small-N cross-check of the
+mirror reduction at every theta.
 
 Works for smoothed profiles (eta > 0) unchanged, since only rho and rho'
 enter.
@@ -50,6 +51,7 @@ loads no scipy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,8 +131,8 @@ def _piece_counts(profile: Profile, n_total: int) -> list[tuple[float, float, in
 
 
 def _check_grid_size(N) -> None:
-    """ValueError unless the grid size N is an int (not a bool) >= 100."""
-    if not isinstance(N, int) or isinstance(N, bool) or N < 100:
+    """ValueError unless the grid size N is an integer (not a bool) >= 100."""
+    if not isinstance(N, numbers.Integral) or isinstance(N, bool) or N < 100:
         raise ValueError(f"grid size N must be an integer >= 100, got {N!r}")
 
 
@@ -166,16 +168,29 @@ class FormMatrix:
 
 
 def assemble(channel: Channel, theta: float, profile: Profile, N: int) -> FormMatrix:
-    """Midpoint discretization of q on a grid of about N intervals, as a
-    dense pencil (the cross-check view of the blocks the band solver uses).
+    """Midpoint discretization of q on the period's grid of about N
+    intervals, as a dense pencil.  Nothing else builds this glued period:
+    the band solver assembles the half chain alone, so a dense solve of
+    this pencil cross-checks its mirror reduction.
 
-    Per interval: h |(s_next - s_j)/h + B(t_mid)(s_j + s_next)/2|^2, the last
-    interval wrapping to e^{i theta} s_0.  Continuity of the global unknown
-    vector encodes the interface value condition exactly and the derivative
-    jump weakly.
+    Per interval: h |(s_next - s_j)/h + B(t_mid)(s_j + s_next)/2|^2.  The
+    chain of _period_nodes is glued at the cut: node M (t = T) merges into
+    node 0, and the last interval wraps to e^{i theta} s_0, so K is complex
+    unless the phase is +-1.  Continuity of the global unknown vector
+    encodes the interface value condition exactly and the derivative jump
+    weakly.
     """
     _check_grid_size(N)
-    G, X, w, nodes = _period(channel, theta, profile, _piece_counts(profile, N))
+    phase = _real_phase(theta)
+    nodes = _period_nodes(profile, _piece_counts(profile, N))
+    G, X, w = _chain(channel, profile, nodes)
+    G[0] += G[-1]
+    w[0] += w[-1]
+    if phase is None:
+        X = X.astype(complex)
+        phase = np.exp(1j * theta)
+    X[-1] *= phase
+    G, w, nodes = G[:-1], w[:-1], nodes[:-1]
     M, m = G.shape[:2]
     idx = np.arange(M * m).reshape(M, m)
     nxt = np.roll(idx, -1, axis=0)
@@ -226,87 +241,59 @@ def _chain(channel: Channel, profile: Profile, t: np.ndarray) -> tuple:
     return G, X, w
 
 
-def _period(channel: Channel, theta: float, profile: Profile,
-            counts: list[tuple[float, float, int]]) -> tuple:
-    """(G, X, w, nodes) of the form on the period's M nodes: the chain of
-    _period_nodes with node M glued onto node 0.  The last block of X
-    couples node M - 1 to node 0 and carries the phase e^{i theta}, and X
-    is complex unless the phase is +-1."""
-    phase = _real_phase(theta)
-    t = _period_nodes(profile, counts)
-    G, X, w = _chain(channel, profile, t)
-    G[0] += G[-1]
-    w[0] += w[-1]
-    if phase is None:
-        X = X.astype(complex)
-        X[-1] *= np.exp(1j * theta)
-    else:
-        X[-1] *= phase
-    return G[:-1], X, w[:-1], t[:-1]
+def _band(G: np.ndarray, X: np.ndarray, w: np.ndarray, phase: complex,
+          parity: float | None = None) -> np.ndarray:
+    """W^{-1/2} K W^{-1/2} of the period, laid out from the half chain
+    (G, X, w) of _chain on the nodes 0 (the cut) .. K (the handle centre),
+    in lower band storage: ab[d, c] = H[c + d, c].
 
-
-def _fold_index(M: int, m: int) -> np.ndarray:
-    """Band index (M, m) of component i at node j under the fold ordering
-    0, M-1, 1, M-2, ... of the nodes: neighbours, the wrap pair 0, M-1
-    included, sit at most two positions apart."""
-    j = np.arange(M)
-    pos = np.where(2 * j < M, 2 * j, 2 * (M - 1 - j) + 1)
-    return pos[:, None] * m + np.arange(m)
-
-
-def _band(G: np.ndarray, X: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """W^{-1/2} K W^{-1/2} in LAPACK lower band storage, fold-ordered:
-    ab[d, c] = H[c + d, c] for d = 0 .. 3m - 1."""
-    M, m = G.shape[:2]
-    n = M * m
-    idx = _fold_index(M, m)
-    ab = np.zeros((3 * m, n), dtype=X.dtype)
-    il, jl = np.tril_indices(m)
-    ab[idx[:, il] - idx[:, jl], idx[:, jl]] = G[:, il, jl]
-    r = np.broadcast_to(idx[:, :, None], X.shape)
-    c = np.broadcast_to(np.roll(idx, -1, axis=0)[:, None, :], X.shape)
-    low = r > c
-    ab[(r - c)[low], c[low]] = X[low]
-    ab[(c - r)[~low], r[~low]] = X.conj()[~low]
-    s = np.empty(n)
-    s[idx] = 1.0 / np.sqrt(w)[:, None]
-    for d in range(3 * m):
-        ab[d, : n - d] *= s[d:] * s[: n - d]
-    return ab
-
-
-def _half_band(G: np.ndarray, X: np.ndarray, w: np.ndarray, phase: float,
-               parity: float) -> np.ndarray:
-    """W^{-1/2} K W^{-1/2} of the half chain (_chain of the nodes from the
-    cut to the handle centre) at the real phase e^{i theta} = +-1, for the
-    sections of the given parity under the mirror t -> T - t, in
-    natural-order lower band storage: ab[d, c] = H[c + d, c] for
-    d = 0 .. 2m - 1.
-
-    The mirror multiplies the components by S = diag(1, -1)[:m] (it flips
-    A0 and rho'), and at the cut also by the phase.  A section of the given
-    parity is the form on the half chain whose two end nodes, each fixed by
-    the mirror, keep only the components the parity allows: S_ii = parity
-    at the centre, phase * S_ii = parity at the cut.
+    The mirror t -> T - t multiplies the components by S = diag(1, -1)[:m]
+    and, at the cut, by the phase e^{i theta}: a section is two copies of
+    the half chain, u = sigma and v = S sigma(T - t), with v_0 = phase S u_0
+    and v_K = S u_K.  Given a parity +-1 (the phase then real), v = parity u
+    and the band is one copy in natural order whose end nodes keep only the
+    components with phase * S_ii = parity (cut) and S_ii = parity (centre):
+    a real band of half-width 2m - 1.  Without one the two copies are
+    interleaved, u_0, u_1, v_1, .., u_{K-1}, v_{K-1}, u_K: an end node
+    carries G + S G S and weight 2w, the couplings u_0 -> v_1 and
+    v_{K-1} -> u_K carry conj(phase) S and S, and the band is complex of
+    half-width 3m - 1.
     """
-    n, m = G.shape[:2]
-    sign = np.array([1.0, -1.0])[:m]
-    keep = np.ones((n, m), dtype=bool)
-    keep[0] = phase * sign == parity
-    keep[-1] = sign == parity
-    idx = np.cumsum(keep).reshape(n, m) - 1
+    K, m = X.shape[:2]
+    S = np.array([1.0, -1.0])[:m]
+    if parity is not None:
+        keep = np.ones((K + 1, m), dtype=bool)
+        keep[0] = phase * S == parity
+        keep[-1] = S == parity
+        a, b, L = np.arange(K), np.arange(1, K + 1), X
+    else:
+        # the slots hold the half nodes 0, 1, 1, 2, 2, .., K - 1, K - 1, K;
+        # u and v list the slots of u_0 .. u_K and of v_0 .. v_K
+        node = np.r_[0, np.repeat(np.arange(1, K), 2), K]
+        u = np.r_[0, np.arange(1, 2 * K, 2)]
+        v = np.r_[0, np.arange(2, 2 * K, 2), 2 * K - 1]
+        G, w = G[node], w[node]
+        G[[0, -1]] += S[:, None] * G[[0, -1]] * S
+        w[[0, -1]] *= 2.0
+        Xv = X.astype(complex)
+        Xv[0] *= np.conj(phase) * S[:, None]
+        Xv[-1] *= S
+        keep = np.ones((2 * K, m), dtype=bool)
+        a, b, L = np.r_[u[:-1], v[:-1]], np.r_[u[1:], v[1:]], np.concatenate([X, Xv])
+    idx = np.cumsum(keep).reshape(keep.shape) - 1
     c = 1.0 / np.sqrt(w)
     D = G / w[:, None, None]
-    L = X * (c[:-1] * c[1:])[:, None, None]
-    ab = np.zeros((2 * m, int(keep.sum())))
+    L = L * (c[a] * c[b])[:, None, None]
+    # L[l, i, k] couples component i of slot a[l] to component k of slot
+    # b[l] > a[l]; the lower triangle holds its conjugate transpose
+    r = np.broadcast_to(idx[b][:, None, :], L.shape)
+    col = np.broadcast_to(idx[a][:, :, None], L.shape)
+    ok = keep[a][:, :, None] & keep[b][:, None, :]
+    ab = np.zeros((int((r - col)[ok].max()) + 1, int(keep.sum())), dtype=L.dtype)
+    ab[(r - col)[ok], col[ok]] = L.conj()[ok]
     il, jl = np.tril_indices(m)
     ok = keep[:, il] & keep[:, jl]
     ab[(idx[:, il] - idx[:, jl])[ok], idx[:, jl][ok]] = D[:, il, jl][ok]
-    # L[j, i, k] couples component i of node j to component k of node j + 1
-    r = np.broadcast_to(idx[1:, None, :], L.shape)
-    col = np.broadcast_to(idx[:-1, :, None], L.shape)
-    ok = keep[:-1, :, None] & keep[1:, None, :]
-    ab[(r - col)[ok], col[ok]] = L[ok]
     return ab
 
 
@@ -333,8 +320,9 @@ def dense_hermitian_eigenvalues(K: np.ndarray, W: np.ndarray,
     """Ascending eigenvalues of the pencil (K, W) with W positive diagonal.
 
     Reduces to the real symmetric or complex Hermitian W^{-1/2} K W^{-1/2}
-    and solves it densely.  The oracle does not call it: it is the dense
-    cross-check of band_hermitian_eigenvalues.
+    and solves it densely.  The oracle does not call it: on assemble's
+    pencil it is the dense cross-check of the banded solve, mirror
+    reduction included.
     """
     from scipy.linalg import LinAlgError, eigh
 
@@ -359,15 +347,12 @@ def _grid_eigenvalues(channel: Channel, theta: float, profile: Profile,
                       counts: list[tuple[float, float, int]],
                       window: tuple[float, float]) -> np.ndarray:
     """Eigenvalues in the window of the form on the grid of the half plan
-    `counts`, assembled straight into band storage and solved by a banded
-    eigensolver.
+    `counts`, solved by a banded eigensolver.
 
-    At theta = 0 and pi (within 1e-12) the mirror t -> T - t commutes with
-    the form: the chain of the half nodes alone is solved once for each
-    parity as a real symmetric band of half-width 2m - 1 (_half_band), and
-    the two lists merged; no second half is built.  Any other theta solves
-    the whole period, glued at the cut, as one complex Hermitian band of
-    half-width 3m - 1 (_band).  Raises ValueError for a non-finite theta.
+    Only the chain of the half nodes is assembled, and _band lays the period
+    out from it: at theta = 0 and pi (within 1e-12) one real band for each
+    mirror parity, the two lists merged; elsewhere one complex band of the
+    two interleaved copies.  Raises ValueError for a non-finite theta.
 
     The solver's eigenvalues carry a rounding error of about eps * ||H||.
     A grid step h gives ||H|| ~ 1/h^2, so a narrow rounded corner can leave
@@ -375,18 +360,17 @@ def _grid_eigenvalues(channel: Channel, theta: float, profile: Profile,
     bound eps * max|H_jj|, when it exceeds ROUNDING_TOL of the window's
     scale."""
     phase = _real_phase(theta)
+    G, X, w = _chain(channel, profile, _nodes_from_counts(counts))
     if phase is None:
-        G, X, w, _ = _period(channel, theta, profile, counts)
-        bands = [_band(G, X, w)]
+        bands = [_band(G, X, w, np.exp(1j * theta))]
     else:
-        G, X, w = _chain(channel, profile, _nodes_from_counts(counts))
-        bands = [_half_band(G, X, w, phase, parity) for parity in (1.0, -1.0)]
+        bands = [_band(G, X, w, phase, parity) for parity in (1.0, -1.0)]
     bound = np.finfo(float).eps * max(float(np.abs(ab[0]).max()) for ab in bands)
     scale = max(1.0, abs(window[0]), abs(window[1]))
     if bound > ROUNDING_TOL * scale:
         raise NumericalError(
-            f"rounding bound eps * max|H_jj| = {bound:.3g} of the {len(w)}-node grid "
-            f"exceeds {ROUNDING_TOL:g} * {scale:g}: a profile piece is too narrow"
+            f"rounding bound eps * max|H_jj| = {bound:.3g} of the {len(w)}-node half-period "
+            f"grid exceeds {ROUNDING_TOL:g} * {scale:g}: a profile piece is too narrow"
         )
     return np.sort(np.concatenate([band_hermitian_eigenvalues(ab, window) for ab in bands]))
 
@@ -398,8 +382,10 @@ def oracle_eigenvalues(channel: Channel, theta: float, profile: Profile,
     Solves in the window (-1, lam_max + 1] on the N grid and on the exactly
     doubled grid (_grid_eigenvalues; no dense matrix is formed) and
     combines index-paired eigenvalues by Richardson extrapolation,
-    (4 l_2N - l_N) / 3.  At theta = 0 and pi each grid is solved on the
-    half period alone, once for each mirror parity.  Raises NumericalError
+    (4 l_2N - l_N) / 3.  Each grid assembles the half period alone, from
+    the cut to the handle centre; at theta = 0 and pi it is solved once for
+    each mirror parity, elsewhere once as the two mirror copies of the half
+    chain that share their ends.  Raises NumericalError
     when a pair drifts by more than 0.5, or when a value <= lam_max + 0.5
     on either grid has no partner on the other, or when a grid's rounding
     bound is too large (_grid_eigenvalues).  Raises ValueError for a

@@ -95,8 +95,8 @@ class NumericalError(RuntimeError):
 
 
 def check_theta(theta) -> None:
-    """ValueError unless the quasimomentum theta is finite."""
-    if not math.isfinite(theta):
+    """ValueError unless the quasimomentum theta is finite (and not a bool)."""
+    if isinstance(theta, bool) or not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
 
 

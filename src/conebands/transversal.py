@@ -280,6 +280,12 @@ def save_spectrum(ts: TransversalSpectrum, path) -> None:
 
 
 def load_spectrum(path) -> TransversalSpectrum:
+    """Read the JSON spectrum file that save_spectrum writes at `path`.
+
+    Checks the fields' presence and types, sorts each coexact list by mu2
+    and runs validate on the result.  Raises SpectrumFormatError for
+    invalid JSON, a missing or ill-typed field, or a spectrum that fails
+    validate."""
     with open(path) as fh:
         try:
             doc = json.load(fh)

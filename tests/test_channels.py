@@ -95,6 +95,13 @@ def test_degree_constants_range_errors():
         degree_weights(2, 4)
     with pytest.raises(ValueError):
         degree_weights(0, 0)
+    # a bool was read as the integer 0 or 1
+    with pytest.raises(ValueError, match="cross-section dimension n"):
+        degree_weights(True, 1)
+    with pytest.raises(ValueError, match="form degree p"):
+        degree_weights(2, True)
+    with pytest.raises(ValueError, match="form degree p"):
+        enumerate_channels(circle(), True, 8.0)
 
 
 # ---------------------------------------------------------------------------

@@ -276,12 +276,20 @@ class TestAssemble:
         lambda N: assemble(chan(0, "H2"), 0.0, STD, N),
         lambda N: oracle_eigenvalues(chan(0, "H2"), 0.0, STD, 5.0, N=N),
     ], ids=["assemble", "oracle_eigenvalues"])
-    @pytest.mark.parametrize("N", [500.5, math.nan, math.inf, True],
-                             ids=["fraction", "nan", "inf", "bool"])
+    @pytest.mark.parametrize("N", [500.5, math.nan, math.inf, True, np.int64(99)],
+                             ids=["fraction", "nan", "inf", "bool", "np.int64(99)"])
     def test_grid_size_must_be_an_integer(self, solve, N):
         # 500.5 was accepted, nan and inf failed in int conversion
         with pytest.raises(ValueError, match=r"grid size N must be an integer >= 100, got "):
             solve(N)
+
+    @pytest.mark.parametrize("solve", [
+        lambda N: assemble(chan(0, "H2"), 0.7, STD, N).K,
+        lambda N: oracle_eigenvalues(chan(0, "H2"), 0.7, STD, 5.0, N=N),
+    ], ids=["assemble", "oracle_eigenvalues"])
+    def test_numpy_integer_grid_size(self, solve):
+        # np.int64(500) was refused as not an integer
+        np.testing.assert_array_equal(solve(np.int64(500)), solve(500))
 
     @pytest.mark.parametrize("params", [(0.25, 1.2, 0.0), (0.3, 0.0, 0.8), (1.0, 0.0, 1.0),
                                         (0.2, 1.0, 0.8, 0.05), (0.9, 1.0, 1.0, 0.5)])
@@ -422,14 +430,20 @@ class TestBandSolve:
         assert len(got) == len(want)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("theta", [0.7, 2.0])
     @pytest.mark.parametrize("case", [0, 2], ids=["scalar", "pair"])
-    def test_fold_band_is_the_permuted_dense_pencil(self, case):
+    def test_band_is_the_signed_permuted_dense_pencil(self, case, theta):
+        # the band holds u_0, u_1, v_1, .., u_{K-1}, v_{K-1}, u_K, with
+        # sigma_j = u_j and sigma_{M-j} = S v_j at the period's node j.  The
+        # band evaluates the mirrored blocks at t and the pencil at T - t, so
+        # they agree to rounding, not bit for bit
         ch, prof = BAND_CASES[case]
         m = ch.ncomp
-        G, X, w, _ = oracle._period(ch, 0.7, prof, oracle._piece_counts(prof, 120))
-        ab = oracle._band(G, X, w)
+        counts = oracle._piece_counts(prof, 120)
+        G, X, w = oracle._chain(ch, prof, oracle._nodes_from_counts(counts))
+        ab = oracle._band(G, X, w, np.exp(1j * theta))
         n = ab.shape[1]
-        # half-width 3m - 1 holds the periodic wrap, and it is needed
+        # half-width 3m - 1 holds the couplings of the two copies, and it is needed
         assert ab.shape[0] == 3 * m
         assert np.any(ab[-1] != 0.0)
         H = np.zeros((n, n), dtype=ab.dtype)
@@ -437,12 +451,17 @@ class TestBandSolve:
             i = np.arange(n - d)
             H[i + d, i] = ab[d, : n - d]
             H[i, i + d] = np.conj(ab[d, : n - d])
-        fm = assemble(ch, 0.7, prof, 120)
+        fm = assemble(ch, theta, prof, 120)
         s = 1.0 / np.sqrt(fm.W)
         want = s[:, None] * fm.K * s[None, :]
-        band_pos = oracle._fold_index(len(w), m).ravel()
-        np.testing.assert_allclose(H[np.ix_(band_pos, band_pos)], want,
-                                   rtol=1e-14, atol=1e-14 * np.abs(want).max())
+        M = len(fm.nodes)
+        K = M // 2
+        node = [0] + [j for i in range(1, K) for j in (i, M - i)] + [K]
+        perm = np.ravel([[j * m + i for i in range(m)] for j in node])
+        sign = np.concatenate([[1.0, -1.0][:m] if j > K else [1.0] * m for j in node])
+        assert n == M * m
+        np.testing.assert_allclose(H, sign[:, None] * sign * want[np.ix_(perm, perm)],
+                                   rtol=0.0, atol=1e-13 * np.abs(want).max())
 
     @pytest.mark.parametrize("theta", [0.0, math.pi, 0.7])
     def test_hot_path_builds_no_dense_matrix(self, monkeypatch, theta):
@@ -466,42 +485,40 @@ class TestBandSolve:
     @pytest.mark.parametrize("eta", [0.0, 0.02])
     @pytest.mark.parametrize("theta", [0.0, math.pi], ids=["0", "pi"])
     @pytest.mark.parametrize("case", range(len(BAND_CASES)), ids=["scalar", "n1", "n2", "n3"])
-    def test_mirror_split_matches_the_fold_band(self, case, theta, eta):
+    def test_mirror_split_matches_the_dense_pencil(self, case, theta, eta):
         ch, prof = BAND_CASES[case]
         prof = make_profile(prof.eps, prof.L, prof.l_out, eta)
         for N in (200, 201, 202):
+            fm = assemble(ch, theta, prof, N)
+            want = dense_hermitian_eigenvalues(fm.K, fm.W, lam_window=(-1.0, 30.0))
             counts = oracle._piece_counts(prof, N)
-            G, X, w, _ = oracle._period(ch, theta, prof, counts)
-            want = oracle.band_hermitian_eigenvalues(oracle._band(G, X, w), (-1.0, 30.0))
             got = oracle._grid_eigenvalues(ch, theta, prof, counts, (-1.0, 30.0))
             assert len(want) >= 4
             assert len(got) == len(want)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
 
-    @pytest.mark.parametrize("theta", [0.0, math.pi], ids=["0", "pi"])
+    @pytest.mark.parametrize("theta", [0.0, math.pi, 0.7], ids=["0", "pi", "0.7"])
     @pytest.mark.parametrize("case", [0, 2], ids=["scalar", "pair"])
-    def test_theta_0_and_pi_never_build_the_fold_band(self, monkeypatch, case, theta):
-        def refuse(*args, **kwargs):
-            raise AssertionError("fold band built at theta = 0 or pi")
-
-        half_band = oracle._half_band
+    def test_band_half_widths(self, monkeypatch, case, theta):
+        band = oracle._band
         widths = []
 
         def record(*args):
-            ab = half_band(*args)
+            ab = band(*args)
             widths.append(ab.shape[0] - 1)
             return ab
 
-        monkeypatch.setattr(oracle, "_band", refuse)
-        monkeypatch.setattr(oracle, "_half_band", record)
+        monkeypatch.setattr(oracle, "_band", record)
         ch, prof = BAND_CASES[case]
+        m = ch.ncomp
         assert len(oracle_eigenvalues(ch, theta, prof, 8.0, N=200)) >= 2
-        # two parities on each of the N and 2N grids, half-width 2m - 1
-        assert widths == [2 * ch.ncomp - 1] * 4
+        # on each of the N and 2N grids: two parities of half-width 2m - 1 at
+        # theta = 0 and pi, one band of the two interleaved copies elsewhere
+        assert widths == ([3 * m - 1] * 2 if theta == 0.7 else [2 * m - 1] * 4)
 
-    @pytest.mark.parametrize("theta", [0.0, math.pi], ids=["0", "pi"])
+    @pytest.mark.parametrize("theta", [0.0, math.pi, 0.7], ids=["0", "pi", "0.7"])
     @pytest.mark.parametrize("case", [0, 2], ids=["scalar", "pair"])
-    def test_theta_0_and_pi_assemble_the_half_period_alone(self, monkeypatch, case, theta):
+    def test_every_theta_assembles_the_half_period_alone(self, monkeypatch, case, theta):
         ch, prof = BAND_CASES[case]
         M = len(assemble(ch, theta, prof, 200).nodes)
         coefficient = oracle.warp_coefficient

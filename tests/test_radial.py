@@ -1271,11 +1271,11 @@ class TestPublicInput:
         lambda theta: oracle_eigenvalues(TORUS_P1[0], theta, STD, 8.0),
         lambda theta: assemble(TORUS_P1[0], theta, STD, 200),
     ], ids=["floquet_eigenvalues", "oracle_eigenvalues", "assemble"])
-    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, True])
     def test_non_finite_theta_is_refused(self, solve, theta):
         # NaN used to give the oracle's theta = 0 spectrum and a NaN error
-        # from the polish, +-inf a bare math domain error
-        with pytest.raises(ValueError, match=r"theta must be finite, got (nan|inf|-inf)$"):
+        # from the polish, +-inf a bare math domain error; True was theta = 1
+        with pytest.raises(ValueError, match=r"theta must be finite, got (nan|inf|-inf|True)$"):
             solve(theta)
 
     @pytest.mark.parametrize("solve", [
@@ -1283,8 +1283,9 @@ class TestPublicInput:
         lambda lam_max: floquet_eigenvalues(TORUS_P1[0], 0.7, STD, lam_max),
         lambda lam_max: oracle_eigenvalues(TORUS_P1[0], 0.0, STD, lam_max),
     ], ids=["band_edges", "floquet_eigenvalues", "oracle_eigenvalues"])
-    @pytest.mark.parametrize("lam_max", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("lam_max", [math.nan, math.inf, -math.inf, -1.0, True])
     def test_lam_max_out_of_range_is_refused(self, solve, lam_max):
+        # True was lam_max = 1
         with pytest.raises(ValueError, match=r"lam_max must be finite and >= 0"):
             solve(lam_max)
 
