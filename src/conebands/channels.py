@@ -23,6 +23,7 @@ same mu^2 (pair_partners); partners with one key are one problem.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,23 +31,26 @@ from .transversal import Scalar, TransversalSpectrum
 
 
 def check_lam_max(lam_max) -> float:
-    """The spectral window's top lam_max as a float; ValueError for a bool
-    or unless it is finite and >= 0."""
-    value = float(lam_max)
-    if isinstance(lam_max, bool) or not 0.0 <= value < math.inf:
+    """The spectral window's top lam_max as a float; ValueError unless it
+    is a real number (not a bool, a numpy bool or a string) that is finite
+    and >= 0."""
+    if (not isinstance(lam_max, numbers.Real) or isinstance(lam_max, bool)
+            or not 0.0 <= float(lam_max) < math.inf):
         raise ValueError(f"lam_max must be finite and >= 0, got {lam_max!r}")
-    return value
+    return float(lam_max)
 
 
 def degree_weights(n: int, p: int) -> tuple[Fraction, Fraction]:
     """Exact interface weights (nu, w_alpha) of degree p over an
     n-dimensional cross-section: nu = n/2 - p + 1 in the dt-slot,
     w_alpha = p - n/2 in the tangential slot.  ValueError unless n is a
-    positive integer and p an integer in [0, n + 1], a bool being neither."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    positive integer and p an integer in [0, n + 1]; any numbers.Integral
+    counts (numpy integers too), a bool or numpy bool does not."""
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
         raise ValueError(f"cross-section dimension n must be a positive integer, got {n}")
-    if not isinstance(p, int) or isinstance(p, bool) or p < 0 or p > n + 1:
+    if not isinstance(p, numbers.Integral) or isinstance(p, bool) or p < 0 or p > n + 1:
         raise ValueError(f"form degree p must lie in [0, {n + 1}], got {p}")
+    n, p = int(n), int(p)
     return Fraction(n, 2) - p + 1, Fraction(p) - Fraction(n, 2)
 
 
@@ -106,6 +110,7 @@ def enumerate_channels(ts: TransversalSpectrum, p: int, lam_max: float) -> list[
     lam_max = check_lam_max(lam_max)
     n = ts.n
     nu, w_alpha = degree_weights(n, p)
+    p = int(p)  # a numpy integer degree is stored as a plain int
 
     if float(ts.cutoff) < lam_max - 1e-9:
         raise ValueError(

@@ -54,12 +54,15 @@ counted: partners with one key are one problem solved once.
 The cone's Frobenius recurrence does not involve lambda: lambda enters only
 through z = lambda t^2.  A root scan therefore builds one lambda-free
 coefficient table per scalar problem (cone_basis, valid up to lam_max) and
-evaluates A for the whole lambda grid at once, as (G, 2, 2) arrays with one
+evaluates A for the whole lambda grid at once, as (2, 2, G) arrays with one
 log scale per point, so deep spectral gaps (huge hyperbolic growth) never
-overflow.  The zeros of all four entries are then polished in one batched
-Chandrupatla iteration on the same table, in plain numpy.  The evaluator
-is elementwise, so a value at a grid node equals the scanned one bit for
-bit and the scanned values at bracket ends are reused.  The cone
+overflow.  lambda is the last, contiguous axis of every batched array (the
+Horner accumulator is (4, radii, G), the cone states (2, 2, radii, G)), so
+each elementwise step is one long loop over the grid.  The zeros of all
+four entries are then polished in one batched Chandrupatla iteration on the
+same table, in plain numpy.  The evaluator is elementwise, so a value at a
+grid node equals the scanned one bit for bit and the scanned values at
+bracket ends are reused.  The cone
 evaluation checks the numerical Wronskian of every point and raises
 NumericalError once the series has lost its digits (lambda t^2 beyond
 about 400).
@@ -68,6 +71,7 @@ about 400).
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -95,8 +99,9 @@ class NumericalError(RuntimeError):
 
 
 def check_theta(theta) -> None:
-    """ValueError unless the quasimomentum theta is finite (and not a bool)."""
-    if isinstance(theta, bool) or not math.isfinite(theta):
+    """ValueError unless the quasimomentum theta is a finite real number
+    (not a bool, a numpy bool or a string)."""
+    if not isinstance(theta, numbers.Real) or isinstance(theta, bool) or not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
 
 
@@ -187,20 +192,25 @@ def make_profile(eps: float, L: float, l_out: float, eta: float = 0.0) -> Profil
     eta > 0 rounds every slope break by a C^1 quadratic patch of half-width
     min(2 * rho_corner * eta, room), which keeps |log(rho_eta / rho)| <= eta/2
     pointwise, i.e. the smoothed metric stays within [e^-eta, e^eta] of the
-    piecewise one.  Raises ValueError, naming the parameter, unless
-    0 < eps <= 1, L and l_out are finite and >= 0, 0 <= eta < 1 and T is
-    finite and positive, and when eta > 0 rounds a cone whose handle or
-    outer cylinder has length 0 or a corner narrower than MIN_CORNER_ULPS
-    ulps of T, whose grid steps would round to zero.
+    piecewise one.  Raises ValueError, naming the parameter, unless all
+    four are real numbers (not bools, numpy bools or strings), 0 < eps <= 1,
+    L and l_out are finite and >= 0, 0 <= eta < 1 and T is finite and
+    positive, and when eta > 0 rounds a cone whose handle or outer cylinder
+    has length 0 or a corner narrower than MIN_CORNER_ULPS ulps of T, whose
+    grid steps would round to zero.
     """
-    eps, L, l_out, eta = float(eps), float(L), float(l_out), float(eta)
+    given = {"eps": eps, "L": L, "l_out": l_out, "eta": eta}
+    # a parameter that is not a real number reads as NaN, which every range
+    # test below refuses, and the message shows it as given
+    eps, L, l_out, eta = (float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool)
+                          else math.nan for x in given.values())
     if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in ]0, 1], got {eps!r}")
+        raise ValueError(f"eps must lie in ]0, 1], got {given['eps']!r}")
     for name, length in (("L", L), ("l_out", l_out)):
         if not 0.0 <= length < math.inf:
-            raise ValueError(f"{name} must be finite and >= 0, got {length!r}")
+            raise ValueError(f"{name} must be finite and >= 0, got {given[name]!r}")
     if not 0.0 <= eta < 1.0:
-        raise ValueError(f"eta must lie in [0, 1[, got {eta!r}")
+        raise ValueError(f"eta must lie in [0, 1[, got {given['eta']!r}")
     profile = Profile(eps, L, l_out, eta)
     if not 0.0 < profile.T < math.inf:
         raise ValueError(f"period T must be finite and positive, got {profile.T!r}")
@@ -221,18 +231,18 @@ def make_profile(eps: float, L: float, l_out: float, eta: float = 0.0) -> Profil
 
 
 def _put(P: np.ndarray, mask: np.ndarray, a, b, c, d) -> None:
-    P[mask, 0, 0], P[mask, 0, 1], P[mask, 1, 0], P[mask, 1, 1] = a, b, c, d
+    P[0, 0, mask], P[0, 1, mask], P[1, 0, mask], P[1, 1, mask] = a, b, c, d
 
 
 def _flat_propagators(mass2: float, lam: np.ndarray, ell: float) -> tuple[np.ndarray, np.ndarray]:
     """Transfer matrices of -u'' + mass2 u = lam u over a length-ell flat
-    piece, acting on (u, u'), for every lam: (G, 2, 2) matrices and (G,) log
+    piece, acting on (u, u'), for every lam: (2, 2, G) matrices and (G,) log
     scales, the propagator being matrix * exp(logscale).  Exact free, trig
     and hyperbolic forms, picked per point; det = 1.  The hyperbolic form is
     scaled by e^{k ell} / 2, in q = 1 - e^{-2 k ell} by expm1, so that it
     neither overflows nor cancels."""
     w2 = lam - mass2
-    P = np.empty(lam.shape + (2, 2))
+    P = np.empty((2, 2) + lam.shape)
     logs = np.zeros(lam.shape)
     # free limit; the trig corrections are below double rounding here
     free = np.abs(w2) * (ell * ell) < 1e-14
@@ -295,7 +305,7 @@ class ConeSeries:
 
     def state(self, lam: np.ndarray, radii) -> np.ndarray:
         """State matrices [[f, g], [f', g']] at each radius for every lam,
-        shape (len(radii), len(lam), 2, 2).
+        shape (2, 2, len(radii), len(lam)).
 
         One Horner pass evaluates F, F', G and G' for all points at once.
         Raises NumericalError where the Wronskian f g' - f' g strays from
@@ -310,12 +320,11 @@ class ConeSeries:
         if np.max(np.abs(z), initial=0.0) > self.z_max * (1.0 + 1e-12):
             raise ValueError(f"lam t^2 up to {np.max(np.abs(z)):.6g} leaves the table "
                              f"window z_max = {self.z_max:.6g}")
-        acc = np.zeros(z.shape + (4,))
-        zc = z[..., None]
-        for row in self.rows:
-            acc *= zc
+        acc = np.zeros((4,) + z.shape)
+        for row in self.rows[:, :, None, None]:
+            acc *= z
             acc += row
-        F, dF, G, dG = np.moveaxis(acc, -1, 0)
+        F, dF, G, dG = acc
         gam = self.gamma
         A = (gam + 1.0) * F + 2.0 * z * dF  # t^-gamma f'
         B = -gam * G + 2.0 * z * dG  # t^(gamma+1) g' without the log term
@@ -332,11 +341,11 @@ class ConeSeries:
                 f"> {WRONSKIAN_RTOL:g} at gamma = {gam}, |lam| t^2 up to {np.max(np.abs(z)):.6g}"
             )
         tc = t[:, None]
-        S = np.empty(z.shape + (2, 2))
-        S[..., 0, 0] = tc ** (gam + 1.0) * F
-        S[..., 1, 0] = tc**gam * A
-        S[..., 0, 1] = tc ** (-gam) * G
-        S[..., 1, 1] = tc ** (-gam - 1.0) * B
+        S = np.empty((2, 2) + z.shape)
+        S[0, 0] = tc ** (gam + 1.0) * F
+        S[1, 0] = tc**gam * A
+        S[0, 1] = tc ** (-gam) * G
+        S[1, 1] = tc ** (-gam - 1.0) * B
         return S
 
 
@@ -415,17 +424,18 @@ def cone_basis(gamma: float, z_max: float) -> ConeSeries:
 
 
 def _mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Pointwise product of two stacks of 2x2 matrices, in elementwise
-    float arithmetic, so a point's product does not depend on the stack."""
-    return A[..., :, :1] * B[..., :1, :] + A[..., :, 1:] * B[..., 1:, :]
+    """Pointwise product of two stacks (2, 2, ...) of 2x2 matrices, in
+    elementwise float arithmetic, so a point's product does not depend on
+    the stack."""
+    return A[:, :1] * B[:1] + A[:, 1:] * B[1:]
 
 
 def _transfer(S0: np.ndarray, S1: np.ndarray, wronskian: float) -> np.ndarray:
     """Propagators S1 S0^-1 between two states of one fundamental pair; the
     inverse comes from the constant Wronskian determinant det S0 = W."""
     inv0 = np.empty_like(S0)
-    inv0[..., 0, 0], inv0[..., 0, 1] = S0[..., 1, 1], -S0[..., 0, 1]
-    inv0[..., 1, 0], inv0[..., 1, 1] = -S0[..., 1, 0], S0[..., 0, 0]
+    inv0[0, 0], inv0[0, 1] = S0[1, 1], -S0[0, 1]
+    inv0[1, 0], inv0[1, 1] = -S0[1, 0], S0[0, 0]
     return _mul(S1, inv0 / wronskian)
 
 
@@ -440,7 +450,7 @@ class _HalfPeriod:
     The cone's Frobenius table is built once, here, and evaluated at the
     profile's own radii eps and 1.  A call evaluates the product of the half
     handle, the jump -w/eps, the cone, the jump +w and the half cylinder for
-    a whole array of lam as (G, 2, 2) arrays, each point divided by its
+    a whole array of lam as (2, 2, G) arrays, each point divided by its
     largest entry, whose log is the point's log scale.  A single lam is a
     length-one call of the same elementwise arithmetic, so it reproduces a
     grid value bit for bit.  Piecewise profiles only: a smoothed corner is
@@ -459,19 +469,19 @@ class _HalfPeriod:
         self.table = cone_basis(tip_exponent(mu2, w), float(lam_bound)) if eps < 1.0 else None
 
     def __call__(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Scaled maps (G, 2, 2) and their log scales (G,)."""
+        """Scaled maps (2, 2, G) and their log scales (G,)."""
         lam = np.asarray(lam, dtype=float)
         A, logs = _flat_propagators(self.handle[0], lam, self.handle[1])
         if self.table is not None:
-            A[..., 1, :] -= self.w / self.eps * A[..., 0, :]
+            A[1] -= self.w / self.eps * A[0]
             S = self.table.state(lam, (self.eps, 1.0))
-            A = _mul(_transfer(S[0], S[1], self.table.wronskian), A)
-            A[..., 1, :] += self.w * A[..., 0, :]
+            A = _mul(_transfer(S[:, :, 0], S[:, :, 1], self.table.wronskian), A)
+            A[1] += self.w * A[0]
         P, s = _flat_propagators(self.cylinder[0], lam, self.cylinder[1])
         A = _mul(P, A)
         with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.abs(A).max(axis=(-2, -1))
-            A /= scale[..., None, None]
+            scale = np.abs(A).max(axis=(0, 1))
+            A /= scale
             logs = logs + s + np.log(scale)
         if not (np.isfinite(A).all() and np.isfinite(logs).all()):
             raise NumericalError("degenerate transfer matrix (zero or non-finite)")
@@ -504,18 +514,18 @@ def _floquet_roots(mu2, w, profile: Profile,
     # at lam_max = 0 the grid is the one node 0: repeated nodes would each
     # count a zero there
     grid = np.linspace(0.0, float(lam_max), SCAN_STEPS + 1 if lam_max > 0 else 1)
-    F = half(grid)[0].reshape(-1, 4)  # columns a, b, c, d
+    F = half(grid)[0].reshape(4, -1)  # rows a, b, c, d
     if mu2 == 0:
         # the form's kernel rho^-w is even and periodic: lambda = 0 is
         # exactly the bottom of the spectrum, a zero of c, whatever the
         # sampled sign
-        F[0, 2] = 0.0
-    (node, at), (cell, of) = _roots_on_grid(F)
+        F[2, 0] = 0.0
+    (at, node), (of, cell) = _roots_on_grid(F)
 
     def entry(x, k):
-        return half(x)[0].reshape(-1, 4)[np.arange(x.size), of[k]]
+        return half(x)[0].reshape(4, -1)[of[k], np.arange(x.size)]
 
-    x = _polish(entry, grid[cell], grid[cell + 1], F[cell, of], F[cell + 1, of])
+    x = _polish(entry, grid[cell], grid[cell + 1], F[of, cell], F[of, cell + 1])
     roots = [sorted(grid[node[at == j]].tolist() + x[of == j].tolist()) for j in range(4)]
     low = [r for col in roots for r in col if r < float(mu2) - 1e-6]
     if low:
@@ -526,11 +536,12 @@ def _floquet_roots(mu2, w, profile: Profile,
 
 
 def _roots_on_grid(F: np.ndarray) -> tuple[tuple, tuple]:
-    """Read the sampled values F (G, k) of k functions with simple zeros on
-    the lambda grid: the index arrays (node, column) where F vanishes, and
-    (cell, column) where F changes sign over the cell (grid[i], grid[i+1])."""
+    """Read the sampled values F (k, G) of k functions with simple zeros on
+    the lambda grid, one function a row: the index arrays (row, node) where
+    F vanishes, and (row, cell) where F changes sign over the cell (grid[i],
+    grid[i+1])."""
     s = np.sign(F)
-    return np.nonzero(s == 0.0), np.nonzero(s[:-1] * s[1:] < 0.0)
+    return np.nonzero(s == 0.0), np.nonzero(s[:, :-1] * s[:, 1:] < 0.0)
 
 
 def _certify(roots: list[list[float]], lam_max: float) -> None:
@@ -603,8 +614,8 @@ def floquet_eigenvalues(channel: Channel, theta: float, profile: Profile,
         def F(x, k):
             A, logs = half(x)
             if s2 <= c2:
-                return A[:, 0, 1] * A[:, 1, 0] * np.exp(2.0 * logs) + s2
-            return A[:, 0, 0] * A[:, 1, 1] * np.exp(2.0 * logs) - c2
+                return A[0, 1] * A[1, 0] * np.exp(2.0 * logs) + s2
+            return A[0, 0] * A[1, 1] * np.exp(2.0 * logs) - c2
 
         def at(x, s):
             return s2 if s > 0 else -c2 if s < 0 else float(F(np.array([x]), None)[0])

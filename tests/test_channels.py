@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conebands.channels import (
@@ -102,6 +103,24 @@ def test_degree_constants_range_errors():
         degree_weights(2, True)
     with pytest.raises(ValueError, match="form degree p"):
         enumerate_channels(circle(), True, 8.0)
+    # nor is a numpy bool, which is no numbers.Integral
+    with pytest.raises(ValueError, match="cross-section dimension n"):
+        degree_weights(np.True_, 1)
+    with pytest.raises(ValueError, match="form degree p"):
+        degree_weights(2, np.True_)
+    with pytest.raises(ValueError, match="form degree p"):
+        enumerate_channels(circle(), np.True_, 8.0)
+
+
+def test_numpy_integer_degree():
+    # a numpy integer is an integer: it was refused as "form degree p must
+    # lie in [0, 3], got 1"
+    assert degree_weights(np.int64(2), np.int32(1)) == degree_weights(2, 1)
+    assert all(type(x.numerator) is int for x in degree_weights(np.int64(2), np.int64(1)))
+    ts = CUBE_TORI[2]
+    channels = enumerate_channels(ts, np.int64(1), 8.0)
+    assert channels == enumerate_channels(ts, 1, 8.0)
+    assert all(type(ch.p) is int for ch in channels)
 
 
 # ---------------------------------------------------------------------------

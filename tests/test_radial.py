@@ -149,6 +149,15 @@ class TestMakeProfile:
         with pytest.raises(ValueError, match=rf"^{name} must"):
             make_profile(*params)
 
+    @pytest.mark.parametrize("value", [True, np.True_, "0.2"], ids=["True", "np.True_", "str"])
+    @pytest.mark.parametrize("index,name", [(0, "eps"), (1, "L"), (2, "l_out"), (3, "eta")])
+    def test_bool_and_string_parameters_are_refused(self, index, name, value):
+        # each was read by float(): True as 1.0 and "0.2" as 0.2
+        params = [0.2, 1.0, 0.8, 0.0]
+        params[index] = value
+        with pytest.raises(ValueError, match=rf"^{name} must .*, got {value!r}$"):
+            make_profile(*params)
+
     def test_eta_needs_room(self):
         with pytest.raises(ValueError):
             make_profile(0.5, 0.0, 1.0, eta=0.02)
@@ -244,7 +253,7 @@ class TestMakeProfile:
 def flat(mass2, lam, ell):
     """One point of the batched flat-piece propagators, unscaled."""
     P, logs = radial._flat_propagators(mass2, np.array([float(lam)]), ell)
-    return P[0] * math.exp(logs[0])
+    return P[..., 0] * math.exp(logs[0])
 
 
 class TestSegmentPropagator:
@@ -261,7 +270,7 @@ class TestSegmentPropagator:
         P, logs = radial._flat_propagators(kappa**2 + 2.0, np.array([2.0]), kl / kappa)
         c, s = math.cosh(kl), math.sinh(kl)
         want = np.array([[c, s / kappa], [kappa * s, c]]) * math.exp(-logs[0])
-        np.testing.assert_allclose(P[0], want, rtol=1e-14)
+        np.testing.assert_allclose(P[..., 0], want, rtol=1e-14)
         assert logs[0] == pytest.approx(kl - math.log(2.0), rel=1e-15)
 
     def test_oscillatory_anchor(self):
@@ -302,7 +311,7 @@ def bessel_g(gamma, lam, t):
 
 def basis_at(table, lam, t):
     """(f, f', g, g') of a cone table's fundamental pair at one (lam, t)."""
-    S = table.state(np.array([lam]), (t,))[0, 0]
+    S = table.state(np.array([lam]), (t,))[..., 0, 0]
     return S[0, 0], S[1, 0], S[0, 1], S[1, 1]
 
 
@@ -389,8 +398,8 @@ class TestConeBasis:
         lams = np.array([0.0, 0.7, 3.1, 9.0])
         S_wide = wide.state(lams, (0.2, 1.0))
         for k, lam in enumerate(lams):
-            S_one = cone_basis(gamma, lam).state(np.array([lam]), (0.2, 1.0))[:, 0]
-            np.testing.assert_allclose(S_wide[:, k], S_one, rtol=1e-12, atol=0)
+            S_one = cone_basis(gamma, lam).state(np.array([lam]), (0.2, 1.0))[..., 0]
+            np.testing.assert_allclose(S_wide[..., k], S_one, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("gamma", [-0.5, 0.618, 2.5])
     def test_tail_test_stops_where_the_quadratic_scan_did(self, gamma):
@@ -468,7 +477,7 @@ def cone_transfer(channel, lam, t0, t1):
     radius t0 to t1, state (sigma, dsigma/dt), from a table cut at lam t1^2."""
     table = cone_basis(gamma_of(channel), abs(lam) * t1 * t1)
     S = table.state(np.array([float(lam)]), (t0, t1))
-    return radial._transfer(S[0], S[1], table.wronskian)[0]
+    return radial._transfer(S[:, :, 0], S[:, :, 1], table.wronskian)[..., 0]
 
 
 def rk_cone_propagator(channel, lam, t0, t1):
@@ -556,7 +565,7 @@ def half_map(channel, lam, profile):
     A exp(logscale): a length-one call of the batched evaluation, from a
     table cut at |lam|."""
     A, logs = radial._HalfPeriod(*key(channel), profile, abs(lam))(np.array([float(lam)]))
-    return A[0], float(logs[0])
+    return A[..., 0], float(logs[0])
 
 
 def monodromy(channel, lam, profile):
@@ -711,7 +720,7 @@ class TestMonodromy:
             if ch.kind == "H5":
                 continue
             A, logs = radial._HalfPeriod(*key(ch), prof, 50.0)(grid)
-            for lam, A_b, s_b in zip(grid, A, logs):
+            for lam, A_b, s_b in zip(grid, np.moveaxis(A, -1, 0), logs):
                 A_1, logscale = half_map(ch, lam, prof)
                 assert np.max(np.abs(A_b * math.exp(s_b) - A_1 * math.exp(logscale))) <= (
                     1e-12 * max(1.0, math.exp(logscale)))
@@ -735,7 +744,7 @@ class TestBatchedScan:
         A, logs = half(grid)
         for k, lam in enumerate(grid):
             A1, logs1 = half(np.array([float(lam)]))
-            assert np.array_equal(A1[0], A[k]) and logs1[0] == logs[k], lam
+            assert np.array_equal(A1[..., 0], A[..., k]) and logs1[0] == logs[k], lam
 
     @pytest.mark.parametrize("eps", [0.19, 0.2, 0.21])
     def test_circle_high_scan_stays_inside_the_guard(self, eps):
@@ -893,16 +902,16 @@ class TestFloquetEigenvalues:
 
 
 def roots_on_grid_loop(F):
-    """Reference grid walk: column by column and sample by sample, the
-    nodes where F is zero (of either sign) and the cells whose two ends are
-    nonzero of opposite signs, as sorted (index, column) pairs."""
+    """Reference grid walk: row by row and sample by sample, the nodes
+    where F is zero (of either sign) and the cells whose two ends are
+    nonzero of opposite signs, as sorted (row, index) pairs."""
     nodes, cells = [], []
-    for j in range(F.shape[1]):
-        for i in range(F.shape[0]):
-            if F[i, j] == 0.0:
-                nodes.append((i, j))
-            elif i + 1 < F.shape[0] and F[i + 1, j] != 0.0 and (F[i, j] < 0) != (F[i + 1, j] < 0):
-                cells.append((i, j))
+    for j in range(F.shape[0]):
+        for i in range(F.shape[1]):
+            if F[j, i] == 0.0:
+                nodes.append((j, i))
+            elif i + 1 < F.shape[1] and F[j, i + 1] != 0.0 and (F[j, i] < 0) != (F[j, i + 1] < 0):
+                cells.append((j, i))
     return sorted(nodes), sorted(cells)
 
 
@@ -948,7 +957,29 @@ class TestGridWalk:
         grid = np.linspace(0.0, lam_max, SCAN_STEPS + 1)
         for ch in census:
             for mu2, w in radial._scalar_problems(ch):
-                assert_walks_agree(radial._HalfPeriod(mu2, w, prof, lam_max)(grid)[0].reshape(-1, 4))
+                assert_walks_agree(radial._HalfPeriod(mu2, w, prof, lam_max)(grid)[0].reshape(4, -1))
+
+    @pytest.mark.parametrize("problem,lam_max", [
+        *((key(ch), 400.0) for ch in CIRCLE_HIGH),
+        (key(pair_partners(next(ch for ch in TORUS_P1 if ch.kind == "H5"))[0]), 8.0),
+    ], ids=[f"circle-high-{ch.kind}-{ch.mu2}" for ch in CIRCLE_HIGH] + ["torus-p1-H5-partner"])
+    def test_scan_is_elementwise(self, problem, lam_max):
+        # the polish reuses the scanned values at bracket ends and evaluates
+        # its open brackets in batches of any size and order, so a point's
+        # value must not depend on the rest of the array: not on where the
+        # array is split, nor on the order of its points
+        half = radial._HalfPeriod(*problem, make_profile(0.2, 1.0, 0.8), lam_max)
+        grid = np.linspace(0.0, lam_max, SCAN_STEPS + 1)
+        A, logs = half(grid)
+        for k in (1, 777, SCAN_STEPS):
+            (A0, logs0), (A1, logs1) = half(grid[:k]), half(grid[k:])
+            assert np.array_equal(np.concatenate((A0, A1), axis=-1), A), k
+            assert np.array_equal(np.concatenate((logs0, logs1)), logs), k
+        perm = np.random.default_rng(23).permutation(grid.size)
+        A_perm, logs_perm = half(grid[perm])
+        inverse = np.argsort(perm)
+        assert np.array_equal(A_perm[..., inverse], A)
+        assert np.array_equal(logs_perm[inverse], logs)
 
     @pytest.mark.parametrize("Fs", [
         # zeros of both signs at both ends and inside, crossing cells,
@@ -959,7 +990,7 @@ class TestGridWalk:
         [1e-300, -1e-300, 0.3, 0.2, -0.1, -0.1, -0.2],  # products that underflow
     ])
     def test_synthetic_walk_is_the_loop(self, Fs):
-        assert_walks_agree(np.array(Fs)[:, None])
+        assert_walks_agree(np.array(Fs)[None, :])
 
     def test_random_walk_is_the_loop(self):
         rng = np.random.default_rng(7)
@@ -967,7 +998,7 @@ class TestGridWalk:
             F = rng.normal(size=(40, 4)) * 10.0 ** rng.integers(-200, 1, size=(40, 4))
             F[rng.random((40, 4)) < 0.1] = 0.0
             F[rng.random((40, 4)) < 0.1] = -0.0
-            assert_walks_agree(F)
+            assert_walks_agree(F.T)
 
 
 class TestPolish:
@@ -979,7 +1010,7 @@ class TestPolish:
         half = radial._HalfPeriod(*key(ch), prof, 10.0)
 
         def F(x, k):
-            return half(x)[0][:, 0, 0]
+            return half(x)[0][0, 0]
 
         grid = np.linspace(0.0, 10.0, 51)
         a = F(grid, None)
@@ -1271,11 +1302,14 @@ class TestPublicInput:
         lambda theta: oracle_eigenvalues(TORUS_P1[0], theta, STD, 8.0),
         lambda theta: assemble(TORUS_P1[0], theta, STD, 200),
     ], ids=["floquet_eigenvalues", "oracle_eigenvalues", "assemble"])
-    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, True])
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, True, np.True_, np.False_,
+                                       "0.7"])
     def test_non_finite_theta_is_refused(self, solve, theta):
         # NaN used to give the oracle's theta = 0 spectrum and a NaN error
-        # from the polish, +-inf a bare math domain error; True was theta = 1
-        with pytest.raises(ValueError, match=r"theta must be finite, got (nan|inf|-inf|True)$"):
+        # from the polish, +-inf a bare math domain error; True was theta = 1,
+        # and a numpy bool, which is not a bool, was theta = 1 or 0
+        with pytest.raises(ValueError, match=r"theta must be finite, got "
+                                             r"(nan|inf|-inf|True|np\.True_|np\.False_|'0\.7')$"):
             solve(theta)
 
     @pytest.mark.parametrize("solve", [
@@ -1283,9 +1317,11 @@ class TestPublicInput:
         lambda lam_max: floquet_eigenvalues(TORUS_P1[0], 0.7, STD, lam_max),
         lambda lam_max: oracle_eigenvalues(TORUS_P1[0], 0.0, STD, lam_max),
     ], ids=["band_edges", "floquet_eigenvalues", "oracle_eigenvalues"])
-    @pytest.mark.parametrize("lam_max", [math.nan, math.inf, -math.inf, -1.0, True])
+    @pytest.mark.parametrize("lam_max", [math.nan, math.inf, -math.inf, -1.0, True, np.True_,
+                                         np.False_, "8"])
     def test_lam_max_out_of_range_is_refused(self, solve, lam_max):
-        # True was lam_max = 1
+        # True was lam_max = 1, a numpy bool lam_max = 1 or 0, and float()
+        # read the string "8" as 8.0
         with pytest.raises(ValueError, match=r"lam_max must be finite and >= 0"):
             solve(lam_max)
 
