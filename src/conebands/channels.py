@@ -15,9 +15,11 @@ at every slope break the interface weight w, and on a cone of radius t the
 potential gamma (gamma + 1) / t^2 with the tip exponent
 gamma = -1/2 + sqrt(mu^2 + (w + 1/2)^2) (radial.tip_exponent).
 
-The radial solver takes only the key.  It solves an H5 pair as the keys of
+The radial solver takes only mu^2 and the weights.  It solves an H5 pair as
 its two scalar Hodge partners, H4 of degree p-1 and H3 of degree p+1 at the
-same mu^2 (pair_partners); partners with one key are one problem.
+same mu^2 (pair_partners).  Their weights w_alpha - 1 and nu - 1 sum to -1,
+so they share gamma and the solver evaluates both in one half-period map;
+partners with one key are one problem.
 """
 
 from __future__ import annotations
@@ -87,7 +89,9 @@ def pair_partners(ch: Channel) -> tuple[Channel, Channel]:
     d maps the coexact (p-1)-form channel into the pair block and d* maps the
     exact p-form channel of degree p+1 into it, so the pair's spectrum is the
     disjoint union of the two partners' spectra.  One degree down w_alpha
-    drops by 1, one degree up nu drops by 1.
+    drops by 1, one degree up nu drops by 1.  The partners' weights
+    p - n/2 - 1 and n/2 - p sum to -1, so (w + 1/2)^2 and the tip exponent
+    gamma are the same for both: only their slope-break jumps differ.
     """
     if ch.kind != "H5":
         raise ValueError(f"pair_partners needs an H5 channel, got {ch.kind}")

@@ -22,8 +22,9 @@ derivative jump
 
 and V = gamma (gamma + 1) / rho^2 on cones, where gamma = tip_exponent(mu^2,
 w) is the cone's indicial exponent (Cheeger, J. Diff. Geom. 1983).  The key
-(mu^2, w) = (channel.mu2, channel.interface_weights[0]) fixes the problem,
-and it is all the solver below band_edges and floquet_eigenvalues takes.
+(mu^2, w) = (channel.mu2, channel.interface_weights[0]) fixes the problem.
+The solver below band_edges and floquet_eigenvalues takes mu^2 and the
+channel's distinct weights w, one for a scalar channel.
 
 Floquet eigenvalues at quasimomentum theta are the lambda with
 tr M = 2 cos theta for the period monodromy M.  The profile, and with it
@@ -46,26 +47,32 @@ the counts.  The merged zeros are the band edges; inside a band tr M runs
 monotonically between -2 and 2, so at every theta, 0 and pi included, the
 band holds one Floquet eigenvalue.  It is the zero of b c + sin^2(theta/2),
 or of the equal a d - cos^2(theta/2) when cos^2(theta/2) is the smaller, so
-that near pi the constant does not swamp b c.  The spectrum of an
-H5 pair is the disjoint union of those of its two scalar Hodge partners
-(channels.pair_partners), so the pair is solved as the partners' keys,
-counted: partners with one key are one problem solved once.
+that near pi the constant does not swamp b c.
+
+The spectrum of an H5 pair is the disjoint union of those of its two
+scalar Hodge partners (channels.pair_partners).  Their weights sum to -1,
+so (w + 1/2)^2 and with it gamma are the same for both: the half handle,
+the cone and the half cylinder are shared, and only the jumps -w/eps and
++w differ.  So a channel is one solve, of all its weights at once: a
+scalar channel has one, a pair two, and a pair whose partners have one
+key (n odd, p = (n+1)/2) has one weight whose bands count twice.
 
 The cone's Frobenius recurrence does not involve lambda: lambda enters only
 through z = lambda t^2.  A root scan therefore builds one lambda-free
-coefficient table per scalar problem (cone_basis, valid up to lam_max) and
-evaluates A for the whole lambda grid at once, as (2, 2, G) arrays with one
-log scale per point, so deep spectral gaps (huge hyperbolic growth) never
-overflow.  lambda is the last, contiguous axis of every batched array (the
-Horner accumulator is (4, radii, G), the cone states (2, 2, radii, G)), so
-each elementwise step is one long loop over the grid.  The zeros of all
-four entries are then polished in one batched Chandrupatla iteration on the
+coefficient table per channel (cone_basis, valid up to lam_max) and
+evaluates A for the whole lambda grid and each of the K weights at once,
+as (2, 2, K, G) arrays with one log scale per point and weight, so deep
+spectral gaps (huge hyperbolic growth) never overflow.  lambda is the
+last, contiguous axis of every batched array (the Horner accumulator is
+(4, radii, G), the cone states (2, 2, radii, G)), so each elementwise step
+is one long loop over the grid.  The zeros of all four entries of every
+weight are then polished in one batched Chandrupatla iteration on the
 same table, in plain numpy.  The evaluator is elementwise, so a value at a
-grid node equals the scanned one bit for bit and the scanned values at
-bracket ends are reused.  The cone
-evaluation checks the numerical Wronskian of every point and raises
-NumericalError once the series has lost its digits (lambda t^2 beyond
-about 400).
+grid node equals the scanned one bit for bit, the scanned values at
+bracket ends are reused, and each weight's values are the ones it has
+solved alone.  The cone evaluation checks the numerical Wronskian of every
+point and raises NumericalError once the series has lost its digits
+(lambda t^2 beyond about 400).
 """
 
 from __future__ import annotations
@@ -81,8 +88,8 @@ import numpy as np
 from .channels import Channel, check_lam_max, pair_partners
 
 # lambda grid resolution for root scans: one batched evaluation of the
-# half-period map at SCAN_STEPS + 1 points per scalar problem, then one
-# batched bracket polish per scalar problem on the same coefficient table
+# half-period map at SCAN_STEPS + 1 points per channel, then one batched
+# bracket polish per channel on the same coefficient table
 SCAN_STEPS = 2000
 # absolute tolerance of a polished Floquet root
 ROOT_TOL = 1e-10
@@ -444,41 +451,55 @@ def _transfer(S0: np.ndarray, S1: np.ndarray, wronskian: float) -> np.ndarray:
 
 
 class _HalfPeriod:
-    """Half-period map A of the scalar Hill problem (mu2, w), from the handle
-    centre to the mid-cylinder cut, for every lam with |lam| <= lam_bound.
+    """Half-period maps A of the scalar Hill problems (mu2, w) of one
+    channel, one per interface weight w, from the handle centre to the
+    mid-cylinder cut, for every lam with |lam| <= lam_bound.
 
-    The cone's Frobenius table is built once, here, and evaluated at the
-    profile's own radii eps and 1.  A call evaluates the product of the half
-    handle, the jump -w/eps, the cone, the jump +w and the half cylinder for
-    a whole array of lam as (2, 2, G) arrays, each point divided by its
-    largest entry, whose log is the point's log scale.  A single lam is a
-    length-one call of the same elementwise arithmetic, so it reproduces a
-    grid value bit for bit.  Piecewise profiles only: a smoothed corner is
-    refused.
+    The weights must share the tip exponent: equal, or summing to -1 as an
+    H5 pair's two Hodge partners do.  Then the half handle, the cone and
+    the half cylinder are the same for all of them, and only the jumps -w/eps
+    and +w differ.  The cone's Frobenius table is built once, here, and
+    evaluated at the profile's own radii eps and 1.  A call evaluates the
+    product of the half handle, the jump -w/eps, the cone, the jump +w and
+    the half cylinder for a whole array of lam as (2, 2, K, G) arrays for
+    K weights, each point divided by its largest entry, whose log is the
+    point's log scale.  A single lam is a length-one call of the same
+    elementwise arithmetic, so it reproduces a grid value bit for bit, and
+    each weight's map is the one it has alone.  Piecewise profiles only: a
+    smoothed corner is refused.  Raises ValueError for weights whose tip
+    exponents differ.
     """
 
-    def __init__(self, mu2, w, profile: Profile, lam_bound: float):
+    def __init__(self, mu2, weights, profile: Profile, lam_bound: float):
         if profile.eta > 0.0 and profile.eps < 1.0:
             raise ValueError("the half-period map needs a piecewise profile; eta > 0 "
                              "rounds every corner")
-        mu2, w, eps = float(mu2), float(w), profile.eps
+        w0 = weights[0]
+        if any(w != w0 and w + w0 != -1 for w in weights):
+            raise ValueError(f"interface weights {[str(w) for w in weights]} have different "
+                             "tip exponents: each must equal the first or sum with it to -1")
+        mu2, eps = float(mu2), profile.eps
         self.handle = (mu2 / (eps * eps), 0.5 * profile.L)
         self.cylinder = (mu2, 0.5 * profile.l_out)
-        self.eps, self.w = eps, w
+        w = np.array([float(w) for w in weights])[:, None]
+        # the jumps -w/eps at the handle and +w at the cylinder, a row per weight
+        self.eps, self.jumps = eps, (w / eps, w)
         # no cone and no slope break on a flat circle
-        self.table = cone_basis(tip_exponent(mu2, w), float(lam_bound)) if eps < 1.0 else None
+        self.table = cone_basis(tip_exponent(mu2, w0), float(lam_bound)) if eps < 1.0 else None
 
     def __call__(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Scaled maps (2, 2, G) and their log scales (G,)."""
+        """Scaled maps (2, 2, K, G) and their log scales (K, G)."""
         lam = np.asarray(lam, dtype=float)
-        A, logs = _flat_propagators(self.handle[0], lam, self.handle[1])
+        H, logs = _flat_propagators(self.handle[0], lam, self.handle[1])
+        handle_jump, cylinder_jump = self.jumps
+        A = H[:, :, None].repeat(len(cylinder_jump), axis=2)
         if self.table is not None:
-            A[1] -= self.w / self.eps * A[0]
+            A[1] -= handle_jump * A[0]
             S = self.table.state(lam, (self.eps, 1.0))
-            A = _mul(_transfer(S[:, :, 0], S[:, :, 1], self.table.wronskian), A)
-            A[1] += self.w * A[0]
+            A = _mul(_transfer(S[:, :, 0], S[:, :, 1], self.table.wronskian)[:, :, None], A)
+            A[1] += cylinder_jump * A[0]
         P, s = _flat_propagators(self.cylinder[0], lam, self.cylinder[1])
-        A = _mul(P, A)
+        A = _mul(P[:, :, None], A)
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.abs(A).max(axis=(0, 1))
             A /= scale
@@ -492,46 +513,52 @@ class _HalfPeriod:
 # Floquet root finding
 
 
-def _scalar_problems(channel: Channel) -> Counter:
-    """The scalar Hill problems (mu^2, w) of a channel, each counted by its
-    copies.  An H5 pair is the problems of its two Hodge partners, which
-    are one problem twice for n odd and p = (n+1)/2."""
+def _partner_weights(channel: Channel) -> Counter:
+    """The interface weights w of a channel's scalar Hill problems (mu^2, w),
+    each counted by its copies.  An H5 pair has the weights of its two Hodge
+    partners, which share the tip exponent (they sum to -1) and are one
+    weight twice for n odd and p = (n+1)/2."""
     parts = pair_partners(channel) if channel.kind == "H5" else (channel,)
-    return Counter((part.mu2, part.interface_weights[0]) for part in parts)
+    return Counter(part.interface_weights[0] for part in parts)
 
 
-def _floquet_roots(mu2, w, profile: Profile,
-                   lam_max: float) -> tuple[_HalfPeriod, list[list[float]]]:
-    """The half-period map of the scalar Hill problem (mu2, w) and the
-    sorted zeros of its entries a, b, c, d in [0, lam_max].
+def _floquet_roots(mu2, weights, profile: Profile,
+                   lam_max: float) -> tuple[_HalfPeriod, list[list[list[float]]]]:
+    """The half-period map of the scalar Hill problems (mu2, w), w in
+    weights, and per weight the sorted zeros of its entries a, b, c, d in
+    [0, lam_max].
 
     One batched evaluation over the lambda grid gives the signs of all four
-    entries; a node where an entry vanishes is one of its zeros, and every
-    cell over which an entry changes sign is polished, all of them together
-    on the same table, each end keeping its scanned value.  Raises when a
-    zero lies below mu^2 or the zeros fail the count certificate."""
-    half = _HalfPeriod(mu2, w, profile, lam_max)
+    entries of every weight; a node where an entry vanishes is one of its
+    zeros, and every cell over which an entry changes sign is polished, all
+    of them together on the same table, each end keeping its scanned value.
+    Raises when a zero lies below mu^2 or a weight's zeros fail the count
+    certificate."""
+    half = _HalfPeriod(mu2, weights, profile, lam_max)
+    K = len(weights)
     # at lam_max = 0 the grid is the one node 0: repeated nodes would each
     # count a zero there
     grid = np.linspace(0.0, float(lam_max), SCAN_STEPS + 1 if lam_max > 0 else 1)
-    F = half(grid)[0].reshape(4, -1)  # rows a, b, c, d
+    F = half(grid)[0].reshape(4 * K, -1)  # row e K + k: entry e of a, b, c, d, weight k
     if mu2 == 0:
         # the form's kernel rho^-w is even and periodic: lambda = 0 is
         # exactly the bottom of the spectrum, a zero of c, whatever the
         # sampled sign
-        F[2, 0] = 0.0
+        F[2 * K:3 * K, 0] = 0.0
     (at, node), (of, cell) = _roots_on_grid(F)
 
     def entry(x, k):
-        return half(x)[0].reshape(4, -1)[of[k], np.arange(x.size)]
+        return half(x)[0].reshape(4 * K, -1)[of[k], np.arange(x.size)]
 
     x = _polish(entry, grid[cell], grid[cell + 1], F[of, cell], F[of, cell + 1])
-    roots = [sorted(grid[node[at == j]].tolist() + x[of == j].tolist()) for j in range(4)]
-    low = [r for col in roots for r in col if r < float(mu2) - 1e-6]
-    if low:
-        raise NumericalError(f"eigenvalue {min(low)} violates the channel lower bound "
-                             f"{float(mu2)}; pruning rule unsound here")
-    _certify(roots, lam_max)
+    roots = [[sorted(grid[node[at == r]].tolist() + x[of == r].tolist())
+              for r in range(k, 4 * K, K)] for k in range(K)]
+    for zeros in roots:
+        low = [r for col in zeros for r in col if r < float(mu2) - 1e-6]
+        if low:
+            raise NumericalError(f"eigenvalue {min(low)} violates the channel lower bound "
+                                 f"{float(mu2)}; pruning rule unsound here")
+        _certify(zeros, lam_max)
     return half, roots
 
 
@@ -571,22 +598,26 @@ def _certify(roots: list[list[float]], lam_max: float) -> None:
                                  f"not alternate on [{float(z[k + 1])!r}, {float(z[k])!r}]")
 
 
-def _bands(mu2, w, profile: Profile,
-           lam_max: float) -> tuple[_HalfPeriod, list[tuple[tuple, tuple]]]:
-    """The half-period map of the scalar Hill problem (mu2, w) and its bands
-    in [0, lam_max], sorted pairs of edges (x, s): s = 1 at a periodic edge
-    (a zero of b or c), -1 at an antiperiodic one (of a or d) and 0 at the
-    cut at lam_max that ends an odd count.  A gap narrower than two polished
-    zeros resolve is closed: its edges, both periodic or both antiperiodic,
-    are one double eigenvalue."""
-    half, (a, b, c, d) = _floquet_roots(mu2, w, profile, lam_max)
-    edges = sorted([(x, 1) for x in b + c] + [(x, -1) for x in a + d])
-    for k in range(2, len(edges), 2):
-        if edges[k][0] - edges[k - 1][0] < 2.0 * ROOT_TOL:
-            edges[k] = (edges[k - 1][0], edges[k][1])
-    if len(edges) % 2:
-        edges.append((float(lam_max), 0))
-    return half, list(zip(edges[0::2], edges[1::2]))
+def _bands(mu2, weights, profile: Profile,
+           lam_max: float) -> tuple[_HalfPeriod, list[list[tuple[tuple, tuple]]]]:
+    """The half-period map of the scalar Hill problems (mu2, w), w in
+    weights, and per weight its bands in [0, lam_max], sorted pairs of
+    edges (x, s): s = 1 at a periodic edge (a zero of b or c), -1 at an
+    antiperiodic one (of a or d) and 0 at the cut at lam_max that ends an
+    odd count.  A gap narrower than two polished zeros resolve is closed:
+    its edges, both periodic or both antiperiodic, are one double
+    eigenvalue."""
+    half, roots = _floquet_roots(mu2, weights, profile, lam_max)
+    bands = []
+    for a, b, c, d in roots:
+        edges = sorted([(x, 1) for x in b + c] + [(x, -1) for x in a + d])
+        for k in range(2, len(edges), 2):
+            if edges[k][0] - edges[k - 1][0] < 2.0 * ROOT_TOL:
+                edges[k] = (edges[k - 1][0], edges[k][1])
+        if len(edges) % 2:
+            edges.append((float(lam_max), 0))
+        bands.append(list(zip(edges[0::2], edges[1::2])))
+    return half, bands
 
 
 def floquet_eigenvalues(channel: Channel, theta: float, profile: Profile,
@@ -595,34 +626,40 @@ def floquet_eigenvalues(channel: Channel, theta: float, profile: Profile,
     sorted, repeated per intrinsic multiplicity.  Channel.mult is not
     applied here.  An H5 pair returns the union of its partners' roots.
 
-    Each band of _bands holds one root, the zero of b c + sin^2(theta/2) =
-    a d - cos^2(theta/2), polished in the form whose constant is smaller.
-    It is sin^2(theta/2) at a periodic edge and -cos^2(theta/2) at an
-    antiperiodic one, so at theta = 0 and pi the root is a band edge; a band
-    cut at lam_max holds none when its value there has the lower edge's
-    sign.  Raises ValueError for a non-finite theta or a lam_max that is not
-    finite and >= 0."""
+    The channel is one solve: the bands of _bands for all its interface
+    weights, then one polish.  Each band holds one root, the zero of
+    b c + sin^2(theta/2) = a d - cos^2(theta/2), polished in the form whose
+    constant is smaller.  It is sin^2(theta/2) at a periodic edge and
+    -cos^2(theta/2) at an antiperiodic one, so at theta = 0 and pi the root
+    is a band edge; a band cut at lam_max holds none when its value there
+    has the lower edge's sign.  Raises ValueError for a non-finite theta or
+    a lam_max that is not finite and >= 0."""
     check_theta(theta)
     lam_max = check_lam_max(lam_max)
     phi = math.remainder(theta, 2.0 * math.pi)
     # each computed where it is small: s2 is exactly 0 at theta = 0, c2 at pi
     s2, c2 = math.sin(0.5 * phi) ** 2, math.sin(0.5 * (math.pi - abs(phi))) ** 2
-    roots: list[float] = []
-    for (mu2, w), copies in _scalar_problems(channel).items():
-        half, bands = _bands(mu2, w, profile, lam_max)
+    weights = _partner_weights(channel)
+    half, bands = _bands(channel.mu2, tuple(weights), profile, lam_max)
 
-        def F(x, k):
-            A, logs = half(x)
-            if s2 <= c2:
-                return A[0, 1] * A[1, 0] * np.exp(2.0 * logs) + s2
-            return A[0, 0] * A[1, 1] * np.exp(2.0 * logs) - c2
+    def value(x, k):
+        """The polished form at x[i] for weight k[i]."""
+        A, logs = half(x)
+        i = np.arange(x.size)
+        A, logs = A[:, :, k, i], logs[k, i]
+        if s2 <= c2:
+            return A[0, 1] * A[1, 0] * np.exp(2.0 * logs) + s2
+        return A[0, 0] * A[1, 1] * np.exp(2.0 * logs) - c2
 
-        def at(x, s):
-            return s2 if s > 0 else -c2 if s < 0 else float(F(np.array([x]), None)[0])
+    def at(x, s, k):
+        return s2 if s > 0 else -c2 if s < 0 else float(value(np.array([x]), k)[0])
 
-        ends = [(lo, hi, at(lo, s), at(hi, t)) for (lo, s), (hi, t) in bands]
-        ends = np.array([e for e in ends if e[2] * e[3] <= 0.0]).reshape(-1, 4).T
-        roots += copies * _polish(F, *ends).tolist()
+    ends = [(k, lo, hi, at(lo, s, k), at(hi, t, k))
+            for k, part in enumerate(bands) for (lo, s), (hi, t) in part]
+    ends = np.array([e for e in ends if e[3] * e[4] <= 0.0]).reshape(-1, 5).T
+    of = ends[0].astype(int)
+    x = _polish(lambda x, j: value(x, of[j]), *ends[1:])
+    roots = [r for k, copies in enumerate(weights.values()) for r in copies * x[of == k].tolist()]
     return sorted(roots)
 
 
@@ -702,15 +739,17 @@ def band_edges(channel: Channel, profile: Profile, lam_max: float) -> BandEdges:
     the merged list are the band edges (Magnus-Winkler, Hill's Equation):
     the bands of _bands, with a gap narrower than 2 ROOT_TOL closed and an
     odd count leaving a last band cut at lam_max.  An H5 pair returns the
-    bands of its two scalar partners together; partners with one key
-    (mu^2, w) are solved once and their bands listed twice.  Raises
-    ValueError for a lam_max that is not finite and >= 0.
+    bands of its two scalar partners together, from one solve of both
+    weights on one cone table and one scan; partners with one key (mu^2, w)
+    are one weight and their bands are listed twice.  Raises ValueError
+    for a lam_max that is not finite and >= 0.
     """
     lam_max = check_lam_max(lam_max)
+    weights = _partner_weights(channel)
+    parts = _bands(channel.mu2, tuple(weights), profile, lam_max)[1]
     bands: list[tuple[float, float]] = []
     truncated = False
-    for (mu2, w), copies in _scalar_problems(channel).items():
-        part = _bands(mu2, w, profile, lam_max)[1]
+    for copies, part in zip(weights.values(), parts):
         truncated |= any(s == 0 for _, (_, s) in part)
         bands += copies * [(lo, hi) for (lo, _), (hi, _) in part]
     bands.sort(key=lambda band: (band[1], band[0]))

@@ -273,3 +273,22 @@ def test_tip_exponent_matches_the_slot_formula():
                     assert gamma_of(part) == slot_formula_gamma(part), (n, p, part)
                     checked += 1
     assert checked > 100
+
+
+def test_pair_partners_share_the_tip_exponent():
+    # the radial solver evaluates a pair's two partners in one half-period
+    # map, which shares the cone between them; that holds because their
+    # weights w_alpha - 1 and nu - 1 sum to -1, so (w + 1/2)^2 and gamma agree
+    for n in range(1, 6):
+        ts = build_flat_torus_spectrum([TWO_PI] * n, 3)
+        with_pairs = []
+        for p in range(0, n + 2):
+            pairs = [ch for ch in enumerate_channels(ts, p, 3.0) if ch.kind == "H5"]
+            for ch in pairs:
+                h4, h3 = pair_partners(ch)
+                (w4,), (w3,) = h4.interface_weights, h3.interface_weights
+                assert w4 + w3 == -1, (n, p)
+                assert gamma_of(h4) == gamma_of(h3), (n, p, ch.mu2)
+            if pairs:
+                with_pairs.append(p)
+        assert with_pairs == list(range(1, n + 1)), n

@@ -42,6 +42,7 @@ CIRCLE = build_flat_torus_spectrum([2 * math.pi], 11)
 # the circle-high benchmark census: circle of length 2 pi / 3 at p = 0 up to
 # lambda = 400, with mu^2 = 9 k^2 and cone exponents gamma = 3k - 1/2
 CIRCLE_HIGH = enumerate_channels(build_flat_torus_spectrum([2 * math.pi / 3], 400.0), 0, 400.0)
+TORUS_P1_SPECTRUM = build_flat_torus_spectrum([2 * math.pi, 2 * math.pi], 8.25)
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +468,18 @@ def key(channel):
     return channel.mu2, channel.interface_weights[0]
 
 
+def single_map(mu2, w, profile, lam_bound):
+    """The half-period map of the one scalar Hill problem (mu2, w): a
+    callable giving (2, 2, G) maps and (G,) log scales."""
+    half = radial._HalfPeriod(mu2, (w,), profile, lam_bound)
+
+    def call(lam):
+        A, logs = half(lam)
+        return A[:, :, 0], logs[0]
+
+    return call
+
+
 def gamma_of(channel):
     """Tip exponent of a scalar channel."""
     return tip_exponent(*key(channel))
@@ -564,7 +577,7 @@ def half_map(channel, lam, profile):
     """Scaled half-period map (A, logscale) at one lam, the true one being
     A exp(logscale): a length-one call of the batched evaluation, from a
     table cut at |lam|."""
-    A, logs = radial._HalfPeriod(*key(channel), profile, abs(lam))(np.array([float(lam)]))
+    A, logs = single_map(*key(channel), profile, abs(lam))(np.array([float(lam)]))
     return A[..., 0], float(logs[0])
 
 
@@ -719,7 +732,7 @@ class TestMonodromy:
         for ch in enumerate_channels(build_flat_torus_spectrum([2 * math.pi], 50.0), p, 50.0):
             if ch.kind == "H5":
                 continue
-            A, logs = radial._HalfPeriod(*key(ch), prof, 50.0)(grid)
+            A, logs = single_map(*key(ch), prof, 50.0)(grid)
             for lam, A_b, s_b in zip(grid, np.moveaxis(A, -1, 0), logs):
                 A_1, logscale = half_map(ch, lam, prof)
                 assert np.max(np.abs(A_b * math.exp(s_b) - A_1 * math.exp(logscale))) <= (
@@ -739,7 +752,7 @@ class TestBatchedScan:
         # root polishing evaluates single points through the scan's table and
         # arithmetic, so at a grid node it must reproduce the scanned value
         ch = next(c for c in CIRCLE_HIGH if c.kind == kind and float(c.mu2) == mu2)
-        half = radial._HalfPeriod(*key(ch), make_profile(0.2, 1.0, 0.8), 400.0)
+        half = single_map(*key(ch), make_profile(0.2, 1.0, 0.8), 400.0)
         grid = np.linspace(0.0, 400.0, SCAN_STEPS + 1)
         A, logs = half(grid)
         for k, lam in enumerate(grid):
@@ -752,7 +765,45 @@ class TestBatchedScan:
         assert len(CIRCLE_HIGH) == 7
         grid = np.linspace(0.0, 400.0, SCAN_STEPS + 1)
         for ch in CIRCLE_HIGH:
-            radial._HalfPeriod(*key(ch), make_profile(eps, 1.0, 0.8), 400.0)(grid)
+            single_map(*key(ch), make_profile(eps, 1.0, 0.8), 400.0)(grid)
+
+
+T3 = build_flat_torus_spectrum([2 * math.pi] * 3, 6.0)
+
+
+class TestStackedMap:
+    # an H5 pair's two Hodge partners share mu^2 and the tip exponent, so
+    # one map evaluates both; each weight's map must be the one it has alone
+    @pytest.mark.parametrize("n,p,mu2", [(2, 1, 1), (2, 1, 8), (3, 1, 1), (3, 3, 2)])
+    def test_two_weights_are_two_single_maps(self, n, p, mu2):
+        ts = {2: TORUS_P1_SPECTRUM, 3: T3}[n]
+        ch = next(c for c in enumerate_channels(ts, p, 6.0 if n == 3 else 8.0)
+                  if c.kind == "H5" and c.mu2 == mu2)
+        weights = tuple(radial._partner_weights(ch))
+        assert len(weights) == 2
+        prof = make_profile(0.2, 1.0, 0.8)
+        stacked = radial._HalfPeriod(ch.mu2, weights, prof, 8.0)
+        singles = [radial._HalfPeriod(ch.mu2, (w,), prof, 8.0) for w in weights]
+        # the scan grid crosses mu^2; the polish evaluates single points and
+        # short batches in any order
+        batches = [np.linspace(0.0, 8.0, SCAN_STEPS + 1),
+                   np.random.default_rng(24).uniform(0.0, 8.0, 7)]
+        batches += [np.array([x]) for x in (0.0, float(mu2), np.nextafter(float(mu2), 0.0), 8.0)]
+        for lam in batches:
+            A, logs = stacked(lam)
+            assert A.shape == (2, 2, 2, lam.size) and logs.shape == (2, lam.size)
+            for k, single in enumerate(singles):
+                A1, logs1 = single(lam)
+                assert np.array_equal(A[:, :, k], A1[:, :, 0]), (k, lam.size)
+                assert np.array_equal(logs[k], logs1[0]), (k, lam.size)
+
+    def test_weights_with_different_tip_exponents_are_refused(self):
+        # w = 0 and w = 1 give (w + 1/2)^2 = 1/4 and 9/4: two cones
+        prof = make_profile(0.2, 1.0, 0.8)
+        with pytest.raises(ValueError, match="different tip exponents"):
+            radial._HalfPeriod(1, (0, 1), prof, 8.0)
+        with pytest.raises(ValueError, match="different tip exponents"):
+            radial._HalfPeriod(1, (Fraction(-1, 2), Fraction(-1, 2), 0), prof, 8.0)
 
 
 # ---------------------------------------------------------------------------
@@ -922,30 +973,33 @@ def assert_walks_agree(F):
     assert sorted(zip(*(v.tolist() for v in cells))) == ref_cells
 
 
-TORUS_P1 = enumerate_channels(build_flat_torus_spectrum([2 * math.pi, 2 * math.pi], 8.25), 1, 8.0)
+TORUS_P1 = enumerate_channels(TORUS_P1_SPECTRUM, 1, 8.0)
+H5_P1 = next(ch for ch in TORUS_P1 if ch.kind == "H5")
 
 
-class TestScalarProblems:
-    def test_torus_channels_map_to_their_keys(self):
+class TestPartnerWeights:
+    def test_torus_channels_map_to_their_weights(self):
         # T^2 at p = 1: nu = 1 and w_alpha = 0, so an H5 pair's partners H4
-        # of degree 0 (w = -1) and H3 of degree 2 (w = 0) are two problems
+        # of degree 0 (w = -1) and H3 of degree 2 (w = 0) are two weights
         assert {ch.kind for ch in TORUS_P1} == {"H1", "H2", "H4", "H5"}
         for ch in TORUS_P1:
-            problems = radial._scalar_problems(ch)
+            weights = radial._partner_weights(ch)
             if ch.kind == "H5":
                 h4, h3 = pair_partners(ch)
-                assert problems == Counter({key(h4): 1, key(h3): 1})
-                assert problems == Counter({(ch.mu2, -1): 1, (ch.mu2, 0): 1})
+                assert weights == Counter({key(h4)[1]: 1, key(h3)[1]: 1})
+                assert weights == Counter({-1: 1, 0: 1})
+                assert key(h4)[0] == key(h3)[0] == ch.mu2
             else:
-                assert problems == Counter({key(ch): 1})
+                assert weights == Counter({key(ch)[1]: 1})
 
-    def test_equal_partners_are_one_key_twice(self):
+    def test_equal_partners_are_one_weight_twice(self):
         # the circle at p = 1 is the middle degree: both partners have
-        # w = -1/2, so every pair is one problem with count 2
+        # w = -1/2, so every pair is one problem (mu^2, -1/2) with count 2
         pairs = [ch for ch in enumerate_channels(CIRCLE, 1, 10.0) if ch.kind == "H5"]
         assert len(pairs) == 3
         for ch in pairs:
-            assert radial._scalar_problems(ch) == Counter({(ch.mu2, Fraction(-1, 2)): 2})
+            assert radial._partner_weights(ch) == Counter({Fraction(-1, 2): 2})
+            assert {key(part) for part in pair_partners(ch)} == {(ch.mu2, Fraction(-1, 2))}
 
 
 class TestGridWalk:
@@ -956,30 +1010,33 @@ class TestGridWalk:
         prof = make_profile(*params)
         grid = np.linspace(0.0, lam_max, SCAN_STEPS + 1)
         for ch in census:
-            for mu2, w in radial._scalar_problems(ch):
-                assert_walks_agree(radial._HalfPeriod(mu2, w, prof, lam_max)(grid)[0].reshape(4, -1))
+            weights = tuple(radial._partner_weights(ch))
+            A = radial._HalfPeriod(ch.mu2, weights, prof, lam_max)(grid)[0]
+            assert_walks_agree(A.reshape(4 * len(weights), -1))
 
-    @pytest.mark.parametrize("problem,lam_max", [
-        *((key(ch), 400.0) for ch in CIRCLE_HIGH),
-        (key(pair_partners(next(ch for ch in TORUS_P1 if ch.kind == "H5"))[0]), 8.0),
-    ], ids=[f"circle-high-{ch.kind}-{ch.mu2}" for ch in CIRCLE_HIGH] + ["torus-p1-H5-partner"])
-    def test_scan_is_elementwise(self, problem, lam_max):
+    @pytest.mark.parametrize("mu2,weights,lam_max", [
+        *((ch.mu2, ch.interface_weights, 400.0) for ch in CIRCLE_HIGH),
+        *((part.mu2, part.interface_weights, 8.0) for part in pair_partners(H5_P1)[:1]),
+        (H5_P1.mu2, tuple(radial._partner_weights(H5_P1)), 8.0),
+    ], ids=[f"circle-high-{ch.kind}-{ch.mu2}" for ch in CIRCLE_HIGH]
+        + ["torus-p1-H5-partner", "torus-p1-H5-pair"])
+    def test_scan_is_elementwise(self, mu2, weights, lam_max):
         # the polish reuses the scanned values at bracket ends and evaluates
         # its open brackets in batches of any size and order, so a point's
         # value must not depend on the rest of the array: not on where the
         # array is split, nor on the order of its points
-        half = radial._HalfPeriod(*problem, make_profile(0.2, 1.0, 0.8), lam_max)
+        half = radial._HalfPeriod(mu2, weights, make_profile(0.2, 1.0, 0.8), lam_max)
         grid = np.linspace(0.0, lam_max, SCAN_STEPS + 1)
         A, logs = half(grid)
         for k in (1, 777, SCAN_STEPS):
             (A0, logs0), (A1, logs1) = half(grid[:k]), half(grid[k:])
             assert np.array_equal(np.concatenate((A0, A1), axis=-1), A), k
-            assert np.array_equal(np.concatenate((logs0, logs1)), logs), k
+            assert np.array_equal(np.concatenate((logs0, logs1), axis=-1), logs), k
         perm = np.random.default_rng(23).permutation(grid.size)
         A_perm, logs_perm = half(grid[perm])
         inverse = np.argsort(perm)
         assert np.array_equal(A_perm[..., inverse], A)
-        assert np.array_equal(logs_perm[inverse], logs)
+        assert np.array_equal(logs_perm[..., inverse], logs)
 
     @pytest.mark.parametrize("Fs", [
         # zeros of both signs at both ends and inside, crossing cells,
@@ -1007,7 +1064,7 @@ class TestPolish:
         # sign change: the solve must refuse, not return
         ch = next(c for c in CIRCLE_HIGH if c.kind == "H2")
         prof = make_profile(0.2, 1.0, 0.8)
-        half = radial._HalfPeriod(*key(ch), prof, 10.0)
+        half = single_map(*key(ch), prof, 10.0)
 
         def F(x, k):
             return half(x)[0][0, 0]
@@ -1098,7 +1155,8 @@ class TestSyntheticPolish:
 def h2_roots():
     """The zeros of a, b, c, d of the circle-high H2 channel at seed 0."""
     assert CIRCLE_HIGH[0].kind == "H2"
-    return radial._floquet_roots(*key(CIRCLE_HIGH[0]), make_profile(0.2, 1.0, 0.8), 400.0)[1]
+    mu2, w = key(CIRCLE_HIGH[0])
+    return radial._floquet_roots(mu2, (w,), make_profile(0.2, 1.0, 0.8), 400.0)[1][0]
 
 
 class TestCertificate:
@@ -1213,7 +1271,8 @@ class TestBandEdges:
 
     def test_identical_partners_are_scanned_once(self, monkeypatch):
         # circle at p = 1: H4 of degree 0 and H3 of degree 2 are the same
-        # scalar problem, so the pair is one scan with every band twice
+        # scalar problem, so the pair is one scan of one weight with every
+        # band twice
         prof = make_profile(0.3, 1.0, 0.8)
         ch = h5_channel()
         h4, h3 = pair_partners(ch)
@@ -1221,13 +1280,14 @@ class TestBandEdges:
         scans = []
         scan = radial._floquet_roots
         monkeypatch.setattr(radial, "_floquet_roots",
-                            lambda mu2, w, *args: scans.append((mu2, w)) or scan(mu2, w, *args))
+                            lambda mu2, weights, *args: scans.append((mu2, weights))
+                            or scan(mu2, weights, *args))
         be = band_edges(ch, prof, 6.0)
-        assert scans == [key(h4)]
+        assert scans == [(h4.mu2, h4.interface_weights)]
         assert be.bands[0::2] == be.bands[1::2] == single.bands
         assert be.truncated == single.truncated
         roots = floquet_eigenvalues(ch, 0.0, prof, 6.0)
-        assert scans == [key(h4)] * 2
+        assert scans == [(h4.mu2, h4.interface_weights)] * 2
         assert roots[0::2] == roots[1::2] == floquet_eigenvalues(h3, 0.0, prof, 6.0)
 
     @pytest.mark.parametrize("params", [
@@ -1286,6 +1346,37 @@ class TestBandEdges:
                       + oracle_eigenvalues(ch, math.pi, prof, 7.2))
         assert len(edges) == len(want) == 7
         np.testing.assert_allclose(sorted(edges), want, atol=1e-6)
+
+
+class TestOneSolvePerChannel:
+    # a channel is one solve: one cone table and one scan, whatever its
+    # number of scalar partners, with the bands they have alone
+    @pytest.mark.parametrize("n,p,lam_max", [(2, 1, 8.0), (3, 2, 6.0)])
+    def test_a_pair_is_one_solve(self, monkeypatch, n, p, lam_max):
+        ts = {2: TORUS_P1_SPECTRUM, 3: T3}[n]
+        ch = next(c for c in enumerate_channels(ts, p, lam_max) if c.kind == "H5")
+        h4, h3 = pair_partners(ch)
+        # T^3 at p = 2 is the middle degree: the two partners are one key
+        assert (key(h4) == key(h3)) == (n == 3)
+        prof = make_profile(0.2, 1.0, 0.8)
+        alone = [band_edges(part, prof, lam_max) for part in (h4, h3)]
+        thetas = (0.0, 0.7, math.pi)
+        roots_alone = [floquet_eigenvalues(h4, theta, prof, lam_max)
+                       + floquet_eigenvalues(h3, theta, prof, lam_max) for theta in thetas]
+        tables, sizes = [], []
+        basis, call = radial.cone_basis, radial._HalfPeriod.__call__
+        monkeypatch.setattr(radial, "cone_basis",
+                            lambda *args: tables.append(args) or basis(*args))
+        monkeypatch.setattr(radial._HalfPeriod, "__call__",
+                            lambda half, lam: sizes.append(np.size(lam)) or call(half, lam))
+        be = band_edges(ch, prof, lam_max)
+        assert len(tables) == 1 and sizes.count(SCAN_STEPS + 1) == 1
+        merged = sorted(alone[0].bands + alone[1].bands, key=lambda band: (band[1], band[0]))
+        assert repr(be) == repr(BandEdges(merged, alone[0].truncated or alone[1].truncated))
+        for calls, (theta, want) in enumerate(zip(thetas, roots_alone), start=2):
+            roots = floquet_eigenvalues(ch, theta, prof, lam_max)
+            assert len(tables) == calls and sizes.count(SCAN_STEPS + 1) == calls
+            assert repr(roots) == repr(sorted(want)), theta
 
 
 # ---------------------------------------------------------------------------
