@@ -15,11 +15,12 @@ at every slope break the interface weight w, and on a cone of radius t the
 potential gamma (gamma + 1) / t^2 with the tip exponent
 gamma = -1/2 + sqrt(mu^2 + (w + 1/2)^2) (radial.tip_exponent).
 
-The radial solver takes only mu^2 and the weights.  It solves an H5 pair as
-its two scalar Hodge partners, H4 of degree p-1 and H3 of degree p+1 at the
-same mu^2 (pair_partners).  Their weights w_alpha - 1 and nu - 1 sum to -1,
-so they share gamma and the solver evaluates both in one half-period map;
-partners with one key are one problem.
+The radial solver reads from a channel only mu^2 and the weights of its
+scalar problems.  An H5 pair's are its two scalar Hodge partners, H4 of
+degree p-1 and H3 of degree p+1 at the same mu^2 (pair_partners).  Their
+weights w_alpha - 1 and nu - 1 sum to -1, so they share gamma and one solve
+evaluates both in one half-period map; partners with one key are one
+problem whose bands the solve lists twice.
 """
 
 from __future__ import annotations
@@ -32,12 +33,20 @@ from fractions import Fraction
 from .transversal import Scalar, TransversalSpectrum
 
 
+def _real(x) -> float:
+    """x as a float; NaN unless x is a real number (not a bool, a numpy
+    bool or a string) within the double range."""
+    try:
+        return float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
+    except OverflowError:  # an int or a Fraction such as 10**400
+        return math.nan
+
+
 def check_lam_max(lam_max) -> float:
     """The spectral window's top lam_max as a float; ValueError unless it
     is a real number (not a bool, a numpy bool or a string) that is finite
     and >= 0."""
-    if (not isinstance(lam_max, numbers.Real) or isinstance(lam_max, bool)
-            or not 0.0 <= float(lam_max) < math.inf):
+    if not 0.0 <= _real(lam_max) < math.inf:
         raise ValueError(f"lam_max must be finite and >= 0, got {lam_max!r}")
     return float(lam_max)
 

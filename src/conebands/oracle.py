@@ -155,7 +155,7 @@ def _period_nodes(profile: Profile, counts: list[tuple[float, float, int]]) -> n
 
 @dataclass
 class FormMatrix:
-    """Discretized quadratic form: stiffness K, diagonal mass W, grid nodes.
+    """Discretized quadratic form: stiffness K and diagonal mass W.
 
     K is Hermitian by construction (entrywise, exactly); complex entries
     appear only through the wrap-around phase.  W holds the trapezoid node
@@ -164,7 +164,6 @@ class FormMatrix:
 
     K: np.ndarray
     W: np.ndarray
-    nodes: np.ndarray
 
 
 def assemble(channel: Channel, theta: float, profile: Profile, N: int) -> FormMatrix:
@@ -190,7 +189,7 @@ def assemble(channel: Channel, theta: float, profile: Profile, N: int) -> FormMa
         X = X.astype(complex)
         phase = np.exp(1j * theta)
     X[-1] *= phase
-    G, w, nodes = G[:-1], w[:-1], nodes[:-1]
+    G, w = G[:-1], w[:-1]
     M, m = G.shape[:2]
     idx = np.arange(M * m).reshape(M, m)
     nxt = np.roll(idx, -1, axis=0)
@@ -198,7 +197,7 @@ def assemble(channel: Channel, theta: float, profile: Profile, N: int) -> FormMa
     K[idx[:, :, None], idx[:, None, :]] = G
     K[idx[:, :, None], nxt[:, None, :]] = X
     K[nxt[:, None, :], idx[:, :, None]] = X.conj()
-    return FormMatrix(K=K, W=np.repeat(w, m), nodes=nodes)
+    return FormMatrix(K=K, W=np.repeat(w, m))
 
 
 def _real_phase(theta: float) -> float | None:

@@ -23,8 +23,8 @@ derivative jump
 and V = gamma (gamma + 1) / rho^2 on cones, where gamma = tip_exponent(mu^2,
 w) is the cone's indicial exponent (Cheeger, J. Diff. Geom. 1983).  The key
 (mu^2, w) = (channel.mu2, channel.interface_weights[0]) fixes the problem.
-The solver below band_edges and floquet_eigenvalues takes mu^2 and the
-channel's distinct weights w, one for a scalar channel.
+band_edges and floquet_eigenvalues read one solve per channel, _bands,
+which lists the bands of all its scalar problems.
 
 Floquet eigenvalues at quasimomentum theta are the lambda with
 tr M = 2 cos theta for the period monodromy M.  The profile, and with it
@@ -53,9 +53,9 @@ The spectrum of an H5 pair is the disjoint union of those of its two
 scalar Hodge partners (channels.pair_partners).  Their weights sum to -1,
 so (w + 1/2)^2 and with it gamma are the same for both: the half handle,
 the cone and the half cylinder are shared, and only the jumps -w/eps and
-+w differ.  So a channel is one solve, of all its weights at once: a
-scalar channel has one, a pair two, and a pair whose partners have one
-key (n odd, p = (n+1)/2) has one weight whose bands count twice.
++w differ.  So a channel is one solve, of all its distinct weights at
+once: a scalar channel has one, a pair two, and a pair whose partners have
+one key (n odd, p = (n+1)/2) one, whose bands the solve lists twice.
 
 The cone's Frobenius recurrence does not involve lambda: lambda enters only
 through z = lambda t^2.  A root scan therefore builds one lambda-free
@@ -78,14 +78,12 @@ point and raises NumericalError once the series has lost its digits
 from __future__ import annotations
 
 import math
-import numbers
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
-from .channels import Channel, check_lam_max, pair_partners
+from .channels import Channel, _real, check_lam_max, pair_partners
 
 # lambda grid resolution for root scans: one batched evaluation of the
 # half-period map at SCAN_STEPS + 1 points per channel, then one batched
@@ -108,7 +106,7 @@ class NumericalError(RuntimeError):
 def check_theta(theta) -> None:
     """ValueError unless the quasimomentum theta is a finite real number
     (not a bool, a numpy bool or a string)."""
-    if not isinstance(theta, numbers.Real) or isinstance(theta, bool) or not math.isfinite(theta):
+    if not math.isfinite(_real(theta)):
         raise ValueError(f"theta must be finite, got {theta!r}")
 
 
@@ -200,17 +198,17 @@ def make_profile(eps: float, L: float, l_out: float, eta: float = 0.0) -> Profil
     min(2 * rho_corner * eta, room), which keeps |log(rho_eta / rho)| <= eta/2
     pointwise, i.e. the smoothed metric stays within [e^-eta, e^eta] of the
     piecewise one.  Raises ValueError, naming the parameter, unless all
-    four are real numbers (not bools, numpy bools or strings), 0 < eps <= 1,
-    L and l_out are finite and >= 0, 0 <= eta < 1 and T is finite and
-    positive, and when eta > 0 rounds a cone whose handle or outer cylinder
-    has length 0 or a corner narrower than MIN_CORNER_ULPS ulps of T, whose
-    grid steps would round to zero.
+    four are real numbers in the double range (not bools, numpy bools or
+    strings), 0 < eps <= 1, L and l_out are finite and >= 0, 0 <= eta < 1
+    and T is finite and positive, and when eta > 0 rounds a cone whose
+    handle or outer cylinder has length 0 or a corner narrower than
+    MIN_CORNER_ULPS ulps of T, whose grid steps would round to zero.
     """
     given = {"eps": eps, "L": L, "l_out": l_out, "eta": eta}
-    # a parameter that is not a real number reads as NaN, which every range
-    # test below refuses, and the message shows it as given
-    eps, L, l_out, eta = (float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool)
-                          else math.nan for x in given.values())
+    # a parameter that is not a real number, or beyond the double range,
+    # reads as NaN, which every range test below refuses, and the message
+    # shows it as given
+    eps, L, l_out, eta = map(_real, given.values())
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in ]0, 1], got {given['eps']!r}")
     for name, length in (("L", L), ("l_out", l_out)):
@@ -513,55 +511,6 @@ class _HalfPeriod:
 # Floquet root finding
 
 
-def _partner_weights(channel: Channel) -> Counter:
-    """The interface weights w of a channel's scalar Hill problems (mu^2, w),
-    each counted by its copies.  An H5 pair has the weights of its two Hodge
-    partners, which share the tip exponent (they sum to -1) and are one
-    weight twice for n odd and p = (n+1)/2."""
-    parts = pair_partners(channel) if channel.kind == "H5" else (channel,)
-    return Counter(part.interface_weights[0] for part in parts)
-
-
-def _floquet_roots(mu2, weights, profile: Profile,
-                   lam_max: float) -> tuple[_HalfPeriod, list[list[list[float]]]]:
-    """The half-period map of the scalar Hill problems (mu2, w), w in
-    weights, and per weight the sorted zeros of its entries a, b, c, d in
-    [0, lam_max].
-
-    One batched evaluation over the lambda grid gives the signs of all four
-    entries of every weight; a node where an entry vanishes is one of its
-    zeros, and every cell over which an entry changes sign is polished, all
-    of them together on the same table, each end keeping its scanned value.
-    Raises when a zero lies below mu^2 or a weight's zeros fail the count
-    certificate."""
-    half = _HalfPeriod(mu2, weights, profile, lam_max)
-    K = len(weights)
-    # at lam_max = 0 the grid is the one node 0: repeated nodes would each
-    # count a zero there
-    grid = np.linspace(0.0, float(lam_max), SCAN_STEPS + 1 if lam_max > 0 else 1)
-    F = half(grid)[0].reshape(4 * K, -1)  # row e K + k: entry e of a, b, c, d, weight k
-    if mu2 == 0:
-        # the form's kernel rho^-w is even and periodic: lambda = 0 is
-        # exactly the bottom of the spectrum, a zero of c, whatever the
-        # sampled sign
-        F[2 * K:3 * K, 0] = 0.0
-    (at, node), (of, cell) = _roots_on_grid(F)
-
-    def entry(x, k):
-        return half(x)[0].reshape(4 * K, -1)[of[k], np.arange(x.size)]
-
-    x = _polish(entry, grid[cell], grid[cell + 1], F[of, cell], F[of, cell + 1])
-    roots = [[sorted(grid[node[at == r]].tolist() + x[of == r].tolist())
-              for r in range(k, 4 * K, K)] for k in range(K)]
-    for zeros in roots:
-        low = [r for col in zeros for r in col if r < float(mu2) - 1e-6]
-        if low:
-            raise NumericalError(f"eigenvalue {min(low)} violates the channel lower bound "
-                                 f"{float(mu2)}; pruning rule unsound here")
-        _certify(zeros, lam_max)
-    return half, roots
-
-
 def _roots_on_grid(F: np.ndarray) -> tuple[tuple, tuple]:
     """Read the sampled values F (k, G) of k functions with simple zeros on
     the lambda grid, one function a row: the index arrays (row, node) where
@@ -598,26 +547,64 @@ def _certify(roots: list[list[float]], lam_max: float) -> None:
                                  f"not alternate on [{float(z[k + 1])!r}, {float(z[k])!r}]")
 
 
-def _bands(mu2, weights, profile: Profile,
-           lam_max: float) -> tuple[_HalfPeriod, list[list[tuple[tuple, tuple]]]]:
-    """The half-period map of the scalar Hill problems (mu2, w), w in
-    weights, and per weight its bands in [0, lam_max], sorted pairs of
-    edges (x, s): s = 1 at a periodic edge (a zero of b or c), -1 at an
-    antiperiodic one (of a or d) and 0 at the cut at lam_max that ends an
-    odd count.  A gap narrower than two polished zeros resolve is closed:
-    its edges, both periodic or both antiperiodic, are one double
-    eigenvalue."""
-    half, roots = _floquet_roots(mu2, weights, profile, lam_max)
-    bands = []
-    for a, b, c, d in roots:
-        edges = sorted([(x, 1) for x in b + c] + [(x, -1) for x in a + d])
-        for k in range(2, len(edges), 2):
-            if edges[k][0] - edges[k - 1][0] < 2.0 * ROOT_TOL:
-                edges[k] = (edges[k - 1][0], edges[k][1])
+def _bands(channel: Channel, profile: Profile,
+           lam_max: float) -> tuple[_HalfPeriod, list[tuple[int, tuple, tuple]]]:
+    """The half-period map of a channel's scalar Hill problems (mu^2, w)
+    and their bands in [0, lam_max], each as (k, (lo, s), (hi, t)) with k
+    the map's weight row.  A scalar channel has its own weight, an H5 pair
+    those of its two Hodge partners (pair_partners), and partners with one
+    weight list every band twice.  An edge (x, s) has s = 1 when periodic (a
+    zero of b or c), -1 when antiperiodic (of a or d) and 0 at the cut at
+    lam_max that ends an odd count.
+
+    One batched evaluation over the lambda grid gives the signs of all four
+    entries of every weight; a node where an entry vanishes is one of its
+    zeros, and every cell over which an entry changes sign is polished, all
+    of them together on the same table, each end keeping its scanned value.
+    A weight's sorted edges pair up into bands; a gap narrower than two
+    polished zeros resolve is closed: its edges, both periodic or both
+    antiperiodic, are one double eigenvalue.  Raises NumericalError naming
+    (mu^2, w) when a zero lies below mu^2 or fails the count certificate."""
+    weights = [part.interface_weights[0]
+               for part in (pair_partners(channel) if channel.kind == "H5" else (channel,))]
+    distinct = list(dict.fromkeys(weights))
+    mu2, K = channel.mu2, len(distinct)
+    half = _HalfPeriod(mu2, distinct, profile, lam_max)
+    # at lam_max = 0 the grid is the one node 0: repeated nodes would each
+    # count a zero there
+    grid = np.linspace(0.0, float(lam_max), SCAN_STEPS + 1 if lam_max > 0 else 1)
+    F = half(grid)[0].reshape(4 * K, -1)  # row e K + k: entry e of a, b, c, d, weight k
+    if mu2 == 0:
+        # the form's kernel rho^-w is even and periodic: lambda = 0 is
+        # exactly the bottom of the spectrum, a zero of c, whatever the
+        # sampled sign
+        F[2 * K:3 * K, 0] = 0.0
+    (at, node), (of, cell) = _roots_on_grid(F)
+
+    def entry(x, j):
+        return half(x)[0].reshape(4 * K, -1)[of[j], np.arange(x.size)]
+
+    x = _polish(entry, grid[cell], grid[cell + 1], F[of, cell], F[of, cell + 1])
+    own = []
+    for k, w in enumerate(distinct):
+        a, b, c, d = zeros = [sorted(grid[node[at == r]].tolist() + x[of == r].tolist())
+                              for r in range(k, 4 * K, K)]
+        try:
+            low = [r for col in zeros for r in col if r < float(mu2) - 1e-6]
+            if low:
+                raise NumericalError(f"eigenvalue {min(low)} violates the channel lower bound "
+                                     f"{float(mu2)}; pruning rule unsound here")
+            _certify(zeros, lam_max)
+        except NumericalError as err:
+            raise NumericalError(f"scalar problem (mu^2, w) = ({mu2}, {w}): {err}") from None
+        edges = sorted([(r, 1) for r in b + c] + [(r, -1) for r in a + d])
+        for i in range(2, len(edges), 2):
+            if edges[i][0] - edges[i - 1][0] < 2.0 * ROOT_TOL:
+                edges[i] = (edges[i - 1][0], edges[i][1])
         if len(edges) % 2:
             edges.append((float(lam_max), 0))
-        bands.append(list(zip(edges[0::2], edges[1::2])))
-    return half, bands
+        own.append(list(zip(edges[0::2], edges[1::2])))
+    return half, [(k, lo, hi) for k in map(distinct.index, weights) for lo, hi in own[k]]
 
 
 def floquet_eigenvalues(channel: Channel, theta: float, profile: Profile,
@@ -626,21 +613,20 @@ def floquet_eigenvalues(channel: Channel, theta: float, profile: Profile,
     sorted, repeated per intrinsic multiplicity.  Channel.mult is not
     applied here.  An H5 pair returns the union of its partners' roots.
 
-    The channel is one solve: the bands of _bands for all its interface
-    weights, then one polish.  Each band holds one root, the zero of
-    b c + sin^2(theta/2) = a d - cos^2(theta/2), polished in the form whose
-    constant is smaller.  It is sin^2(theta/2) at a periodic edge and
-    -cos^2(theta/2) at an antiperiodic one, so at theta = 0 and pi the root
-    is a band edge; a band cut at lam_max holds none when its value there
-    has the lower edge's sign.  Raises ValueError for a non-finite theta or
-    a lam_max that is not finite and >= 0."""
+    The channel is one solve, _bands, then one polish of one bracket per
+    listed band, so a band listed twice gives its root twice.  Each band
+    holds one root, the zero of b c + sin^2(theta/2) = a d - cos^2(theta/2),
+    polished in the form whose constant is smaller.  It is sin^2(theta/2)
+    at a periodic edge and -cos^2(theta/2) at an antiperiodic one, so at
+    theta = 0 and pi the root is a band edge; a band cut at lam_max holds
+    none when its value there has the lower edge's sign.  Raises ValueError
+    for a non-finite theta or a lam_max that is not finite and >= 0."""
     check_theta(theta)
     lam_max = check_lam_max(lam_max)
     phi = math.remainder(theta, 2.0 * math.pi)
     # each computed where it is small: s2 is exactly 0 at theta = 0, c2 at pi
     s2, c2 = math.sin(0.5 * phi) ** 2, math.sin(0.5 * (math.pi - abs(phi))) ** 2
-    weights = _partner_weights(channel)
-    half, bands = _bands(channel.mu2, tuple(weights), profile, lam_max)
+    half, bands = _bands(channel, profile, lam_max)
 
     def value(x, k):
         """The polished form at x[i] for weight k[i]."""
@@ -654,13 +640,10 @@ def floquet_eigenvalues(channel: Channel, theta: float, profile: Profile,
     def at(x, s, k):
         return s2 if s > 0 else -c2 if s < 0 else float(value(np.array([x]), k)[0])
 
-    ends = [(k, lo, hi, at(lo, s, k), at(hi, t, k))
-            for k, part in enumerate(bands) for (lo, s), (hi, t) in part]
+    ends = [(k, lo, hi, at(lo, s, k), at(hi, t, k)) for k, (lo, s), (hi, t) in bands]
     ends = np.array([e for e in ends if e[3] * e[4] <= 0.0]).reshape(-1, 5).T
     of = ends[0].astype(int)
-    x = _polish(lambda x, j: value(x, of[j]), *ends[1:])
-    roots = [r for k, copies in enumerate(weights.values()) for r in copies * x[of == k].tolist()]
-    return sorted(roots)
+    return sorted(_polish(lambda x, j: value(x, of[j]), *ends[1:]).tolist())
 
 
 def _polish(F, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
@@ -737,20 +720,14 @@ def band_edges(channel: Channel, profile: Profile, lam_max: float) -> BandEdges:
     The sorted periodic (zeros of b and c) and antiperiodic (zeros of a and
     d) eigenvalues of a scalar channel interlace, so consecutive entries of
     the merged list are the band edges (Magnus-Winkler, Hill's Equation):
-    the bands of _bands, with a gap narrower than 2 ROOT_TOL closed and an
-    odd count leaving a last band cut at lam_max.  An H5 pair returns the
-    bands of its two scalar partners together, from one solve of both
-    weights on one cone table and one scan; partners with one key (mu^2, w)
-    are one weight and their bands are listed twice.  Raises ValueError
-    for a lam_max that is not finite and >= 0.
+    a gap narrower than 2 ROOT_TOL is closed and an odd count leaves a last
+    band cut at lam_max.  The channel is one solve, _bands, whose listed
+    bands are sorted here; an H5 pair's are those of its two scalar
+    partners, twice over when the partners are one key (mu^2, w).  Raises
+    ValueError for a lam_max that is not finite and >= 0.
     """
     lam_max = check_lam_max(lam_max)
-    weights = _partner_weights(channel)
-    parts = _bands(channel.mu2, tuple(weights), profile, lam_max)[1]
-    bands: list[tuple[float, float]] = []
-    truncated = False
-    for copies, part in zip(weights.values(), parts):
-        truncated |= any(s == 0 for _, (_, s) in part)
-        bands += copies * [(lo, hi) for (lo, _), (hi, _) in part]
-    bands.sort(key=lambda band: (band[1], band[0]))
-    return BandEdges(bands, truncated)
+    bands = _bands(channel, profile, lam_max)[1]
+    return BandEdges(sorted([(lo, hi) for _, (lo, _), (hi, _) in bands],
+                            key=lambda band: (band[1], band[0])),
+                     any(t == 0 for _, _, (_, t) in bands))

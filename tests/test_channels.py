@@ -203,9 +203,12 @@ def test_enumerate_refuses_insufficient_cutoff():
     assert [c.kind for c in enumerate_channels(ts, 1, 5.0)] == ["H1", "H2", "H5", "H5"]
 
 
-@pytest.mark.parametrize("lam_max", [math.inf, math.nan, -1.0])
+@pytest.mark.parametrize("lam_max", [
+    math.inf, math.nan, -1.0, pytest.param(10**400, id="10**400"),
+    pytest.param(-10**400, id="-10**400")])
 def test_enumerate_refuses_lam_max_out_of_range(lam_max):
-    # inf once blamed the transversal cutoff, and 0 was refused outright
+    # inf once blamed the transversal cutoff, 0 was refused outright, and an
+    # int beyond the double range raised OverflowError
     with pytest.raises(ValueError, match=r"^lam_max must be finite and >= 0"):
         enumerate_channels(CUBE_TORI[2], 1, lam_max)
 

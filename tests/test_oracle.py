@@ -45,6 +45,12 @@ def single_grid(ch, theta, prof, lam_max, N):
     return [float(x) for x in evs if x <= lam_max]
 
 
+def period_nodes(prof, N):
+    """The nodes of assemble's glued period on the N grid: t = 0 up to the
+    last node before the cut at T, which merges into node 0."""
+    return oracle._period_nodes(prof, oracle._piece_counts(prof, N))[:-1]
+
+
 def chan(p, kind, mu2=None):
     for c in enumerate_channels(CIRCLE, p, 12.0):
         if c.kind == kind and (mu2 is None or float(c.mu2) == mu2):
@@ -254,19 +260,22 @@ class TestAssemble:
 
     def test_grid_hits_interfaces(self):
         fm = assemble(chan(0, "H2"), 0.0, STD, 150)
-        assert fm.nodes[0] == 0.0
-        assert np.all(np.diff(fm.nodes) > 0)
-        assert fm.nodes[-1] < STD.T
+        nodes = period_nodes(STD, 150)
+        assert fm.W.size == nodes.size
+        assert nodes[0] == 0.0
+        assert np.all(np.diff(nodes) > 0)
+        assert nodes[-1] < STD.T
         for a, _, _ in STD.pieces():
-            assert np.min(np.abs(fm.nodes - a)) < 1e-12
+            assert np.min(np.abs(nodes - a)) < 1e-12
 
     def test_grid_refines_into_handle(self):
         prof = make_profile(0.05, 1.0, 1.0)
         fm = assemble(chan(0, "H2"), 0.0, prof, 300)
-        h_handle = np.diff(fm.nodes)[np.searchsorted(fm.nodes, prof.T / 2) - 1]
-        h_outer = fm.nodes[1] - fm.nodes[0]
+        nodes = period_nodes(prof, 300)
+        h_handle = np.diff(nodes)[np.searchsorted(nodes, prof.T / 2) - 1]
+        h_outer = nodes[1] - nodes[0]
         assert h_handle < h_outer / 4
-        assert isinstance(fm, FormMatrix)
+        assert isinstance(fm, FormMatrix) and fm.W.size == nodes.size
 
     def test_small_grid_refused(self):
         with pytest.raises(ValueError):
@@ -454,7 +463,7 @@ class TestBandSolve:
         fm = assemble(ch, theta, prof, 120)
         s = 1.0 / np.sqrt(fm.W)
         want = s[:, None] * fm.K * s[None, :]
-        M = len(fm.nodes)
+        M = len(period_nodes(prof, 120))
         K = M // 2
         node = [0] + [j for i in range(1, K) for j in (i, M - i)] + [K]
         perm = np.ravel([[j * m + i for i in range(m)] for j in node])
@@ -520,7 +529,7 @@ class TestBandSolve:
     @pytest.mark.parametrize("case", [0, 2], ids=["scalar", "pair"])
     def test_every_theta_assembles_the_half_period_alone(self, monkeypatch, case, theta):
         ch, prof = BAND_CASES[case]
-        M = len(assemble(ch, theta, prof, 200).nodes)
+        M = len(period_nodes(prof, 200))
         coefficient = oracle.warp_coefficient
         midpoints = []
 

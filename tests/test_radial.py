@@ -13,7 +13,6 @@ import math
 import os
 import subprocess
 import sys
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -142,11 +141,17 @@ class TestMakeProfile:
         ((0.2, 1.0, 0.8, math.nan), "eta"),
         ((0.2, 1.0, 0.8, math.inf), "eta"),
         ((0.2, 1e308, 1e308), "period T"),
+        ((10**400, 1.0, 0.8), "eps"),
+        ((0.2, 10**400, 0.8), "L"),
+        ((0.2, 1.0, 10**400), "l_out"),
+        ((0.2, 1.0, 0.8, 10**400), "eta"),
     ], ids=["eps-nan", "eps-inf", "L-nan", "L-inf", "l_out-nan", "l_out-inf", "eta-nan",
-            "eta-inf", "T-overflow"])
+            "eta-inf", "T-overflow", "eps-huge-int", "L-huge-int", "l_out-huge-int",
+            "eta-huge-int"])
     def test_non_finite_input_is_refused_by_name(self, params, name):
         # eta = nan once gave corners with NaN bounds and eta = 0 bands from
-        # band_edges; a non-finite length or period a bare AssertionError
+        # band_edges; a non-finite length or period a bare AssertionError,
+        # and an int beyond the double range an OverflowError
         with pytest.raises(ValueError, match=rf"^{name} must"):
             make_profile(*params)
 
@@ -468,6 +473,13 @@ def key(channel):
     return channel.mu2, channel.interface_weights[0]
 
 
+def partner_weights(channel):
+    """The distinct interface weights of a channel's scalar Hill problems in
+    first-seen order: its own, or its two Hodge partners' for an H5 pair."""
+    parts = pair_partners(channel) if channel.kind == "H5" else (channel,)
+    return tuple(dict.fromkeys(key(part)[1] for part in parts))
+
+
 def single_map(mu2, w, profile, lam_bound):
     """The half-period map of the one scalar Hill problem (mu2, w): a
     callable giving (2, 2, G) maps and (G,) log scales."""
@@ -779,7 +791,7 @@ class TestStackedMap:
         ts = {2: TORUS_P1_SPECTRUM, 3: T3}[n]
         ch = next(c for c in enumerate_channels(ts, p, 6.0 if n == 3 else 8.0)
                   if c.kind == "H5" and c.mu2 == mu2)
-        weights = tuple(radial._partner_weights(ch))
+        weights = partner_weights(ch)
         assert len(weights) == 2
         prof = make_profile(0.2, 1.0, 0.8)
         stacked = radial._HalfPeriod(ch.mu2, weights, prof, 8.0)
@@ -978,28 +990,41 @@ H5_P1 = next(ch for ch in TORUS_P1 if ch.kind == "H5")
 
 
 class TestPartnerWeights:
+    # _bands solves a channel's distinct weights as the rows k of one map,
+    # whose jumps at the cylinder are the weights w themselves
     def test_torus_channels_map_to_their_weights(self):
         # T^2 at p = 1: nu = 1 and w_alpha = 0, so an H5 pair's partners H4
         # of degree 0 (w = -1) and H3 of degree 2 (w = 0) are two weights
         assert {ch.kind for ch in TORUS_P1} == {"H1", "H2", "H4", "H5"}
+        prof = make_profile(0.2, 1.0, 0.8)
         for ch in TORUS_P1:
-            weights = radial._partner_weights(ch)
+            half, bands = radial._bands(ch, prof, 8.0)
+            weights = half.jumps[1][:, 0].tolist()
             if ch.kind == "H5":
                 h4, h3 = pair_partners(ch)
-                assert weights == Counter({key(h4)[1]: 1, key(h3)[1]: 1})
-                assert weights == Counter({-1: 1, 0: 1})
+                assert weights == [key(h4)[1], key(h3)[1]]
+                assert weights == [-1, 0]
                 assert key(h4)[0] == key(h3)[0] == ch.mu2
             else:
-                assert weights == Counter({key(ch)[1]: 1})
+                assert weights == [key(ch)[1]]
+            assert all(0 <= k < len(weights) for k, _, _ in bands)
 
     def test_equal_partners_are_one_weight_twice(self):
         # the circle at p = 1 is the middle degree: both partners have
-        # w = -1/2, so every pair is one problem (mu^2, -1/2) with count 2
+        # w = -1/2, so every pair is one problem (mu^2, -1/2) whose bands
+        # are listed twice
         pairs = [ch for ch in enumerate_channels(CIRCLE, 1, 10.0) if ch.kind == "H5"]
         assert len(pairs) == 3
+        prof = make_profile(0.2, 1.0, 0.8)
+        listed = []
         for ch in pairs:
-            assert radial._partner_weights(ch) == Counter({Fraction(-1, 2): 2})
             assert {key(part) for part in pair_partners(ch)} == {(ch.mu2, Fraction(-1, 2))}
+            half, bands = radial._bands(ch, prof, 10.0)
+            assert half.jumps[1][:, 0].tolist() == [-0.5]
+            single = radial._bands(pair_partners(ch)[0], prof, 10.0)[1]
+            assert bands == single + single
+            listed.append(len(single))
+        assert min(listed[:2]) > 0, listed
 
 
 class TestGridWalk:
@@ -1010,14 +1035,14 @@ class TestGridWalk:
         prof = make_profile(*params)
         grid = np.linspace(0.0, lam_max, SCAN_STEPS + 1)
         for ch in census:
-            weights = tuple(radial._partner_weights(ch))
+            weights = partner_weights(ch)
             A = radial._HalfPeriod(ch.mu2, weights, prof, lam_max)(grid)[0]
             assert_walks_agree(A.reshape(4 * len(weights), -1))
 
     @pytest.mark.parametrize("mu2,weights,lam_max", [
         *((ch.mu2, ch.interface_weights, 400.0) for ch in CIRCLE_HIGH),
         *((part.mu2, part.interface_weights, 8.0) for part in pair_partners(H5_P1)[:1]),
-        (H5_P1.mu2, tuple(radial._partner_weights(H5_P1)), 8.0),
+        (H5_P1.mu2, partner_weights(H5_P1), 8.0),
     ], ids=[f"circle-high-{ch.kind}-{ch.mu2}" for ch in CIRCLE_HIGH]
         + ["torus-p1-H5-partner", "torus-p1-H5-pair"])
     def test_scan_is_elementwise(self, mu2, weights, lam_max):
@@ -1153,10 +1178,16 @@ class TestSyntheticPolish:
 
 @pytest.fixture(scope="module")
 def h2_roots():
-    """The zeros of a, b, c, d of the circle-high H2 channel at seed 0."""
+    """The zeros of a, b, c, d of the circle-high H2 channel at seed 0, as
+    band_edges hands them to the count certificate."""
     assert CIRCLE_HIGH[0].kind == "H2"
-    mu2, w = key(CIRCLE_HIGH[0])
-    return radial._floquet_roots(mu2, (w,), make_profile(0.2, 1.0, 0.8), 400.0)[1][0]
+    seen, certify = [], radial._certify
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radial, "_certify",
+                   lambda roots, lam_max: seen.append(roots) or certify(roots, lam_max))
+        band_edges(CIRCLE_HIGH[0], make_profile(0.2, 1.0, 0.8), 400.0)
+    assert len(seen) == 1 and len(seen[0]) == 4
+    return seen[0]
 
 
 class TestCertificate:
@@ -1177,6 +1208,29 @@ class TestCertificate:
         roots[1] = sorted(roots[1] + [0.5 * (roots[1][3] + roots[1][4])])
         with pytest.raises(NumericalError, match=r"the zeros of (d and b|a and b) do not alternate"):
             radial._certify(roots, 400.0)
+
+    @pytest.mark.parametrize("w", [0, -1])
+    def test_a_refusal_names_the_scalar_problem(self, monkeypatch, w):
+        # the T^2 p = 1 pair at mu^2 = 1 has partners w = -1 and w = 0 with
+        # one zero of c each below 8; dropping either once gave one message
+        ch = next(c for c in TORUS_P1 if c.kind == "H5" and c.mu2 == 1)
+        prof = make_profile(0.2, 1.0, 0.8)
+        half = radial._bands(ch, prof, 8.0)[0]
+        weights = half.jumps[1][:, 0].tolist()
+        assert weights == [-1, 0]
+        row = 2 * len(weights) + weights.index(w)  # entry c of weight w
+        walk = radial._roots_on_grid
+
+        def drop_c(F):
+            (at, node), (of, cell) = walk(F)
+            assert np.count_nonzero(of == row) == 1
+            return (at, node), (of[of != row], cell[of != row])
+
+        monkeypatch.setattr(radial, "_roots_on_grid", drop_c)
+        with pytest.raises(NumericalError, match=rf"^scalar problem \(mu\^2, w\) = \(1, {w}\): "
+                                                 r"count certificate: 0 zeros of c against 1 of a "
+                                                 r"on \[0, 8\.0\]$"):
+            band_edges(ch, prof, 8.0)
 
     def test_thin_bands_may_swap_within_the_map_accuracy(self):
         # consecutive zeros of a pair are the edges of a band; in an
@@ -1278,10 +1332,10 @@ class TestBandEdges:
         h4, h3 = pair_partners(ch)
         single = band_edges(h4, prof, 6.0)
         scans = []
-        scan = radial._floquet_roots
-        monkeypatch.setattr(radial, "_floquet_roots",
-                            lambda mu2, weights, *args: scans.append((mu2, weights))
-                            or scan(mu2, weights, *args))
+        init = radial._HalfPeriod.__init__
+        monkeypatch.setattr(radial._HalfPeriod, "__init__",
+                            lambda half, mu2, weights, *args: scans.append((mu2, tuple(weights)))
+                            or init(half, mu2, weights, *args))
         be = band_edges(ch, prof, 6.0)
         assert scans == [(h4.mu2, h4.interface_weights)]
         assert be.bands[0::2] == be.bands[1::2] == single.bands
@@ -1394,13 +1448,15 @@ class TestPublicInput:
         lambda theta: assemble(TORUS_P1[0], theta, STD, 200),
     ], ids=["floquet_eigenvalues", "oracle_eigenvalues", "assemble"])
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, True, np.True_, np.False_,
-                                       "0.7"])
+                                       "0.7", pytest.param(10**400, id="10**400")])
     def test_non_finite_theta_is_refused(self, solve, theta):
         # NaN used to give the oracle's theta = 0 spectrum and a NaN error
         # from the polish, +-inf a bare math domain error; True was theta = 1,
-        # and a numpy bool, which is not a bool, was theta = 1 or 0
+        # and a numpy bool, which is not a bool, was theta = 1 or 0; an int
+        # beyond the double range raised OverflowError
         with pytest.raises(ValueError, match=r"theta must be finite, got "
-                                             r"(nan|inf|-inf|True|np\.True_|np\.False_|'0\.7')$"):
+                                             r"(nan|inf|-inf|True|np\.True_|np\.False_|'0\.7'"
+                                             r"|10{400})$"):
             solve(theta)
 
     @pytest.mark.parametrize("solve", [
@@ -1409,10 +1465,10 @@ class TestPublicInput:
         lambda lam_max: oracle_eigenvalues(TORUS_P1[0], 0.0, STD, lam_max),
     ], ids=["band_edges", "floquet_eigenvalues", "oracle_eigenvalues"])
     @pytest.mark.parametrize("lam_max", [math.nan, math.inf, -math.inf, -1.0, True, np.True_,
-                                         np.False_, "8"])
+                                         np.False_, "8", pytest.param(10**400, id="10**400")])
     def test_lam_max_out_of_range_is_refused(self, solve, lam_max):
-        # True was lam_max = 1, a numpy bool lam_max = 1 or 0, and float()
-        # read the string "8" as 8.0
+        # True was lam_max = 1, a numpy bool lam_max = 1 or 0, float() read
+        # the string "8" as 8.0, and 10**400 raised OverflowError
         with pytest.raises(ValueError, match=r"lam_max must be finite and >= 0"):
             solve(lam_max)
 
