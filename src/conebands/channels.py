@@ -16,11 +16,11 @@ potential gamma (gamma + 1) / t^2 with the tip exponent
 gamma = -1/2 + sqrt(mu^2 + (w + 1/2)^2) (radial.tip_exponent).
 
 The radial solver reads from a channel only mu^2 and the weights of its
-scalar problems.  An H5 pair's are its two scalar Hodge partners, H4 of
-degree p-1 and H3 of degree p+1 at the same mu^2 (pair_partners).  Their
-weights w_alpha - 1 and nu - 1 sum to -1, so they share gamma and one solve
-evaluates both in one half-period map; partners with one key are one
-problem whose bands the solve lists twice.
+scalar problems (scalar_parts): a scalar channel is its own, and an H5
+pair's are its two Hodge partners, H4 of degree p-1 and H3 of degree p+1
+at the same mu^2.  Their weights w_alpha - 1 and nu - 1 sum to -1, so they
+share gamma and one solve evaluates both in one half-period map; partners
+with one key are one problem whose bands the solve lists twice.
 """
 
 from __future__ import annotations
@@ -88,12 +88,13 @@ class Channel:
 
     @property
     def ncomp(self) -> int:
-        return 2 if self.kind == "H5" else 1
+        return len(self.interface_weights)
 
 
-def pair_partners(ch: Channel) -> tuple[Channel, Channel]:
-    """Scalar Hodge partners of an H5 pair: (H4 of degree p-1, H3 of degree
-    p+1) at the same mu^2 and mult.
+def scalar_parts(ch: Channel) -> tuple[Channel, ...]:
+    """The scalar Hill problems whose spectra make up the channel's: (ch,)
+    for a scalar channel, and for an H5 pair its two Hodge partners (H4 of
+    degree p-1, H3 of degree p+1) at the same mu^2 and mult.
 
     d maps the coexact (p-1)-form channel into the pair block and d* maps the
     exact p-form channel of degree p+1 into it, so the pair's spectrum is the
@@ -103,7 +104,7 @@ def pair_partners(ch: Channel) -> tuple[Channel, Channel]:
     gamma are the same for both: only their slope-break jumps differ.
     """
     if ch.kind != "H5":
-        raise ValueError(f"pair_partners needs an H5 channel, got {ch.kind}")
+        return (ch,)
     nu, w_alpha = ch.interface_weights
     return (
         Channel("H4", ch.n, ch.p - 1, ch.mu2, ch.mult, (w_alpha - 1,)),
@@ -112,11 +113,14 @@ def pair_partners(ch: Channel) -> tuple[Channel, Channel]:
 
 
 def enumerate_channels(ts: TransversalSpectrum, p: int, lam_max: float) -> list[Channel]:
-    """All channels of degree p that can carry spectrum at or below lam_max.
+    """All channels of degree p that can carry spectrum at or below lam_max,
+    family by family in the order H1 ... H5 and by ascending mu^2 within
+    each family.  H1 and H2 have the Betti number as their one mu^2 = 0
+    level, and a level of multiplicity <= 0 gives no channel.
 
     Every channel obeys lambda >= mu^2: the scalars by the completed-square
     form bound, an H5 pair because its spectrum is that of its scalar
-    partners (pair_partners).  So a channel is pruned iff mu^2 > lam_max.
+    partners (scalar_parts).  So a channel is pruned iff mu^2 > lam_max.
     Raises ValueError for a lam_max that is not finite and >= 0, and when
     the cross-section data does not reach lam_max.
     """
@@ -125,37 +129,23 @@ def enumerate_channels(ts: TransversalSpectrum, p: int, lam_max: float) -> list[
     nu, w_alpha = degree_weights(n, p)
     p = int(p)  # a numpy integer degree is stored as a plain int
 
-    if float(ts.cutoff) < lam_max - 1e-9:
+    if not float(ts.cutoff) >= lam_max - 1e-9:  # refuses a NaN too
         raise ValueError(
             f"transversal cutoff {float(ts.cutoff)} is below the window {lam_max} "
             f"needed for degree {p}; rebuild the spectrum with a larger cutoff"
         )
 
-    def keep(mu2) -> bool:
-        return float(mu2) <= lam_max + 1e-12 * max(1.0, lam_max)
-
-    out: list[Channel] = []
-
-    b_prev = ts.betti[p - 1] if 0 <= p - 1 <= n else 0
-    b_here = ts.betti[p] if 0 <= p <= n else 0
-
-    if b_prev > 0:
-        out.append(Channel("H1", n, p, Fraction(0), b_prev, (nu,)))
-    if b_here > 0:
-        out.append(Channel("H2", n, p, Fraction(0), b_here, (w_alpha,)))
-
-    for mu2, m in ts.exact(p - 1):
-        if keep(mu2):
-            out.append(Channel("H3", n, p, mu2, m, (nu,)))
-
-    for mu2, m in ts.coexact_at(p):
-        if keep(mu2):
-            out.append(Channel("H4", n, p, mu2, m, (w_alpha,)))
-
-    for mu2, m in ts.coexact_at(p - 1):
-        if keep(mu2):
-            out.append(Channel("H5", n, p, mu2, m, (nu, w_alpha)))
-
-    order = {"H1": 0, "H2": 1, "H3": 2, "H4": 3, "H5": 4}
-    out.sort(key=lambda c: (order[c.kind], float(c.mu2)))
-    return out
+    # harmonic[q]: the one mu^2 = 0 level of the q-forms; the final [] is
+    # that of both q = -1 and q = n + 1
+    harmonic = [[(Fraction(0), b)] for b in ts.betti] + [[]]
+    families = (
+        ("H1", harmonic[p - 1], (nu,)),
+        ("H2", harmonic[p], (w_alpha,)),
+        ("H3", ts.exact(p - 1), (nu,)),
+        ("H4", ts.coexact_at(p), (w_alpha,)),
+        ("H5", ts.coexact_at(p - 1), (nu, w_alpha)),
+    )
+    return [Channel(kind, n, p, mu2, m, weights)
+            for kind, levels, weights in families
+            for mu2, m in sorted(levels, key=lambda level: float(level[0]))
+            if m > 0 and float(mu2) <= lam_max + 1e-12 * max(1.0, lam_max)]

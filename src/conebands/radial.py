@@ -50,7 +50,7 @@ or of the equal a d - cos^2(theta/2) when cos^2(theta/2) is the smaller, so
 that near pi the constant does not swamp b c.
 
 The spectrum of an H5 pair is the disjoint union of those of its two
-scalar Hodge partners (channels.pair_partners).  Their weights sum to -1,
+scalar Hodge partners (channels.scalar_parts).  Their weights sum to -1,
 so (w + 1/2)^2 and with it gamma are the same for both: the half handle,
 the cone and the half cylinder are shared, and only the jumps -w/eps and
 +w differ.  So a channel is one solve, of all its distinct weights at
@@ -83,7 +83,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .channels import Channel, _real, check_lam_max, pair_partners
+from .channels import Channel, _real, check_lam_max, scalar_parts
 
 # lambda grid resolution for root scans: one batched evaluation of the
 # half-period map at SCAN_STEPS + 1 points per channel, then one batched
@@ -385,7 +385,7 @@ def cone_basis(gamma: float, z_max: float) -> ConeSeries:
                 coefs.append(step(j))
                 tail = abs(coefs[-1]) * z_max**j
                 scale = max(scale, tail)
-                if j >= min_j and (tail <= SERIES_RTOL * max(scale, 1e-300) or tail == 0.0):
+                if j >= min_j and tail <= SERIES_RTOL * scale:
                     return
         except OverflowError:
             raise NumericalError(f"cone series overflows double precision at gamma = "
@@ -551,11 +551,12 @@ def _bands(channel: Channel, profile: Profile,
            lam_max: float) -> tuple[_HalfPeriod, list[tuple[int, tuple, tuple]]]:
     """The half-period map of a channel's scalar Hill problems (mu^2, w)
     and their bands in [0, lam_max], each as (k, (lo, s), (hi, t)) with k
-    the map's weight row.  A scalar channel has its own weight, an H5 pair
-    those of its two Hodge partners (pair_partners), and partners with one
-    weight list every band twice.  An edge (x, s) has s = 1 when periodic (a
-    zero of b or c), -1 when antiperiodic (of a or d) and 0 at the cut at
-    lam_max that ends an odd count.
+    the map's weight row.  The weights are those of the channel's
+    scalar_parts: its own for a scalar channel, its two Hodge partners' for
+    an H5 pair, and partners with one weight list every band twice.  An
+    edge (x, s) has s = 1 when periodic (a zero of b or c), -1 when
+    antiperiodic (of a or d) and 0 at the cut at lam_max that ends an odd
+    count.
 
     One batched evaluation over the lambda grid gives the signs of all four
     entries of every weight; a node where an entry vanishes is one of its
@@ -565,8 +566,7 @@ def _bands(channel: Channel, profile: Profile,
     polished zeros resolve is closed: its edges, both periodic or both
     antiperiodic, are one double eigenvalue.  Raises NumericalError naming
     (mu^2, w) when a zero lies below mu^2 or fails the count certificate."""
-    weights = [part.interface_weights[0]
-               for part in (pair_partners(channel) if channel.kind == "H5" else (channel,))]
+    weights = [part.interface_weights[0] for part in scalar_parts(channel)]
     distinct = list(dict.fromkeys(weights))
     mu2, K = channel.mu2, len(distinct)
     half = _HalfPeriod(mu2, distinct, profile, lam_max)

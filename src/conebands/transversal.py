@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -69,12 +69,6 @@ class TransversalSpectrum:
         if q < 0 or q >= len(self.coexact):
             return []
         return list(self.coexact[q])
-
-
-@dataclass
-class ValidationReport:
-    ok: bool
-    violations: list[str] = field(default_factory=list)
 
 
 def build_flat_torus_spectrum(side_lengths, cutoff, label: str | None = None) -> TransversalSpectrum:
@@ -183,17 +177,20 @@ def _positive(x, message: str) -> Scalar:
     return val
 
 
-def validate(ts: TransversalSpectrum) -> ValidationReport:
-    """Consistency checks on cross-section data.
+def validate(ts: TransversalSpectrum) -> list[str]:
+    """Consistency checks on cross-section data: the violations found, an
+    empty list when the data is consistent.
 
-    Checked: list lengths, Betti numbers b_q >= 0, Betti duality
-    b_q = b_{n-q}, Euler characteristic zero (every closed flat manifold has
-    chi = 0, by Gauss-Bonnet-Chern), positivity of mu^2 and multiplicities,
-    every coexact list non-decreasing in mu^2 and below the cutoff, and the
-    Hodge-star pairing coexact[q] ~ coexact[n-q-1].
+    Checked: a positive cutoff, list lengths, Betti numbers b_q >= 0, Betti
+    duality b_q = b_{n-q}, Euler characteristic zero (every closed flat
+    manifold has chi = 0, by Gauss-Bonnet-Chern), positivity of mu^2 and
+    multiplicities, every coexact list non-decreasing in mu^2 and below the
+    cutoff, and the Hodge-star pairing coexact[q] ~ coexact[n-q-1].
     """
     v: list[str] = []
     n = ts.n
+    if not float(ts.cutoff) > 0:  # refuses a NaN too
+        v.append(f"cutoff {ts.cutoff} is not positive")
     if len(ts.betti) != n + 1:
         v.append(f"betti has length {len(ts.betti)}, expected {n + 1}")
     if len(ts.coexact) != n + 1:
@@ -226,7 +223,7 @@ def validate(ts: TransversalSpectrum) -> ValidationReport:
             qq = n - q - 1
             if _merge(ts.coexact[q] + [(mu2, -m) for mu2, m in ts.coexact[qq]]):
                 v.append(f"Hodge pairing violated: coexact[{q}] != coexact[{qq}]")
-    return ValidationReport(ok=not v, violations=v)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +322,7 @@ def load_spectrum(path) -> TransversalSpectrum:
         betti=betti,
         coexact=coexact,
     )
-    rep = validate(ts)
-    if not rep.ok:
-        raise SpectrumFormatError(f"{path}: invalid spectrum: " + "; ".join(rep.violations))
+    violations = validate(ts)
+    if violations:
+        raise SpectrumFormatError(f"{path}: invalid spectrum: " + "; ".join(violations))
     return ts

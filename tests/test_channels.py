@@ -8,10 +8,10 @@ from conebands.channels import (
     Channel,
     degree_weights,
     enumerate_channels,
-    pair_partners,
+    scalar_parts,
 )
 from conebands.radial import tip_exponent
-from conebands.transversal import build_flat_torus_spectrum
+from conebands.transversal import TransversalSpectrum, build_flat_torus_spectrum
 
 TWO_PI = 2.0 * math.pi
 CUBE_TORI = {n: build_flat_torus_spectrum([TWO_PI] * n, 8) for n in (1, 2, 3)}
@@ -172,7 +172,7 @@ def test_enumerate_torus_p1_h5_block():
     # the partners carry the exponents: at mu^2 = 1 both have (w + 1/2)^2 =
     # 1/4, so gamma = -1/2 + sqrt(5)/2
     s = math.sqrt(1.25)
-    h4, h3 = pair_partners(h5s[0])
+    h4, h3 = scalar_parts(h5s[0])
     assert (h4.interface_weights, h3.interface_weights) == ((-1,), (0,))
     assert [gamma_of(h4), gamma_of(h3)] == pytest.approx([s - 0.5] * 2)
 
@@ -198,9 +198,35 @@ def test_enumerate_refuses_insufficient_cutoff():
         enumerate_channels(ts, 0, 5.5)
     with pytest.raises(ValueError, match="cutoff"):
         enumerate_channels(ts, 1, 5.5)
+    # a hand-built NaN cutoff reaches no window: it once passed, and the
+    # census silently lacked every level above the listed ones
+    nan_cut = TransversalSpectrum(1, "x", math.nan, [1, 1], [[(1, 2)], []])
+    with pytest.raises(ValueError, match="transversal cutoff nan is below the window"):
+        enumerate_channels(nan_cut, 0, 50.0)
     # boundary passes: every degree, H5 included, needs exactly lam_max
     assert enumerate_channels(ts, 0, 5.0)
     assert [c.kind for c in enumerate_channels(ts, 1, 5.0)] == ["H1", "H2", "H5", "H5"]
+
+
+@pytest.mark.parametrize("levels", [
+    [(4, 2), (1, 2)],
+    [(4.0, 2), (Fraction(1, 3), 2), (2.5, 1)],
+], ids=["rational", "mixed"])
+def test_enumerate_orders_unsorted_levels_by_family_then_mu2(levels):
+    # a hand-built spectrum need not list its levels in order; the channels
+    # still come family by family, H1 ... H5, and by ascending mu^2.  At
+    # n = 3, p = 2 every family has levels: H3 from coexact[0], H4 from
+    # coexact[2] and H5 from coexact[1]
+    ts = TransversalSpectrum(3, "hand", 10, [1, 3, 3, 1], [list(levels)] * 3 + [[]])
+    mu2s = sorted(float(mu2) for mu2, _ in levels)
+    got = [(c.kind, float(c.mu2)) for c in enumerate_channels(ts, 2, 9.0)]
+    assert got == [("H1", 0.0), ("H2", 0.0)] + [(kind, mu2) for kind in ("H3", "H4", "H5")
+                                                for mu2 in mu2s]
+
+
+def test_enumerate_gives_no_channel_for_a_zero_betti_number():
+    ts = TransversalSpectrum(1, "hand", 10, [0, 0], [[(1, 2)], []])
+    assert [c.kind for c in enumerate_channels(ts, 1, 9.0)] == ["H5"]
 
 
 @pytest.mark.parametrize("lam_max", [
@@ -238,21 +264,22 @@ def test_cone_potential_eigenvalues_match_gammas():
 # pair partners
 
 
-def test_pair_partners_are_the_enumerated_scalars():
-    # H4 of degree p-1 and H3 of degree p+1 at the pair's mu^2 and mult are
-    # exactly the channels enumerate_channels builds in those degrees
+def test_scalar_parts_are_the_enumerated_scalars():
+    # a pair's parts, H4 of degree p-1 and H3 of degree p+1 at its mu^2 and
+    # mult, are exactly the channels enumerate_channels builds in those
+    # degrees; a scalar channel is its own one part
     ts = build_flat_torus_spectrum([TWO_PI, TWO_PI * 1.3, TWO_PI * 0.8], 4)
     for p in range(1, ts.n + 1):
         for h5 in (c for c in enumerate_channels(ts, p, 3.0) if c.kind == "H5"):
-            h4, h3 = pair_partners(h5)
+            h4, h3 = scalar_parts(h5)
             assert (h4.kind, h4.p, h3.kind, h3.p) == ("H4", p - 1, "H3", p + 1)
             for part in (h4, h3):
                 same = [c for c in enumerate_channels(ts, part.p, 3.0)
                         if c.kind == part.kind and c.mu2 == h5.mu2]
                 assert same == [part]
                 assert part.mult == h5.mult
-    with pytest.raises(ValueError):
-        pair_partners(enumerate_channels(ts, 1, 3.0)[0])
+    scalar = enumerate_channels(ts, 1, 3.0)[0]
+    assert scalar_parts(scalar) == (scalar,)
 
 
 def slot_formula_gamma(ch: Channel) -> float:
@@ -272,7 +299,7 @@ def test_tip_exponent_matches_the_slot_formula():
         ts = build_flat_torus_spectrum([TWO_PI] * n, 3)
         for p in range(0, n + 2):
             for ch in enumerate_channels(ts, p, 3.0):
-                for part in pair_partners(ch) if ch.kind == "H5" else (ch,):
+                for part in scalar_parts(ch):
                     assert gamma_of(part) == slot_formula_gamma(part), (n, p, part)
                     checked += 1
     assert checked > 100
@@ -288,7 +315,7 @@ def test_pair_partners_share_the_tip_exponent():
         for p in range(0, n + 2):
             pairs = [ch for ch in enumerate_channels(ts, p, 3.0) if ch.kind == "H5"]
             for ch in pairs:
-                h4, h3 = pair_partners(ch)
+                h4, h3 = scalar_parts(ch)
                 (w4,), (w3,) = h4.interface_weights, h3.interface_weights
                 assert w4 + w3 == -1, (n, p)
                 assert gamma_of(h4) == gamma_of(h3), (n, p, ch.mu2)

@@ -567,6 +567,19 @@ class TestRichardsonPairing:
             oracle_eigenvalues(ch, theta, FLAT2PI, 4.2, N=200)
         assert calls[1] == 2 * calls[0]
 
+    @pytest.mark.parametrize("kind,mu2,message", [
+        ("H2", 0, r"at index 15: drift 0\.5250"),
+        ("H4", 9, r"at index 10: drift 0\.5379"),
+    ], ids=["H2", "H4-9"])
+    def test_circle_high_at_n500_drifts_past_the_pairing_bound(self, kind, mu2, message):
+        # the circle-high census (circle of length 2 pi / 3, p = 0, lambda up
+        # to 400) at seed 0: N = 500 is too coarse near the top of the
+        # window, so the N and 2N values there drift apart by more than 0.5
+        ts = build_flat_torus_spectrum([2 * math.pi / 3], 400.0)
+        ch = next(c for c in enumerate_channels(ts, 0, 400.0) if c.kind == kind and c.mu2 == mu2)
+        with pytest.raises(NumericalError, match="Richardson pairing broke " + message):
+            oracle_eigenvalues(ch, 0.0, STD, 400.0, N=500)
+
 
 # ---------------------------------------------------------------------------
 # flat-circle spectra through the full oracle path

@@ -23,7 +23,7 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import jv
 
 from conebands import radial
-from conebands.channels import Channel, enumerate_channels, pair_partners
+from conebands.channels import Channel, enumerate_channels, scalar_parts
 from conebands.oracle import assemble, oracle_eigenvalues
 from conebands.radial import (
     SCAN_STEPS,
@@ -476,8 +476,7 @@ def key(channel):
 def partner_weights(channel):
     """The distinct interface weights of a channel's scalar Hill problems in
     first-seen order: its own, or its two Hodge partners' for an H5 pair."""
-    parts = pair_partners(channel) if channel.kind == "H5" else (channel,)
-    return tuple(dict.fromkeys(key(part)[1] for part in parts))
+    return tuple(dict.fromkeys(key(part)[1] for part in scalar_parts(channel)))
 
 
 def single_map(mu2, w, profile, lam_bound):
@@ -779,6 +778,14 @@ class TestBatchedScan:
         for ch in CIRCLE_HIGH:
             single_map(*key(ch), make_profile(eps, 1.0, 0.8), 400.0)(grid)
 
+    def test_a_nan_lambda_is_a_degenerate_transfer_matrix(self):
+        # the batched map refuses a non-finite product rather than let a NaN
+        # sign reach the root scan
+        half = radial._HalfPeriod(16, [-1 / 2], make_profile(1.0, 0.0, 2 * math.pi), 20.0)
+        assert np.isfinite(half(np.array([4.0]))[0]).all()
+        with pytest.raises(NumericalError, match=r"degenerate transfer matrix"):
+            half(np.array([np.nan]))
+
 
 T3 = build_flat_torus_spectrum([2 * math.pi] * 3, 6.0)
 
@@ -1001,7 +1008,7 @@ class TestPartnerWeights:
             half, bands = radial._bands(ch, prof, 8.0)
             weights = half.jumps[1][:, 0].tolist()
             if ch.kind == "H5":
-                h4, h3 = pair_partners(ch)
+                h4, h3 = scalar_parts(ch)
                 assert weights == [key(h4)[1], key(h3)[1]]
                 assert weights == [-1, 0]
                 assert key(h4)[0] == key(h3)[0] == ch.mu2
@@ -1018,10 +1025,10 @@ class TestPartnerWeights:
         prof = make_profile(0.2, 1.0, 0.8)
         listed = []
         for ch in pairs:
-            assert {key(part) for part in pair_partners(ch)} == {(ch.mu2, Fraction(-1, 2))}
+            assert {key(part) for part in scalar_parts(ch)} == {(ch.mu2, Fraction(-1, 2))}
             half, bands = radial._bands(ch, prof, 10.0)
             assert half.jumps[1][:, 0].tolist() == [-0.5]
-            single = radial._bands(pair_partners(ch)[0], prof, 10.0)[1]
+            single = radial._bands(scalar_parts(ch)[0], prof, 10.0)[1]
             assert bands == single + single
             listed.append(len(single))
         assert min(listed[:2]) > 0, listed
@@ -1041,7 +1048,7 @@ class TestGridWalk:
 
     @pytest.mark.parametrize("mu2,weights,lam_max", [
         *((ch.mu2, ch.interface_weights, 400.0) for ch in CIRCLE_HIGH),
-        *((part.mu2, part.interface_weights, 8.0) for part in pair_partners(H5_P1)[:1]),
+        *((part.mu2, part.interface_weights, 8.0) for part in scalar_parts(H5_P1)[:1]),
         (H5_P1.mu2, partner_weights(H5_P1), 8.0),
     ], ids=[f"circle-high-{ch.kind}-{ch.mu2}" for ch in CIRCLE_HIGH]
         + ["torus-p1-H5-partner", "torus-p1-H5-pair"])
@@ -1173,6 +1180,17 @@ class TestSyntheticPolish:
         lo, hi, y = np.array([1.0, 5.0]), np.array([1.5, 6.0]), np.array([2.0, 5.3**3])
         F = Recorder(lambda x: np.where(np.abs(x - 5.5) < 0.1, np.nan, x**3), y)
         with pytest.raises(NumericalError, match=r"NaN F on the bracket \[5\.0, 6\.0\]"):
+            radial._polish(F, lo, hi, lo**3 - y, hi**3 - y)
+
+    def test_a_bracket_open_after_the_step_cap_is_refused(self, monkeypatch):
+        # one step bisects [1, 3] to [1, 2], still wider than ROOT_TOL
+        lo, hi, y = np.array([1.0]), np.array([3.0]), np.array([5.0])
+        F = Recorder(lambda x: x**3, y)
+        assert closes_within_tol(radial._polish(F, lo, hi, lo**3 - y, hi**3 - y)[0], np.cbrt(5.0))
+        monkeypatch.setattr(radial, "POLISH_STEPS", 1)
+        with pytest.raises(NumericalError,
+                           match=r"root polish is still open after 1 steps on the bracket "
+                                 r"\[1\.0, 3\.0\]"):
             radial._polish(F, lo, hi, lo**3 - y, hi**3 - y)
 
 
@@ -1329,7 +1347,7 @@ class TestBandEdges:
         # band twice
         prof = make_profile(0.3, 1.0, 0.8)
         ch = h5_channel()
-        h4, h3 = pair_partners(ch)
+        h4, h3 = scalar_parts(ch)
         single = band_edges(h4, prof, 6.0)
         scans = []
         init = radial._HalfPeriod.__init__
@@ -1358,7 +1376,7 @@ class TestBandEdges:
         channels, lam_max = (TORUS_P1, 8.0) if case == "torus-p1" else (CIRCLE_HIGH, 400.0)
         prof = make_profile(*params)
         for ch in channels:
-            for part in pair_partners(ch) if ch.kind == "H5" else (ch,):
+            for part in scalar_parts(ch):
                 be = band_edges(part, prof, lam_max)
                 edges = [x for band in be.bands for x in band][:-1 if be.truncated else None]
                 roots = (floquet_eigenvalues(part, 0.0, prof, lam_max)
@@ -1409,7 +1427,7 @@ class TestOneSolvePerChannel:
     def test_a_pair_is_one_solve(self, monkeypatch, n, p, lam_max):
         ts = {2: TORUS_P1_SPECTRUM, 3: T3}[n]
         ch = next(c for c in enumerate_channels(ts, p, lam_max) if c.kind == "H5")
-        h4, h3 = pair_partners(ch)
+        h4, h3 = scalar_parts(ch)
         # T^3 at p = 2 is the middle degree: the two partners are one key
         assert (key(h4) == key(h3)) == (n == 3)
         prof = make_profile(0.2, 1.0, 0.8)

@@ -111,3 +111,13 @@ def test_public_names_have_a_consumer():
             if not re.search(rf"\b{name}\b", outside):
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_only_channels_reads_the_channel_kind():
+    # which scalar problems a channel has is decided once, by
+    # channels.scalar_parts; no other module branches on Channel.kind
+    reads = [f"{path.name}:{node.lineno}" for path in SOURCES if path.name != "channels.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "kind"
+             and isinstance(node.ctx, ast.Load)]
+    assert reads == []

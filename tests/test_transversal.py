@@ -24,7 +24,7 @@ def test_circle_2pi_cutoff_5():
     assert ts.betti == [1, 1]
     assert ts.coexact[0] == [(Fraction(1), 2), (Fraction(4), 2)]
     assert ts.coexact[1] == []
-    assert validate(ts).ok
+    assert validate(ts) == []
 
 
 def test_circle_4pi():
@@ -48,7 +48,7 @@ def test_torus_2d_cutoff_3():
     # coexact 1-forms: C(1,1) = 1 per mode, same multiplicities.
     assert ts.coexact[1] == [(Fraction(1), 4), (Fraction(2), 4)]
     assert ts.coexact[2] == []
-    assert validate(ts).ok
+    assert validate(ts) == []
 
 
 def test_exact_rationals_for_rational_sides():
@@ -147,7 +147,7 @@ def test_float_levels_below_1e_12_stay_apart():
         assert mu2 == pytest.approx(1e-14 * k * k, rel=1e-12, abs=0.0)
         assert m == 2
     assert ts.coexact[1] == ts.coexact[0]
-    assert validate(ts).ok
+    assert validate(ts) == []
 
 
 def test_exact_equals_shifted_coexact():
@@ -160,24 +160,24 @@ def test_exact_equals_shifted_coexact():
 def test_validate_catches_betti_asymmetry():
     ts = build_flat_torus_spectrum([TWO_PI], 5)
     ts.betti = [1, 2]
-    rep = validate(ts)
-    assert not rep.ok
-    assert any("duality" in s or "Euler" in s for s in rep.violations)
+    violations = validate(ts)
+    assert violations
+    assert any("duality" in s or "Euler" in s for s in violations)
 
 
 def test_validate_catches_negative_mu2_and_pairing():
     ts = build_flat_torus_spectrum([TWO_PI, TWO_PI], 3)
     ts.coexact[1] = [(Fraction(-1), 1)]
-    rep = validate(ts)
-    assert not rep.ok
-    assert any("<= 0" in s for s in rep.violations)
-    assert any("pairing" in s for s in rep.violations)
+    violations = validate(ts)
+    assert violations
+    assert any("<= 0" in s for s in violations)
+    assert any("pairing" in s for s in violations)
 
 
 def test_validate_pairs_levels_below_1e_12():
     ts = TransversalSpectrum(n=2, label="tiny", cutoff=1.0, betti=[1, 2, 1],
                              coexact=[[(1e-14, 2)], [(2e-14, 2)], []])
-    assert validate(ts).violations == ["Hodge pairing violated: coexact[0] != coexact[1]",
+    assert validate(ts) == ["Hodge pairing violated: coexact[0] != coexact[1]",
                                        "Hodge pairing violated: coexact[1] != coexact[0]"]
 
 
@@ -185,9 +185,27 @@ def test_validate_catches_an_unsorted_level_list():
     # each coexact list is sorted by mu^2 (TransversalSpectrum); this one
     # used to pass as ok
     ts = TransversalSpectrum(1, "x", 10, [1, 1], [[(4, 2), (1, 2)], []])
-    assert validate(ts).violations == ["coexact[0] is not sorted by mu2"]
+    assert validate(ts) == ["coexact[0] is not sorted by mu2"]
     ts.coexact[0].reverse()
-    assert validate(ts).ok
+    assert validate(ts) == []
+
+
+@pytest.mark.parametrize("spectrum,violations", [
+    (TransversalSpectrum(1, "x", math.nan, [1, 1], [[], []]),
+     ["cutoff nan is not positive"]),
+    (TransversalSpectrum(1, "x", 5, [1, 1, 0], [[], []]),
+     ["betti has length 3, expected 2"]),
+    (TransversalSpectrum(1, "x", 5, [1, 1], [[]]),
+     ["coexact has length 1, expected 2"]),
+    (TransversalSpectrum(1, "x", 5, [1, 1], [[(1, 0)], []]),
+     ["coexact[0] has nonpositive multiplicity at mu2=1"]),
+    (TransversalSpectrum(1, "x", 3, [1, 1], [[(1, 2), (4, 2)], []]),
+     ["coexact[0] contains mu2=4 above cutoff 3"]),
+    (TransversalSpectrum(1, "x", 5, [1, 1], [[(1, 2)], [(1, 2)]]),
+     ["coexact in top degree n must be empty"]),
+], ids=["nan-cutoff", "betti-length", "coexact-length", "zero-mult", "above-cutoff", "top-degree"])
+def test_validate_lists_each_violation(spectrum, violations):
+    assert validate(spectrum) == violations
 
 
 def test_roundtrip_exact(tmp_path):
@@ -283,6 +301,32 @@ def test_load_rejects_a_coexact_level_that_is_no_list(tmp_path):
         load_spectrum(p)
 
 
+@pytest.mark.parametrize("cutoff", [-1, 0, "-3/2"], ids=["-1", "0", "-3/2"])
+def test_load_rejects_a_cutoff_that_is_not_positive(tmp_path, cutoff):
+    # build_flat_torus_spectrum refuses these cutoffs; a loaded -1 once
+    # passed validate and failed only in enumerate_channels
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps({"n": 1, "label": "x", "cutoff": cutoff, "betti": [1, 1],
+                             "coexact": [[], []]}))
+    with pytest.raises(SpectrumFormatError, match=r"invalid spectrum: cutoff \S+ is not positive$"):
+        load_spectrum(p)
+
+
+@pytest.mark.parametrize("coexact,message", [
+    (5, r"field 'coexact' must be a list"),
+    ([[{"mu2": "1"}], []], r"coexact\[0\]\[0\]: expected object with 'mu2' and 'mult'"),
+    ([["1"], []], r"coexact\[0\]\[0\]: expected object with 'mu2' and 'mult'"),
+    ([[{"mu2": "1/0", "mult": 2}], []], r"coexact\[0\]\[0\]: 'mu2': bad rational literal"),
+], ids=["not-a-list", "no-mult", "not-an-object", "mu2-1/0"])
+def test_load_rejects_an_ill_formed_coexact_field(tmp_path, coexact, message):
+    p = tmp_path / "spec.json"
+    doc = _spectrum_doc()
+    doc["coexact"] = coexact
+    p.write_text(json.dumps(doc))
+    with pytest.raises(SpectrumFormatError, match=message):
+        load_spectrum(p)
+
+
 def test_load_rejects_negative_betti_numbers(tmp_path):
     # b = (-1, -1) keeps duality and chi = 0; it once loaded, and the census
     # then dropped the H1 and H2 channels without a word
@@ -326,4 +370,4 @@ def test_a_side_whose_first_level_overflows_has_no_levels(side):
     # (2 pi / side)^2 is beyond double range: valid input, an empty circle
     ts = build_flat_torus_spectrum([side], 5)
     assert (ts.betti, ts.coexact) == ([1, 1], [[], []])
-    assert validate(ts).ok
+    assert validate(ts) == []
