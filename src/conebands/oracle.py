@@ -95,58 +95,47 @@ def warp_coefficient(channel: Channel, profile: Profile, t) -> np.ndarray:
 # grid
 
 
-def _piece_counts(profile: Profile, n_total: int) -> list[tuple[float, float, int]]:
-    """Piecewise-uniform grid plan of the half period from the cut to the
-    handle centre: (tau_a, tau_b, intervals) per piece, the last piece
-    ending at T/2 exactly.
+def _half_grids(profile: Profile, N) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of the N grid from the cut to the handle centre T/2, both
+    ends included, and of the grid that halves each of its intervals.
 
-    Cones are split dyadically in rho (at most MAX_CONE_PIECES pieces) and
-    every piece gets node density proportional to min(1/rho_min, cap), so
-    resolution follows the 1/rho^2 growth of the potential into the handle.
-    The counts sum to about n_total / 2; the period's grid is the half grid
-    and its mirror image under t -> T - t (_period_nodes).
+    The plan is piecewise uniform on Profile.pieces: cones are split
+    dyadically in rho (at most MAX_CONE_PIECES pieces) and every piece gets
+    node density proportional to min(1/rho_min, cap), so resolution follows
+    the 1/rho^2 growth of the potential into the handle.  The intervals sum
+    to about N / 2; the period's grid is the half grid and its mirror image
+    under t -> T - t.  Raises ValueError unless N is an integer (not a
+    bool) >= 100.
     """
-    whole = profile.pieces()
+    if not isinstance(N, numbers.Integral) or isinstance(N, bool) or N < 100:
+        raise ValueError(f"grid size N must be an integer >= 100, got {N!r}")
     pieces: list[tuple[float, float, float]] = []  # (a, b, rho_min)
-    for a, b, slope in whole[: (len(whole) + 1) // 2]:
+    for a, b, slope in profile.pieces():
         ra, rb = profile.rho(a), profile.rho(b)
-        if abs(slope) != 1.0:
+        if slope != -1.0:
             # flat, or a rounded corner, whose radius is monotone
             pieces.append((a, b, min(ra, rb)))
             continue
-        lo, hi = min(ra, rb), max(ra, rb)
-        bounds = [lo]
-        while bounds[-1] < hi and len(bounds) < MAX_CONE_PIECES:
-            bounds.append(min(hi, 2.0 * bounds[-1]))
-        bounds[-1] = hi
-        rr = bounds[::-1] if slope < 0 else bounds
+        # the cone, descending from ra to rb
+        bounds = [rb]
+        while bounds[-1] < ra and len(bounds) < MAX_CONE_PIECES:
+            bounds.append(min(ra, 2.0 * bounds[-1]))
+        bounds[-1] = ra
+        rr = bounds[::-1]
         for r0, r1 in zip(rr, rr[1:]):
-            pieces.append((a + (r0 - ra) / slope, a + (r1 - ra) / slope, min(r0, r1)))
+            pieces.append((a + (ra - r0), a + (ra - r1), r1))
+    # a cone that reaches the centre (L = 0) ends at a + (ra - rb), which
+    # rounding may move off T/2
     a, _, r = pieces[-1]
     pieces[-1] = (a, 0.5 * profile.T, r)
 
     weights = [(b - a) * min(1.0 / r, DENSITY_CAP) for a, b, r in pieces]
     wsum = 2.0 * sum(weights)
-    return [(a, b, max(2, round(n_total * w / wsum))) for (a, b, _), w in zip(pieces, weights)]
-
-
-def _check_grid_size(N) -> None:
-    """ValueError unless the grid size N is an integer (not a bool) >= 100."""
-    if not isinstance(N, numbers.Integral) or isinstance(N, bool) or N < 100:
-        raise ValueError(f"grid size N must be an integer >= 100, got {N!r}")
-
-
-def _nodes_from_counts(counts: list[tuple[float, float, int]]) -> np.ndarray:
-    """Nodes of the plan `counts`, both ends included."""
-    nodes = [np.linspace(a, b, k, endpoint=False) for a, b, k in counts]
-    return np.append(np.concatenate(nodes), counts[-1][1])
-
-
-def _period_nodes(profile: Profile, counts: list[tuple[float, float, int]]) -> np.ndarray:
-    """Nodes t_0 = 0 .. t_M = T of the period: the half nodes of `counts`,
-    then T minus them reversed."""
-    half = _nodes_from_counts(counts)
-    return np.concatenate([half, profile.T - half[-2::-1]])
+    counts = [max(2, round(N * w / wsum)) for w in weights]
+    return tuple(np.append(np.concatenate([np.linspace(a, b, s * k, endpoint=False)
+                                           for (a, b, _), k in zip(pieces, counts)]),
+                           0.5 * profile.T)
+                 for s in (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +162,15 @@ def assemble(channel: Channel, theta: float, profile: Profile, N: int) -> FormMa
     this pencil cross-checks its mirror reduction.
 
     Per interval: h |(s_next - s_j)/h + B(t_mid)(s_j + s_next)/2|^2.  The
-    chain of _period_nodes is glued at the cut: node M (t = T) merges into
-    node 0, and the last interval wraps to e^{i theta} s_0, so K is complex
-    unless the phase is +-1.  Continuity of the global unknown vector
-    encodes the interface value condition exactly and the derivative jump
-    weakly.
+    chain of the N grid's half nodes and their mirror image is glued at the
+    cut: node M (t = T) merges into node 0, and the last interval wraps to
+    e^{i theta} s_0, so K is complex unless the phase is +-1.  Continuity
+    of the global unknown vector encodes the interface value condition
+    exactly and the derivative jump weakly.
     """
-    _check_grid_size(N)
+    half = _half_grids(profile, N)[0]
     phase = _real_phase(theta)
-    nodes = _period_nodes(profile, _piece_counts(profile, N))
-    G, X, w = _chain(channel, profile, nodes)
+    G, X, w = _chain(channel, profile, np.concatenate([half, profile.T - half[-2::-1]]))
     G[0] += G[-1]
     w[0] += w[-1]
     if phase is None:
@@ -342,11 +330,11 @@ def dense_hermitian_eigenvalues(K: np.ndarray, W: np.ndarray,
     return np.sort(evs)
 
 
-def _grid_eigenvalues(channel: Channel, theta: float, profile: Profile,
-                      counts: list[tuple[float, float, int]],
+def _grid_eigenvalues(channel: Channel, theta: float, profile: Profile, nodes: np.ndarray,
                       window: tuple[float, float]) -> np.ndarray:
-    """Eigenvalues in the window of the form on the grid of the half plan
-    `counts`, solved by a banded eigensolver.
+    """Eigenvalues in the window of the form on the grid whose half-period
+    nodes, from the cut to the handle centre, are `nodes`, solved by a
+    banded eigensolver.
 
     Only the chain of the half nodes is assembled, and _band lays the period
     out from it: at theta = 0 and pi (within 1e-12) one real band for each
@@ -359,7 +347,7 @@ def _grid_eigenvalues(channel: Channel, theta: float, profile: Profile,
     bound eps * max|H_jj|, when it exceeds ROUNDING_TOL of the window's
     scale."""
     phase = _real_phase(theta)
-    G, X, w = _chain(channel, profile, _nodes_from_counts(counts))
+    G, X, w = _chain(channel, profile, nodes)
     if phase is None:
         bands = [_band(G, X, w, np.exp(1j * theta))]
     else:
@@ -378,10 +366,10 @@ def oracle_eigenvalues(channel: Channel, theta: float, profile: Profile,
                        lam_max: float, N: int = 500) -> list[float]:
     """Reference eigenvalues <= lam_max for one channel and quasimomentum.
 
-    Solves in the window (-1, lam_max + 1] on the N grid and on the exactly
-    doubled grid (_grid_eigenvalues; no dense matrix is formed) and
-    combines index-paired eigenvalues by Richardson extrapolation,
-    (4 l_2N - l_N) / 3.  Each grid assembles the half period alone, from
+    Solves in the window (-1, lam_max + 1] on the N grid and on the grid
+    that halves each of its intervals (_half_grids, _grid_eigenvalues; no
+    dense matrix is formed) and combines index-paired eigenvalues by
+    Richardson extrapolation, (4 l_2N - l_N) / 3.  Each grid assembles the half period alone, from
     the cut to the handle centre; at theta = 0 and pi it is solved once for
     each mirror parity, elsewhere once as the two mirror copies of the half
     chain that share their ends.  Raises NumericalError
@@ -392,12 +380,9 @@ def oracle_eigenvalues(channel: Channel, theta: float, profile: Profile,
     N that is not an integer >= 100.
     """
     lam_max = check_lam_max(lam_max)
-    _check_grid_size(N)
-    counts = _piece_counts(profile, N)
     window = (-1.0, lam_max + 1.0)
-    e1 = _grid_eigenvalues(channel, theta, profile, counts, window)
-    e2 = _grid_eigenvalues(channel, theta, profile, [(a, b, 2 * k) for a, b, k in counts],
-                           window)
+    e1, e2 = (_grid_eigenvalues(channel, theta, profile, nodes, window)
+              for nodes in _half_grids(profile, N))
     npair = min(len(e1), len(e2))
     for grid, evs in (("N", e1), ("2N", e2)):
         if len(evs) > npair and evs[npair] <= lam_max + 0.5:

@@ -7,8 +7,8 @@ middle of the outer cylinder (so rho(0) = rho(T) = 1):
 
 Profile holds only make_profile's four parameters (eps, L, l_out, eta).  rho
 is a closed form in the distance s = |tau - T/2| from the handle centre, and
-Profile.pieces lists the flat, cone and rounded-corner pieces for the oracle's
-grid.
+Profile.pieces lists the flat, cone and rounded-corner pieces of the half
+period from the cut to the handle centre, on which the oracle plans its grids.
 
 A scalar channel with section sigma satisfies, in the unitarily flattened
 picture, the Hill equation
@@ -130,7 +130,9 @@ class Profile:
     breaks s_c by the C^1 patch (jump / 4 delta) max(delta - |s - s_c|, 0)^2,
     with jump +1 at the handle and -1 at the cylinder and half-width
     delta = min(2 rho_c eta, room).  The room is half the shorter of the two
-    pieces the break joins, the half cylinder being l_out / 2.
+    pieces the break joins, the half cylinder being l_out / 2.  pieces()
+    lists the half period from the cut to the handle centre; the other half
+    is its mirror image.
     """
 
     eps: float
@@ -173,20 +175,18 @@ class Profile:
         return (np.sign(u) * (s < 0.5 * self.T) * slope)[()]
 
     def pieces(self) -> list[tuple[float, float, float]]:
-        """(tau0, tau1, slope) of each piece of one period, in order from
-        the cut at 0 to the cut at T: slope 0 on a flat piece, -1 or +1 on a
-        cone and nan on a rounded corner.  Pieces of length zero are left
-        out."""
+        """(tau0, tau1, slope) of each piece of the half period, in order
+        from the cut at 0 to the handle centre, whose knot is T/2 exactly:
+        slope 0 on a flat piece, -1 on the cone and nan on a rounded
+        corner.  The other half is the mirror image under tau -> T - tau.
+        Pieces of length zero are left out."""
         (_, _, d_in), (_, _, d_out) = self._breaks()
-        cyl = 0.5 * self.l_out - d_out
-        cone = 1.0 - self.eps - d_in - d_out
-        handle = self.L - 2.0 * d_in
-        layout = [(cyl, 0.0), (2.0 * d_out, math.nan), (cone, -1.0), (2.0 * d_in, math.nan),
-                  (handle, 0.0), (2.0 * d_in, math.nan), (cone, 1.0), (2.0 * d_out, math.nan),
-                  (cyl, 0.0)]
+        layout = [(0.5 * self.l_out - d_out, 0.0), (2.0 * d_out, math.nan),
+                  (1.0 - self.eps - d_in - d_out, -1.0), (2.0 * d_in, math.nan),
+                  (0.5 * self.L - d_in, 0.0)]
         layout = [(length, slope) for length, slope in layout if length > 0.0]
         knots = list(accumulate((length for length, _ in layout), initial=0.0))
-        knots[-1] = self.T
+        knots[-1] = 0.5 * self.T
         return [(a, b, slope) for a, b, (_, slope) in zip(knots, knots[1:], layout)]
 
 
@@ -520,8 +520,9 @@ def _roots_on_grid(F: np.ndarray) -> tuple[tuple, tuple]:
     return np.nonzero(s == 0.0), np.nonzero(s[:, :-1] * s[:, 1:] < 0.0)
 
 
-def _certify(roots: list[list[float]], lam_max: float) -> None:
-    """Check the zeros of a, b, c, d against the interlacing of
+def _certify(roots: list[list[float]], mu2, w, lam_max: float) -> None:
+    """Check the zeros of a, b, c, d of the scalar problem (mu^2, w): none
+    lies below the channel lower bound mu^2, and they interlace as
     Sturm-Liouville spectra that differ in one boundary condition: Neumann
     before Dirichlet at the cut (c/a, d/b) and at the handle centre (c/d,
     a/b).  Each pair alternates strictly from the bottom, starting with the
@@ -530,21 +531,28 @@ def _certify(roots: list[list[float]], lam_max: float) -> None:
     Consecutive zeros of a pair are the two edges of a band.  In an
     exponentially thin band they may come out in either order, by up to the
     accuracy of the map: ROOT_TOL from the polish and WRONSKIAN_RTOL
-    relative from the cone series.  Raises NumericalError naming the pair
-    and the interval where the check fails: a zero was missed or invented
-    there."""
+    relative from the cone series.  Raises NumericalError naming (mu^2, w)
+    and the lowest zero below the bound, or the pair and the interval where
+    the interlacing fails: a zero was missed or invented there."""
+    def refuse(why: str):
+        raise NumericalError(f"scalar problem (mu^2, w) = ({mu2}, {w}): {why}")
+
+    low = [r for col in roots for r in col if r < float(mu2) - 1e-6]
+    if low:
+        refuse(f"eigenvalue {min(low)} violates the channel lower bound {float(mu2)}; "
+               f"pruning rule unsound here")
     for first, second in ("ca", "db", "cd", "ab"):
         x, y = roots["abcd".index(first)], roots["abcd".index(second)]
         if not 0 <= len(x) - len(y) <= 1:
-            raise NumericalError(f"count certificate: {len(x)} zeros of {first} against "
-                                 f"{len(y)} of {second} on [0, {float(lam_max)!r}]")
+            refuse(f"count certificate: {len(x)} zeros of {first} against {len(y)} of "
+                   f"{second} on [0, {float(lam_max)!r}]")
         z = np.empty(len(x) + len(y))
         z[0::2], z[1::2] = x, y
         bad = np.flatnonzero(np.diff(z) < -(ROOT_TOL + WRONSKIAN_RTOL * z[1:]))
         if bad.size:
             k = bad[0]
-            raise NumericalError(f"count certificate: the zeros of {first} and {second} do "
-                                 f"not alternate on [{float(z[k + 1])!r}, {float(z[k])!r}]")
+            refuse(f"count certificate: the zeros of {first} and {second} do not alternate "
+                   f"on [{float(z[k + 1])!r}, {float(z[k])!r}]")
 
 
 def _bands(channel: Channel, profile: Profile,
@@ -565,7 +573,7 @@ def _bands(channel: Channel, profile: Profile,
     A weight's sorted edges pair up into bands; a gap narrower than two
     polished zeros resolve is closed: its edges, both periodic or both
     antiperiodic, are one double eigenvalue.  Raises NumericalError naming
-    (mu^2, w) when a zero lies below mu^2 or fails the count certificate."""
+    (mu^2, w) when _certify refuses its zeros."""
     weights = [part.interface_weights[0] for part in scalar_parts(channel)]
     distinct = list(dict.fromkeys(weights))
     mu2, K = channel.mu2, len(distinct)
@@ -589,14 +597,7 @@ def _bands(channel: Channel, profile: Profile,
     for k, w in enumerate(distinct):
         a, b, c, d = zeros = [sorted(grid[node[at == r]].tolist() + x[of == r].tolist())
                               for r in range(k, 4 * K, K)]
-        try:
-            low = [r for col in zeros for r in col if r < float(mu2) - 1e-6]
-            if low:
-                raise NumericalError(f"eigenvalue {min(low)} violates the channel lower bound "
-                                     f"{float(mu2)}; pruning rule unsound here")
-            _certify(zeros, lam_max)
-        except NumericalError as err:
-            raise NumericalError(f"scalar problem (mu^2, w) = ({mu2}, {w}): {err}") from None
+        _certify(zeros, mu2, w, lam_max)
         edges = sorted([(r, 1) for r in b + c] + [(r, -1) for r in a + d])
         for i in range(2, len(edges), 2):
             if edges[i][0] - edges[i - 1][0] < 2.0 * ROOT_TOL:

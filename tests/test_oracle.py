@@ -30,6 +30,7 @@ from conebands.oracle import (
 )
 from conebands.radial import NumericalError, floquet_eigenvalues, make_profile, tip_exponent
 from conebands.transversal import build_flat_torus_spectrum
+from whole_period import mirror_nodes, period_pieces
 
 CIRCLE = build_flat_torus_spectrum([2 * math.pi], 20)
 STD = make_profile(0.2, 1.0, 0.8)  # cyl .4 | cone 0.8 | handle 1 | cone | cyl .4
@@ -40,15 +41,15 @@ TORUS_P1 = enumerate_channels(build_flat_torus_spectrum([2 * math.pi] * 2, 8.25)
 
 def single_grid(ch, theta, prof, lam_max, N):
     """Eigenvalues <= lam_max on the N grid alone, without extrapolation."""
-    counts = oracle._piece_counts(prof, N)
-    evs = oracle._grid_eigenvalues(ch, theta, prof, counts, (-1.0, lam_max + 1.0))
+    nodes = oracle._half_grids(prof, N)[0]
+    evs = oracle._grid_eigenvalues(ch, theta, prof, nodes, (-1.0, lam_max + 1.0))
     return [float(x) for x in evs if x <= lam_max]
 
 
 def period_nodes(prof, N):
     """The nodes of assemble's glued period on the N grid: t = 0 up to the
     last node before the cut at T, which merges into node 0."""
-    return oracle._period_nodes(prof, oracle._piece_counts(prof, N))[:-1]
+    return mirror_nodes(prof, oracle._half_grids(prof, N)[0])[:-1]
 
 
 def chan(p, kind, mu2=None):
@@ -265,7 +266,7 @@ class TestAssemble:
         assert nodes[0] == 0.0
         assert np.all(np.diff(nodes) > 0)
         assert nodes[-1] < STD.T
-        for a, _, _ in STD.pieces():
+        for a, _, _ in period_pieces(STD):
             assert np.min(np.abs(nodes - a)) < 1e-12
 
     def test_grid_refines_into_handle(self):
@@ -306,10 +307,10 @@ class TestAssemble:
         # (0.25, 1.2, 0.0) once split its last cone at a radius one ulp below
         # 1, into a piece of length 0 that the oracle refused
         prof = make_profile(*params)
-        counts = oracle._piece_counts(prof, 500)
-        assert counts[0][0] == 0.0
-        assert all(b > a for a, b, _ in counts)
-        assert np.all(np.diff(oracle._nodes_from_counts(counts)) > 0)
+        assert all(b > a for a, b, _ in prof.pieces())
+        for nodes in oracle._half_grids(prof, 500):
+            assert (nodes[0], nodes[-1]) == (0.0, 0.5 * prof.T)
+            assert np.all(np.diff(nodes) > 0)
 
     @pytest.mark.parametrize("params", [(0.2, 1.0, 0.8), (0.2, 1.0, 0.8, 0.02),
                                         (0.2, 1.0, 0.8, 0.05), (0.25, 1.2, 0.0),
@@ -321,13 +322,28 @@ class TestAssemble:
         # plan once gave the two cones' pieces nearest the handle 12 and 13
         # intervals, from piece weights that differ in the last bit
         prof = make_profile(*params)
+        assert prof.pieces()[-1][1] == 0.5 * prof.T
         for N in (100, 110, 201, 202, 500, 1000, 1999, 2000):
-            counts = oracle._piece_counts(prof, N)
-            assert counts[-1][1] == 0.5 * prof.T
-            t = oracle._period_nodes(prof, counts)
+            half = oracle._half_grids(prof, N)[0]
+            assert half[-1] == 0.5 * prof.T
+            t = mirror_nodes(prof, half)
             assert (t[0], t[-1]) == (0.0, prof.T)
             assert (len(t) - 1) % 2 == 0
             assert np.abs(t + t[::-1] - prof.T).max() <= math.ulp(prof.T)
+
+    @pytest.mark.parametrize("params", [(0.2, 1.0, 0.8), (0.2, 1.0, 0.8, 0.02),
+                                        (0.2, 1.0, 0.8, 0.05), (0.25, 1.2, 0.0),
+                                        (0.3, 0.0, 0.8), (1.0, 2 * math.pi - 1.0, 1.0),
+                                        (0.9, 1.0, 1.0, 0.5)],
+                             ids=["eta0", "eta0.02", "eta0.05", "l_out0", "L0", "flat-circle",
+                                  "eps0.9"])
+    @pytest.mark.parametrize("N", [100, 110, 201, 500, 1000, 2000])
+    def test_doubled_grid_nests_the_n_grid(self, params, N):
+        # Richardson's (4 l_2N - l_N) / 3 cancels the h^2 error term only
+        # when the 2N grid halves every interval of the N grid
+        coarse, fine = oracle._half_grids(make_profile(*params), N)
+        assert len(fine) == 2 * len(coarse) - 1
+        np.testing.assert_array_equal(fine[::2], coarse)
 
     @pytest.mark.parametrize("theta,phase", [(2 * math.pi, 1.0), (-math.pi, -1.0),
                                              (3 * math.pi, -1.0), (1e-13, 1.0), (0.7, None),
@@ -423,8 +439,7 @@ class TestBandSolve:
     def test_vectorised_assembly_matches_interval_loop(self, case, theta):
         ch, prof = BAND_CASES[case]
         fm = assemble(ch, theta, prof, 120)
-        want = loop_assemble(ch, theta, prof,
-                             oracle._period_nodes(prof, oracle._piece_counts(prof, 120)))
+        want = loop_assemble(ch, theta, prof, mirror_nodes(prof, oracle._half_grids(prof, 120)[0]))
         np.testing.assert_allclose(fm.K, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
 
     @pytest.mark.parametrize("theta", [0.0, math.pi, 0.7, 2.0])
@@ -448,8 +463,7 @@ class TestBandSolve:
         # they agree to rounding, not bit for bit
         ch, prof = BAND_CASES[case]
         m = ch.ncomp
-        counts = oracle._piece_counts(prof, 120)
-        G, X, w = oracle._chain(ch, prof, oracle._nodes_from_counts(counts))
+        G, X, w = oracle._chain(ch, prof, oracle._half_grids(prof, 120)[0])
         ab = oracle._band(G, X, w, np.exp(1j * theta))
         n = ab.shape[1]
         # half-width 3m - 1 holds the couplings of the two copies, and it is needed
@@ -500,8 +514,8 @@ class TestBandSolve:
         for N in (200, 201, 202):
             fm = assemble(ch, theta, prof, N)
             want = dense_hermitian_eigenvalues(fm.K, fm.W, lam_window=(-1.0, 30.0))
-            counts = oracle._piece_counts(prof, N)
-            got = oracle._grid_eigenvalues(ch, theta, prof, counts, (-1.0, 30.0))
+            got = oracle._grid_eigenvalues(ch, theta, prof, oracle._half_grids(prof, N)[0],
+                                           (-1.0, 30.0))
             assert len(want) >= 4
             assert len(got) == len(want)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
@@ -555,9 +569,9 @@ class TestRichardsonPairing:
         solve = oracle._grid_eigenvalues
         calls = []
 
-        def drop_top(ch, theta, prof, counts, window):
-            calls.append(sum(k for _, _, k in counts))
-            evs = solve(ch, theta, prof, counts, window)
+        def drop_top(ch, theta, prof, nodes, window):
+            calls.append(len(nodes) - 1)
+            evs = solve(ch, theta, prof, nodes, window)
             return evs[:-1] if (len(calls) == 1) == (short_grid == "N") else evs
 
         ch = chan(0, "H2")

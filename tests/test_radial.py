@@ -36,6 +36,7 @@ from conebands.radial import (
     tip_exponent,
 )
 from conebands.transversal import build_flat_torus_spectrum
+from whole_period import period_pieces
 
 CIRCLE = build_flat_torus_spectrum([2 * math.pi], 11)
 # the circle-high benchmark census: circle of length 2 pi / 3 at p = 0 up to
@@ -49,8 +50,9 @@ TORUS_P1_SPECTRUM = build_flat_torus_spectrum([2 * math.pi, 2 * math.pi], 8.25)
 
 
 def slopes(prof):
-    """The slope of each piece of a profile, nan on a rounded corner."""
-    return [slope for _, _, slope in prof.pieces()]
+    """The slope of each piece of a profile's period, nan on a rounded
+    corner."""
+    return [slope for _, _, slope in period_pieces(prof)]
 
 
 def piecewise_rho(eps, L, l_out, eta, tau):
@@ -86,8 +88,11 @@ class TestMakeProfile:
         prof = make_profile(0.2, math.pi, 1.0)
         assert prof.T == pytest.approx(math.pi + 2 * 0.8 + 1.0, abs=1e-14)
         assert slopes(prof) == [0.0, -1.0, 0.0, 1.0, 0.0]
-        # the pieces tile [0, T]
-        pieces = prof.pieces()
+        # the half period's pieces tile [0, T/2], and with their mirror image [0, T]
+        half = prof.pieces()
+        assert half[0][0] == 0.0 and half[-1][1] == 0.5 * prof.T
+        assert all(p[1] == q[0] for p, q in zip(half, half[1:]))
+        pieces = period_pieces(prof)
         assert pieces[0][0] == 0.0 and pieces[-1][1] == prof.T
         assert all(p[1] == q[0] for p, q in zip(pieces, pieces[1:]))
         assert [b - a for a, b, _ in pieces] == pytest.approx([0.5, 0.8, math.pi, 0.8, 0.5])
@@ -186,7 +191,7 @@ class TestMakeProfile:
         assert smooth.rho(0.0) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_array_equal(slopes(smooth), [0.0, math.nan, -1.0, math.nan, 0.0,
                                                        math.nan, 1.0, math.nan, 0.0])
-        corners = [(a, b) for a, b, slope in smooth.pieces() if math.isnan(slope)]
+        corners = [(a, b) for a, b, slope in period_pieces(smooth) if math.isnan(slope)]
         for a, b in corners:
             for edge, kick in ((a, -1e-9), (b, +1e-9)):
                 assert smooth.rho(edge) == pytest.approx(smooth.rho(edge + kick), abs=1e-7)
@@ -213,7 +218,7 @@ class TestMakeProfile:
     @pytest.mark.parametrize("eta", [0.0, 0.02])
     def test_radius_matches_a_piecewise_reference(self, eta):
         prof = make_profile(0.2, 1.0, 0.8, eta=eta)
-        knots = [a for a, _, _ in prof.pieces()] + [prof.T]
+        knots = [a for a, _, _ in period_pieces(prof)] + [prof.T]
         taus = np.concatenate([np.linspace(0.0, prof.T, 997), knots])
         want = np.array([piecewise_rho(0.2, 1.0, 0.8, eta, t) for t in taus])
         np.testing.assert_allclose(prof.rho(taus), want[:, 0], rtol=0, atol=1e-15)
@@ -565,7 +570,7 @@ def rk_monodromy(channel, profile, lam):
     c = g * (g + 1.0)
     w = float(channel.interface_weights[0])
     M = np.eye(2)
-    pieces = profile.pieces()
+    pieces = period_pieces(profile)
     for i, (a, b, slope) in enumerate(pieces):
         V = float(channel.mu2) if slope == 0.0 else c
 
@@ -620,7 +625,7 @@ def rk_half_map(channel, profile, lam):
     g = gamma_of(channel)
     c = g * (g + 1.0)
     w = float(channel.interface_weights[0])
-    pieces = profile.pieces()
+    pieces = period_pieces(profile)
     centre = 0.5 * profile.T
 
     def jump(i, share=1.0):
@@ -1196,36 +1201,40 @@ class TestSyntheticPolish:
 
 @pytest.fixture(scope="module")
 def h2_roots():
-    """The zeros of a, b, c, d of the circle-high H2 channel at seed 0, as
-    band_edges hands them to the count certificate."""
+    """(zeros, mu^2, w): the zeros of a, b, c, d of the circle-high H2
+    channel at seed 0 and its key, as band_edges hands them to the count
+    certificate."""
     assert CIRCLE_HIGH[0].kind == "H2"
     seen, certify = [], radial._certify
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(radial, "_certify",
-                   lambda roots, lam_max: seen.append(roots) or certify(roots, lam_max))
+        mp.setattr(radial, "_certify", lambda roots, mu2, w, lam_max: (
+            seen.append((roots, mu2, w)) or certify(roots, mu2, w, lam_max)))
         band_edges(CIRCLE_HIGH[0], make_profile(0.2, 1.0, 0.8), 400.0)
-    assert len(seen) == 1 and len(seen[0]) == 4
+    assert len(seen) == 1 and len(seen[0][0]) == 4
     return seen[0]
 
 
 class TestCertificate:
     def test_census_zeros_interlace(self, h2_roots):
-        assert sum(map(len, h2_roots)) == 43
-        radial._certify(h2_roots, 400.0)
+        roots, mu2, w = h2_roots
+        assert sum(map(len, roots)) == 43
+        radial._certify(roots, mu2, w, 400.0)
 
     @pytest.mark.parametrize("entry", range(4))
     @pytest.mark.parametrize("which", ["first", "middle"])
     def test_a_dropped_zero_is_refused(self, h2_roots, entry, which):
-        roots = [list(col) for col in h2_roots]
+        roots, mu2, w = h2_roots
+        roots = [list(col) for col in roots]
         del roots[entry][0 if which == "first" else len(roots[entry]) // 2]
         with pytest.raises(NumericalError, match=f"count certificate: .*{'abcd'[entry]}"):
-            radial._certify(roots, 400.0)
+            radial._certify(roots, mu2, w, 400.0)
 
     def test_an_invented_zero_is_refused(self, h2_roots):
-        roots = [list(col) for col in h2_roots]
+        roots, mu2, w = h2_roots
+        roots = [list(col) for col in roots]
         roots[1] = sorted(roots[1] + [0.5 * (roots[1][3] + roots[1][4])])
         with pytest.raises(NumericalError, match=r"the zeros of (d and b|a and b) do not alternate"):
-            radial._certify(roots, 400.0)
+            radial._certify(roots, mu2, w, 400.0)
 
     @pytest.mark.parametrize("w", [0, -1])
     def test_a_refusal_names_the_scalar_problem(self, monkeypatch, w):
@@ -1255,10 +1264,12 @@ class TestCertificate:
         # exponentially thin band rounding may order them either way, by
         # less than the tolerance
         roots = [[1.0, 4.0], [3.5, 6.5], [0.0, 3.0, 6.0], [3.0 + 1e-12, 5.0]]
-        radial._certify(roots, 7.0)
+        radial._certify(roots, 0, 0, 7.0)
         roots[3][0] = 3.0 + 2e-10 + 2e-6 * 3.0
-        with pytest.raises(NumericalError, match="the zeros of c and d do not alternate"):
-            radial._certify(roots, 7.0)
+        with pytest.raises(NumericalError, match=r"^scalar problem \(mu\^2, w\) = \(0, 0\): "
+                                                 r"count certificate: the zeros of c and d do "
+                                                 r"not alternate"):
+            radial._certify(roots, 0, 0, 7.0)
 
 
 def test_a_census_loads_no_scipy():
