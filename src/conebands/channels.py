@@ -98,17 +98,17 @@ def scalar_parts(ch: Channel) -> tuple[Channel, ...]:
 
     d maps the coexact (p-1)-form channel into the pair block and d* maps the
     exact p-form channel of degree p+1 into it, so the pair's spectrum is the
-    disjoint union of the two partners' spectra.  One degree down w_alpha
-    drops by 1, one degree up nu drops by 1.  The partners' weights
-    p - n/2 - 1 and n/2 - p sum to -1, so (w + 1/2)^2 and the tip exponent
-    gamma are the same for both: only their slope-break jumps differ.
+    disjoint union of the two partners' spectra.  Their weights are the
+    degree_weights of their own degrees, w_alpha of degree p-1 and nu of
+    degree p+1: p - n/2 - 1 and n/2 - p, which sum to -1, so (w + 1/2)^2 and
+    the tip exponent gamma are the same for both: only their slope-break
+    jumps differ.
     """
     if ch.kind != "H5":
         return (ch,)
-    nu, w_alpha = ch.interface_weights
     return (
-        Channel("H4", ch.n, ch.p - 1, ch.mu2, ch.mult, (w_alpha - 1,)),
-        Channel("H3", ch.n, ch.p + 1, ch.mu2, ch.mult, (nu - 1,)),
+        Channel("H4", ch.n, ch.p - 1, ch.mu2, ch.mult, degree_weights(ch.n, ch.p - 1)[1:]),
+        Channel("H3", ch.n, ch.p + 1, ch.mu2, ch.mult, degree_weights(ch.n, ch.p + 1)[:1]),
     )
 
 
@@ -135,15 +135,21 @@ def enumerate_channels(ts: TransversalSpectrum, p: int, lam_max: float) -> list[
             f"needed for degree {p}; rebuild the spectrum with a larger cutoff"
         )
 
-    # harmonic[q]: the one mu^2 = 0 level of the q-forms; the final [] is
-    # that of both q = -1 and q = n + 1
-    harmonic = [[(Fraction(0), b)] for b in ts.betti] + [[]]
+    def of_degree(table, q):
+        """The levels of the q-forms in a table listed by degree 0..n, none
+        outside it."""
+        return table[q] if 0 <= q < len(table) else []
+
+    # b_q is the one mu^2 = 0 level of the q-forms.  d maps the coexact
+    # (q-1)-forms onto the exact q-forms, exact[q] = coexact[q-1], so H3's
+    # exact (p-1)-forms read coexact[p-2]
+    harmonic = [[(Fraction(0), b)] for b in ts.betti]
     families = (
-        ("H1", harmonic[p - 1], (nu,)),
-        ("H2", harmonic[p], (w_alpha,)),
-        ("H3", ts.exact(p - 1), (nu,)),
-        ("H4", ts.coexact_at(p), (w_alpha,)),
-        ("H5", ts.coexact_at(p - 1), (nu, w_alpha)),
+        ("H1", of_degree(harmonic, p - 1), (nu,)),
+        ("H2", of_degree(harmonic, p), (w_alpha,)),
+        ("H3", of_degree(ts.coexact, p - 2), (nu,)),
+        ("H4", of_degree(ts.coexact, p), (w_alpha,)),
+        ("H5", of_degree(ts.coexact, p - 1), (nu, w_alpha)),
     )
     return [Channel(kind, n, p, mu2, m, weights)
             for kind, levels, weights in families

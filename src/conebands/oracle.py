@@ -2,18 +2,20 @@
 
 Discretizes q(sigma) = integral |sigma' + B sigma|^2 over one period with the
 quasi-periodic wrap sigma(T) = e^{i theta} sigma(0), where B is the
-first-order warp coefficient
+first-order warp coefficient, one form for every channel,
 
-    B = A0 / rho + (rho'/rho) * diag(channel weights).
+    B = A0 / rho + (rho'/rho) * diag(w),    A0 = [[0, -mu], [-mu, 0]],
 
-For scalar channels the slot restriction is rectangular: the in-slot row
-(rho'/rho) w pairs with the derivative, and an out-of-slot row mu/rho acts
-as a pure mass (a literal scalar sum would create a spurious cross term).
-For the coupled pair A0 = [[0, -mu], [-mu, 0]]; squaring reproduces the cone
-potential exactly on both cones (global frame) and mu^2/rho^2 on flats, and
-the slope breaks of rho' produce the transmission conditions variationally,
-with no hand-coded interface stencils.  That independence is the point: this
-module never touches the transfer-matrix code path.
+restricted to the channel's m columns, w its interface weights.  The
+derivative enters the m in-slot rows alone.  The coupled pair takes the
+whole 2 x 2 form.  A scalar channel takes its first column: the in-slot row
+(rho'/rho) w pairs with the derivative, and the out-of-slot row -mu/rho
+acts as a pure mass that enters only squared (a literal scalar sum would
+create a spurious cross term).  Squaring reproduces the cone potential
+exactly on both cones (global frame) and mu^2/rho^2 on flats, and the
+slope breaks of rho' produce the transmission conditions variationally,
+with no hand-coded interface stencils.  That independence is the point:
+this module never touches the transfer-matrix code path.
 
 The midpoint rule couples each node only to its two neighbours, so the
 form on a grid is an open chain (_chain): a diagonal block per node, a
@@ -67,28 +69,22 @@ ROUNDING_TOL = 1e-6
 
 
 def warp_coefficient(channel: Channel, profile: Profile, t) -> np.ndarray:
-    """First-order coefficient B at period coordinate t, a float or an array.
-
-    Scalar channels: shape (..., 2, 1), rows [(rho'/rho) w, mu/rho].
-    Pair channels: symmetric (..., 2, 2), A0/rho + (rho'/rho) diag(nu, w_alpha).
+    """First-order coefficient B at period coordinate t, a float or an
+    array: the channel's m columns of A0/rho + (rho'/rho) diag(w), shape
+    (..., 2, m), with A0 = [[0, -mu], [-mu, 0]] and w its interface weights.
+    A pair (m = 2) takes the symmetric whole; a scalar channel the first
+    column, [(rho'/rho) w, -mu/rho].
     """
     rho = np.asarray(profile.rho(t), dtype=float)
     if not np.all(rho > 0):
         raise NumericalError(f"profile radius vanished at t={np.asarray(t)[~(rho > 0)][0]}")
     rp = profile.rho_prime(t)
-    mu = math.sqrt(float(channel.mu2))
-    B = np.zeros(rho.shape + (2, channel.ncomp))
-    if channel.ncomp == 1:
-        w = float(channel.interface_weights[0])
-        B[..., 0, 0] = w * rp / rho
-        B[..., 1, 0] = mu / rho
-        return B
-    nu = float(channel.interface_weights[0])
-    wa = float(channel.interface_weights[1])
-    B[..., 0, 0] = rp / rho * nu
-    B[..., 1, 1] = rp / rho * wa
-    B[..., 0, 1] = B[..., 1, 0] = -mu / rho
-    return B
+    w = np.array([float(x) for x in channel.interface_weights])
+    B = np.zeros(rho.shape + (2, 2))
+    B[..., 0, 1] = B[..., 1, 0] = -math.sqrt(float(channel.mu2)) / rho
+    slots = np.arange(len(w))
+    B[..., slots, slots] = (rp / rho)[..., None] * w
+    return B[..., :len(w)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,6 @@ its circles: the Kuenneth product of the circles' spectra.  load_spectrum
 reads them from a file.  validate's Euler-characteristic check (chi = 0)
 holds for a flat cross-section, so it refuses others, such as the round S^2.
 
-Exact q-form data never needs separate storage: d is an isomorphism from
-coexact (q-1)-forms onto exact q-forms, so exact[q] == coexact[q-1].
-
 For flat tori with side lengths that are rational multiples of 2*pi the
 eigenvalues are exact rationals and are kept as `fractions.Fraction`; any
 other side length falls back to floats.
@@ -50,8 +47,7 @@ def _same_mu2(a: Scalar, b: Scalar) -> bool:
 class TransversalSpectrum:
     """Cross-section data: dimension, Betti numbers, coexact eigenvalues.
 
-    coexact[q] is a sorted list of (mu2, mult) with mu2 > 0.  exact(q)
-    returns the exact q-form data, which is coexact[q-1] by d-isomorphism.
+    coexact[q] is a sorted list of (mu2, mult) with mu2 > 0.
     """
 
     n: int
@@ -59,16 +55,6 @@ class TransversalSpectrum:
     cutoff: Scalar
     betti: list[int]
     coexact: list[list[tuple[Scalar, int]]]
-
-    def exact(self, q: int) -> list[tuple[Scalar, int]]:
-        if q - 1 < 0 or q - 1 >= len(self.coexact):
-            return []
-        return list(self.coexact[q - 1])
-
-    def coexact_at(self, q: int) -> list[tuple[Scalar, int]]:
-        if q < 0 or q >= len(self.coexact):
-            return []
-        return list(self.coexact[q])
 
 
 def build_flat_torus_spectrum(side_lengths, cutoff, label: str | None = None) -> TransversalSpectrum:
@@ -242,12 +228,13 @@ def _is_int(x) -> bool:
 
 
 def _scalar_from_json(x, where: str) -> Scalar:
-    """The number or rational string x of the field `where`, finite as a double."""
+    """The number or rational string x of the field `where`, finite as a
+    double: a Fraction from an integer or a rational string, else a float."""
     if isinstance(x, bool) or not isinstance(x, (int, float, str)):
         raise SpectrumFormatError(f"{where}: expected number or rational string, "
                                   f"got {type(x).__name__}")
     try:
-        val = Fraction(x) if isinstance(x, str) else x
+        val = Fraction(x) if isinstance(x, (int, str)) else x
         finite = math.isfinite(val)
     except (ValueError, ZeroDivisionError) as e:
         raise SpectrumFormatError(f"{where}: bad rational literal {x!r}: {e}") from e
@@ -260,7 +247,8 @@ def _scalar_from_json(x, where: str) -> Scalar:
 
 def save_spectrum(ts: TransversalSpectrum, path) -> None:
     """Write spectrum data as JSON.  Rationals go as 'a/b' strings so the
-    round-trip is bit exact; floats rely on repr round-tripping."""
+    round-trip is exact (load_spectrum reads a JSON integer as a rational
+    too); floats rely on repr round-tripping."""
     doc = {
         "n": ts.n,
         "label": ts.label,

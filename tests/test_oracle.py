@@ -30,6 +30,7 @@ from conebands.oracle import (
 )
 from conebands.radial import NumericalError, floquet_eigenvalues, make_profile, tip_exponent
 from conebands.transversal import build_flat_torus_spectrum
+from free_circle import free_circle_eigs
 from whole_period import mirror_nodes, period_pieces
 
 CIRCLE = build_flat_torus_spectrum([2 * math.pi], 20)
@@ -59,21 +60,6 @@ def chan(p, kind, mu2=None):
     raise LookupError(f"no {kind} channel with mu2={mu2}")
 
 
-def free_circle_eigs(T, theta, lam_max, mass2=0.0):
-    out = []
-    k = 0
-    while True:
-        grew = False
-        for sgn in (1,) if k == 0 else (1, -1):
-            lam = mass2 + ((theta + 2 * math.pi * sgn * k) / T) ** 2
-            if lam <= lam_max:
-                out.append(lam)
-                grew = True
-        if not grew:
-            return sorted(out)
-        k += 1
-
-
 # ---------------------------------------------------------------------------
 # warp coefficient
 
@@ -82,18 +68,18 @@ class TestWarpCoefficient:
     def test_scalar_handle_is_pure_mass(self):
         ch = chan(0, "H4", mu2=1.0)
         B = warp_coefficient(ch, STD, 1.7)
-        np.testing.assert_allclose(B, [[0.0], [5.0]], atol=1e-14)
+        np.testing.assert_allclose(B, [[0.0], [-5.0]], atol=1e-14)
 
     def test_scalar_outer_cylinder(self):
         ch = chan(0, "H4", mu2=1.0)
         B = warp_coefficient(ch, STD, 0.1)
-        np.testing.assert_allclose(B, [[0.0], [1.0]], atol=1e-14)
+        np.testing.assert_allclose(B, [[0.0], [-1.0]], atol=1e-14)
 
     def test_scalar_descending_cone(self):
         # rho(0.8) = 0.6, rho' = -1, slot weight w = p - n/2 = -1/2
         ch = chan(0, "H4", mu2=1.0)
         B = warp_coefficient(ch, STD, 0.8)
-        np.testing.assert_allclose(B, [[0.5 / 0.6], [1.0 / 0.6]], atol=1e-14)
+        np.testing.assert_allclose(B, [[0.5 / 0.6], [-1.0 / 0.6]], atol=1e-14)
 
     def test_harmonic_channel_has_no_mass_row(self):
         ch = chan(0, "H2")
@@ -135,10 +121,8 @@ def q_form(ch, prof, sig, dsig, a, b):
     def integrand(t):
         s = np.atleast_1d(sig(t))
         ds = np.atleast_1d(dsig(t))
-        B = warp_coefficient(ch, prof, t)
-        if ch.ncomp == 1:
-            return (ds[0] + B[0, 0] * s[0]) ** 2 + (B[1, 0] * s[0]) ** 2
-        v = ds + B @ s
+        # the derivative enters the in-slot rows alone
+        v = np.eye(2)[:, :ch.ncomp] @ ds + warp_coefficient(ch, prof, t) @ s
         return float(v @ v)
 
     val, err = quad(integrand, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)
@@ -155,9 +139,7 @@ def q_expanded(ch, prof, sig, dsig, a, b, V_of_t):
 
     def boundary(t):
         s = np.atleast_1d(sig(t))
-        B = warp_coefficient(ch, prof, t)
-        Bin = B[:1, :1] if ch.ncomp == 1 else B
-        return float(s @ Bin @ s)
+        return float(s @ warp_coefficient(ch, prof, t)[:ch.ncomp] @ s)
 
     return val + boundary(b) - boundary(a)
 
@@ -624,6 +606,14 @@ class TestFlatCircle:
         evs = oracle_eigenvalues(chan(0, "H2"), math.pi, FLAT2PI, 2.0, N=300)
         expect = free_circle_eigs(2 * math.pi, math.pi, 2.0)
         np.testing.assert_allclose(evs, expect, atol=2e-6)
+
+    def test_theta_near_2pi_has_its_lowest_root_at_k_minus_1(self):
+        # ((5.5 - 2 pi) / 2 pi)^2 is the one root below 0.5; k = 0 gives
+        # (5.5 / 2 pi)^2 = 0.77
+        evs = oracle_eigenvalues(chan(0, "H2"), 5.5, FLAT2PI, 0.5, N=200)
+        expect = free_circle_eigs(2 * math.pi, 5.5, 0.5)
+        assert expect == [pytest.approx(0.0155370773, abs=1e-10)]
+        np.testing.assert_allclose(evs, expect, atol=1e-6)
 
     def test_pair_flat_circle(self):
         # decoupled by the constant rotation, eigenvalues all doubled

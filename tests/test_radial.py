@@ -36,6 +36,7 @@ from conebands.radial import (
     tip_exponent,
 )
 from conebands.transversal import build_flat_torus_spectrum
+from free_circle import free_circle_eigs
 from whole_period import period_pieces
 
 CIRCLE = build_flat_torus_spectrum([2 * math.pi], 11)
@@ -834,22 +835,6 @@ class TestStackedMap:
 # Floquet eigenvalues
 
 
-def free_circle_eigs(T, theta, lam_max, mass2=0.0):
-    out = []
-    k = 0
-    while True:
-        grew = False
-        for sgn in ((1,) if k == 0 else (1, -1)):
-            lam = mass2 + ((theta + 2 * math.pi * sgn * k) / T) ** 2
-            if lam <= lam_max:
-                out.append(lam)
-                grew = True
-        if not grew and k > 0:
-            break
-        k += 1
-    return sorted(out)
-
-
 class TestFloquetEigenvalues:
     def test_free_circle_generic_theta(self):
         prof = make_profile(1.0, 2.0, 1.0)
@@ -957,6 +942,19 @@ class TestFloquetEigenvalues:
         want = free_circle_eigs(2 * math.pi, 1e-9, 20.0, mass2=16.0)
         assert len(got) == len(want) == 4
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="a zero exactly at lam_max is kept only when the scan samples it "
+                              "as exactly 0 (CHANGES.md FOUND: a zero of b, c, a or d exactly "
+                              "at lam_max; ROADMAP direction 1, absolute root counts)")
+    def test_a_double_root_at_lam_max_is_kept(self):
+        # free circle of length 2 pi, H4 mu^2 = 16: the theta = 0 roots
+        # below 20 are 16 + k^2 for k = 0, +-1, +-2
+        circle = build_flat_torus_spectrum([2 * math.pi], 20)
+        ch = next(c for c in enumerate_channels(circle, 0, 20.0)
+                  if c.kind == "H4" and c.mu2 == 16)
+        got = floquet_eigenvalues(ch, 0.0, make_profile(1.0, 0.0, 2 * math.pi), 20.0)
+        np.testing.assert_allclose(got, [16.0, 17.0, 17.0, 20.0, 20.0], rtol=0.0, atol=1e-10)
 
     def test_lower_bound_guard_trips(self, monkeypatch):
         # gamma = 0.5 is too small a cone potential for mu^2 = 5 (H4 of the
@@ -1257,6 +1255,31 @@ class TestCertificate:
         with pytest.raises(NumericalError, match=rf"^scalar problem \(mu\^2, w\) = \(1, {w}\): "
                                                  r"count certificate: 0 zeros of c against 1 of a "
                                                  r"on \[0, 8\.0\]$"):
+            band_edges(ch, prof, 8.0)
+
+    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                       reason="dropping a list's top zero keeps the interlacing, so the "
+                              "certificate passes (CHANGES.md FOUND: dropping a list's top "
+                              "zero passes _certify; ROADMAP direction 1, absolute root counts)")
+    def test_a_dropped_top_zero_is_refused(self, monkeypatch):
+        # the T^2 p = 1 pair at mu^2 = 1: b of the w = 0 partner has one
+        # zero below 8, at 7.82299; without it the band (7.78517, 7.82299)
+        # reads as one cut at lam_max
+        ch = next(c for c in TORUS_P1 if c.kind == "H5" and c.mu2 == 1)
+        prof = make_profile(0.2, 1.0, 0.8)
+        assert radial._bands(ch, prof, 8.0)[0].jumps[1][:, 0].tolist() == [-1, 0]
+        row = 2 + 1  # entry b of the second weight, w = 0
+        grid = np.linspace(0.0, 8.0, SCAN_STEPS + 1)
+        walk = radial._roots_on_grid
+
+        def drop_b(F):
+            (at, node), (of, cell) = walk(F)
+            top = (of == row) & (grid[cell] < 7.82299) & (7.82299 < grid[cell + 1])
+            assert np.count_nonzero(of == row) == np.count_nonzero(top) == 1
+            return (at, node), (of[~top], cell[~top])
+
+        monkeypatch.setattr(radial, "_roots_on_grid", drop_b)
+        with pytest.raises(NumericalError, match=r"\(mu\^2, w\) = \(1, 0\)"):
             band_edges(ch, prof, 8.0)
 
     def test_thin_bands_may_swap_within_the_map_accuracy(self):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conebands.channels import enumerate_channels
 from conebands.transversal import (
     SpectrumFormatError,
     TransversalSpectrum,
@@ -122,7 +123,8 @@ def test_total_dimension_matches_brute_force(sides, cutoff):
     # q-forms, summed over every degree q, is 2^n per lattice mode
     total: dict[float, int] = {}
     for q in range(n + 1):
-        for mu2, m in ts.coexact_at(q) + ts.exact(q):
+        # exact q-forms are the d-image of the coexact (q-1)-forms
+        for mu2, m in ts.coexact[q] + (ts.coexact[q - 1] if q else []):
             key = round(float(mu2), 9)
             total[key] = total.get(key, 0) + m
     assert total == {mu2: 2**n * m for mu2, m in lattice.items()}
@@ -151,10 +153,14 @@ def test_float_levels_below_1e_12_stay_apart():
 
 
 def test_exact_equals_shifted_coexact():
-    ts = build_flat_torus_spectrum([TWO_PI, TWO_PI], 3)
-    assert ts.exact(1) == ts.coexact[0]
-    assert ts.exact(0) == []
-    assert ts.exact(2) == ts.coexact[1]
+    # H3 carries the exact (p-1)-forms, the d-image of the coexact
+    # (p-2)-forms: none below p = 2
+    for n in (1, 2, 3):
+        ts = build_flat_torus_spectrum([TWO_PI] * n, 3)
+        for p in range(n + 2):
+            h3 = [(ch.mu2, ch.mult) for ch in enumerate_channels(ts, p, 3) if ch.kind == "H3"]
+            assert h3 == (ts.coexact[p - 2] if p >= 2 else [])
+            assert h3 or p < 2
 
 
 def test_validate_catches_betti_asymmetry():
@@ -226,6 +232,22 @@ def test_roundtrip_float(tmp_path):
     ts2 = load_spectrum(p)
     # float payloads must round-trip bit exactly via repr
     assert ts2.coexact[0] == ts.coexact[0]
+
+
+def test_json_integers_load_as_rationals(tmp_path):
+    # a hand-written circle file: its integers are the exact levels the
+    # builder gives, not floats, and an integer beyond 2^53 keeps its value
+    p = tmp_path / "spec.json"
+    built = build_flat_torus_spectrum([TWO_PI], 5)
+    p.write_text(json.dumps({"n": 1, "label": built.label, "cutoff": 5, "betti": [1, 1],
+                             "coexact": [[{"mu2": 1, "mult": 2}, {"mu2": 4, "mult": 2}], []]}))
+    loaded = load_spectrum(p)
+    assert loaded == built
+    assert type(loaded.cutoff) is Fraction
+    assert [type(mu2) for mu2, _ in loaded.coexact[0]] == [Fraction, Fraction]
+    p.write_text(json.dumps({"n": 1, "label": "x", "cutoff": 2 * 10**17, "betti": [1, 1],
+                             "coexact": [[{"mu2": 10**17 + 1, "mult": 2}], []]}))
+    assert load_spectrum(p).coexact[0] == [(Fraction(10**17 + 1), 2)]
 
 
 def test_load_rejects_garbage(tmp_path):
