@@ -7,20 +7,22 @@ one-dimensional radial problems ("channels") indexed by cross-section data:
   H2  harmonic p-forms in the tangential slot    scalar, mu = 0
   H3  exact (p-1)-forms in the dt-slot           scalar, mu > 0
   H4  coexact p-forms in the tangential slot     scalar, mu > 0
-  H5  coexact (p-1)-form paired with its d-image coupled 2x2, mu > 0
+  H5  coexact (p-1)-form paired with its d-image two scalars, mu > 0
 
-A scalar channel is the Hill problem fixed by its key (mu^2, w) =
-(mu2, interface_weights[0]): on flat parts it sees the mass mu^2 / rho^2,
-at every slope break the interface weight w, and on a cone of radius t the
-potential gamma (gamma + 1) / t^2 with the tip exponent
-gamma = -1/2 + sqrt(mu^2 + (w + 1/2)^2) (radial.tip_exponent).
+Every solver reads a channel only through its scalar keys (mu^2, w)
+(scalar_parts), each the Hill problem of one scalar section: on flat parts
+it sees the mass mu^2 / rho^2, at every slope break the interface weight w,
+and on a cone of radius t the potential gamma (gamma + 1) / t^2 with the
+tip exponent gamma = -1/2 + sqrt(mu^2 + (w + 1/2)^2) (radial.tip_exponent).
 
-The radial solver reads from a channel only mu^2 and the weights of its
-scalar problems (scalar_parts): a scalar channel is its own, and an H5
-pair's are its two Hodge partners, H4 of degree p-1 and H3 of degree p+1
-at the same mu^2.  Their weights w_alpha - 1 and nu - 1 sum to -1, so they
-share gamma and one solve evaluates both in one half-period map; partners
-with one key are one problem whose bands the solve lists twice.
+The weights come from one slot table, _SLOTS: each family's scalar
+problems as (degree shift, slot of degree_weights), slot 0 the dt-slot
+weight nu and slot 1 the tangential weight w_alpha.  H1 and H3 are
+((0, nu),), H2 and H4 ((0, w_alpha),).  An H5 pair is ((-1, w_alpha),
+(+1, nu)): its two Hodge partners, H4 of degree p-1 and H3 of degree p+1
+at the same mu^2.  Their weights p - n/2 - 1 and n/2 - p sum to -1, so
+they share gamma and one solve evaluates both in one half-period map;
+partners with one key are one problem whose bands the solve lists twice.
 """
 
 from __future__ import annotations
@@ -65,18 +67,22 @@ def degree_weights(n: int, p: int) -> tuple[Fraction, Fraction]:
     return Fraction(n, 2) - p + 1, Fraction(p) - Fraction(n, 2)
 
 
+# each family's scalar problems as (degree shift, slot of degree_weights):
+# slot 0 is nu, slot 1 w_alpha
+_SLOTS = {"H1": ((0, 0),), "H2": ((0, 1),), "H3": ((0, 0),), "H4": ((0, 1),),
+          "H5": ((-1, 1), (1, 0))}
+
+
 @dataclass
 class Channel:
-    """One radial channel of the degree-p problem.
+    """One radial channel of the degree-p problem: its family kind (H1 ..
+    H5), the cross-section dimension n, the degree p and the transversal
+    level mu2 of multiplicity mult.
 
-    mu2: the transversal eigenvalue mu^2; the handle/cylinder mass term is
-        mu^2 / rho^2, and every eigenvalue of the channel is >= mu^2 (the
-        bound enumerate_channels prunes by).
-    interface_weights: w per section component, (nu,) in the dt-slot
-        (H1, H3), (w_alpha,) in the tangential slot (H2, H4) and
-        (nu, w_alpha) for an H5 pair; the derivative jump at a profile
-        slope break is (slope difference) * w / rho.  A scalar channel is
-        the Hill problem of (mu2, interface_weights[0]).
+    The handle/cylinder mass term is mu^2 / rho^2, and every eigenvalue of
+    the channel is >= mu^2 (the bound enumerate_channels prunes by).  The
+    interface weights follow from (kind, n, p) by the slot table _SLOTS;
+    scalar_parts reads them.
     """
 
     kind: str
@@ -84,32 +90,24 @@ class Channel:
     p: int
     mu2: Scalar
     mult: int
-    interface_weights: tuple[Fraction, ...]
-
-    @property
-    def ncomp(self) -> int:
-        return len(self.interface_weights)
 
 
-def scalar_parts(ch: Channel) -> tuple[Channel, ...]:
-    """The scalar Hill problems whose spectra make up the channel's: (ch,)
-    for a scalar channel, and for an H5 pair its two Hodge partners (H4 of
-    degree p-1, H3 of degree p+1) at the same mu^2 and mult.
+def scalar_parts(ch: Channel) -> tuple[tuple[Scalar, Fraction], ...]:
+    """The keys (mu^2, w) of the scalar Hill problems whose spectra make up
+    the channel's, one per entry of its family's row of _SLOTS: w is the
+    slot's entry of degree_weights(n, p + shift).  A scalar channel has one
+    key, an H5 pair two: its Hodge partners, H4 of degree p-1 (w_alpha of
+    that degree) and H3 of degree p+1 (nu of that degree), at its mu^2.
 
     d maps the coexact (p-1)-form channel into the pair block and d* maps the
     exact p-form channel of degree p+1 into it, so the pair's spectrum is the
-    disjoint union of the two partners' spectra.  Their weights are the
-    degree_weights of their own degrees, w_alpha of degree p-1 and nu of
-    degree p+1: p - n/2 - 1 and n/2 - p, which sum to -1, so (w + 1/2)^2 and
-    the tip exponent gamma are the same for both: only their slope-break
-    jumps differ.
+    disjoint union of the two partners' spectra.  Their weights p - n/2 - 1
+    and n/2 - p sum to -1, so (w + 1/2)^2 and the tip exponent gamma are the
+    same for both: only their slope-break jumps differ.  Raises ValueError
+    when a partner's degree lies outside [0, n + 1].
     """
-    if ch.kind != "H5":
-        return (ch,)
-    return (
-        Channel("H4", ch.n, ch.p - 1, ch.mu2, ch.mult, degree_weights(ch.n, ch.p - 1)[1:]),
-        Channel("H3", ch.n, ch.p + 1, ch.mu2, ch.mult, degree_weights(ch.n, ch.p + 1)[:1]),
-    )
+    return tuple((ch.mu2, degree_weights(ch.n, ch.p + shift)[slot])
+                 for shift, slot in _SLOTS[ch.kind])
 
 
 def enumerate_channels(ts: TransversalSpectrum, p: int, lam_max: float) -> list[Channel]:
@@ -126,7 +124,7 @@ def enumerate_channels(ts: TransversalSpectrum, p: int, lam_max: float) -> list[
     """
     lam_max = check_lam_max(lam_max)
     n = ts.n
-    nu, w_alpha = degree_weights(n, p)
+    degree_weights(n, p)  # refuses a degree outside [0, n + 1]
     p = int(p)  # a numpy integer degree is stored as a plain int
 
     if not float(ts.cutoff) >= lam_max - 1e-9:  # refuses a NaN too
@@ -145,13 +143,13 @@ def enumerate_channels(ts: TransversalSpectrum, p: int, lam_max: float) -> list[
     # exact (p-1)-forms read coexact[p-2]
     harmonic = [[(Fraction(0), b)] for b in ts.betti]
     families = (
-        ("H1", of_degree(harmonic, p - 1), (nu,)),
-        ("H2", of_degree(harmonic, p), (w_alpha,)),
-        ("H3", of_degree(ts.coexact, p - 2), (nu,)),
-        ("H4", of_degree(ts.coexact, p), (w_alpha,)),
-        ("H5", of_degree(ts.coexact, p - 1), (nu, w_alpha)),
+        ("H1", of_degree(harmonic, p - 1)),
+        ("H2", of_degree(harmonic, p)),
+        ("H3", of_degree(ts.coexact, p - 2)),
+        ("H4", of_degree(ts.coexact, p)),
+        ("H5", of_degree(ts.coexact, p - 1)),
     )
-    return [Channel(kind, n, p, mu2, m, weights)
-            for kind, levels, weights in families
+    return [Channel(kind, n, p, mu2, m)
+            for kind, levels in families
             for mu2, m in sorted(levels, key=lambda level: float(level[0]))
             if m > 0 and float(mu2) <= lam_max + 1e-12 * max(1.0, lam_max)]

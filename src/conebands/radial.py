@@ -22,9 +22,9 @@ derivative jump
 
 and V = gamma (gamma + 1) / rho^2 on cones, where gamma = tip_exponent(mu^2,
 w) is the cone's indicial exponent (Cheeger, J. Diff. Geom. 1983).  The key
-(mu^2, w) = (channel.mu2, channel.interface_weights[0]) fixes the problem.
-band_edges and floquet_eigenvalues read one solve per channel, _bands,
-which lists the bands of all its scalar problems.
+(mu^2, w) fixes the problem, and a channel is read only as its keys
+(channels.scalar_parts).  band_edges and floquet_eigenvalues read one solve
+per channel, _bands, which lists the bands of all its scalar problems.
 
 Floquet eigenvalues at quasimomentum theta are the lambda with
 tr M = 2 cos theta for the period monodromy M.  The profile, and with it
@@ -559,9 +559,9 @@ def _bands(channel: Channel, profile: Profile,
            lam_max: float) -> tuple[_HalfPeriod, list[tuple[int, tuple, tuple]]]:
     """The half-period map of a channel's scalar Hill problems (mu^2, w)
     and their bands in [0, lam_max], each as (k, (lo, s), (hi, t)) with k
-    the map's weight row.  The weights are those of the channel's
-    scalar_parts: its own for a scalar channel, its two Hodge partners' for
-    an H5 pair, and partners with one weight list every band twice.  An
+    the map's weight row.  The keys are the channel's scalar_parts: one for
+    a scalar channel, its two Hodge partners' for an H5 pair, and partners
+    with one key list every band twice.  An
     edge (x, s) has s = 1 when periodic (a zero of b or c), -1 when
     antiperiodic (of a or d) and 0 at the cut at lam_max that ends an odd
     count.
@@ -574,9 +574,10 @@ def _bands(channel: Channel, profile: Profile,
     polished zeros resolve is closed: its edges, both periodic or both
     antiperiodic, are one double eigenvalue.  Raises NumericalError naming
     (mu^2, w) when _certify refuses its zeros."""
-    weights = [part.interface_weights[0] for part in scalar_parts(channel)]
+    keys = scalar_parts(channel)
+    mu2, weights = keys[0][0], [w for _, w in keys]
     distinct = list(dict.fromkeys(weights))
-    mu2, K = channel.mu2, len(distinct)
+    K = len(distinct)
     half = _HalfPeriod(mu2, distinct, profile, lam_max)
     # at lam_max = 0 the grid is the one node 0: repeated nodes would each
     # count a zero there
@@ -611,8 +612,8 @@ def _bands(channel: Channel, profile: Profile,
 def floquet_eigenvalues(channel: Channel, theta: float, profile: Profile,
                         lam_max: float) -> list[float]:
     """All lambda in [0, lam_max] whose Floquet multiplier is e^{i theta},
-    sorted, repeated per intrinsic multiplicity.  Channel.mult is not
-    applied here.  An H5 pair returns the union of its partners' roots.
+    sorted, repeated per intrinsic multiplicity.  The channel's
+    multiplicity is not applied here.  An H5 pair returns the union of its partners' roots.
 
     The channel is one solve, _bands, then one polish of one bracket per
     listed band, so a band listed twice gives its root twice.  Each band

@@ -12,6 +12,7 @@ from conebands.channels import (
 )
 from conebands.radial import tip_exponent
 from conebands.transversal import TransversalSpectrum, build_flat_torus_spectrum
+from pair_form import part_channels
 
 TWO_PI = 2.0 * math.pi
 CUBE_TORI = {n: build_flat_torus_spectrum([TWO_PI] * n, 8) for n in (1, 2, 3)}
@@ -34,7 +35,8 @@ def scalar_channels(n: int):
 
 def gamma_of(ch: Channel) -> float:
     """Tip exponent of a scalar channel."""
-    return tip_exponent(ch.mu2, ch.interface_weights[0])
+    (key,) = scalar_parts(ch)
+    return tip_exponent(*key)
 
 
 def cone_shift(ch: Channel) -> float:
@@ -139,7 +141,7 @@ def test_enumerate_circle_p0():
     h2 = chans[0]
     assert h2.mult == 1 and h2.mu2 == 0
     assert gamma_of(h2) == pytest.approx(-0.5)
-    assert float(h2.interface_weights[0]) == pytest.approx(-0.5)
+    assert scalar_parts(h2) == ((0, Fraction(-1, 2)),)
     h4a, h4b = chans[1], chans[2]
     assert (h4a.mu2, h4a.mult) == (Fraction(1), 2)
     assert (h4b.mu2, h4b.mult) == (Fraction(4), 2)
@@ -154,13 +156,14 @@ def test_enumerate_circle_p1():
     # harmonics in both slots plus H5 pairs over coexact 0-forms 1,4,9
     assert kinds == ["H1", "H2", "H5", "H5", "H5"]
     h1, h2 = chans[0], chans[1]
-    assert float(h1.interface_weights[0]) == pytest.approx(0.5)   # nu = 1/2
-    assert float(h2.interface_weights[0]) == pytest.approx(0.5)   # p - n/2
+    assert scalar_parts(h1) == ((0, Fraction(1, 2)),)   # nu = 1/2
+    assert scalar_parts(h2) == ((0, Fraction(1, 2)),)   # p - n/2
     assert gamma_of(h1) == pytest.approx(0.5)
     assert gamma_of(h2) == pytest.approx(0.5)
     h5 = chans[2]
     assert h5.mu2 == Fraction(1) and h5.mult == 2
-    assert [float(w) for w in h5.interface_weights] == pytest.approx([0.5, 0.5])
+    # the partners w_alpha of degree 0 and nu of degree 2 are one key
+    assert scalar_parts(h5) == ((1, Fraction(-1, 2)),) * 2
 
 
 def test_enumerate_torus_p1_h5_block():
@@ -168,13 +171,12 @@ def test_enumerate_torus_p1_h5_block():
     chans = enumerate_channels(ts, 1, 2.5)
     h5s = [c for c in chans if c.kind == "H5"]
     assert h5s[0].mult == 4
-    assert h5s[0].interface_weights == (Fraction(1), Fraction(0))
     # the partners carry the exponents: at mu^2 = 1 both have (w + 1/2)^2 =
     # 1/4, so gamma = -1/2 + sqrt(5)/2
     s = math.sqrt(1.25)
     h4, h3 = scalar_parts(h5s[0])
-    assert (h4.interface_weights, h3.interface_weights) == ((-1,), (0,))
-    assert [gamma_of(h4), gamma_of(h3)] == pytest.approx([s - 0.5] * 2)
+    assert (h4, h3) == ((1, -1), (1, 0))
+    assert [tip_exponent(*h4), tip_exponent(*h3)] == pytest.approx([s - 0.5] * 2)
 
 
 def test_enumerate_prunes_by_rigorous_bound():
@@ -265,21 +267,34 @@ def test_cone_potential_eigenvalues_match_gammas():
 
 
 def test_scalar_parts_are_the_enumerated_scalars():
-    # a pair's parts, H4 of degree p-1 and H3 of degree p+1 at its mu^2 and
-    # mult, are exactly the channels enumerate_channels builds in those
-    # degrees; a scalar channel is its own one part
+    # a pair's keys are those of its Hodge partners, the H4 channel of
+    # degree p-1 and the H3 channel of degree p+1 that enumerate_channels
+    # builds at its mu^2 and mult; a scalar channel has one key
     ts = build_flat_torus_spectrum([TWO_PI, TWO_PI * 1.3, TWO_PI * 0.8], 4)
+    pairs = 0
     for p in range(1, ts.n + 1):
         for h5 in (c for c in enumerate_channels(ts, p, 3.0) if c.kind == "H5"):
-            h4, h3 = scalar_parts(h5)
-            assert (h4.kind, h4.p, h3.kind, h3.p) == ("H4", p - 1, "H3", p + 1)
-            for part in (h4, h3):
-                same = [c for c in enumerate_channels(ts, part.p, 3.0)
-                        if c.kind == part.kind and c.mu2 == h5.mu2]
-                assert same == [part]
+            parts = []
+            for kind, q in (("H4", p - 1), ("H3", p + 1)):
+                (part,) = [c for c in enumerate_channels(ts, q, 3.0)
+                           if c.kind == kind and c.mu2 == h5.mu2]
                 assert part.mult == h5.mult
-    scalar = enumerate_channels(ts, 1, 3.0)[0]
-    assert scalar_parts(scalar) == (scalar,)
+                parts += scalar_parts(part)
+            assert scalar_parts(h5) == tuple(parts)
+            pairs += 1
+        for ch in enumerate_channels(ts, p, 3.0):
+            if ch.kind != "H5":
+                assert len(scalar_parts(ch)) == 1
+                assert scalar_parts(ch)[0][0] == ch.mu2
+    assert pairs > 3
+
+
+@pytest.mark.parametrize("n,p", [(2, 0), (3, 4)])
+def test_scalar_parts_refuses_a_partner_degree_out_of_range(n, p):
+    # an H5 pair of degree 0 or n + 1 has a partner degree -1 or n + 2;
+    # enumerate_channels builds none, and a hand-built one is refused
+    with pytest.raises(ValueError, match="form degree p"):
+        scalar_parts(Channel("H5", n, p, Fraction(1), 1))
 
 
 def slot_formula_gamma(ch: Channel) -> float:
@@ -299,8 +314,8 @@ def test_tip_exponent_matches_the_slot_formula():
         ts = build_flat_torus_spectrum([TWO_PI] * n, 3)
         for p in range(0, n + 2):
             for ch in enumerate_channels(ts, p, 3.0):
-                for part in scalar_parts(ch):
-                    assert gamma_of(part) == slot_formula_gamma(part), (n, p, part)
+                for key, part in zip(scalar_parts(ch), part_channels(ch)):
+                    assert tip_exponent(*key) == slot_formula_gamma(part), (n, p, part)
                     checked += 1
     assert checked > 100
 
@@ -316,9 +331,8 @@ def test_pair_partners_share_the_tip_exponent():
             pairs = [ch for ch in enumerate_channels(ts, p, 3.0) if ch.kind == "H5"]
             for ch in pairs:
                 h4, h3 = scalar_parts(ch)
-                (w4,), (w3,) = h4.interface_weights, h3.interface_weights
-                assert w4 + w3 == -1, (n, p)
-                assert gamma_of(h4) == gamma_of(h3), (n, p, ch.mu2)
+                assert h4[1] + h3[1] == -1, (n, p)
+                assert tip_exponent(*h4) == tip_exponent(*h3), (n, p, ch.mu2)
             if pairs:
                 with_pairs.append(p)
         assert with_pairs == list(range(1, n + 1)), n

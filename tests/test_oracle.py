@@ -5,10 +5,14 @@ Anchors that do not depend on the transfer-matrix code path:
   - expanding integral |s' + B s|^2 by parts must reproduce the channel
     potential plus a pure boundary term, on arbitrary smooth test sections:
     on cones gamma (gamma + 1)/rho^2, the potential the transfer-matrix
-    solver integrates, for a scalar channel, and for a pair the 2x2 block
+    solver integrates, for a scalar key, and for the coupled form of an H5
+    pair (pair_form.py) the 2x2 block
     [[mu^2 + f(p-2), -2 mu], [-2 mu, mu^2 + f(p)]] / rho^2 in the global
     frame; mu^2/rho^2 on flats
-and only then the dual-route comparison against floquet_eigenvalues.
+and only then the dual-route comparison against floquet_eigenvalues.  The
+pair form's spectrum is checked against the transfer solve of the pair's
+two scalar partners, the one check of the partner split from outside
+scalar_parts.
 """
 
 import math
@@ -19,8 +23,8 @@ import pytest
 import scipy.linalg
 from scipy.integrate import quad
 
-from conebands import oracle
-from conebands.channels import enumerate_channels
+from conebands import oracle, radial
+from conebands.channels import enumerate_channels, scalar_parts
 from conebands.oracle import (
     FormMatrix,
     assemble,
@@ -31,6 +35,7 @@ from conebands.oracle import (
 from conebands.radial import NumericalError, floquet_eigenvalues, make_profile, tip_exponent
 from conebands.transversal import build_flat_torus_spectrum
 from free_circle import free_circle_eigs
+from pair_form import loop_assemble, pair_coefficient, pair_eigenvalues
 from whole_period import mirror_nodes, period_pieces
 
 CIRCLE = build_flat_torus_spectrum([2 * math.pi], 20)
@@ -40,11 +45,23 @@ CUBE_TORI = {n: build_flat_torus_spectrum([2 * math.pi] * n, 8) for n in (1, 2, 
 TORUS_P1 = enumerate_channels(build_flat_torus_spectrum([2 * math.pi] * 2, 8.25), 1, 8.0)
 
 
+def grid_eigenvalues(ch, theta, prof, nodes, window):
+    """The merged, sorted eigenvalues in the window of the channel's keys on
+    the grid of half-period nodes `nodes`, without extrapolation."""
+    return np.sort(np.concatenate([oracle._grid_eigenvalues(*key, theta, prof, nodes, window)
+                                   for key in scalar_parts(ch)]))
+
+
 def single_grid(ch, theta, prof, lam_max, N):
     """Eigenvalues <= lam_max on the N grid alone, without extrapolation."""
     nodes = oracle._half_grids(prof, N)[0]
-    evs = oracle._grid_eigenvalues(ch, theta, prof, nodes, (-1.0, lam_max + 1.0))
+    evs = grid_eigenvalues(ch, theta, prof, nodes, (-1.0, lam_max + 1.0))
     return [float(x) for x in evs if x <= lam_max]
+
+
+def scalar_coefficient(key, prof):
+    """B of the scalar key as a function of t, shape (2, 1)."""
+    return lambda t: warp_coefficient(*key, prof, t)[:, None]
 
 
 def period_nodes(prof, N):
@@ -66,70 +83,71 @@ def chan(p, kind, mu2=None):
 
 class TestWarpCoefficient:
     def test_scalar_handle_is_pure_mass(self):
-        ch = chan(0, "H4", mu2=1.0)
-        B = warp_coefficient(ch, STD, 1.7)
-        np.testing.assert_allclose(B, [[0.0], [-5.0]], atol=1e-14)
+        (key,) = scalar_parts(chan(0, "H4", mu2=1.0))
+        B = warp_coefficient(*key, STD, 1.7)
+        np.testing.assert_allclose(B, [0.0, -5.0], atol=1e-14)
 
     def test_scalar_outer_cylinder(self):
-        ch = chan(0, "H4", mu2=1.0)
-        B = warp_coefficient(ch, STD, 0.1)
-        np.testing.assert_allclose(B, [[0.0], [-1.0]], atol=1e-14)
+        (key,) = scalar_parts(chan(0, "H4", mu2=1.0))
+        B = warp_coefficient(*key, STD, 0.1)
+        np.testing.assert_allclose(B, [0.0, -1.0], atol=1e-14)
 
     def test_scalar_descending_cone(self):
         # rho(0.8) = 0.6, rho' = -1, slot weight w = p - n/2 = -1/2
-        ch = chan(0, "H4", mu2=1.0)
-        B = warp_coefficient(ch, STD, 0.8)
-        np.testing.assert_allclose(B, [[0.5 / 0.6], [-1.0 / 0.6]], atol=1e-14)
+        (key,) = scalar_parts(chan(0, "H4", mu2=1.0))
+        B = warp_coefficient(*key, STD, 0.8)
+        np.testing.assert_allclose(B, [0.5 / 0.6, -1.0 / 0.6], atol=1e-14)
 
     def test_harmonic_channel_has_no_mass_row(self):
-        ch = chan(0, "H2")
-        B = warp_coefficient(ch, STD, 1.7)
-        assert B[1, 0] == 0.0
+        (key,) = scalar_parts(chan(0, "H2"))
+        B = warp_coefficient(*key, STD, 1.7)
+        assert B[1] == 0.0
 
     def test_pair_flat_is_constant_coupling(self):
         ch = chan(1, "H5", mu2=1.0)
-        B = warp_coefficient(ch, FLAT2PI, 2.0)
+        B = pair_coefficient(ch, FLAT2PI, 2.0)
         np.testing.assert_allclose(B, [[0.0, -1.0], [-1.0, 0.0]], atol=1e-14)
 
     def test_pair_ascending_cone(self):
         # rho(2.5) = 0.5, rho' = +1, weights (nu, w_alpha) = (1/2, 1/2)
         ch = chan(1, "H5", mu2=1.0)
-        B = warp_coefficient(ch, STD, 2.5)
+        B = pair_coefficient(ch, STD, 2.5)
         np.testing.assert_allclose(B, [[1.0, -2.0], [-2.0, 1.0]], atol=1e-13)
 
     def test_pair_symmetric_everywhere(self):
         ch = chan(1, "H5", mu2=1.0)
         for t in (0.1, 0.6, 1.5, 2.4, 3.3):
-            B = warp_coefficient(ch, STD, t)
+            B = pair_coefficient(ch, STD, t)
             assert B[0, 1] == B[1, 0]
 
     @pytest.mark.parametrize("kind,p,mu2", [("H4", 0, 1.0), ("H2", 0, None), ("H5", 1, 1.0)])
     def test_array_matches_pointwise(self, kind, p, mu2):
-        ch = chan(p, kind, mu2=mu2)
-        for prof in (STD, make_profile(0.2, 1.0, 0.8, eta=0.05)):
-            ts = np.linspace(0.01, prof.T - 0.01, 301)
-            B = warp_coefficient(ch, prof, ts)
-            assert B.shape == (len(ts), 2, ch.ncomp)
-            np.testing.assert_array_equal(B, [warp_coefficient(ch, prof, t) for t in ts])
+        # every key of the channel, an H5 pair's two partners included
+        for key in scalar_parts(chan(p, kind, mu2=mu2)):
+            for prof in (STD, make_profile(0.2, 1.0, 0.8, eta=0.05)):
+                ts = np.linspace(0.01, prof.T - 0.01, 301)
+                B = warp_coefficient(*key, prof, ts)
+                assert B.shape == (len(ts), 2)
+                np.testing.assert_array_equal(B, [warp_coefficient(*key, prof, t) for t in ts])
 
 
 # ---------------------------------------------------------------------------
 # the form |s' + B s|^2 reproduces the channel potential
 
 
-def q_form(ch, prof, sig, dsig, a, b):
+def q_form(coefficient, sig, dsig, a, b):
     def integrand(t):
         s = np.atleast_1d(sig(t))
         ds = np.atleast_1d(dsig(t))
         # the derivative enters the in-slot rows alone
-        v = np.eye(2)[:, :ch.ncomp] @ ds + warp_coefficient(ch, prof, t) @ s
+        v = np.eye(2)[:, :len(s)] @ ds + coefficient(t) @ s
         return float(v @ v)
 
     val, err = quad(integrand, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)
     return val
 
 
-def q_expanded(ch, prof, sig, dsig, a, b, V_of_t):
+def q_expanded(coefficient, sig, dsig, a, b, V_of_t):
     def integrand(t):
         s = np.atleast_1d(sig(t))
         ds = np.atleast_1d(dsig(t))
@@ -139,7 +157,7 @@ def q_expanded(ch, prof, sig, dsig, a, b, V_of_t):
 
     def boundary(t):
         s = np.atleast_1d(sig(t))
-        return float(s @ warp_coefficient(ch, prof, t)[:ch.ncomp] @ s)
+        return float(s @ coefficient(t)[:len(s)] @ s)
 
     return val + boundary(b) - boundary(a)
 
@@ -168,44 +186,49 @@ def pair_cone_potential(ch):
 
 
 class TestPotentialReproduction:
-    def check(self, ch, prof, a, b, V_of_t):
-        sig, dsig = scalar_section() if ch.ncomp == 1 else pair_section()
-        qf = q_form(ch, prof, sig, dsig, a, b)
-        qe = q_expanded(ch, prof, sig, dsig, a, b, V_of_t)
+    def check(self, coefficient, a, b, V_of_t):
+        sig, dsig = scalar_section() if coefficient(a).shape[1] == 1 else pair_section()
+        qf = q_form(coefficient, sig, dsig, a, b)
+        qe = q_expanded(coefficient, sig, dsig, a, b, V_of_t)
         assert qf == pytest.approx(qe, rel=1e-8)
 
     def test_scalar_ascending_cone(self):
-        ch = chan(0, "H4", mu2=1.0)
-        g = tip_exponent(ch.mu2, ch.interface_weights[0])
+        (key,) = scalar_parts(chan(0, "H4", mu2=1.0))
+        g = tip_exponent(*key)
         c = g * (g + 1.0)
-        self.check(ch, STD, 2.3, 2.9, lambda t: np.array([[c / STD.rho(t) ** 2]]))
+        self.check(scalar_coefficient(key, STD), 2.3, 2.9,
+                   lambda t: np.array([[c / STD.rho(t) ** 2]]))
 
     def test_scalar_descending_cone(self):
-        ch = chan(0, "H4", mu2=1.0)
-        g = tip_exponent(ch.mu2, ch.interface_weights[0])
+        (key,) = scalar_parts(chan(0, "H4", mu2=1.0))
+        g = tip_exponent(*key)
         c = g * (g + 1.0)
-        self.check(ch, STD, 0.5, 1.1, lambda t: np.array([[c / STD.rho(t) ** 2]]))
+        self.check(scalar_coefficient(key, STD), 0.5, 1.1,
+                   lambda t: np.array([[c / STD.rho(t) ** 2]]))
 
     def test_scalar_handle(self):
-        ch = chan(0, "H4", mu2=4.0)
-        self.check(ch, STD, 1.3, 2.0, lambda t: np.array([[4.0 / 0.2**2]]))
+        (key,) = scalar_parts(chan(0, "H4", mu2=4.0))
+        self.check(scalar_coefficient(key, STD), 1.3, 2.0, lambda t: np.array([[4.0 / 0.2**2]]))
 
     def test_pair_ascending_cone(self):
         ch = chan(1, "H5", mu2=1.0)
         C = pair_cone_potential(ch)
         np.testing.assert_array_equal(C, [[1.75, -2.0], [-2.0, 1.75]])
-        self.check(ch, STD, 2.3, 2.9, lambda t: C / STD.rho(t) ** 2)
+        self.check(lambda t: pair_coefficient(ch, STD, t), 2.3, 2.9,
+                   lambda t: C / STD.rho(t) ** 2)
 
     def test_pair_descending_cone_flips_coupling(self):
         # global frame on the way down conjugates by diag(-1, 1)
         ch = chan(1, "H5", mu2=1.0)
         F = np.diag([-1.0, 1.0])
         C = F @ pair_cone_potential(ch) @ F
-        self.check(ch, STD, 0.5, 1.1, lambda t: C / STD.rho(t) ** 2)
+        self.check(lambda t: pair_coefficient(ch, STD, t), 0.5, 1.1,
+                   lambda t: C / STD.rho(t) ** 2)
 
     def test_pair_handle_decouples(self):
         ch = chan(1, "H5", mu2=1.0)
-        self.check(ch, STD, 1.3, 2.0, lambda t: np.eye(2) / 0.2**2)
+        self.check(lambda t: pair_coefficient(ch, STD, t), 1.3, 2.0,
+                   lambda t: np.eye(2) / 0.2**2)
 
 
 # ---------------------------------------------------------------------------
@@ -397,32 +420,19 @@ BAND_CASES = [(chan(0, "H4", mu2=1.0), STD)] + [
 ]
 
 
-def loop_assemble(ch, theta, prof, t):
-    """Reference K on the period's nodes t_0 = 0 .. t_M = T: one interval at
-    a time, h |c . (s_j, s_next)|^2 per row of B, with the phase on the wrap
-    interval's next-node half."""
-    M, m = len(t) - 1, ch.ncomp
-    K = np.zeros((M * m, M * m), dtype=complex)
-    S = np.eye(2)[:, :m]
-    for j in range(M):
-        jn = (j + 1) % M
-        h = t[j + 1] - t[j]
-        E = warp_coefficient(ch, prof, 0.5 * (t[j] + t[j + 1]))
-        ph = np.exp(1j * theta) if jn == 0 else 1.0
-        idx = list(range(j * m, j * m + m)) + list(range(jn * m, jn * m + m))
-        for row in np.hstack([-S / h + 0.5 * E, ph * (S / h + 0.5 * E)]):
-            K[np.ix_(idx, idx)] += h * np.outer(np.conj(row), row)
-    return K
-
-
 class TestBandSolve:
     @pytest.mark.parametrize("theta", [0.0, math.pi, 1.1])
     @pytest.mark.parametrize("case", [0, 2], ids=["scalar", "pair"])
     def test_vectorised_assembly_matches_interval_loop(self, case, theta):
+        # a pair's pencil is the direct sum of its two partners' periods
         ch, prof = BAND_CASES[case]
         fm = assemble(ch, theta, prof, 120)
-        want = loop_assemble(ch, theta, prof, mirror_nodes(prof, oracle._half_grids(prof, 120)[0]))
+        t = mirror_nodes(prof, oracle._half_grids(prof, 120)[0])
+        blocks = [loop_assemble(scalar_coefficient(key, prof), theta, t)
+                  for key in scalar_parts(ch)]
+        want = scipy.linalg.block_diag(*(K for K, _ in blocks))
         np.testing.assert_allclose(fm.K, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+        np.testing.assert_allclose(fm.W, np.concatenate([W for _, W in blocks]), rtol=1e-14)
 
     @pytest.mark.parametrize("theta", [0.0, math.pi, 0.7, 2.0])
     @pytest.mark.parametrize("case", range(len(BAND_CASES)), ids=["scalar", "n1", "n2", "n3"])
@@ -439,34 +449,34 @@ class TestBandSolve:
     @pytest.mark.parametrize("theta", [0.7, 2.0])
     @pytest.mark.parametrize("case", [0, 2], ids=["scalar", "pair"])
     def test_band_is_the_signed_permuted_dense_pencil(self, case, theta):
-        # the band holds u_0, u_1, v_1, .., u_{K-1}, v_{K-1}, u_K, with
-        # sigma_j = u_j and sigma_{M-j} = S v_j at the period's node j.  The
-        # band evaluates the mirrored blocks at t and the pencil at T - t, so
-        # they agree to rounding, not bit for bit
+        # the band of each key holds u_0, u_1, v_1, .., u_{K-1}, v_{K-1},
+        # u_K, with sigma_j = u_j and sigma_{M-j} = v_j at the period's node
+        # j (the mirror's sign is +1 on a scalar), and is the key's block of
+        # the pencil.  The band evaluates the
+        # mirrored entries at t and the pencil at T - t, so they agree to
+        # rounding, not bit for bit
         ch, prof = BAND_CASES[case]
-        m = ch.ncomp
-        G, X, w = oracle._chain(ch, prof, oracle._half_grids(prof, 120)[0])
-        ab = oracle._band(G, X, w, np.exp(1j * theta))
-        n = ab.shape[1]
-        # half-width 3m - 1 holds the couplings of the two copies, and it is needed
-        assert ab.shape[0] == 3 * m
-        assert np.any(ab[-1] != 0.0)
-        H = np.zeros((n, n), dtype=ab.dtype)
-        for d in range(3 * m):
-            i = np.arange(n - d)
-            H[i + d, i] = ab[d, : n - d]
-            H[i, i + d] = np.conj(ab[d, : n - d])
         fm = assemble(ch, theta, prof, 120)
         s = 1.0 / np.sqrt(fm.W)
-        want = s[:, None] * fm.K * s[None, :]
+        pencil = s[:, None] * fm.K * s[None, :]
         M = len(period_nodes(prof, 120))
         K = M // 2
         node = [0] + [j for i in range(1, K) for j in (i, M - i)] + [K]
-        perm = np.ravel([[j * m + i for i in range(m)] for j in node])
-        sign = np.concatenate([[1.0, -1.0][:m] if j > K else [1.0] * m for j in node])
-        assert n == M * m
-        np.testing.assert_allclose(H, sign[:, None] * sign * want[np.ix_(perm, perm)],
-                                   rtol=0.0, atol=1e-13 * np.abs(want).max())
+        for k, key in enumerate(scalar_parts(ch)):
+            G, X, w = oracle._chain(*key, prof, oracle._half_grids(prof, 120)[0])
+            ab = oracle._band(G, X, w, np.exp(1j * theta))
+            n = ab.shape[1]
+            # half-width 2 holds the couplings of the two copies, and it is needed
+            assert ab.shape[0] == 3
+            assert np.any(ab[-1] != 0.0)
+            H = np.zeros((n, n), dtype=ab.dtype)
+            for d in range(3):
+                i = np.arange(n - d)
+                H[i + d, i] = ab[d, : n - d]
+                H[i, i + d] = np.conj(ab[d, : n - d])
+            assert n == M
+            want = pencil[k * M:(k + 1) * M, k * M:(k + 1) * M][np.ix_(node, node)]
+            np.testing.assert_allclose(H, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
 
     @pytest.mark.parametrize("theta", [0.0, math.pi, 0.7])
     def test_hot_path_builds_no_dense_matrix(self, monkeypatch, theta):
@@ -496,8 +506,8 @@ class TestBandSolve:
         for N in (200, 201, 202):
             fm = assemble(ch, theta, prof, N)
             want = dense_hermitian_eigenvalues(fm.K, fm.W, lam_window=(-1.0, 30.0))
-            got = oracle._grid_eigenvalues(ch, theta, prof, oracle._half_grids(prof, N)[0],
-                                           (-1.0, 30.0))
+            got = grid_eigenvalues(ch, theta, prof, oracle._half_grids(prof, N)[0],
+                                   (-1.0, 30.0))
             assert len(want) >= 4
             assert len(got) == len(want)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
@@ -515,11 +525,13 @@ class TestBandSolve:
 
         monkeypatch.setattr(oracle, "_band", record)
         ch, prof = BAND_CASES[case]
-        m = ch.ncomp
         assert len(oracle_eigenvalues(ch, theta, prof, 8.0, N=200)) >= 2
-        # on each of the N and 2N grids: two parities of half-width 2m - 1 at
-        # theta = 0 and pi, one band of the two interleaved copies elsewhere
-        assert widths == ([3 * m - 1] * 2 if theta == 0.7 else [2 * m - 1] * 4)
+        # for each key, on each of the N and 2N grids: two parities of
+        # half-width 1 at theta = 0 and pi, one band of the two interleaved
+        # copies elsewhere.  The pair has two distinct keys
+        keys = len(set(scalar_parts(ch)))
+        assert keys == case // 2 + 1
+        assert widths == ([2] * 2 if theta == 0.7 else [1] * 4) * keys
 
     @pytest.mark.parametrize("theta", [0.0, math.pi, 0.7], ids=["0", "pi", "0.7"])
     @pytest.mark.parametrize("case", [0, 2], ids=["scalar", "pair"])
@@ -529,18 +541,46 @@ class TestBandSolve:
         coefficient = oracle.warp_coefficient
         midpoints = []
 
-        def record(ch, prof, t):
+        def record(mu2, w, prof, t):
             midpoints.append(np.size(t))
-            return coefficient(ch, prof, t)
+            return coefficient(mu2, w, prof, t)
 
         monkeypatch.setattr(oracle, "warp_coefficient", record)
         assert len(oracle_eigenvalues(ch, theta, prof, 8.0, N=200)) >= 2
-        # M / 2 midpoints on the N grid and M on the 2N grid: the second
-        # half of the period is never assembled
-        assert midpoints == [M // 2, M]
+        # per key, M / 2 midpoints on the N grid and M on the 2N grid: the
+        # second half of the period is never assembled
+        assert midpoints == [M // 2, M] * len(set(scalar_parts(ch)))
 
 
 class TestRichardsonPairing:
+    @pytest.mark.parametrize("theta", [0.0, math.pi], ids=["0", "pi"])
+    def test_eigenvalues_come_sorted(self, theta):
+        # Richardson can move the two values of a near-double past each
+        # other: H2 at theta = 0 once returned [-5.9e-12, 3.4150880366855745,
+        # 3.4150880118219598]
+        for ch in TORUS_P1:
+            evs = oracle_eigenvalues(ch, theta, STD, 8.0, N=300)
+            assert evs == sorted(evs), (ch.kind, ch.mu2)
+
+    def test_equal_partner_keys_are_one_solve(self, monkeypatch):
+        # on the circle at p = 1 an H5 pair's partners are one key: it is
+        # solved once, on the N and the 2N grid, and every value is listed
+        # twice
+        solve = oracle._grid_eigenvalues
+        calls = []
+
+        def record(*args):
+            calls.append(args[:2])
+            return solve(*args)
+
+        ch = chan(1, "H5", mu2=1.0)
+        assert len(set(scalar_parts(ch))) == 1
+        monkeypatch.setattr(oracle, "_grid_eigenvalues", record)
+        evs = oracle_eigenvalues(ch, 0.7, STD, 8.0, N=200)
+        assert calls == [scalar_parts(ch)[0]] * 2
+        assert len(evs) >= 4
+        assert evs[0::2] == evs[1::2]
+
     @pytest.mark.parametrize("theta,count", [(0.0, 5), (0.7, 4)], ids=["theta0", "theta0.7"])
     @pytest.mark.parametrize("short_grid", ["N", "2N"])
     def test_unpaired_eigenvalue_below_the_window_edge_raises(self, monkeypatch, short_grid,
@@ -551,9 +591,9 @@ class TestRichardsonPairing:
         solve = oracle._grid_eigenvalues
         calls = []
 
-        def drop_top(ch, theta, prof, nodes, window):
+        def drop_top(mu2, w, theta, prof, nodes, window):
             calls.append(len(nodes) - 1)
-            evs = solve(ch, theta, prof, nodes, window)
+            evs = solve(mu2, w, theta, prof, nodes, window)
             return evs[:-1] if (len(calls) == 1) == (short_grid == "N") else evs
 
         ch = chan(0, "H2")
@@ -652,17 +692,43 @@ class TestOracleVsTransfer:
         assert len(got) == len(want)
         np.testing.assert_allclose(got, want, atol=1e-5)
 
-    @pytest.mark.parametrize("n,p", [(n, p) for n in (1, 2, 3) for p in range(1, n + 1)])
-    def test_pair_generic_theta(self, n, p):
-        # the coupled pair oracle against the transfer solve of its two
-        # scalar Hodge partners, in every degree that has an H5 channel
+    @staticmethod
+    def check_pair_split(n, p):
+        """The coupled pair form (pair_form.py) against the transfer solve
+        of the pair's scalar_parts, on the cube n-torus at degree p."""
         prof = make_profile(0.3, 1.0, 0.8)
         ch = next(c for c in enumerate_channels(CUBE_TORI[n], p, 8.0) if c.kind == "H5")
         want = floquet_eigenvalues(ch, 1.1, prof, 8.0)
-        got = oracle_eigenvalues(ch, 1.1, prof, 8.0, N=400)
+        got = pair_eigenvalues(ch, 1.1, prof, 8.0, N=200)
         assert len(want) >= 3
         assert len(got) == len(want)
         np.testing.assert_allclose(got, want, atol=2e-5)
+
+    @pytest.mark.parametrize("n,p", [(n, p) for n in (1, 2, 3) for p in range(1, n + 1)])
+    def test_pair_generic_theta(self, n, p):
+        # the spectrum of the coupled pair is the union of its two scalar
+        # Hodge partners', in every degree that has an H5 channel: the one
+        # check of scalar_parts' partner keys from outside them
+        self.check_pair_split(n, p)
+
+    @pytest.mark.parametrize("part", [0, 1], ids=["H4-partner", "H3-partner"])
+    @pytest.mark.parametrize("n,p", [(1, 1), (2, 1)])
+    def test_pair_split_catches_a_shifted_partner_weight(self, monkeypatch, n, p, part):
+        # one partner weight moved by 1/2 in the keys the radial solver reads.
+        # The solver refuses partners whose tip exponents differ, so the
+        # mutant also moves the other weight by -1/2, keeping their sum -1;
+        # the values then move and the check must fail
+        keys = radial.scalar_parts
+
+        def shifted(ch):
+            parts = list(keys(ch))
+            if len(parts) == 2:
+                parts = [(mu2, w + (0.5 if k == part else -0.5)) for k, (mu2, w) in enumerate(parts)]
+            return tuple(parts)
+
+        monkeypatch.setattr(radial, "scalar_parts", shifted)
+        with pytest.raises(AssertionError):
+            self.check_pair_split(n, p)
 
     def test_antiperiodic(self):
         ch = chan(0, "H4", mu2=1.0)

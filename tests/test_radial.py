@@ -37,6 +37,7 @@ from conebands.radial import (
 )
 from conebands.transversal import build_flat_torus_spectrum
 from free_circle import free_circle_eigs
+from pair_form import part_channels
 from whole_period import period_pieces
 
 CIRCLE = build_flat_torus_spectrum([2 * math.pi], 11)
@@ -476,13 +477,14 @@ def h5_channel(eps_section=CIRCLE, p=1, mu2=1):
 
 def key(channel):
     """The key (mu^2, w) of a scalar channel's Hill problem."""
-    return channel.mu2, channel.interface_weights[0]
+    (only,) = scalar_parts(channel)
+    return only
 
 
 def partner_weights(channel):
     """The distinct interface weights of a channel's scalar Hill problems in
     first-seen order: its own, or its two Hodge partners' for an H5 pair."""
-    return tuple(dict.fromkeys(key(part)[1] for part in scalar_parts(channel)))
+    return tuple(dict.fromkeys(w for _, w in scalar_parts(channel)))
 
 
 def single_map(mu2, w, profile, lam_bound):
@@ -569,7 +571,7 @@ def rk_monodromy(channel, profile, lam):
     explicit derivative jumps where consecutive slopes differ."""
     g = gamma_of(channel)
     c = g * (g + 1.0)
-    w = float(channel.interface_weights[0])
+    w = float(key(channel)[1])
     M = np.eye(2)
     pieces = period_pieces(profile)
     for i, (a, b, slope) in enumerate(pieces):
@@ -608,7 +610,7 @@ def monodromy(channel, lam, profile):
     (a, b), (c, d) = A
     M = A @ np.array([[d, b], [c, a]])
     if profile.l_out == 0.0 and profile.eps < 1.0:
-        w = float(channel.interface_weights[0])
+        w = float(key(channel)[1])
         M = np.array([[1.0, 0.0], [w, 1.0]]) @ M @ np.array([[1.0, 0.0], [-w, 1.0]])
     return M, 2.0 * logscale
 
@@ -625,7 +627,7 @@ def rk_half_map(channel, profile, lam):
     mirror half takes the other half)."""
     g = gamma_of(channel)
     c = g * (g + 1.0)
-    w = float(channel.interface_weights[0])
+    w = float(key(channel)[1])
     pieces = period_pieces(profile)
     centre = 0.5 * profile.T
 
@@ -962,8 +964,7 @@ class TestFloquetEigenvalues:
         # lies below the bound lambda >= mu^2
         monkeypatch.setattr(radial, "tip_exponent", lambda mu2, w: 0.5)
         prof = make_profile(0.2, 1.0, 0.8)
-        bogus = Channel(kind="H4", n=1, p=0, mu2=Fraction(5), mult=1,
-                        interface_weights=(Fraction(-1, 2),))
+        bogus = Channel(kind="H4", n=1, p=0, mu2=Fraction(5), mult=1)
         with pytest.raises(NumericalError, match="lower bound 5.0"):
             floquet_eigenvalues(bogus, 0.9, prof, 10.0)
         with pytest.raises(NumericalError, match="lower bound 5.0"):
@@ -1012,9 +1013,9 @@ class TestPartnerWeights:
             weights = half.jumps[1][:, 0].tolist()
             if ch.kind == "H5":
                 h4, h3 = scalar_parts(ch)
-                assert weights == [key(h4)[1], key(h3)[1]]
+                assert weights == [h4[1], h3[1]]
                 assert weights == [-1, 0]
-                assert key(h4)[0] == key(h3)[0] == ch.mu2
+                assert h4[0] == h3[0] == ch.mu2
             else:
                 assert weights == [key(ch)[1]]
             assert all(0 <= k < len(weights) for k, _, _ in bands)
@@ -1028,10 +1029,10 @@ class TestPartnerWeights:
         prof = make_profile(0.2, 1.0, 0.8)
         listed = []
         for ch in pairs:
-            assert {key(part) for part in scalar_parts(ch)} == {(ch.mu2, Fraction(-1, 2))}
+            assert set(scalar_parts(ch)) == {(ch.mu2, Fraction(-1, 2))}
             half, bands = radial._bands(ch, prof, 10.0)
             assert half.jumps[1][:, 0].tolist() == [-0.5]
-            single = radial._bands(scalar_parts(ch)[0], prof, 10.0)[1]
+            single = radial._bands(part_channels(ch)[0], prof, 10.0)[1]
             assert bands == single + single
             listed.append(len(single))
         assert min(listed[:2]) > 0, listed
@@ -1050,8 +1051,8 @@ class TestGridWalk:
             assert_walks_agree(A.reshape(4 * len(weights), -1))
 
     @pytest.mark.parametrize("mu2,weights,lam_max", [
-        *((ch.mu2, ch.interface_weights, 400.0) for ch in CIRCLE_HIGH),
-        *((part.mu2, part.interface_weights, 8.0) for part in scalar_parts(H5_P1)[:1]),
+        *((ch.mu2, partner_weights(ch), 400.0) for ch in CIRCLE_HIGH),
+        *((mu2, (w,), 8.0) for mu2, w in scalar_parts(H5_P1)[:1]),
         (H5_P1.mu2, partner_weights(H5_P1), 8.0),
     ], ids=[f"circle-high-{ch.kind}-{ch.mu2}" for ch in CIRCLE_HIGH]
         + ["torus-p1-H5-partner", "torus-p1-H5-pair"])
@@ -1381,7 +1382,7 @@ class TestBandEdges:
         # band twice
         prof = make_profile(0.3, 1.0, 0.8)
         ch = h5_channel()
-        h4, h3 = scalar_parts(ch)
+        h4, h3 = part_channels(ch)
         single = band_edges(h4, prof, 6.0)
         scans = []
         init = radial._HalfPeriod.__init__
@@ -1389,11 +1390,11 @@ class TestBandEdges:
                             lambda half, mu2, weights, *args: scans.append((mu2, tuple(weights)))
                             or init(half, mu2, weights, *args))
         be = band_edges(ch, prof, 6.0)
-        assert scans == [(h4.mu2, h4.interface_weights)]
+        assert scans == [(h4.mu2, partner_weights(h4))]
         assert be.bands[0::2] == be.bands[1::2] == single.bands
         assert be.truncated == single.truncated
         roots = floquet_eigenvalues(ch, 0.0, prof, 6.0)
-        assert scans == [(h4.mu2, h4.interface_weights)] * 2
+        assert scans == [(h4.mu2, partner_weights(h4))] * 2
         assert roots[0::2] == roots[1::2] == floquet_eigenvalues(h3, 0.0, prof, 6.0)
 
     @pytest.mark.parametrize("params", [
@@ -1410,7 +1411,7 @@ class TestBandEdges:
         channels, lam_max = (TORUS_P1, 8.0) if case == "torus-p1" else (CIRCLE_HIGH, 400.0)
         prof = make_profile(*params)
         for ch in channels:
-            for part in scalar_parts(ch):
+            for part in part_channels(ch):
                 be = band_edges(part, prof, lam_max)
                 edges = [x for band in be.bands for x in band][:-1 if be.truncated else None]
                 roots = (floquet_eigenvalues(part, 0.0, prof, lam_max)
@@ -1461,7 +1462,7 @@ class TestOneSolvePerChannel:
     def test_a_pair_is_one_solve(self, monkeypatch, n, p, lam_max):
         ts = {2: TORUS_P1_SPECTRUM, 3: T3}[n]
         ch = next(c for c in enumerate_channels(ts, p, lam_max) if c.kind == "H5")
-        h4, h3 = scalar_parts(ch)
+        h4, h3 = part_channels(ch)
         # T^3 at p = 2 is the middle degree: the two partners are one key
         assert (key(h4) == key(h3)) == (n == 3)
         prof = make_profile(0.2, 1.0, 0.8)

@@ -114,10 +114,13 @@ def test_public_names_have_a_consumer():
 
 
 def test_only_channels_reads_the_channel_kind():
-    # which scalar problems a channel has is decided once, by
-    # channels.scalar_parts; no other module branches on Channel.kind
-    reads = [f"{path.name}:{node.lineno}" for path in SOURCES if path.name != "channels.py"
+    # a channel is its family, degree and level, and every solver reads it
+    # only as its scalar keys (mu^2, w), through channels.scalar_parts: no
+    # other module loads Channel.kind, .p, .mu2 or .mult.  (.n is left out:
+    # TransversalSpectrum shares the name)
+    reads = [f"{path.name}:{node.lineno} .{node.attr}"
+             for path in SOURCES if path.name != "channels.py"
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-             if isinstance(node, ast.Attribute) and node.attr == "kind"
+             if isinstance(node, ast.Attribute) and node.attr in ("kind", "p", "mu2", "mult")
              and isinstance(node.ctx, ast.Load)]
     assert reads == []
