@@ -21,7 +21,10 @@ The midpoint rule couples each node only to its two neighbours, so the
 form on a grid is an open chain (_chain): a diagonal entry per node, a
 coupling per interval and trapezoid weights, half a step at each end.  The
 grid is planned from the cut to the handle centre T/2, and the solver
-assembles that half chain alone, at every theta.
+assembles that half chain alone, at every theta.  What depends on neither
+theta nor the key, the steps, rho'/rho and -1/rho at the midpoints and the
+weights (_geometry), is planned once per (profile, N) (_plan) and shared
+by every key and theta; a key's chain scales it by the row [w, mu].
 
 The mirror t -> T - t commutes with the form: sigma' and rho' change sign
 together, so the first row changes sign and its square does not, and the
@@ -35,7 +38,9 @@ phase = parity and its centre node iff parity = +1, a real symmetric band
 of half-width 1.  At any other theta the two copies are interleaved node
 by node, a complex Hermitian band of half-width 2.  One writer (_band)
 lays out both, scaled by W^{-1/2}, in LAPACK lower band storage for a
-banded eigensolver restricted to the window.
+banded eigensolver restricted to the window.  Side by side, the two
+parities' bands are the block-diagonal tridiagonal of both, so one
+bisection solves a grid at theta = 0 and pi.
 
 No dense matrix is formed on the solver's path.  assemble() alone builds
 the glued period, one block per key: the chain of the whole period with
@@ -53,6 +58,7 @@ loads no scipy.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -67,6 +73,7 @@ MAX_CONE_PIECES = 6
 # largest share of the window's scale max(1, |lo|, |hi|) that the banded
 # solver's rounding bound eps * max|H_jj| may reach on a grid
 ROUNDING_TOL = 1e-6
+PLAN_CACHE = 8  # (profile, N) plans kept, a few tens of kB each at N = 500
 
 
 def warp_coefficient(mu2, w, profile: Profile, t) -> np.ndarray:
@@ -85,6 +92,12 @@ def warp_coefficient(mu2, w, profile: Profile, t) -> np.ndarray:
 # grid
 
 
+def _check_grid_size(N) -> None:
+    """Raise ValueError unless N is an integer (not a bool) >= 100."""
+    if not isinstance(N, numbers.Integral) or isinstance(N, bool) or N < 100:
+        raise ValueError(f"grid size N must be an integer >= 100, got {N!r}")
+
+
 def _half_grids(profile: Profile, N) -> tuple[np.ndarray, np.ndarray]:
     """Nodes of the N grid from the cut to the handle centre T/2, both
     ends included, and of the grid that halves each of its intervals.
@@ -97,8 +110,7 @@ def _half_grids(profile: Profile, N) -> tuple[np.ndarray, np.ndarray]:
     under t -> T - t.  Raises ValueError unless N is an integer (not a
     bool) >= 100.
     """
-    if not isinstance(N, numbers.Integral) or isinstance(N, bool) or N < 100:
-        raise ValueError(f"grid size N must be an integer >= 100, got {N!r}")
+    _check_grid_size(N)
     pieces: list[tuple[float, float, float]] = []  # (a, b, rho_min)
     for a, b, slope in profile.pieces():
         ra, rb = profile.rho(a), profile.rho(b)
@@ -128,6 +140,38 @@ def _half_grids(profile: Profile, N) -> tuple[np.ndarray, np.ndarray]:
                  for s in (1, 2))
 
 
+def _geometry(profile: Profile, t: np.ndarray) -> tuple:
+    """(h, B1, wt) of the open chain of nodes t, both ends included: what
+    every key's chain on it shares.
+
+    h (n,): the grid steps.  B1 (n, 2): warp_coefficient(1, 1) at the
+    midpoints, the columns rho'/rho and -1/rho.  wt (n + 1,): trapezoid
+    weight of each node, half a step at the two ends.
+    """
+    h = np.diff(t)
+    if not np.all(h > 0):
+        raise ValueError("non-positive grid step")
+    B1 = warp_coefficient(1, 1, profile, 0.5 * (t[:-1] + t[1:]))
+    wt = np.zeros(len(t))
+    wt[:-1] += 0.5 * h
+    wt[1:] += 0.5 * h
+    return h, B1, wt
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def _plan(profile: Profile, N) -> tuple:
+    """_geometry of both half-period grids of _half_grids(profile, N),
+    built once per (profile, N) and shared by every key and theta; its
+    arrays are read-only.  Validate N first (_check_grid_size): the cache
+    takes 500.0 for 500.
+    """
+    plan = tuple(_geometry(profile, t) for t in _half_grids(profile, N))
+    for geometry in plan:
+        for a in geometry:
+            a.flags.writeable = False
+    return plan
+
+
 # ---------------------------------------------------------------------------
 # assembly
 
@@ -150,7 +194,8 @@ def assemble(channel: Channel, theta: float, profile: Profile, N: int) -> FormMa
     intervals, as a dense pencil: the direct sum over the channel's keys
     (scalar_parts, in order) of each key's glued period.  Nothing else
     builds a glued period: the band solver assembles the half chain alone,
-    so a dense solve of this pencil cross-checks its mirror reduction.
+    so a dense solve of this pencil cross-checks its mirror reduction.  The
+    period's _geometry is built here, outside the plan cache.
 
     Per interval: h |(s_next - s_j)/h e_0 + B(t_mid)(s_j + s_next)/2|^2.
     The chain of the N grid's half nodes and their mirror image is glued at
@@ -164,11 +209,12 @@ def assemble(channel: Channel, theta: float, profile: Profile, N: int) -> FormMa
     phase = _real_phase(theta)
     if phase is None:
         phase = np.exp(1j * theta)
+    geometry = _geometry(profile, t)
     keys = scalar_parts(channel)
     M = len(t) - 1
     K = np.zeros((M * len(keys),) * 2, dtype=type(phase))
     for k, (mu2, w) in enumerate(keys):
-        G, X, wt = _chain(mu2, w, profile, t)
+        G, X, wt = _chain(mu2, w, geometry)
         G[0] += G[-1]
         wt[0] += wt[-1]
         X = X.astype(K.dtype)
@@ -191,30 +237,24 @@ def _real_phase(theta: float) -> float | None:
     return -1.0 if abs(math.remainder(theta, 2.0 * math.pi)) >= math.pi - 1e-12 else 1.0
 
 
-def _chain(mu2, w, profile: Profile, t: np.ndarray) -> tuple:
-    """(G, X, wt) of the key's form on the open chain of nodes t, both ends
-    included.
+def _chain(mu2, w, geometry: tuple) -> tuple:
+    """(G, X, wt) of the key's form on the open chain of _geometry.
 
     G (n + 1,): diagonal entry of each node.  X (n,): coupling of node j to
-    node j + 1.  wt (n + 1,): trapezoid weight of each node, half a step at
-    the two ends.
+    node j + 1.  wt (n + 1,): a writable copy of the trapezoid weights.
     """
-    h = np.diff(t)
-    if not np.all(h > 0):
-        raise ValueError("non-positive grid step")
-    E = 0.5 * warp_coefficient(mu2, w, profile, 0.5 * (t[:-1] + t[1:]))
+    h, B1, wt = geometry
+    # the key's B is B1 scaled by the row [w, mu]
+    E = 0.5 * (B1 * [float(w), math.sqrt(float(mu2))])
     # the derivative enters the first row alone: per interval the form is
     # h |P s_j + Q s_next|^2
     D = np.c_[1.0 / h, np.zeros_like(h)]
     P, Q = E - D, E + D
-    G = np.zeros(len(t))
+    G = np.zeros(len(wt))
     G[:-1] += h * (P * P).sum(axis=1)
     G[1:] += h * (Q * Q).sum(axis=1)
     X = h * (P * Q).sum(axis=1)
-    wt = np.zeros(len(t))
-    wt[:-1] += 0.5 * h
-    wt[1:] += 0.5 * h
-    return G, X, wt
+    return G, X, wt.copy()
 
 
 def _band(G: np.ndarray, X: np.ndarray, wt: np.ndarray, phase: complex,
@@ -267,9 +307,25 @@ def _band(G: np.ndarray, X: np.ndarray, wt: np.ndarray, phase: complex,
 
 def band_hermitian_eigenvalues(ab: np.ndarray, lam_window: tuple[float, float]) -> np.ndarray:
     """Ascending eigenvalues in the half-open window (lo, hi] of the
-    Hermitian matrix held in lower band storage ab (real or complex)."""
-    from scipy.linalg import LinAlgError, eig_banded
+    Hermitian matrix held in lower band storage ab (real or complex).
 
+    A real band of half-width 1, such as the two mirror parities of a grid
+    side by side at theta = 0 and pi, is the symmetric tridiagonal it
+    stores and is solved by bisection (LAPACK dstebz), with the absolute
+    tolerance 2 * dlamch('S') that eig_banded gives ?sbevx, which reduces
+    the band to that tridiagonal and bisects it the same way.  Any other
+    band goes to eig_banded.
+    """
+    from scipy.linalg import LinAlgError, eig_banded, lapack
+
+    if ab.shape[0] == 2 and not np.iscomplexobj(ab):
+        d, e = np.asarray_chkfinite(ab, dtype=float)
+        lo, hi = lam_window
+        m, evs, _, _, info = lapack.dstebz(d, e[:-1], 1, lo, hi, 0, 0,
+                                           2.0 * lapack.dlamch("S"), "E")
+        if info != 0:
+            raise NumericalError(f"tridiagonal bisection failed: dstebz info {info}")
+        return evs[:m]  # order "E": ascending over the whole matrix
     try:
         evs = eig_banded(ab, lower=True, eigvals_only=True, select="v",
                          select_range=lam_window)
@@ -307,15 +363,16 @@ def dense_hermitian_eigenvalues(K: np.ndarray, W: np.ndarray,
     return np.sort(evs)
 
 
-def _grid_eigenvalues(mu2, w, theta: float, profile: Profile, nodes: np.ndarray,
+def _grid_eigenvalues(mu2, w, theta: float, geometry: tuple,
                       window: tuple[float, float]) -> np.ndarray:
-    """Eigenvalues in the window of the scalar key's form on the grid whose
-    half-period nodes, from the cut to the handle centre, are `nodes`,
-    solved by a banded eigensolver.
+    """Eigenvalues in the window of the scalar key's form on one
+    half-period grid, from the cut to the handle centre, given by its
+    _geometry (a grid of _plan), solved by a banded eigensolver.
 
     Only the chain of the half nodes is assembled, and _band lays the period
     out from it: at theta = 0 and pi (within 1e-12) one real band for each
-    mirror parity, the two lists merged; elsewhere one complex band of the
+    mirror parity, joined side by side into the block-diagonal tridiagonal
+    of both and solved by one bisection; elsewhere one complex band of the
     two interleaved copies.  Raises ValueError for a non-finite theta.
 
     The solver's eigenvalues carry a rounding error of about eps * ||H||.
@@ -324,19 +381,21 @@ def _grid_eigenvalues(mu2, w, theta: float, profile: Profile, nodes: np.ndarray,
     bound eps * max|H_jj|, when it exceeds ROUNDING_TOL of the window's
     scale."""
     phase = _real_phase(theta)
-    G, X, wt = _chain(mu2, w, profile, nodes)
+    G, X, wt = _chain(mu2, w, geometry)
     if phase is None:
-        bands = [_band(G, X, wt, np.exp(1j * theta))]
+        ab = _band(G, X, wt, np.exp(1j * theta))
     else:
-        bands = [_band(G, X, wt, phase, parity) for parity in (1.0, -1.0)]
-    bound = np.finfo(float).eps * max(float(np.abs(ab[0]).max()) for ab in bands)
+        # _band leaves the coupling out of a band's last column at 0, so the
+        # two parities side by side are the block-diagonal band of both
+        ab = np.hstack([_band(G, X, wt, phase, parity) for parity in (1.0, -1.0)])
+    bound = np.finfo(float).eps * float(np.abs(ab[0]).max())
     scale = max(1.0, abs(window[0]), abs(window[1]))
     if bound > ROUNDING_TOL * scale:
         raise NumericalError(
             f"rounding bound eps * max|H_jj| = {bound:.3g} of the {len(wt)}-node half-period "
             f"grid exceeds {ROUNDING_TOL:g} * {scale:g}: a profile piece is too narrow"
         )
-    return np.sort(np.concatenate([band_hermitian_eigenvalues(ab, window) for ab in bands]))
+    return band_hermitian_eigenvalues(ab, window)
 
 
 def oracle_eigenvalues(channel: Channel, theta: float, profile: Profile,
@@ -347,8 +406,10 @@ def oracle_eigenvalues(channel: Channel, theta: float, profile: Profile,
 
     A key is solved in the window (-1, lam_max + 1] on the N grid and on
     the grid that halves each of its intervals (_half_grids,
-    _grid_eigenvalues: the half period alone, no dense matrix), and
-    index-paired eigenvalues are combined by Richardson extrapolation,
+    _grid_eigenvalues: the half period alone, no dense matrix), both
+    planned once per (profile, N) (_plan), and at theta = 0 and pi by one
+    tridiagonal bisection per grid for both mirror parities.  Index-paired
+    eigenvalues are combined by Richardson extrapolation,
     (4 l_2N - l_N) / 3.  Raises NumericalError when a pair drifts by more
     than 0.5, or when a value <= lam_max + 0.5 on either grid has no
     partner on the other, or when a grid's rounding bound is too large
@@ -357,19 +418,18 @@ def oracle_eigenvalues(channel: Channel, theta: float, profile: Profile,
     integer >= 100.
     """
     lam_max = check_lam_max(lam_max)
-    grids = _half_grids(profile, N)
+    _check_grid_size(N)
+    plan = _plan(profile, N)
     keys = scalar_parts(channel)
-    solved = {key: _extrapolated(*key, theta, profile, grids, lam_max)
-              for key in dict.fromkeys(keys)}
+    solved = {key: _extrapolated(*key, theta, plan, lam_max) for key in dict.fromkeys(keys)}
     return sorted(lam for key in keys for lam in solved[key])
 
 
-def _extrapolated(mu2, w, theta: float, profile: Profile, grids: tuple,
-                  lam_max: float) -> list[float]:
+def _extrapolated(mu2, w, theta: float, plan: tuple, lam_max: float) -> list[float]:
     """Richardson-extrapolated eigenvalues <= lam_max of one scalar key from
-    its solves on the two half-period grids (oracle_eigenvalues)."""
+    its solves on the two half-period grids of the plan (oracle_eigenvalues)."""
     window = (-1.0, lam_max + 1.0)
-    e1, e2 = (_grid_eigenvalues(mu2, w, theta, profile, nodes, window) for nodes in grids)
+    e1, e2 = (_grid_eigenvalues(mu2, w, theta, geometry, window) for geometry in plan)
     npair = min(len(e1), len(e2))
     for grid, evs in (("N", e1), ("2N", e2)):
         if len(evs) > npair and evs[npair] <= lam_max + 0.5:

@@ -48,7 +48,8 @@ TORUS_P1 = enumerate_channels(build_flat_torus_spectrum([2 * math.pi] * 2, 8.25)
 def grid_eigenvalues(ch, theta, prof, nodes, window):
     """The merged, sorted eigenvalues in the window of the channel's keys on
     the grid of half-period nodes `nodes`, without extrapolation."""
-    return np.sort(np.concatenate([oracle._grid_eigenvalues(*key, theta, prof, nodes, window)
+    geometry = oracle._geometry(prof, nodes)
+    return np.sort(np.concatenate([oracle._grid_eigenvalues(*key, theta, geometry, window)
                                    for key in scalar_parts(ch)]))
 
 
@@ -291,12 +292,21 @@ class TestAssemble:
         lambda N: assemble(chan(0, "H2"), 0.0, STD, N),
         lambda N: oracle_eigenvalues(chan(0, "H2"), 0.0, STD, 5.0, N=N),
     ], ids=["assemble", "oracle_eigenvalues"])
-    @pytest.mark.parametrize("N", [500.5, math.nan, math.inf, True, np.int64(99)],
-                             ids=["fraction", "nan", "inf", "bool", "np.int64(99)"])
+    @pytest.mark.parametrize("N", [500.5, math.nan, math.inf, True, np.int64(99), [500]],
+                             ids=["fraction", "nan", "inf", "bool", "np.int64(99)", "list"])
     def test_grid_size_must_be_an_integer(self, solve, N):
-        # 500.5 was accepted, nan and inf failed in int conversion
+        # 500.5 was accepted, nan and inf failed in int conversion; an
+        # unhashable N must not reach the plan cache's TypeError
         with pytest.raises(ValueError, match=r"grid size N must be an integer >= 100, got "):
             solve(N)
+
+    def test_a_planned_grid_size_admits_no_float(self):
+        # the plan cache takes 500.0 for 500, so a warm N = 500 plan would
+        # let 500.0 through unless N is checked before the lookup
+        ch = chan(0, "H2")
+        oracle_eigenvalues(ch, 0.0, STD, 5.0, N=500)
+        with pytest.raises(ValueError, match=r"grid size N must be an integer >= 100, got 500\.0"):
+            oracle_eigenvalues(ch, 0.0, STD, 5.0, N=500.0)
 
     @pytest.mark.parametrize("solve", [
         lambda N: assemble(chan(0, "H2"), 0.7, STD, N).K,
@@ -463,7 +473,7 @@ class TestBandSolve:
         K = M // 2
         node = [0] + [j for i in range(1, K) for j in (i, M - i)] + [K]
         for k, key in enumerate(scalar_parts(ch)):
-            G, X, w = oracle._chain(*key, prof, oracle._half_grids(prof, 120)[0])
+            G, X, w = oracle._chain(*key, oracle._geometry(prof, oracle._half_grids(prof, 120)[0]))
             ab = oracle._band(G, X, w, np.exp(1j * theta))
             n = ab.shape[1]
             # half-width 2 holds the couplings of the two copies, and it is needed
@@ -545,11 +555,84 @@ class TestBandSolve:
             midpoints.append(np.size(t))
             return coefficient(mu2, w, prof, t)
 
+        oracle._plan.cache_clear()
         monkeypatch.setattr(oracle, "warp_coefficient", record)
         assert len(oracle_eigenvalues(ch, theta, prof, 8.0, N=200)) >= 2
-        # per key, M / 2 midpoints on the N grid and M on the 2N grid: the
-        # second half of the period is never assembled
-        assert midpoints == [M // 2, M] * len(set(scalar_parts(ch)))
+        # M / 2 midpoints on the N grid and M on the 2N grid, once for all
+        # keys: the second half of the period is never assembled
+        assert len(set(scalar_parts(ch))) == case // 2 + 1
+        assert midpoints == [M // 2, M]
+        # the plan depends on neither theta nor the key
+        assert len(oracle_eigenvalues(ch, 0.7 if theta != 0.7 else 0.0, prof, 8.0, N=200)) >= 2
+        assert midpoints == [M // 2, M]
+
+    def test_the_plan_is_read_only(self):
+        plan = oracle._plan(STD, 200)
+        assert len(plan) == 2
+        for geometry in plan:
+            for a in geometry:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0.0
+
+    def test_assemble_leaves_the_plan_cache_alone(self):
+        oracle._plan.cache_clear()
+        ch, prof = BAND_CASES[2]
+        assemble(ch, 0.0, prof, 200)
+        assert oracle._plan.cache_info() == (0, 0, oracle.PLAN_CACHE, 0)
+
+    @pytest.mark.parametrize("window", [(-1.0, 9.0), (-1.0, 400.0)], ids=["9", "400"])
+    @pytest.mark.parametrize("theta", [0.0, math.pi], ids=["0", "pi"])
+    def test_stacked_parities_solve_as_the_two_parity_bands(self, theta, window):
+        # on the oracle-verify bands (window (-1, 9]), one bisection of the
+        # two parities side by side gives eig_banded's values on each
+        # parity, bit for bit
+        phase = oracle._real_phase(theta)
+        keys = dict.fromkeys(key for ch in TORUS_P1 for key in scalar_parts(ch))
+        values = 0
+        for key in keys:
+            for geometry in oracle._plan(STD, 500):
+                G, X, wt = oracle._chain(*key, geometry)
+                bands = [oracle._band(G, X, wt, phase, parity) for parity in (1.0, -1.0)]
+                want = np.sort(np.concatenate([
+                    scipy.linalg.eig_banded(ab, lower=True, eigvals_only=True, select="v",
+                                            select_range=window)
+                    for ab in bands]))
+                got = oracle.band_hermitian_eigenvalues(np.hstack(bands), window)
+                assert np.array_equal(got, want), key
+                values += len(got)
+        assert len(keys) == 12 and values >= 30
+
+    @pytest.mark.parametrize("ab", [np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 0.0]]),
+                                    np.array([[0.0, 1.0, 2.0], [0.0] * 3, [0.0] * 3],
+                                             dtype=complex)],
+                             ids=["tridiagonal", "banded"])
+    def test_band_window_is_half_open(self, ab):
+        np.testing.assert_array_equal(oracle.band_hermitian_eigenvalues(ab, (0.0, 2.0)),
+                                      [1.0, 2.0])
+
+    @pytest.mark.parametrize("theta,solver", [(0.0, "dstebz"), (math.pi, "dstebz"),
+                                              (0.7, "eig_banded")], ids=["0", "pi", "0.7"])
+    @pytest.mark.parametrize("case", [0, 2], ids=["scalar", "pair"])
+    def test_one_lapack_solve_per_grid(self, monkeypatch, case, theta, solver):
+        # bisection of both parities at theta = 0 and pi, eig_banded on the
+        # complex band elsewhere: one call per key and grid
+        calls = []
+        for module, name in ((scipy.linalg, "eig_banded"), (scipy.linalg.lapack, "dstebz")):
+            def counted(*args, solve=getattr(module, name), name=name, **kwargs):
+                calls.append(name)
+                return solve(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        ch, prof = BAND_CASES[case]
+        assert len(oracle_eigenvalues(ch, theta, prof, 8.0, N=200)) >= 2
+        assert calls == [solver] * 2 * len(set(scalar_parts(ch)))
+
+    def test_failed_bisection_raises(self, monkeypatch):
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz",
+                            lambda *args: (0, np.zeros(3), None, None, 2))
+        with pytest.raises(NumericalError, match="dstebz info 2"):
+            oracle.band_hermitian_eigenvalues(np.array([[0.0, 1.0, 2.0], [0.0] * 3]),
+                                              (0.0, 2.0))
 
 
 class TestRichardsonPairing:
@@ -591,9 +674,9 @@ class TestRichardsonPairing:
         solve = oracle._grid_eigenvalues
         calls = []
 
-        def drop_top(mu2, w, theta, prof, nodes, window):
-            calls.append(len(nodes) - 1)
-            evs = solve(mu2, w, theta, prof, nodes, window)
+        def drop_top(mu2, w, theta, geometry, window):
+            calls.append(len(geometry[0]))  # the grid's intervals
+            evs = solve(mu2, w, theta, geometry, window)
             return evs[:-1] if (len(calls) == 1) == (short_grid == "N") else evs
 
         ch = chan(0, "H2")
