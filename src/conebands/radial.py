@@ -70,9 +70,15 @@ weight are then polished in one batched Chandrupatla iteration on the
 same table, in plain numpy.  The evaluator is elementwise, so a value at a
 grid node equals the scanned one bit for bit, the scanned values at
 bracket ends are reused, and each weight's values are the ones it has
-solved alone.  The cone evaluation checks the numerical Wronskian of every
-point and raises NumericalError once the series has lost its digits
-(lambda t^2 beyond about 400).
+solved alone.  A map call costs about as much for one point as for a few
+dozen, so the polish spends points to save steps: its first step
+interpolates through each cell's scanned outer neighbour, and every step
+evaluates with each iterate x the two closing points x -/+ tol/2, which end
+the bracket in the step that comes within tol/2 of its sign change.  Each
+root is still an end of a bracket narrower than ROOT_TOL + 4 eps |x|
+across which the computed entry changes sign.  The cone evaluation checks
+the numerical Wronskian of every point and raises NumericalError once the
+series has lost its digits (lambda t^2 beyond about 400).
 """
 
 from __future__ import annotations
@@ -570,6 +576,10 @@ def _bands(channel: Channel, profile: Profile,
     entries of every weight; a node where an entry vanishes is one of its
     zeros, and every cell over which an entry changes sign is polished, all
     of them together on the same table, each end keeping its scanned value.
+    The scanned outer neighbour grid[cell - 1] is the third point of a
+    cell's first polish step, which then interpolates where Chandrupatla's
+    test admits it; cell 0 has none, and the mu^2 = 0 node of c, pinned to
+    0, is none, so those bisect first.
     A weight's sorted edges pair up into bands; a gap narrower than two
     polished zeros resolve is closed: its edges, both periodic or both
     antiperiodic, are one double eigenvalue.  Raises NumericalError naming
@@ -583,17 +593,23 @@ def _bands(channel: Channel, profile: Profile,
     # count a zero there
     grid = np.linspace(0.0, float(lam_max), SCAN_STEPS + 1 if lam_max > 0 else 1)
     F = half(grid)[0].reshape(4 * K, -1)  # row e K + k: entry e of a, b, c, d, weight k
+    # the scanned outer neighbour (grid[cell - 1], F there) of every cell
+    # seeds its polish; cell 0 has none
+    outer = np.hstack((np.full((4 * K, 1), np.nan), F[:, :-1]))
     if mu2 == 0:
         # the form's kernel rho^-w is even and periodic: lambda = 0 is
         # exactly the bottom of the spectrum, a zero of c, whatever the
-        # sampled sign
+        # sampled sign; that sample is rounding about an exact zero and
+        # seeds no polish
         F[2 * K:3 * K, 0] = 0.0
+        outer[2 * K:3 * K, 1:2] = np.nan  # a slice: lam_max = 0 has no cell 1
     (at, node), (of, cell) = _roots_on_grid(F)
 
     def entry(x, j):
         return half(x)[0].reshape(4 * K, -1)[of[j], np.arange(x.size)]
 
-    x = _polish(entry, grid[cell], grid[cell + 1], F[of, cell], F[of, cell + 1])
+    x = _polish(entry, grid[cell], grid[cell + 1], F[of, cell], F[of, cell + 1],
+                np.append(np.nan, grid)[cell], outer[of, cell])
     own = []
     for k, w in enumerate(distinct):
         a, b, c, d = zeros = [sorted(grid[node[at == r]].tolist() + x[of == r].tolist())
@@ -649,16 +665,25 @@ def floquet_eigenvalues(channel: Channel, theta: float, profile: Profile,
 
 
 def _polish(F, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
-            f_hi: np.ndarray) -> np.ndarray:
+            f_hi: np.ndarray, x3=None, f3=None) -> np.ndarray:
     """The zero of F(., k) inside every bracket [lo[k], hi[k]], by one
     vectorised Chandrupatla iteration (Adv. Eng. Software 28, 1997).
 
     F(x, k) evaluates bracket k[i] at x[i] for an index array k of open
-    brackets; f_lo and f_hi are F at the bracket ends.  Each step evaluates
-    only the open brackets.  A bracket closes once F vanishes at an end or
-    its width is below ROOT_TOL + 4 eps |x|, and returns the end with the
-    smaller |F|.  Raises NumericalError on a bracket without a sign change,
-    on a NaN F and when a bracket is still open after POLISH_STEPS steps."""
+    brackets; f_lo and f_hi are F at the bracket ends.  x3 and f3, when
+    given, are a third sample of F beyond lo, with f3 NaN where there is
+    none: the first step then interpolates through the three points where
+    Chandrupatla's test admits it, and bisects elsewhere and without them.
+    Each step evaluates, in one call, the iterate x of every open bracket
+    and its two closing points x -/+ tol/2 that lie inside the bracket.  A
+    closing point where F vanishes or has the sign opposite to F(x) makes
+    [x, that point] the bracket, which is then narrower than tol; otherwise
+    x alone updates the bracket.  A bracket closes once F vanishes at an end
+    or its width is below tol = ROOT_TOL + 4 eps |x|, and returns the end
+    with the smaller |F|: an end of a bracket narrower than tol across which
+    F changes sign.  Raises NumericalError on a bracket without a sign
+    change, on a NaN F and when a bracket is still open after POLISH_STEPS
+    steps."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
 
     def refuse(k: int, why: str):
@@ -671,8 +696,9 @@ def _polish(F, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
                      (np.sign(f1) * np.sign(f2) > 0, "found no sign change")):
         if bad.any():
             refuse(np.flatnonzero(bad)[0], why)
-    t = np.full(lo.size, 0.5)  # the first step bisects
-    x3 = f3 = None
+    # without a third point the first step bisects
+    x3, f3 = (np.full(lo.size, np.nan) if v is None else np.asarray(v, dtype=float)
+              for v in (x3, f3))
     root = np.empty(lo.size)
     for _ in range(POLISH_STEPS):
         smaller = np.abs(f1) < np.abs(f2)
@@ -684,25 +710,38 @@ def _polish(F, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
         if done.all():
             return root
         keep = ~done
-        live, x1, x2, f1, f2, dx, tol, t = (v[keep] for v in (live, x1, x2, f1, f2, dx, tol, t))
-        if x3 is not None:
-            # inverse quadratic interpolation through the last three points
-            # where Chandrupatla's test says it stays inside, else bisection
-            x3, f3 = x3[keep], f3[keep]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
-                iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
-                t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2)
-                             - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+        live, x1, x2, x3, f1, f2, f3, dx, tol = (
+            v[keep] for v in (live, x1, x2, x3, f1, f2, f3, dx, tol))
+        # inverse quadratic interpolation through the last three points
+        # where Chandrupatla's test says it stays inside, else bisection
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2)
+                         - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
         tl = 0.5 * tol / dx
         x = x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1)
-        f = F(x, live)
-        if np.isnan(f).any():
-            refuse(live[np.flatnonzero(np.isnan(f))[0]], "met a NaN F")
+        # the closing points (2, n) inside the bracket; an end's value is known
+        xc = np.stack((x - 0.5 * tol, x + 0.5 * tol))
+        inside = (np.minimum(x1, x2) < xc) & (xc < np.maximum(x1, x2))
+        at = np.concatenate((live, np.broadcast_to(live, xc.shape)[inside]))
+        values = F(np.concatenate((x, xc[inside])), at)
+        if np.isnan(values).any():
+            refuse(at[np.flatnonzero(np.isnan(values))[0]], "met a NaN F")
+        f = values[:x.size]
+        # an unevaluated closing point reads F(x): it never closes
+        fc = np.broadcast_to(f, xc.shape).copy()
+        fc[inside] = values[x.size:]
         same = np.sign(f) == np.sign(f1)
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
         x1, f1 = x, f
+        # a closing point across the zero from x (the first, if both are):
+        # [x, it] is the bracket
+        across = np.sign(fc) != np.sign(f)
+        side = across.argmax(axis=0), np.arange(x.size)
+        closes = across.any(axis=0)
+        x2, f2 = np.where(closes, xc[side], x2), np.where(closes, fc[side], f2)
     refuse(live[0], f"is still open after {POLISH_STEPS} steps")
 
 

@@ -1172,12 +1172,17 @@ class TestSyntheticPolish:
         for k in (0, 1, 3, 4):
             assert closes_within_tol(x[k], np.cbrt(y[k])), k
         # the given end values are used, not recomputed: the first step
-        # evaluates one midpoint per open bracket and nothing else
-        assert F.calls[0].tolist() == (lo + 0.5 * (hi - lo))[[0, 1, 3, 4]].tolist()
+        # evaluates, per open bracket, one midpoint and its two closing
+        # points (midpoint -/+ tol/2, tol = ROOT_TOL + 4 eps |x|) and nothing
+        # else
+        mid = (lo + 0.5 * (hi - lo))[[0, 1, 3, 4]]
+        assert F.calls[0][:4].tolist() == mid.tolist()
+        np.testing.assert_allclose(F.calls[0][4:], np.concatenate(
+            (mid - 0.5 * radial.ROOT_TOL, mid + 0.5 * radial.ROOT_TOL)), rtol=0.0, atol=1e-14)
         # [1, 3] for y = 8 hits its root with that bisection and closes
         assert x[0] == 2.0
-        # later steps evaluate only the brackets still open
-        assert all(len(c) <= 3 for c in F.calls[1:]) and len(F.calls) > 3
+        # later steps evaluate only the brackets still open, three points each
+        assert all(len(c) <= 9 for c in F.calls[1:]) and len(F.calls) > 3
 
     def test_nan_inside_a_bracket_names_it(self):
         # the first bisection of the second bracket lands in the NaN window
@@ -1196,6 +1201,105 @@ class TestSyntheticPolish:
                            match=r"root polish is still open after 1 steps on the bracket "
                                  r"\[1\.0, 3\.0\]"):
             radial._polish(F, lo, hi, lo**3 - y, hi**3 - y)
+
+    def test_noise_band_closes_in_fewer_steps_than_bisection(self):
+        # F = lam^3 - y + 1e-9 noise(lam), the noise a hash of lam's bits:
+        # where |lam^3 - y| <= 5e-10 its sign is random from one float to
+        # the next, as the half-period map's sign is in its rounding band.
+        # Small roots make that band hundreds of ROOT_TOL wide.
+        def noise(x):
+            bits = np.asarray(x, dtype=float).view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+            return (bits >> np.uint64(11)).astype(float) / 2.0**53 - 0.5
+
+        y = np.array([0.05, 0.07, 0.1, 0.12]) ** 3
+        lo, hi = np.array([0.0, 0.06, 0.05, 0.1]), np.array([0.1, 0.2, 0.3, 0.125])
+
+        def value(x, k):
+            return x**3 - y[k] + 1e-9 * noise(x)
+
+        calls = []
+        x = radial._polish(lambda x, k: calls.append((x, k)) or value(x, k),
+                           lo, hi, value(lo, np.arange(4)), value(hi, np.arange(4)))
+        tol = radial.ROOT_TOL
+        for k in range(4):
+            # a sign change of F within tol of the returned root
+            near = value(x[k] + tol * np.linspace(-1.0, 1.0, 401), np.full(401, k))
+            assert near.min() <= 0.0 <= near.max(), k
+        # the iterates (each call's first point per bracket) inside the noise
+        # band: fewer than the bisections that cross it down to ROOT_TOL
+        band_lo, band_hi = np.cbrt(y - 5e-10), np.cbrt(y + 5e-10)
+        assert np.all(band_hi - band_lo > 200.0 * tol)
+        inside = np.zeros(4, dtype=int)
+        for points, k in calls:
+            first = np.unique(k, return_index=True)[1]
+            xs, ks = points[first], k[first]
+            np.add.at(inside, ks, (band_lo[ks] <= xs) & (xs <= band_hi[ks]))
+        assert np.all(inside < np.log2((band_hi - band_lo) / tol)), inside
+
+
+class TestSeededPolish:
+    # _bands hands _polish each cell's scanned outer neighbour as the third
+    # point of its first step, except in cell 0, which has none, and next
+    # to the mu^2 = 0 node lambda = 0 of c, whose value is pinned to 0
+    def test_polish_evaluations_per_census_pass(self, monkeypatch):
+        # the half-period map calls beyond the one scan per channel, seed 0;
+        # the counts are exact, not timings (76 and 32 before the closing
+        # points and the seeded first step)
+        call, sizes = radial._HalfPeriod.__call__, []
+        monkeypatch.setattr(radial._HalfPeriod, "__call__",
+                            lambda half, lam: sizes.append(np.size(lam)) or call(half, lam))
+        for census, lam_max, bound in ((CIRCLE_HIGH, 400.0, 45), (TORUS_P1, 8.0, 24)):
+            sizes.clear()
+            for ch in census:
+                band_edges(ch, STD, lam_max)
+            assert sizes.count(SCAN_STEPS + 1) == len(census)
+            assert len(sizes) - len(census) <= bound, (lam_max, len(sizes) - len(census))
+
+    @pytest.mark.parametrize("case,lam_max,steps", [
+        ("torus-p1 H1", 8.0, 3), ("torus-p1 H2", 8.0, 3), ("circle-high H2", 100.0, 40)])
+    def test_no_seed_in_cell_0_nor_from_the_pinned_node(self, monkeypatch, case, lam_max, steps):
+        # a coarse grid puts c's first nonzero zero in cell 1, next to the
+        # pinned node, and a zero of a or d in cell 0
+        ch = {"torus-p1 H1": TORUS_P1[0], "torus-p1 H2": TORUS_P1[1],
+              "circle-high H2": CIRCLE_HIGH[0]}[case]
+        assert ch.mu2 == 0 and ch.kind == case[-2:]
+        fine = band_edges(ch, STD, lam_max).bands
+        seen, polish = [], radial._polish
+
+        def spy(F, *args):
+            calls = []
+            seen.append((calls, *args))
+            return polish(lambda x, k: calls.append((x, k)) or F(x, k), *args)
+
+        monkeypatch.setattr(radial, "_polish", spy)
+        monkeypatch.setattr(radial, "SCAN_STEPS", steps)
+        coarse = band_edges(ch, STD, lam_max).bands
+        (calls, lo, hi, f_lo, f_hi, x3, f3), = seen
+        grid = np.linspace(0.0, lam_max, steps + 1)
+        cell = np.searchsorted(grid, lo)
+        assert np.array_equal(grid[cell], lo) and np.array_equal(grid[cell + 1], hi)
+        # seeded from the scanned outer neighbour, none in cell 0 ...
+        assert np.array_equal(x3[cell > 0], grid[cell[cell > 0] - 1])
+        assert np.all(np.isnan(x3[cell == 0]) & np.isnan(f3[cell == 0]))
+        # ... and none from the pinned value: c's bracket in cell 1 has none,
+        # a, b and d's there have their sample at lambda = 0
+        assert np.isnan(f3[cell == 1]).sum() == 1 and not np.any(f3 == 0.0)
+        assert np.all(np.isfinite(f3[cell > 1]))
+        # a bracket in cell 0 bisects first
+        points, k = calls[0]
+        first = dict(zip(k.tolist()[::-1], points.tolist()[::-1]))
+        zero = np.flatnonzero(cell == 0)
+        assert zero.size > 0
+        assert [first[j] for j in zero] == (lo + 0.5 * (hi - lo))[zero].tolist()
+        assert len(coarse) == len(fine)
+        np.testing.assert_allclose(coarse, fine, rtol=0.0, atol=2.0 * radial.ROOT_TOL)
+        if case.startswith("torus"):
+            # the edges before the seeded step and the closing points
+            want = {"H1": [(0.0, 0.08411931313872553), (3.3702990006933478, 4.297824701005322),
+                           (5.466100434659014, 7.168585758656276)],
+                    "H2": [(0.0, 0.8537720070146504), (0.8537720070146504, 3.4150880280586016),
+                           (3.4150880280586016, 7.683948063122733), (7.683948063122733, 8.0)]}
+            np.testing.assert_allclose(fine, want[ch.kind], rtol=0.0, atol=2.0 * radial.ROOT_TOL)
 
 
 @pytest.fixture(scope="module")
