@@ -31,16 +31,14 @@ together, so the first row changes sign and its square does not, and the
 mirror acts trivially on a scalar.  A section sigma of the period is two
 copies of the half chain, u = sigma and v = sigma(T - t), that share their
 end nodes, the mirror's fixed points: v = e^{i theta} u at the cut and
-v = u at the centre.  At theta = 0 and pi, the band edges, the phase is
-real and the sections even and odd under the mirror, v = +-u, decouple:
-each parity is one copy of the half chain that keeps its cut node iff
-phase = parity and its centre node iff parity = +1, a real symmetric band
-of half-width 1.  At any other theta the two copies are interleaved node
-by node, a complex Hermitian band of half-width 2.  One writer (_band)
-lays out both, scaled by W^{-1/2}, in LAPACK lower band storage for a
-banded eigensolver restricted to the window.  Side by side, the two
-parities' bands are the block-diagonal tridiagonal of both, so one
-bisection solves a grid at theta = 0 and pi.
+v = u at the centre.  In the even and odd parts p, q = (u +- v) / sqrt(2)
+the period is one path at every theta: the odd chain, the cut node, the
+even chain and the centre node, with the cut node joined to the two chains
+by |sin(theta/2)| and |cos(theta/2)| (_path).  A diagonal unitary removes
+the phases, so the path, scaled by W^{-1/2}, is a real symmetric
+tridiagonal, and one bisection restricted to the window solves a grid.  At
+theta = 0 and pi, the band edges, one join is exactly 0 and the path is
+the two mirror parities side by side.
 
 No dense matrix is formed on the solver's path.  assemble() alone builds
 the glued period, one block per key: the chain of the whole period with
@@ -70,8 +68,8 @@ from .radial import NumericalError, Profile, check_theta
 
 DENSITY_CAP = 8.0  # node density multiplier, relative to 1/rho growth
 MAX_CONE_PIECES = 6
-# largest share of the window's scale max(1, |lo|, |hi|) that the banded
-# solver's rounding bound eps * max|H_jj| may reach on a grid
+# largest share of the window's scale max(1, |lo|, |hi|) that the
+# tridiagonal solver's rounding bound eps * max|H_jj| may reach on a grid
 ROUNDING_TOL = 1e-6
 PLAN_CACHE = 8  # (profile, N) plans kept, a few tens of kB each at N = 500
 
@@ -193,7 +191,7 @@ def assemble(channel: Channel, theta: float, profile: Profile, N: int) -> FormMa
     """Midpoint discretization of q on the period's grid of about N
     intervals, as a dense pencil: the direct sum over the channel's keys
     (scalar_parts, in order) of each key's glued period.  Nothing else
-    builds a glued period: the band solver assembles the half chain alone,
+    builds a glued period: the path solver assembles the half chain alone,
     so a dense solve of this pencil cross-checks its mirror reduction.  The
     period's _geometry is built here, outside the plan cache.
 
@@ -257,81 +255,56 @@ def _chain(mu2, w, geometry: tuple) -> tuple:
     return G, X, wt.copy()
 
 
-def _band(G: np.ndarray, X: np.ndarray, wt: np.ndarray, phase: complex,
-          parity: float | None = None) -> np.ndarray:
-    """W^{-1/2} K W^{-1/2} of the period, laid out from the half chain
-    (G, X, wt) of _chain on the nodes 0 (the cut) .. K (the handle centre),
-    in lower band storage: ab[d, c] = H[c + d, c].
+def _path(G: np.ndarray, X: np.ndarray, wt: np.ndarray, theta: float) -> tuple:
+    """W^{-1/2} K W^{-1/2} of the period at quasimomentum theta, laid out
+    from the half chain (G, X, wt) of _chain on the nodes 0 (the cut) .. K
+    (the handle centre) as the real symmetric tridiagonal (d, e) of the
+    path q_{K-1} .. q_1, u_0, p_1 .. p_{K-1}, u_K.
 
     The mirror t -> T - t acts trivially on a scalar, and at the cut
     multiplies by the phase e^{i theta}: a section is two copies of the
-    half chain, u = sigma and v = sigma(T - t), with v_0 = phase u_0 and
-    v_K = u_K.  Given a parity +-1 (the phase then real), v = parity u and
-    the band is one copy in natural order that keeps the cut node iff
-    phase = parity and the centre node iff parity = +1: a real band of
-    half-width 1.  Without one the two copies are interleaved, u_0, u_1,
-    v_1, .., u_{K-1}, v_{K-1}, u_K: an end node carries 2G and weight 2wt,
-    the coupling u_0 -> v_1 carries conj(phase), and the band is complex
-    of half-width 2.
+    half chain, u = sigma and v = sigma(T - t), with v_0 = e^{i theta} u_0
+    and v_K = u_K.  In p, q = (u +- v) / sqrt(2) the chains of the even
+    part p and the odd part q decouple but at u_0, which meets p_1 and q_1
+    with the weights |cos(theta/2)| and |sin(theta/2)| once a diagonal
+    unitary removes their phases; u_K meets p_{K-1} alone.  At theta = 0
+    the join to q_1 is 0 and at theta = pi the join to p_1, exactly, and
+    the path falls apart into the two mirror parities.  Raises ValueError
+    for a non-finite theta.
     """
+    check_theta(theta)
+    phi = math.remainder(theta, 2.0 * math.pi)
     K = len(X)
-    if parity is not None:
-        first, last = int(phase != parity), K + int(parity == 1.0)
-        G, wt, L = G[first:last], wt[first:last], X[first:last - 1]
-        a = np.arange(len(L))
-        b = a + 1
-    else:
-        # the slots hold the half nodes 0, 1, 1, 2, 2, .., K - 1, K - 1, K;
-        # u and v list the slots of u_0 .. u_K and of v_0 .. v_K
-        node = np.r_[0, np.repeat(np.arange(1, K), 2), K]
-        u = np.r_[0, np.arange(1, 2 * K, 2)]
-        v = np.r_[0, np.arange(2, 2 * K, 2), 2 * K - 1]
-        G, wt = G[node], wt[node]
-        G[[0, -1]] *= 2.0
-        wt[[0, -1]] *= 2.0
-        Xv = X.astype(complex)
-        Xv[0] *= np.conj(phase)
-        a, b, L = np.r_[u[:-1], v[:-1]], np.r_[u[1:], v[1:]], np.concatenate([X, Xv])
-    c = 1.0 / np.sqrt(wt)
-    # L[l] couples slot a[l] to slot b[l] > a[l]; the lower triangle holds
-    # its conjugate
-    ab = np.zeros((int((b - a).max()) + 1, len(wt)), dtype=L.dtype)
-    ab[0] = G / wt
-    ab[b - a, a] = (L * (c[a] * c[b])).conj()
-    return ab
+    # the half node of each path node; u_0 sits at K - 1
+    node = np.r_[K - 1:0:-1, 0:K + 1]
+    c = 1.0 / np.sqrt(wt[node])
+    e = X[np.minimum(node[:-1], node[1:])] * (c[:-1] * c[1:])
+    # the joins q_1 - u_0 and u_0 - p_1; with phi in [-pi, pi] one of them
+    # is exactly 0 at theta = 0 and pi, and the other exactly 1
+    e[K - 2] *= abs(math.sin(0.5 * phi))
+    e[K - 1] *= math.sin(0.5 * (math.pi - abs(phi)))
+    return (G / wt)[node], e
 
 
 # ---------------------------------------------------------------------------
 # eigenvalues
 
 
-def band_hermitian_eigenvalues(ab: np.ndarray, lam_window: tuple[float, float]) -> np.ndarray:
-    """Ascending eigenvalues in the half-open window (lo, hi] of the
-    Hermitian matrix held in lower band storage ab (real or complex).
+def tridiagonal_eigenvalues(d: np.ndarray, e: np.ndarray,
+                            lam_window: tuple[float, float]) -> np.ndarray:
+    """Ascending eigenvalues in the half-open window (lo, hi] of the real
+    symmetric tridiagonal with diagonal d and off-diagonal e, by bisection
+    (LAPACK dstebz) with the absolute tolerance 2 * dlamch('S'), LAPACK's
+    choice for the most accurate eigenvalues."""
+    from scipy.linalg import lapack
 
-    A real band of half-width 1, such as the two mirror parities of a grid
-    side by side at theta = 0 and pi, is the symmetric tridiagonal it
-    stores and is solved by bisection (LAPACK dstebz), with the absolute
-    tolerance 2 * dlamch('S') that eig_banded gives ?sbevx, which reduces
-    the band to that tridiagonal and bisects it the same way.  Any other
-    band goes to eig_banded.
-    """
-    from scipy.linalg import LinAlgError, eig_banded, lapack
-
-    if ab.shape[0] == 2 and not np.iscomplexobj(ab):
-        d, e = np.asarray_chkfinite(ab, dtype=float)
-        lo, hi = lam_window
-        m, evs, _, _, info = lapack.dstebz(d, e[:-1], 1, lo, hi, 0, 0,
-                                           2.0 * lapack.dlamch("S"), "E")
-        if info != 0:
-            raise NumericalError(f"tridiagonal bisection failed: dstebz info {info}")
-        return evs[:m]  # order "E": ascending over the whole matrix
-    try:
-        evs = eig_banded(ab, lower=True, eigvals_only=True, select="v",
-                         select_range=lam_window)
-    except LinAlgError as exc:
-        raise NumericalError(f"band eigensolver failed: {exc}") from exc
-    return np.sort(evs)
+    lo, hi = lam_window
+    m, evs, _, _, info = lapack.dstebz(np.asarray_chkfinite(d, dtype=float),
+                                       np.asarray_chkfinite(e, dtype=float), 1, lo, hi, 0, 0,
+                                       2.0 * lapack.dlamch("S"), "E")
+    if info != 0:
+        raise NumericalError(f"tridiagonal bisection failed: dstebz info {info}")
+    return evs[:m]  # order "E": ascending over the whole matrix
 
 
 def dense_hermitian_eigenvalues(K: np.ndarray, W: np.ndarray,
@@ -341,7 +314,7 @@ def dense_hermitian_eigenvalues(K: np.ndarray, W: np.ndarray,
 
     Reduces to the real symmetric or complex Hermitian W^{-1/2} K W^{-1/2}
     and solves it densely.  The oracle does not call it: on assemble's
-    pencil it is the dense cross-check of the banded solve, mirror
+    pencil it is the dense cross-check of the tridiagonal solve, mirror
     reduction included.
     """
     from scipy.linalg import LinAlgError, eigh
@@ -367,35 +340,28 @@ def _grid_eigenvalues(mu2, w, theta: float, geometry: tuple,
                       window: tuple[float, float]) -> np.ndarray:
     """Eigenvalues in the window of the scalar key's form on one
     half-period grid, from the cut to the handle centre, given by its
-    _geometry (a grid of _plan), solved by a banded eigensolver.
+    _geometry (a grid of _plan).
 
-    Only the chain of the half nodes is assembled, and _band lays the period
-    out from it: at theta = 0 and pi (within 1e-12) one real band for each
-    mirror parity, joined side by side into the block-diagonal tridiagonal
-    of both and solved by one bisection; elsewhere one complex band of the
-    two interleaved copies.  Raises ValueError for a non-finite theta.
+    Only the chain of the half nodes is assembled, and _path lays the
+    period out from it as one real tridiagonal at every theta, solved by
+    one bisection (tridiagonal_eigenvalues).  Raises ValueError for a
+    non-finite theta.
 
     The solver's eigenvalues carry a rounding error of about eps * ||H||.
     A grid step h gives ||H|| ~ 1/h^2, so a narrow rounded corner can leave
     that error far above the eigenvalues sought: NumericalError, naming the
     bound eps * max|H_jj|, when it exceeds ROUNDING_TOL of the window's
     scale."""
-    phase = _real_phase(theta)
     G, X, wt = _chain(mu2, w, geometry)
-    if phase is None:
-        ab = _band(G, X, wt, np.exp(1j * theta))
-    else:
-        # _band leaves the coupling out of a band's last column at 0, so the
-        # two parities side by side are the block-diagonal band of both
-        ab = np.hstack([_band(G, X, wt, phase, parity) for parity in (1.0, -1.0)])
-    bound = np.finfo(float).eps * float(np.abs(ab[0]).max())
+    d, e = _path(G, X, wt, theta)
+    bound = np.finfo(float).eps * float(np.abs(d).max())
     scale = max(1.0, abs(window[0]), abs(window[1]))
     if bound > ROUNDING_TOL * scale:
         raise NumericalError(
             f"rounding bound eps * max|H_jj| = {bound:.3g} of the {len(wt)}-node half-period "
             f"grid exceeds {ROUNDING_TOL:g} * {scale:g}: a profile piece is too narrow"
         )
-    return band_hermitian_eigenvalues(ab, window)
+    return tridiagonal_eigenvalues(d, e, window)
 
 
 def oracle_eigenvalues(channel: Channel, theta: float, profile: Profile,
@@ -406,11 +372,11 @@ def oracle_eigenvalues(channel: Channel, theta: float, profile: Profile,
 
     A key is solved in the window (-1, lam_max + 1] on the N grid and on
     the grid that halves each of its intervals (_half_grids,
-    _grid_eigenvalues: the half period alone, no dense matrix), both
-    planned once per (profile, N) (_plan), and at theta = 0 and pi by one
-    tridiagonal bisection per grid for both mirror parities.  Index-paired
-    eigenvalues are combined by Richardson extrapolation,
-    (4 l_2N - l_N) / 3.  Raises NumericalError when a pair drifts by more
+    _grid_eigenvalues: the half period alone, no dense matrix and no band
+    storage), both planned once per (profile, N) (_plan), by one bisection
+    per grid of one real tridiagonal, the period's mirror path, at every
+    theta.  Index-paired eigenvalues are combined by Richardson
+    extrapolation, (4 l_2N - l_N) / 3.  Raises NumericalError when a pair drifts by more
     than 0.5, or when a value <= lam_max + 0.5 on either grid has no
     partner on the other, or when a grid's rounding bound is too large
     (_grid_eigenvalues).  Raises ValueError for a non-finite theta, a

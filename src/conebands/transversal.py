@@ -269,13 +269,15 @@ def load_spectrum(path) -> TransversalSpectrum:
 
     Checks the fields' presence and types, sorts each coexact list by mu2
     and runs validate on the result.  Raises SpectrumFormatError for
-    invalid JSON, a missing or ill-typed field, or a spectrum that fails
-    validate."""
+    invalid JSON, a document that is not an object, a missing or ill-typed
+    field, or a spectrum that fails validate."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise SpectrumFormatError(f"{path}: not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise SpectrumFormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     for key in ("n", "label", "cutoff", "betti", "coexact"):
         if key not in doc:
             raise SpectrumFormatError(f"{path}: missing field '{key}'")

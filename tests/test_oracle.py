@@ -71,6 +71,13 @@ def period_nodes(prof, N):
     return mirror_nodes(prof, oracle._half_grids(prof, N)[0])[:-1]
 
 
+def half_chain(G, X, wt, a, b):
+    """(d, e) of the half chain (G, X, wt) of oracle._chain on its nodes
+    a .. b - 1, scaled by W^{-1/2}."""
+    c = 1.0 / np.sqrt(wt)
+    return (G / wt)[a:b], X[a:b - 1] * (c[a:b - 1] * c[a + 1:b])
+
+
 def chan(p, kind, mu2=None):
     for c in enumerate_channels(CIRCLE, p, 12.0):
         if c.kind == kind and (mu2 is None or float(c.mu2) == mu2):
@@ -420,7 +427,7 @@ class TestDenseHermitianEigenvalues:
 
 
 # ---------------------------------------------------------------------------
-# band storage and the band solve
+# the mirror path and its solve
 
 
 BAND_CASES = [(chan(0, "H4", mu2=1.0), STD)] + [
@@ -456,37 +463,38 @@ class TestBandSolve:
         assert len(got) == len(want)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
 
-    @pytest.mark.parametrize("theta", [0.7, 2.0])
+    @pytest.mark.parametrize("theta", [0.0, math.pi, 0.7, 2.0])
     @pytest.mark.parametrize("case", [0, 2], ids=["scalar", "pair"])
-    def test_band_is_the_signed_permuted_dense_pencil(self, case, theta):
-        # the band of each key holds u_0, u_1, v_1, .., u_{K-1}, v_{K-1},
-        # u_K, with sigma_j = u_j and sigma_{M-j} = v_j at the period's node
-        # j (the mirror's sign is +1 on a scalar), and is the key's block of
-        # the pencil.  The band evaluates the
-        # mirrored entries at t and the pencil at T - t, so they agree to
-        # rounding, not bit for bit
+    def test_path_is_the_rotated_dense_pencil(self, case, theta):
+        # in the orthonormal basis q_{K-1}, .., q_1, u_0, p_1, .., p_{K-1},
+        # u_K of the period's nodes, with u_0 = e_0, u_K = e_K and p_j, q_j =
+        # (e_j +- e_{M-j}) / sqrt(2), each key's block of the pencil is the
+        # path up to a diagonal unitary: the path's diagonal, the moduli of
+        # its couplings and nothing off the tridiagonal.  The path evaluates
+        # the mirrored entries at t and the pencil at T - t, so they agree
+        # to rounding, not bit for bit
         ch, prof = BAND_CASES[case]
         fm = assemble(ch, theta, prof, 120)
         s = 1.0 / np.sqrt(fm.W)
         pencil = s[:, None] * fm.K * s[None, :]
         M = len(period_nodes(prof, 120))
         K = M // 2
-        node = [0] + [j for i in range(1, K) for j in (i, M - i)] + [K]
+        V = np.zeros((M, M))
+        for col, j in enumerate(range(K - 1, 0, -1)):
+            V[[j, M - j], col] = [math.sqrt(0.5), -math.sqrt(0.5)]
+        V[0, K - 1] = 1.0
+        for col, j in enumerate(range(1, K), start=K):
+            V[[j, M - j], col] = math.sqrt(0.5)
+        V[K, M - 1] = 1.0
+        np.testing.assert_allclose(V.T @ V, np.eye(M), rtol=0.0, atol=1e-15)
         for k, key in enumerate(scalar_parts(ch)):
-            G, X, w = oracle._chain(*key, oracle._geometry(prof, oracle._half_grids(prof, 120)[0]))
-            ab = oracle._band(G, X, w, np.exp(1j * theta))
-            n = ab.shape[1]
-            # half-width 2 holds the couplings of the two copies, and it is needed
-            assert ab.shape[0] == 3
-            assert np.any(ab[-1] != 0.0)
-            H = np.zeros((n, n), dtype=ab.dtype)
-            for d in range(3):
-                i = np.arange(n - d)
-                H[i + d, i] = ab[d, : n - d]
-                H[i, i + d] = np.conj(ab[d, : n - d])
-            assert n == M
-            want = pencil[k * M:(k + 1) * M, k * M:(k + 1) * M][np.ix_(node, node)]
-            np.testing.assert_allclose(H, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+            G, X, wt = oracle._chain(*key, oracle._geometry(prof, oracle._half_grids(prof, 120)[0]))
+            d, e = oracle._path(G, X, wt, theta)
+            assert d.dtype == e.dtype == np.float64
+            want = np.diag(d) + np.diag(np.abs(e), 1) + np.diag(np.abs(e), -1)
+            block = pencil[k * M:(k + 1) * M, k * M:(k + 1) * M]
+            np.testing.assert_allclose(np.abs(V.T @ block @ V), want,
+                                       rtol=0.0, atol=1e-13 * np.abs(want).max())
 
     @pytest.mark.parametrize("theta", [0.0, math.pi, 0.7])
     def test_hot_path_builds_no_dense_matrix(self, monkeypatch, theta):
@@ -508,7 +516,7 @@ class TestBandSolve:
         assert peak < 4e6
 
     @pytest.mark.parametrize("eta", [0.0, 0.02])
-    @pytest.mark.parametrize("theta", [0.0, math.pi], ids=["0", "pi"])
+    @pytest.mark.parametrize("theta", [0.0, math.pi, 0.7, 2.0], ids=["0", "pi", "0.7", "2"])
     @pytest.mark.parametrize("case", range(len(BAND_CASES)), ids=["scalar", "n1", "n2", "n3"])
     def test_mirror_split_matches_the_dense_pencil(self, case, theta, eta):
         ch, prof = BAND_CASES[case]
@@ -525,23 +533,23 @@ class TestBandSolve:
     @pytest.mark.parametrize("theta", [0.0, math.pi, 0.7], ids=["0", "pi", "0.7"])
     @pytest.mark.parametrize("case", [0, 2], ids=["scalar", "pair"])
     def test_band_half_widths(self, monkeypatch, case, theta):
-        band = oracle._band
-        widths = []
+        path = oracle._path
+        shapes = []
 
-        def record(*args):
-            ab = band(*args)
-            widths.append(ab.shape[0] - 1)
-            return ab
+        def record(G, X, wt, theta):
+            d, e = path(G, X, wt, theta)
+            shapes.append((len(d) - 2 * len(X), len(e) - len(d), d.dtype, e.dtype))
+            return d, e
 
-        monkeypatch.setattr(oracle, "_band", record)
+        monkeypatch.setattr(oracle, "_path", record)
         ch, prof = BAND_CASES[case]
         assert len(oracle_eigenvalues(ch, theta, prof, 8.0, N=200)) >= 2
-        # for each key, on each of the N and 2N grids: two parities of
-        # half-width 1 at theta = 0 and pi, one band of the two interleaved
-        # copies elsewhere.  The pair has two distinct keys
+        # for each key, on each of the N and 2N grids of K intervals: one
+        # real tridiagonal (half-width 1) of 2K nodes, at every theta.  The
+        # pair has two distinct keys
         keys = len(set(scalar_parts(ch)))
         assert keys == case // 2 + 1
-        assert widths == ([2] * 2 if theta == 0.7 else [1] * 4) * keys
+        assert shapes == [(0, -1, np.float64, np.float64)] * 2 * keys
 
     @pytest.mark.parametrize("theta", [0.0, math.pi, 0.7], ids=["0", "pi", "0.7"])
     @pytest.mark.parametrize("case", [0, 2], ids=["scalar", "pair"])
@@ -583,39 +591,46 @@ class TestBandSolve:
     @pytest.mark.parametrize("window", [(-1.0, 9.0), (-1.0, 400.0)], ids=["9", "400"])
     @pytest.mark.parametrize("theta", [0.0, math.pi], ids=["0", "pi"])
     def test_stacked_parities_solve_as_the_two_parity_bands(self, theta, window):
-        # on the oracle-verify bands (window (-1, 9]), one bisection of the
-        # two parities side by side gives eig_banded's values on each
-        # parity, bit for bit
-        phase = oracle._real_phase(theta)
+        # at theta = 0 (pi) the path's join to q_1 (p_1) is 0 and it falls
+        # apart into the two mirror parities: the even chain of the half
+        # nodes 0 .. K (1 .. K) and, reversed, the odd chain of the nodes
+        # 1 .. K - 1 (0 .. K - 1), each entry for entry the half chain's.
+        # On the oracle-verify keys one bisection of the path gives the two
+        # parities' values, to rounding
+        first = 0 if theta == 0.0 else 1  # the even chain's first half node
         keys = dict.fromkeys(key for ch in TORUS_P1 for key in scalar_parts(ch))
         values = 0
         for key in keys:
             for geometry in oracle._plan(STD, 500):
                 G, X, wt = oracle._chain(*key, geometry)
-                bands = [oracle._band(G, X, wt, phase, parity) for parity in (1.0, -1.0)]
-                want = np.sort(np.concatenate([
-                    scipy.linalg.eig_banded(ab, lower=True, eigvals_only=True, select="v",
-                                            select_range=window)
-                    for ab in bands]))
-                got = oracle.band_hermitian_eigenvalues(np.hstack(bands), window)
-                assert np.array_equal(got, want), key
+                K = len(X)
+                blocks = [half_chain(G, X, wt, first, K + 1), half_chain(G, X, wt, 1 - first, K)]
+                d, e = oracle._path(G, X, wt, theta)
+                cut = K - 1 + first  # the even chain's first node on the path
+                assert e[cut - 1] == 0.0
+                np.testing.assert_array_equal(d[cut:], blocks[0][0])
+                np.testing.assert_array_equal(e[cut:], blocks[0][1])
+                np.testing.assert_array_equal(d[:cut], blocks[1][0][::-1])
+                np.testing.assert_array_equal(e[:cut - 1], blocks[1][1][::-1])
+                got = oracle.tridiagonal_eigenvalues(d, e, window)
+                want = np.sort(np.concatenate([oracle.tridiagonal_eigenvalues(*b, window)
+                                               for b in blocks]))
+                assert len(got) == len(want), key
+                np.testing.assert_allclose(got, want, rtol=0.0,
+                                           atol=np.finfo(float).eps * np.abs(d).max())
                 values += len(got)
         assert len(keys) == 12 and values >= 30
 
-    @pytest.mark.parametrize("ab", [np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 0.0]]),
-                                    np.array([[0.0, 1.0, 2.0], [0.0] * 3, [0.0] * 3],
-                                             dtype=complex)],
-                             ids=["tridiagonal", "banded"])
-    def test_band_window_is_half_open(self, ab):
-        np.testing.assert_array_equal(oracle.band_hermitian_eigenvalues(ab, (0.0, 2.0)),
+    @pytest.mark.parametrize("d,e", [([0.0, 1.0, 2.0], [0.0, 0.0])], ids=["tridiagonal"])
+    def test_band_window_is_half_open(self, d, e):
+        np.testing.assert_array_equal(oracle.tridiagonal_eigenvalues(d, e, (0.0, 2.0)),
                                       [1.0, 2.0])
 
-    @pytest.mark.parametrize("theta,solver", [(0.0, "dstebz"), (math.pi, "dstebz"),
-                                              (0.7, "eig_banded")], ids=["0", "pi", "0.7"])
+    @pytest.mark.parametrize("theta", [0.0, math.pi, 0.7], ids=["0", "pi", "0.7"])
     @pytest.mark.parametrize("case", [0, 2], ids=["scalar", "pair"])
-    def test_one_lapack_solve_per_grid(self, monkeypatch, case, theta, solver):
-        # bisection of both parities at theta = 0 and pi, eig_banded on the
-        # complex band elsewhere: one call per key and grid
+    def test_one_lapack_solve_per_grid(self, monkeypatch, case, theta):
+        # one bisection of the path per key and grid at every theta, and
+        # no banded solver
         calls = []
         for module, name in ((scipy.linalg, "eig_banded"), (scipy.linalg.lapack, "dstebz")):
             def counted(*args, solve=getattr(module, name), name=name, **kwargs):
@@ -625,14 +640,38 @@ class TestBandSolve:
             monkeypatch.setattr(module, name, counted)
         ch, prof = BAND_CASES[case]
         assert len(oracle_eigenvalues(ch, theta, prof, 8.0, N=200)) >= 2
-        assert calls == [solver] * 2 * len(set(scalar_parts(ch)))
+        assert calls == ["dstebz"] * 2 * len(set(scalar_parts(ch)))
 
     def test_failed_bisection_raises(self, monkeypatch):
         monkeypatch.setattr(scipy.linalg.lapack, "dstebz",
                             lambda *args: (0, np.zeros(3), None, None, 2))
         with pytest.raises(NumericalError, match="dstebz info 2"):
-            oracle.band_hermitian_eigenvalues(np.array([[0.0, 1.0, 2.0], [0.0] * 3]),
-                                              (0.0, 2.0))
+            oracle.tridiagonal_eigenvalues([0.0, 1.0, 2.0], [0.0, 0.0], (0.0, 2.0))
+
+    @pytest.mark.parametrize("theta,edge", [(1e-13, 0.0), (-1e-13, 0.0), (2 * math.pi, 0.0),
+                                            (math.pi + 1e-13, math.pi),
+                                            (math.pi - 1e-13, math.pi), (3 * math.pi, math.pi)],
+                             ids=["1e-13", "-1e-13", "2pi", "pi+1e-13", "pi-1e-13", "3pi"])
+    @pytest.mark.parametrize("case", [0, 2], ids=["scalar", "pair"])
+    def test_theta_next_to_a_band_edge_solves_as_the_edge(self, case, theta, edge):
+        # no snap to the edge: a join of |sin| or |cos| of about 1e-13 moves
+        # the values by far less than rounding
+        ch, prof = BAND_CASES[case]
+        want = oracle_eigenvalues(ch, edge, prof, 8.0, N=200)
+        got = oracle_eigenvalues(ch, theta, prof, 8.0, N=200)
+        assert len(want) >= 2
+        assert len(got) == len(want)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("theta,edge", [(2 * math.pi, 0.0), (-2 * math.pi, 0.0),
+                                            (4 * math.pi, 0.0), (-math.pi, math.pi)],
+                             ids=["2pi", "-2pi", "4pi", "-pi"])
+    def test_a_whole_turn_lays_out_the_edge_bit_for_bit(self, theta, edge):
+        # theta is reduced mod 2 pi before the joins are taken: sin(pi) is
+        # 1.2e-16, not 0
+        G, X, wt = oracle._chain(1.0, 1.0, oracle._plan(STD, 200)[0])
+        for got, want in zip(oracle._path(G, X, wt, theta), oracle._path(G, X, wt, edge)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestRichardsonPairing:

@@ -266,6 +266,20 @@ def test_load_rejects_garbage(tmp_path):
         load_spectrum(p)
 
 
+@pytest.mark.parametrize("doc,kind", [
+    (["n", "label", "cutoff", "betti", "coexact"], "list"),
+    ("n label cutoff betti coexact", "str"),
+    (7, "int"),
+], ids=["list", "str", "int"])
+def test_load_rejects_a_document_that_is_no_object(tmp_path, doc, kind):
+    # a list or string holding every field name once passed the presence
+    # check and raised TypeError on the first lookup, and 7 on the check
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(SpectrumFormatError, match=f"expected a JSON object, got {kind}$"):
+        load_spectrum(p)
+
+
 def _spectrum_doc(n=1, cutoff="5", betti=(1, 1), mu2="1", mult=2):
     return {"n": n, "label": "x", "cutoff": cutoff, "betti": list(betti),
             "coexact": [[{"mu2": mu2, "mult": mult}, {"mu2": "4", "mult": 2}], []]}
