@@ -47,7 +47,9 @@ the counts.  The merged zeros are the band edges; inside a band tr M runs
 monotonically between -2 and 2, so at every theta, 0 and pi included, the
 band holds one Floquet eigenvalue.  It is the zero of b c + sin^2(theta/2),
 or of the equal a d - cos^2(theta/2) when cos^2(theta/2) is the smaller, so
-that near pi the constant does not swamp b c.
+that near pi the constant does not swamp b c.  Both are polished in the
+map's scaled entries, with the constant times e^{-2l} for the log scale l,
+so they cannot overflow.
 
 The spectrum of an H5 pair is the disjoint union of those of its two
 scalar Hodge partners (channels.scalar_parts).  Their weights sum to -1,
@@ -58,7 +60,12 @@ once: a scalar channel has one, a pair two, and a pair whose partners have
 one key (n odd, p = (n+1)/2) one, whose bands the solve lists twice.
 
 The cone's Frobenius recurrence does not involve lambda: lambda enters only
-through z = lambda t^2.  A root scan therefore builds one lambda-free
+through z = lambda t^2.  Its singular branch is one formula for every tip
+exponent: with nu = gamma + 1/2 = m + delta and m = round(nu), the plain
+series' pole 1 / delta at z^m is subtracted as for Bessel's Y_m, so no
+coefficient divides by delta, a cone near resonance keeps its digits, and
+resonance itself is delta = 0, where the branch carries log t
+(ConeSeries, cone_basis).  A root scan therefore builds one lambda-free
 coefficient table per channel (cone_basis, valid up to lam_max) and
 evaluates A for the whole lambda grid and each of the K weights at once,
 as (2, 2, K, G) arrays with one log scale per point and weight, so deep
@@ -294,19 +301,24 @@ class ConeSeries:
     """Fundamental pair of -u'' + gamma(gamma+1)/t^2 u = lam u as a table of
     lambda-free Frobenius coefficients, valid wherever |lam| t^2 <= z_max.
 
+    Let nu = gamma + 1/2 = m + delta with m = round(nu), so |delta| <= 1/2,
+    and h(t) = (t^{2 delta} - 1) / (2 delta), which is log t at delta = 0.
     With z = lam t^2,
         f(t) = t^{gamma+1} F(z)                              (regular branch)
-        g(t) = t^{-gamma} (G(z) + a_z log(t) z^m F(z))       (singular branch)
-    where F = sum f_coef[j] z^j and G = sum g_coef[j] z^j, F(0) = G(0) = 1.
-    The log term is present exactly when m = gamma + 1/2 is a nonnegative
-    integer (is_log).  Wronskian f g' - f' g = -(2 gamma + 1), or +1 when
-    gamma = -1/2.
+        g(t) = t^{-gamma} (G(z) + a_z z^m h(t) F(z))         (singular branch)
+    where F = sum f_coef[j] z^j with F(0) = 1 and G = sum g_coef[j] z^j.
+    The plain singular series g0 = t^{-gamma} sum g0_j z^j, g0_0 = 1, has
+    the pole g0_m = P / delta.  For m >= 1, g = g0 - (P / delta) lam^m f,
+    the pole subtracted as for Bessel's Y_m (Watson, Bessel Functions,
+    3.52; DLMF 10.8.1), with Wronskian f g' - f' g = -(2 gamma + 1).  For
+    m = 0, g = (f - g0) / (2 delta), with Wronskian +1.  Both are
+    continuous in delta and are the log branch at delta = 0.
     """
 
     gamma: float
     z_max: float
-    is_log: bool
     m: int
+    delta: float
     a_z: float
     f_coef: np.ndarray
     g_coef: np.ndarray
@@ -338,12 +350,14 @@ class ConeSeries:
         F, dF, G, dG = acc
         gam = self.gamma
         A = (gam + 1.0) * F + 2.0 * z * dF  # t^-gamma f'
-        B = -gam * G + 2.0 * z * dG  # t^(gamma+1) g' without the log term
-        if self.is_log:
-            L = self.a_z * z**self.m
-            log_t = np.log(t)[:, None]
-            G = G + log_t * L * F
-            B = B + L * (log_t * A + F)
+        B = -gam * G + 2.0 * z * dG  # t^(gamma+1) g' without the h term
+        # h = log t expm1(x) / x with x = 2 delta log t; t h' = 1 + 2 delta h
+        log_t = np.log(t)
+        x = 2.0 * self.delta * log_t
+        h = (log_t * np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0))[:, None]
+        L = self.a_z * z**self.m
+        G = G + h * L * F
+        B = B + L * (h * A + F)
         W = self.wronskian
         residual = np.abs(F * B - A * G - W) / abs(W)
         if not np.all(residual <= WRONSKIAN_RTOL):
@@ -364,34 +378,37 @@ def cone_basis(gamma: float, z_max: float) -> ConeSeries:
     """Frobenius table for every lam and t with |lam| t^2 <= z_max.
 
     No recurrence involves lam, so one table serves a whole lambda scan and
-    the root polish on it.  The singular branch is the one recurrence
-    2j (2 gamma + 1 - 2j) g_j = g_{j-1} + a_z (2m + 4(j - m)) f_{j-m}, with
-    f_j = 0 outside its table.  Off resonance m = a_z = 0.  At resonance,
-    m = gamma + 1/2 an integer, a_z = 1 if m = 0; if m > 0 the step j = m
-    fixes a_z = -g_{m-1} / (2m) and the gauge g_m = 0.  gamma within 1e-9 of a half-integer >= -1/2 is
-    snapped to it.  A series stops once its last term at z_max is below
-    SERIES_RTOL of its largest one, and raises NumericalError if it never does.
+    the root polish on it.  With nu = gamma + 1/2 = m + delta as in
+    ConeSeries, f_j = -f_{j-1} / (2j (2 gamma + 1 + 2j)), and G is
+    - g0_j = g0_{j-1} / (2j (2 gamma + 1 - 2j)), g0_0 = 1, for j < m;
+    - 0 at j = m;
+    - P d_k at j = m + k, with d_0 = 0 and d_k = alpha_k (d_{k-1} + f_{k-1}
+      (m + 2k) / (k (m + k + delta))), alpha_k = -1 / (4 (m + k)(k - delta)),
+    with P = g0_{m-1} / (4m), or -1/2 when m = 0, and a_z = -2P.  No step
+    divides by delta, so resonance is delta = 0 and needs no case of its
+    own.  A series stops once its last term at z_max is below SERIES_RTOL of
+    its largest one, and raises NumericalError if it never does.  Raises
+    ValueError unless gamma is finite and >= -1/2 and z_max finite and >= 0.
     """
     gamma, z_max = float(gamma), float(z_max)
-    if gamma < -0.5 - 1e-12:
-        raise ValueError(f"gamma must be >= -1/2, got {gamma}")
+    if not -0.5 - 1e-12 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and >= -1/2, got {gamma}")
     if not 0.0 <= z_max < math.inf:
         raise ValueError(f"z_max must be finite and nonnegative, got {z_max}")
-    m_near = round(gamma + 0.5)
-    is_log = m_near >= 0 and abs(gamma + 0.5 - m_near) <= 1e-9
-    if is_log:
-        gamma = m_near - 0.5
+    m = round(gamma + 0.5)
+    delta = gamma + 0.5 - m
 
-    def grow(coefs: list[float], step, stop: int, min_j: int, branch: str) -> None:
-        """Append step(j) for j = 1, ..., stop - 1 until the tail test
-        passes at some j >= min_j; NumericalError if it never does."""
-        scale = 1.0
+    def grow(coefs: list[float], step, branch: str) -> None:
+        """Append step(j), the coefficient of z^j, for j = len(coefs) on
+        until, from j = 4 on, its term at z_max passes the tail test;
+        NumericalError if 400 steps never do."""
         try:
-            for j in range(1, stop):
+            scale = max([1.0] + [abs(c) * z_max**j for j, c in enumerate(coefs)])
+            for j in range(len(coefs), len(coefs) + 401):
                 coefs.append(step(j))
                 tail = abs(coefs[-1]) * z_max**j
                 scale = max(scale, tail)
-                if j >= min_j and tail <= SERIES_RTOL * scale:
+                if j >= 4 and tail <= SERIES_RTOL * scale:
                     return
         except OverflowError:
             raise NumericalError(f"cone series overflows double precision at gamma = "
@@ -400,24 +417,19 @@ def cone_basis(gamma: float, z_max: float) -> ConeSeries:
                              f"{gamma}, z_max = {z_max:.6g}")
 
     f = [1.0]
-    grow(f, lambda j: -f[-1] / (2.0 * j * (2.0 * gamma + 1.0 + 2.0 * j)), 402, 4, "regular")
-
-    m = m_near if is_log else 0
-    a_z = 1.0 if is_log and m == 0 else 0.0
+    grow(f, lambda j: -f[-1] / (2.0 * j * (2.0 * gamma + 1.0 + 2.0 * j)), "regular")
     g = [1.0]
+    for j in range(1, m):
+        g.append(g[-1] / (2.0 * j * (2.0 * gamma + 1.0 - 2.0 * j)))
+    p, wron = (g[-1] / (4.0 * m), -(2.0 * gamma + 1.0)) if m else (-0.5, 1.0)
+    g[m:] = [0.0]
 
     def g_step(j: int) -> float:
-        nonlocal a_z
-        if j == m:
-            a_z = -g[-1] / (2.0 * m)
-            return 0.0
-        rhs = g[-1]
-        if a_z:  # a_z = 0 leaves the f term out; it would add zeros
-            rhs += a_z * (2.0 * m + 4.0 * (j - m)) * (f[j - m] if j - m < len(f) else 0.0)
-        return rhs / (2.0 * j * (2.0 * gamma + 1.0 - 2.0 * j))
+        k = j - m  # P d_k, from f_{k-1} while f's table lasts
+        forcing = p * (m + 2.0 * k) / (k * (m + k + delta)) * f[k - 1] if k <= len(f) else 0.0
+        return (g[-1] + forcing) / (-4.0 * j * (k - delta))
 
-    grow(g, g_step, max(402, m + len(f) + 4), max(4, m + len(f)) if is_log else 4, "singular")
-    wron = 1.0 if is_log and m == 0 else -(2.0 * gamma + 1.0)
+    grow(g, g_step, "singular")
 
     f_coef, g_coef = np.array(f), np.array(g)
     cols = np.zeros((max(len(f), len(g)), 4))
@@ -425,7 +437,7 @@ def cone_basis(gamma: float, z_max: float) -> ConeSeries:
     cols[: len(f) - 1, 1] = np.arange(1, len(f)) * f_coef[1:]
     cols[: len(g), 2] = g_coef
     cols[: len(g) - 1, 3] = np.arange(1, len(g)) * g_coef[1:]
-    return ConeSeries(gamma=gamma, z_max=z_max, is_log=is_log, m=m, a_z=a_z,
+    return ConeSeries(gamma=gamma, z_max=z_max, m=m, delta=delta, a_z=-2.0 * p,
                       f_coef=f_coef, g_coef=g_coef, wronskian=wron,
                       rows=cols[::-1].copy())
 
@@ -634,11 +646,15 @@ def floquet_eigenvalues(channel: Channel, theta: float, profile: Profile,
     The channel is one solve, _bands, then one polish of one bracket per
     listed band, so a band listed twice gives its root twice.  Each band
     holds one root, the zero of b c + sin^2(theta/2) = a d - cos^2(theta/2),
-    polished in the form whose constant is smaller.  It is sin^2(theta/2)
-    at a periodic edge and -cos^2(theta/2) at an antiperiodic one, so at
-    theta = 0 and pi the root is a band edge; a band cut at lam_max holds
-    none when its value there has the lower edge's sign.  Raises ValueError
-    for a non-finite theta or a lam_max that is not finite and >= 0."""
+    polished in the form whose constant is smaller.  The map is scaled by
+    e^l, so the polished form is b c + sin^2(theta/2) e^{-2l} or
+    a d - cos^2(theta/2) e^{-2l} in its scaled entries, which has the same
+    zeros and cannot overflow.  At a periodic edge it is sin^2(theta/2)
+    e^{-2l}, at an antiperiodic one -cos^2(theta/2) e^{-2l}, with l from one
+    map call at all band ends, so at theta = 0 and pi the root is a band
+    edge; a band cut at lam_max holds none when its value there has the
+    lower edge's sign.  Raises ValueError for a non-finite theta or a
+    lam_max that is not finite and >= 0."""
     check_theta(theta)
     lam_max = check_lam_max(lam_max)
     phi = math.remainder(theta, 2.0 * math.pi)
@@ -647,21 +663,25 @@ def floquet_eigenvalues(channel: Channel, theta: float, profile: Profile,
     half, bands = _bands(channel, profile, lam_max)
 
     def value(x, k):
-        """The polished form at x[i] for weight k[i]."""
+        """The polished form at x[i] for weight k[i], and e^{-2l} there."""
         A, logs = half(x)
         i = np.arange(x.size)
-        A, logs = A[:, :, k, i], logs[k, i]
+        A, decay = A[:, :, k, i], np.exp(-2.0 * logs[k, i])
         if s2 <= c2:
-            return A[0, 1] * A[1, 0] * np.exp(2.0 * logs) + s2
-        return A[0, 0] * A[1, 1] * np.exp(2.0 * logs) - c2
+            return A[0, 1] * A[1, 0] + s2 * decay, decay
+        return A[0, 0] * A[1, 1] - c2 * decay, decay
 
-    def at(x, s, k):
-        return s2 if s > 0 else -c2 if s < 0 else float(value(np.array([x]), k)[0])
-
-    ends = [(k, lo, hi, at(lo, s, k), at(hi, t, k)) for k, (lo, s), (hi, t) in bands]
-    ends = np.array([e for e in ends if e[3] * e[4] <= 0.0]).reshape(-1, 5).T
-    of = ends[0].astype(int)
-    return sorted(_polish(lambda x, j: value(x, of[j]), *ends[1:]).tolist())
+    # columns (k, lo, hi, s, t): each band's weight row, ends and edge kinds
+    k, lo, hi, s, t = np.array([(k, lo, hi, s, t) for k, (lo, s), (hi, t) in bands]
+                               ).reshape(-1, 5).T
+    k = k.astype(int)
+    v, decay = value(np.concatenate((lo, hi)), np.concatenate((k, k)))
+    kind = np.concatenate((s, t))
+    f = np.where(kind == 0, v, np.where(kind > 0, s2, -c2) * decay).reshape(2, -1)
+    keep = f[0] * f[1] <= 0.0
+    of = k[keep]
+    return sorted(_polish(lambda x, j: value(x, of[j])[0], lo[keep], hi[keep],
+                          *f[:, keep]).tolist())
 
 
 def _polish(F, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,

@@ -18,7 +18,7 @@ from conebands.radial import band_edges, make_profile
 from conebands.transversal import build_flat_torus_spectrum
 
 TWO_PI = 2.0 * math.pi
-TORI = {n: build_flat_torus_spectrum([TWO_PI] * n, 8) for n in (1, 2, 3)}
+TORI = {n: build_flat_torus_spectrum([TWO_PI] * n, 8) for n in (1, 2, 3, 4)}
 
 
 def degree_bands(ts, p, profile, lam_max):
@@ -55,13 +55,22 @@ def test_middle_degrees_of_the_two_torus_have_no_gap(eps):
         assert union_gaps(bands) == [], (p, eps)
 
 
-def test_gaps_open_in_the_other_degrees():
-    for eps in (0.3, 0.1):
-        assert wide_gap_count(2, 0, eps) == 4
-        assert wide_gap_count(2, 3, eps) == 4
-    # pinching the handle opens more gaps below lam = 6
-    assert (wide_gap_count(1, 0, 0.3), wide_gap_count(1, 0, 0.1)) == (2, 3)
-    assert (wide_gap_count(3, 1, 0.3), wide_gap_count(3, 1, 0.1)) == (3, 7)
+# wide gaps below lam = 6 at eps 0.3, 0.1 and 0.03, degree p = 0 .. n + 1
+DICHOTOMY = {
+    1: [(2, 3, 3)] * 3,
+    2: [(4, 4, 4), (0, 0, 0), (0, 0, 0), (4, 4, 4)],
+    3: [(5, 5, 5), (3, 7, 10), (2, 5, 7), (3, 7, 10), (5, 5, 5)],
+    4: [(5, 5, 5), (8, 10, 11), (0, 0, 0), (0, 0, 0), (8, 10, 11), (5, 5, 5)],
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_dichotomy_in_every_degree(n):
+    # T^1 and T^3 gap in every degree; T^2 and T^4 (b_{n/2} != 0) have no
+    # gap in p = n/2 and n/2 + 1 and gaps in the rest.  Pinching the handle
+    # opens more gaps below lam = 6
+    got = [tuple(wide_gap_count(n, p, eps) for eps in (0.3, 0.1, 0.03)) for p in range(n + 2)]
+    assert got == DICHOTOMY[n]
 
 
 def test_census_at_lam_max_zero_is_the_zero_modes():

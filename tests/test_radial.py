@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.special import gamma as gamma_fn
-from scipy.special import jv
+from scipy.special import jv, yv
 
 from conebands import radial
 from conebands.channels import Channel, enumerate_channels, scalar_parts
@@ -318,14 +318,38 @@ def bessel_f(gamma, lam, t):
 
 
 def bessel_g(gamma, lam, t):
+    """The plain singular series t^-gamma (1 + O(z)), nu = gamma + 1/2 not
+    an integer."""
     nu = gamma + 0.5
     return gamma_fn(1 - nu) * (math.sqrt(lam) / 2) ** nu * math.sqrt(t) * jv(-nu, math.sqrt(lam) * t)
+
+
+def subtracted_g(gamma, lam, t):
+    """The cone table's singular branch off resonance, from closed Bessel
+    forms.  With m = round(nu): g - P lam^m f for m >= 1, P = prod_{j <= m}
+    1 / (4j (nu - j)) being the coefficient of z^m in g; (f - g) / (2 nu)
+    for m = 0."""
+    nu = gamma + 0.5
+    m = round(nu)
+    if m == 0:
+        return (bessel_f(gamma, lam, t) - bessel_g(gamma, lam, t)) / (2 * nu)
+    P = math.prod(1 / (4 * j * (nu - j)) for j in range(1, m + 1))
+    return bessel_g(gamma, lam, t) - P * lam**m * bessel_f(gamma, lam, t)
 
 
 def basis_at(table, lam, t):
     """(f, f', g, g') of a cone table's fundamental pair at one (lam, t)."""
     S = table.state(np.array([lam]), (t,))[..., 0, 0]
     return S[0, 0], S[1, 0], S[0, 1], S[1, 1]
+
+
+def wronskian_residual(table, t, n=20000):
+    """Largest relative Wronskian residual of a cone table at radius t over
+    n points 0 < lam t^2 <= z_max."""
+    z = np.linspace(0.0, table.z_max, n + 1)[1:]
+    S = table.state(z / (t * t), (t,))[:, :, 0]
+    det = S[0, 0] * S[1, 1] - S[1, 0] * S[0, 1]
+    return float(np.max(np.abs(det - table.wronskian))) / abs(table.wronskian)
 
 
 class TestConeBasis:
@@ -337,40 +361,64 @@ class TestConeBasis:
             assert df == pytest.approx(1.7 * t**0.7, rel=1e-14)
             assert g == pytest.approx(t**-0.7, rel=1e-14)
             assert dg == pytest.approx(-0.7 * t**-1.7, rel=1e-14)
-        assert not b.is_log
         assert b.wronskian == pytest.approx(-2.4)
 
     def test_half_bound_state_log_at_lambda_zero(self):
+        # nu = 0: the pair is sqrt(t) and sqrt(t) log t
         b = cone_basis(-0.5, 0.0)
-        assert b.is_log
+        assert (b.m, b.delta, b.a_z) == (0, 0.0, 1.0)
         for t in (0.2, 0.8):
             f, _, g, _ = basis_at(b, 0.0, t)
             assert f == pytest.approx(math.sqrt(t), rel=1e-14)
-            assert g == pytest.approx(math.sqrt(t) * (1 + math.log(t)), rel=1e-13)
+            assert g == pytest.approx(math.sqrt(t) * math.log(t), rel=1e-13)
         assert b.wronskian == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("gamma", [0.3, 1.0, 2.7])
+    @pytest.mark.parametrize("gamma", [-0.3, 0.3, 1.0, 2.7])
     @pytest.mark.parametrize("lam", [2.5, 9.0])
     def test_bessel_oracle(self, gamma, lam):
+        # off resonance g is the plain series less the multiple of f that
+        # carries its coefficient of z^m, m = round(nu); gamma = 1 has
+        # nu = 3/2 at the edge of its m = 2
         b = cone_basis(gamma, 9.0)  # one table serves both lam
-        assert not b.is_log
+        assert b.m == round(gamma + 0.5)
         for t in (0.3, 0.9):
             f, _, g, _ = basis_at(b, lam, t)
             assert f == pytest.approx(bessel_f(gamma, lam, t), rel=1e-11)
-            assert g == pytest.approx(bessel_g(gamma, lam, t), rel=1e-11)
+            assert g == pytest.approx(subtracted_g(gamma, lam, t), rel=1e-11)
         h = 1e-6
         for t in (0.5,):
             _, df, _, dg = basis_at(b, lam, t)
             fd = (bessel_f(gamma, lam, t + h) - bessel_f(gamma, lam, t - h)) / (2 * h)
             assert df == pytest.approx(fd, rel=1e-8)
-            gd = (bessel_g(gamma, lam, t + h) - bessel_g(gamma, lam, t - h)) / (2 * h)
+            gd = (subtracted_g(gamma, lam, t + h) - subtracted_g(gamma, lam, t - h)) / (2 * h)
             assert dg == pytest.approx(gd, rel=1e-8)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 5])
+    @pytest.mark.parametrize("lam", [2.5, 30.0])
+    def test_bessel_y_at_integer_nu(self, m, lam):
+        # at nu = m the table's g is K sqrt(t) Y_m(sqrt(lam) t) plus a
+        # multiple c of f, K fixed by g ~ t^-gamma at the tip (pi / 2 at
+        # m = 0, where g ~ sqrt(t) log t); c is read at t = 1
+        gamma = m - 0.5
+        b = cone_basis(gamma, lam)
+        assert b.delta == 0.0
+        K = math.pi / 2 if m == 0 else -math.pi * (math.sqrt(lam) / 2) ** m / math.factorial(m - 1)
+
+        def y_part(t):
+            return K * math.sqrt(t) * yv(m, math.sqrt(lam) * t)
+
+        f, _, g, _ = basis_at(b, lam, 1.0)
+        c = (g - y_part(1.0)) / f
+        for t in (0.2, 0.5, 0.9):
+            f, _, g, _ = basis_at(b, lam, t)
+            assert f == pytest.approx(bessel_f(gamma, lam, t), rel=1e-11)
+            assert g == pytest.approx(y_part(t) + c * f, rel=1e-11)
 
     @pytest.mark.parametrize("gamma,lam", [(0.5, 3.0), (1.5, 2.5), (-0.5, 3.0), (2.5, 7.0),
                                            (4.5, 300.0), (8.5, 300.0)])
     def test_log_branch_solves_ode(self, gamma, lam):
         b = cone_basis(gamma, lam)
-        assert b.is_log
+        assert b.delta == 0.0
         assert b.a_z != 0.0
         h = 1e-4
         for t in (0.3, 0.7):
@@ -395,13 +443,31 @@ class TestConeBasis:
             w = f * dg - df * g
             assert w == pytest.approx(b.wronskian, rel=1e-10, abs=1e-12)
 
-    def test_near_half_integer_snaps(self):
+    def test_near_half_integer_is_continuous(self):
+        # no snap: gamma 3e-10 off a half-integer keeps its own value, and
+        # its pair moves from the resonant one by O(3e-10)
         exact = cone_basis(0.5, 4.0)
         near = cone_basis(0.5 + 3e-10, 4.0)
-        assert near.is_log
+        assert near.gamma == 0.5 + 3e-10 and near.m == exact.m == 1
+        assert near.delta == pytest.approx(3e-10, rel=1e-6)
         for t in (0.2, 0.9):
-            assert basis_at(near, 4.0, t)[2] == pytest.approx(basis_at(exact, 4.0, t)[2],
-                                                              rel=1e-9)
+            np.testing.assert_allclose(basis_at(near, 4.0, t), basis_at(exact, 4.0, t),
+                                       rtol=1e-8)
+
+    @pytest.mark.parametrize("z_max", [49.0, 390.0])
+    @pytest.mark.parametrize("m", [0, 1, 2, 5, 8, 18])
+    def test_near_resonant_tables_keep_their_digits(self, m, z_max):
+        # a pole-subtracted g loses no digits near resonance: every
+        # nu = m + delta evaluates without refusal, its Wronskian residual
+        # within 4 times the one at delta = 1/4 (the spread of rounding
+        # over the grid); the plain series refused 0 < |delta| <= 1e-3 at
+        # z_max = 390
+        deltas = [0.0, 1e-12, 2e-9, 1e-8, 1e-6, 1e-4, 1e-3, 0.1]
+        deltas += [] if m == 0 else [-d for d in deltas[1:]]
+        ref = wronskian_residual(cone_basis(m - 0.25, z_max), 0.2)
+        for delta in deltas:
+            residual = wronskian_residual(cone_basis(m - 0.5 + delta, z_max), 0.2)
+            assert residual <= 4.0 * ref, (delta, residual, ref)
 
     @pytest.mark.parametrize("gamma", [0.3, 2.5])
     def test_window_table_matches_point_tables(self, gamma):
@@ -445,6 +511,9 @@ class TestConeBasis:
     def test_errors(self):
         with pytest.raises(ValueError):
             cone_basis(-0.6, 1.0)
+        for gamma in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"gamma must be finite and >= -1/2, got {gamma}"):
+                cone_basis(gamma, 1.0)
         with pytest.raises(ValueError):
             cone_basis(0.5, -1.0)
         b = cone_basis(0.5, 1.0)
@@ -464,6 +533,47 @@ class TestConeBasis:
         ch = next(c for c in CIRCLE_HIGH if c.kind == "H4" and float(c.mu2) == 324.0)
         with pytest.raises(NumericalError, match="overflows"):
             band_edges(ch, make_profile(0.2, 1.0, 0.8), 5000.0)
+
+
+class TestNearResonantCones:
+    """Tip exponents near a half-integer, where the plain singular series
+    carried the pole 1 / delta, delta = nu - round(nu)."""
+
+    @pytest.mark.parametrize("lam_max", [40.0, 100.0])
+    def test_edges_continue_linearly_through_resonance(self, lam_max):
+        # H4 on the circle at mu = 2 + delta has nu = mu: its edges lie
+        # within 1e-10 of the line through delta = 0 and +-1e-6.  The plain
+        # series was 8.9e-9 off at 1e-8 and lam_max 40, and refused every
+        # delta here at lam_max 100
+        prof = make_profile(0.2, 1.0, 0.8)
+
+        def edges(delta):
+            ch = Channel("H4", 1, 0, (2.0 + delta) ** 2, 2)
+            return np.array(band_edges(ch, prof, lam_max).bands).ravel()
+
+        at0, up, down = edges(0.0), edges(1e-6), edges(-1e-6)
+        slope = (up - down) / 2e-6
+        for delta in (2e-9, -2e-9, 1e-8, -1e-8, 1e-7, -1e-7):
+            got = edges(delta)
+            assert len(got) == len(at0)
+            assert np.max(np.abs(got - (at0 + delta * slope))) <= 1e-10, delta
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_circles_near_side_pi_count_like_side_pi(self, p):
+        # every level of a circle of side near pi has nu within 2.2e-7 k of
+        # an even integer 2k; the plain series refused 8 or 9 of its
+        # channels at lam_max 390
+        prof = make_profile(0.2, 1.0, 0.8)
+
+        def counts(side):
+            ts = build_flat_torus_spectrum([side], 390.0)
+            return [len(band_edges(ch, prof, 390.0).bands)
+                    for ch in enumerate_channels(ts, p, 390.0)]
+
+        want = counts(math.pi)
+        assert sum(want) == (106, 212)[p]
+        for side in (math.pi * (1 + 1e-7), math.pi * (1 + 2e-7), 3.141593):
+            assert counts(side) == want, side
 
 
 # ---------------------------------------------------------------------------
@@ -838,6 +948,19 @@ class TestStackedMap:
 
 
 class TestFloquetEigenvalues:
+    @pytest.mark.parametrize("mu2", [81.0, 144.0, 225.0])
+    def test_small_eps_form_does_not_overflow(self, mu2):
+        # at eps 0.01 the half handle's log scale reaches about 450, so
+        # e^{2l} b c overflowed; the form b c + sin^2(theta/2) e^{-2l} has
+        # the same zeros, one in each band
+        prof = make_profile(0.01, 1.0, 0.8)
+        ch = next(c for c in CIRCLE_HIGH if c.kind == "H4" and float(c.mu2) == mu2)
+        roots = floquet_eigenvalues(ch, 1.1, prof, 390.0)
+        bands = band_edges(ch, prof, 390.0).bands
+        assert len(roots) == len(bands) == {81.0: 9, 144.0: 7, 225.0: 5}[mu2]
+        for x, (lo, hi) in zip(roots, bands):
+            assert lo - 1e-10 <= x <= hi + 1e-10
+
     def test_free_circle_generic_theta(self):
         prof = make_profile(1.0, 2.0, 1.0)
         ch = next(c for c in enumerate_channels(CIRCLE, 0, 10.0) if c.kind == "H2")
