@@ -34,17 +34,18 @@ end nodes, the mirror's fixed points: v = e^{i theta} u at the cut and
 v = u at the centre.  In the even and odd parts p, q = (u +- v) / sqrt(2)
 the period is one path at every theta: the odd chain, the cut node, the
 even chain and the centre node, with the cut node joined to the two chains
-by |sin(theta/2)| and |cos(theta/2)| (_path).  A diagonal unitary removes
-the phases, so the path, scaled by W^{-1/2}, is a real symmetric
-tridiagonal, and one bisection restricted to the window solves a grid.  At
-theta = 0 and pi, the band edges, one join is exactly 0 and the path is
-the two mirror parities side by side.
+by radial.half_angles (_path).  A diagonal unitary removes the phases, so
+the path, scaled by W^{-1/2}, is a real symmetric tridiagonal, and one
+bisection restricted to the window solves a grid.  At theta = 0 and pi,
+the band edges, one join is exactly 0 and the path is the two mirror
+parities side by side.
 
 No dense matrix is formed on the solver's path.  assemble() alone builds
 the glued period, one block per key: the chain of the whole period with
 node M (t = T) merged into node 0 and the phase e^{i theta} on the
-coupling into it.  With dense_hermitian_eigenvalues it is the small-N
-cross-check of the mirror reduction at every theta.
+coupling into it, real exactly where a join is 0.  With
+dense_hermitian_eigenvalues it is the small-N cross-check of the mirror
+reduction at every theta.
 
 Works for smoothed profiles (eta > 0) unchanged, since only rho and rho'
 enter.
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, check_lam_max, scalar_parts
-from .radial import NumericalError, Profile, check_theta
+from .radial import NumericalError, Profile, half_angles
 
 DENSITY_CAP = 8.0  # node density multiplier, relative to 1/rho growth
 MAX_CONE_PIECES = 6
@@ -198,15 +199,15 @@ def assemble(channel: Channel, theta: float, profile: Profile, N: int) -> FormMa
     Per interval: h |(s_next - s_j)/h e_0 + B(t_mid)(s_j + s_next)/2|^2.
     The chain of the N grid's half nodes and their mirror image is glued at
     the cut: node M (t = T) merges into node 0, and the last interval wraps
-    to e^{i theta} s_0, so K is complex unless the phase is +-1.
-    Continuity of the global unknown vector encodes the interface value
-    condition exactly and the derivative jump weakly.
+    to e^{i theta} s_0, so K is complex unless theta reduces to 0 or +-pi
+    (half_angles), where the phase is the float 1.0 or -1.0.  Continuity
+    of the global unknown vector encodes the interface value condition
+    exactly and the derivative jump weakly.
     """
+    s, c = half_angles(theta)
+    phase = 1.0 if s == 0.0 else -1.0 if c == 0.0 else np.exp(1j * theta)
     half = _half_grids(profile, N)[0]
     t = np.concatenate([half, profile.T - half[-2::-1]])
-    phase = _real_phase(theta)
-    if phase is None:
-        phase = np.exp(1j * theta)
     geometry = _geometry(profile, t)
     keys = scalar_parts(channel)
     M = len(t) - 1
@@ -223,16 +224,6 @@ def assemble(channel: Channel, theta: float, profile: Profile, N: int) -> FormMa
         K[idx, nxt] = X
         K[nxt, idx] = X.conj()
     return FormMatrix(K=K, W=np.tile(wt[:-1], len(keys)))
-
-
-def _real_phase(theta: float) -> float | None:
-    """e^{i theta} as the float 1.0 or -1.0 when theta is within 1e-12 of
-    an even or an odd multiple of pi, else None.  Raises ValueError for a
-    non-finite theta."""
-    check_theta(theta)
-    if abs(math.remainder(theta, math.pi)) > 1e-12:
-        return None
-    return -1.0 if abs(math.remainder(theta, 2.0 * math.pi)) >= math.pi - 1e-12 else 1.0
 
 
 def _chain(mu2, w, geometry: tuple) -> tuple:
@@ -255,8 +246,9 @@ def _chain(mu2, w, geometry: tuple) -> tuple:
     return G, X, wt.copy()
 
 
-def _path(G: np.ndarray, X: np.ndarray, wt: np.ndarray, theta: float) -> tuple:
-    """W^{-1/2} K W^{-1/2} of the period at quasimomentum theta, laid out
+def _path(G: np.ndarray, X: np.ndarray, wt: np.ndarray, joins: tuple) -> tuple:
+    """W^{-1/2} K W^{-1/2} of the period at the quasimomentum whose
+    half_angles are joins = (|sin(theta/2)|, |cos(theta/2)|), laid out
     from the half chain (G, X, wt) of _chain on the nodes 0 (the cut) .. K
     (the handle centre) as the real symmetric tridiagonal (d, e) of the
     path q_{K-1} .. q_1, u_0, p_1 .. p_{K-1}, u_K.
@@ -267,22 +259,15 @@ def _path(G: np.ndarray, X: np.ndarray, wt: np.ndarray, theta: float) -> tuple:
     and v_K = u_K.  In p, q = (u +- v) / sqrt(2) the chains of the even
     part p and the odd part q decouple but at u_0, which meets p_1 and q_1
     with the weights |cos(theta/2)| and |sin(theta/2)| once a diagonal
-    unitary removes their phases; u_K meets p_{K-1} alone.  At theta = 0
-    the join to q_1 is 0 and at theta = pi the join to p_1, exactly, and
-    the path falls apart into the two mirror parities.  Raises ValueError
-    for a non-finite theta.
+    unitary removes their phases; u_K meets p_{K-1} alone.  Where a join is
+    0, the path falls apart into the two mirror parities.
     """
-    check_theta(theta)
-    phi = math.remainder(theta, 2.0 * math.pi)
     K = len(X)
     # the half node of each path node; u_0 sits at K - 1
     node = np.r_[K - 1:0:-1, 0:K + 1]
     c = 1.0 / np.sqrt(wt[node])
     e = X[np.minimum(node[:-1], node[1:])] * (c[:-1] * c[1:])
-    # the joins q_1 - u_0 and u_0 - p_1; with phi in [-pi, pi] one of them
-    # is exactly 0 at theta = 0 and pi, and the other exactly 1
-    e[K - 2] *= abs(math.sin(0.5 * phi))
-    e[K - 1] *= math.sin(0.5 * (math.pi - abs(phi)))
+    e[K - 2:K] *= joins  # q_1 - u_0 and u_0 - p_1
     return (G / wt)[node], e
 
 
@@ -336,16 +321,16 @@ def dense_hermitian_eigenvalues(K: np.ndarray, W: np.ndarray,
     return np.sort(evs)
 
 
-def _grid_eigenvalues(mu2, w, theta: float, geometry: tuple,
+def _grid_eigenvalues(mu2, w, joins: tuple, geometry: tuple,
                       window: tuple[float, float]) -> np.ndarray:
     """Eigenvalues in the window of the scalar key's form on one
     half-period grid, from the cut to the handle centre, given by its
-    _geometry (a grid of _plan).
+    _geometry (a grid of _plan), at the quasimomentum whose half_angles
+    are joins.
 
     Only the chain of the half nodes is assembled, and _path lays the
     period out from it as one real tridiagonal at every theta, solved by
-    one bisection (tridiagonal_eigenvalues).  Raises ValueError for a
-    non-finite theta.
+    one bisection (tridiagonal_eigenvalues).
 
     The solver's eigenvalues carry a rounding error of about eps * ||H||.
     A grid step h gives ||H|| ~ 1/h^2, so a narrow rounded corner can leave
@@ -353,7 +338,7 @@ def _grid_eigenvalues(mu2, w, theta: float, geometry: tuple,
     bound eps * max|H_jj|, when it exceeds ROUNDING_TOL of the window's
     scale."""
     G, X, wt = _chain(mu2, w, geometry)
-    d, e = _path(G, X, wt, theta)
+    d, e = _path(G, X, wt, joins)
     bound = np.finfo(float).eps * float(np.abs(d).max())
     scale = max(1.0, abs(window[0]), abs(window[1]))
     if bound > ROUNDING_TOL * scale:
@@ -383,19 +368,21 @@ def oracle_eigenvalues(channel: Channel, theta: float, profile: Profile,
     lam_max that is not finite and >= 0 or a grid size N that is not an
     integer >= 100.
     """
+    joins = half_angles(theta)  # before the plan: a refused theta caches none
     lam_max = check_lam_max(lam_max)
     _check_grid_size(N)
     plan = _plan(profile, N)
     keys = scalar_parts(channel)
-    solved = {key: _extrapolated(*key, theta, plan, lam_max) for key in dict.fromkeys(keys)}
+    solved = {key: _extrapolated(*key, joins, plan, lam_max) for key in dict.fromkeys(keys)}
     return sorted(lam for key in keys for lam in solved[key])
 
 
-def _extrapolated(mu2, w, theta: float, plan: tuple, lam_max: float) -> list[float]:
+def _extrapolated(mu2, w, joins: tuple, plan: tuple, lam_max: float) -> list[float]:
     """Richardson-extrapolated eigenvalues <= lam_max of one scalar key from
-    its solves on the two half-period grids of the plan (oracle_eigenvalues)."""
+    its solves on the two half-period grids of the plan, at the
+    quasimomentum whose half_angles are joins (oracle_eigenvalues)."""
     window = (-1.0, lam_max + 1.0)
-    e1, e2 = (_grid_eigenvalues(mu2, w, theta, geometry, window) for geometry in plan)
+    e1, e2 = (_grid_eigenvalues(mu2, w, joins, geometry, window) for geometry in plan)
     npair = min(len(e1), len(e2))
     for grid, evs in (("N", e1), ("2N", e2)):
         if len(evs) > npair and evs[npair] <= lam_max + 0.5:

@@ -47,9 +47,9 @@ the counts.  The merged zeros are the band edges; inside a band tr M runs
 monotonically between -2 and 2, so at every theta, 0 and pi included, the
 band holds one Floquet eigenvalue.  It is the zero of b c + sin^2(theta/2),
 or of the equal a d - cos^2(theta/2) when cos^2(theta/2) is the smaller, so
-that near pi the constant does not swamp b c.  Both are polished in the
-map's scaled entries, with the constant times e^{-2l} for the log scale l,
-so they cannot overflow.
+that near pi the constant does not swamp b c (half_angles gives both).
+Both are polished in the map's scaled entries, with the constant times
+e^{-2l} for the log scale l, so they cannot overflow.
 
 The spectrum of an H5 pair is the disjoint union of those of its two
 scalar Hodge partners (channels.scalar_parts).  Their weights sum to -1,
@@ -116,11 +116,18 @@ class NumericalError(RuntimeError):
     """A numerical invariant failed (overflow, residual, non-convergence)."""
 
 
-def check_theta(theta) -> None:
-    """ValueError unless the quasimomentum theta is a finite real number
-    (not a bool, a numpy bool or a string)."""
+def half_angles(theta) -> tuple[float, float]:
+    """(|sin(theta/2)|, |cos(theta/2)|), the pair every solver reads the
+    quasimomentum theta through.  theta is reduced once, to [-pi, pi], and
+    each half angle is computed where it is small, so the first is exactly 0
+    where theta reduces to 0 and the second where it reduces to +-pi (3 pi
+    does, 101 pi does not): the band edges are read exactly.  Raises
+    ValueError unless theta is a finite real number (not a bool, a numpy
+    bool or a string)."""
     if not math.isfinite(_real(theta)):
         raise ValueError(f"theta must be finite, got {theta!r}")
+    phi = math.remainder(theta, 2.0 * math.pi)
+    return abs(math.sin(0.5 * phi)), math.sin(0.5 * (math.pi - abs(phi)))
 
 
 # ---------------------------------------------------------------------------
@@ -651,15 +658,12 @@ def floquet_eigenvalues(channel: Channel, theta: float, profile: Profile,
     a d - cos^2(theta/2) e^{-2l} in its scaled entries, which has the same
     zeros and cannot overflow.  At a periodic edge it is sin^2(theta/2)
     e^{-2l}, at an antiperiodic one -cos^2(theta/2) e^{-2l}, with l from one
-    map call at all band ends, so at theta = 0 and pi the root is a band
-    edge; a band cut at lam_max holds none when its value there has the
-    lower edge's sign.  Raises ValueError for a non-finite theta or a
-    lam_max that is not finite and >= 0."""
-    check_theta(theta)
+    map call at all band ends, so at theta = 0 and pi (half_angles) the
+    root is a band edge; a band cut at lam_max holds none when its value
+    there has the lower edge's sign.  Raises ValueError for a non-finite
+    theta or a lam_max that is not finite and >= 0."""
+    s2, c2 = (x ** 2 for x in half_angles(theta))
     lam_max = check_lam_max(lam_max)
-    phi = math.remainder(theta, 2.0 * math.pi)
-    # each computed where it is small: s2 is exactly 0 at theta = 0, c2 at pi
-    s2, c2 = math.sin(0.5 * phi) ** 2, math.sin(0.5 * (math.pi - abs(phi))) ** 2
     half, bands = _bands(channel, profile, lam_max)
 
     def value(x, k):

@@ -49,7 +49,8 @@ def grid_eigenvalues(ch, theta, prof, nodes, window):
     """The merged, sorted eigenvalues in the window of the channel's keys on
     the grid of half-period nodes `nodes`, without extrapolation."""
     geometry = oracle._geometry(prof, nodes)
-    return np.sort(np.concatenate([oracle._grid_eigenvalues(*key, theta, geometry, window)
+    return np.sort(np.concatenate([oracle._grid_eigenvalues(*key, radial.half_angles(theta),
+                                                             geometry, window)
                                    for key in scalar_parts(ch)]))
 
 
@@ -367,18 +368,29 @@ class TestAssemble:
         assert len(fine) == 2 * len(coarse) - 1
         np.testing.assert_array_equal(fine[::2], coarse)
 
-    @pytest.mark.parametrize("theta,phase", [(2 * math.pi, 1.0), (-math.pi, -1.0),
-                                             (3 * math.pi, -1.0), (1e-13, 1.0), (0.7, None),
-                                             (math.nan, ValueError), (math.inf, ValueError),
-                                             (-math.inf, ValueError)],
-                             ids=["2pi", "-pi", "3pi", "1e-13", "0.7", "nan", "inf", "-inf"])
-    def test_real_phase(self, theta, phase):
-        # nan once read as theta = 0
-        if phase is ValueError:
-            with pytest.raises(ValueError, match="theta must be finite"):
-                oracle._real_phase(theta)
-        else:
-            assert oracle._real_phase(theta) == phase
+    @pytest.mark.parametrize("theta,joins,phase", [
+        (0.0, (0.0, 1.0), 1.0), (2 * math.pi, (0.0, 1.0), 1.0), (-math.pi, (1.0, 0.0), -1.0),
+        (3 * math.pi, (1.0, 0.0), -1.0), (1e-13, (5e-14, 1.0), None),
+        (101 * math.pi, (1.0, 2.0**-49), None), (0.7, (math.sin(0.35), math.cos(0.35)), None),
+        (math.nan, None, None), (math.inf, None, None), (-math.inf, None, None),
+    ], ids=["0", "2pi", "-pi", "3pi", "1e-13", "101pi", "0.7", "nan", "inf", "-inf"])
+    def test_real_phase(self, theta, joins, phase):
+        # the glued period's wrap phase is the float +-1.0 exactly where a
+        # join of radial.half_angles is 0, and e^{i theta} elsewhere: a
+        # 1e-12 snap once solved 1e-13 and 101 pi (reduced 1.8e-15 off pi)
+        # as the band edges the path solver does not read them as.  nan
+        # once read as theta = 0
+        ch = chan(0, "H4", mu2=1.0)
+        if joins is None:
+            for solve in (radial.half_angles, lambda theta: assemble(ch, theta, STD, 120)):
+                with pytest.raises(ValueError, match="theta must be finite"):
+                    solve(theta)
+            return
+        assert radial.half_angles(theta) == pytest.approx(joins, rel=1e-15, abs=0.0)
+        K, K0 = assemble(ch, theta, STD, 120).K, assemble(ch, 0.0, STD, 120).K
+        assert K.dtype == (np.float64 if phase else np.complex128)
+        assert K[-1, 0] == K0[-1, 0] * (phase or np.exp(1j * theta))
+        assert K[0, -1] == np.conj(K[-1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +501,7 @@ class TestBandSolve:
         np.testing.assert_allclose(V.T @ V, np.eye(M), rtol=0.0, atol=1e-15)
         for k, key in enumerate(scalar_parts(ch)):
             G, X, wt = oracle._chain(*key, oracle._geometry(prof, oracle._half_grids(prof, 120)[0]))
-            d, e = oracle._path(G, X, wt, theta)
+            d, e = oracle._path(G, X, wt, radial.half_angles(theta))
             assert d.dtype == e.dtype == np.float64
             want = np.diag(d) + np.diag(np.abs(e), 1) + np.diag(np.abs(e), -1)
             block = pencil[k * M:(k + 1) * M, k * M:(k + 1) * M]
@@ -536,8 +548,8 @@ class TestBandSolve:
         path = oracle._path
         shapes = []
 
-        def record(G, X, wt, theta):
-            d, e = path(G, X, wt, theta)
+        def record(G, X, wt, joins):
+            d, e = path(G, X, wt, joins)
             shapes.append((len(d) - 2 * len(X), len(e) - len(d), d.dtype, e.dtype))
             return d, e
 
@@ -582,6 +594,15 @@ class TestBandSolve:
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = 0.0
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, True, "0.7"])
+    def test_a_refused_theta_builds_no_plan(self, theta):
+        # theta is read before the plan: a NaN theta once built and cached
+        # an N = 777 plan, which could evict a useful one of PLAN_CACHE
+        before = oracle._plan.cache_info()
+        with pytest.raises(ValueError, match="theta must be finite"):
+            oracle_eigenvalues(BAND_CASES[0][0], theta, STD, 8.0, N=777)
+        assert oracle._plan.cache_info() == before
+
     def test_assemble_leaves_the_plan_cache_alone(self):
         oracle._plan.cache_clear()
         ch, prof = BAND_CASES[2]
@@ -605,7 +626,7 @@ class TestBandSolve:
                 G, X, wt = oracle._chain(*key, geometry)
                 K = len(X)
                 blocks = [half_chain(G, X, wt, first, K + 1), half_chain(G, X, wt, 1 - first, K)]
-                d, e = oracle._path(G, X, wt, theta)
+                d, e = oracle._path(G, X, wt, radial.half_angles(theta))
                 cut = K - 1 + first  # the even chain's first node on the path
                 assert e[cut - 1] == 0.0
                 np.testing.assert_array_equal(d[cut:], blocks[0][0])
@@ -668,10 +689,8 @@ class TestBandSolve:
                              ids=["2pi", "-2pi", "4pi", "-pi"])
     def test_a_whole_turn_lays_out_the_edge_bit_for_bit(self, theta, edge):
         # theta is reduced mod 2 pi before the joins are taken: sin(pi) is
-        # 1.2e-16, not 0
-        G, X, wt = oracle._chain(1.0, 1.0, oracle._plan(STD, 200)[0])
-        for got, want in zip(oracle._path(G, X, wt, theta), oracle._path(G, X, wt, edge)):
-            np.testing.assert_array_equal(got, want)
+        # 1.2e-16, not 0.  _path reads theta only as these joins
+        assert radial.half_angles(theta) == radial.half_angles(edge)
 
 
 class TestRichardsonPairing:
@@ -713,9 +732,9 @@ class TestRichardsonPairing:
         solve = oracle._grid_eigenvalues
         calls = []
 
-        def drop_top(mu2, w, theta, geometry, window):
+        def drop_top(mu2, w, joins, geometry, window):
             calls.append(len(geometry[0]))  # the grid's intervals
-            evs = solve(mu2, w, theta, geometry, window)
+            evs = solve(mu2, w, joins, geometry, window)
             return evs[:-1] if (len(calls) == 1) == (short_grid == "N") else evs
 
         ch = chan(0, "H2")

@@ -961,6 +961,20 @@ class TestFloquetEigenvalues:
         for x, (lo, hi) in zip(roots, bands):
             assert lo - 1e-10 <= x <= hi + 1e-10
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="hi - lo of a band narrower than one ulp is rounding noise "
+                              "(CHANGES.md FOUND: at small eps the band widths are rounding "
+                              "noise; ROADMAP direction 5, widths from the map)")
+    def test_small_eps_bands_are_no_wider_than_root_tol(self):
+        # tunnelling through a handle of mass mu^2 / eps^2 makes the true
+        # widths about e^{-mu L / eps} = e^{-900}; the nine bands read 1.4e-14
+        # to 6.9e-10, two of them wider than ROOT_TOL
+        prof = make_profile(0.01, 1.0, 0.8)
+        ch = next(c for c in CIRCLE_HIGH if c.kind == "H4" and float(c.mu2) == 81.0)
+        widths = [hi - lo for lo, hi in band_edges(ch, prof, 390.0).bands]
+        assert len(widths) == 9
+        assert max(widths) <= radial.ROOT_TOL, widths
+
     def test_free_circle_generic_theta(self):
         prof = make_profile(1.0, 2.0, 1.0)
         ch = next(c for c in enumerate_channels(CIRCLE, 0, 10.0) if c.kind == "H2")

@@ -124,3 +124,22 @@ def test_only_channels_reads_the_channel_kind():
              if isinstance(node, ast.Attribute) and node.attr in ("kind", "p", "mu2", "mult")
              and isinstance(node.ctx, ast.Load)]
     assert reads == []
+
+
+def test_only_half_angles_reduces_theta():
+    # every solver reads the quasimomentum through radial.half_angles, so
+    # theta = 0 and pi, the band edges, are read alike everywhere: no other
+    # function reduces theta mod 2 pi
+    callers = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if getattr(func, "attr", getattr(func, "id", None)) != "remainder":
+                continue
+            inside = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            name = min(inside, key=lambda f: f.end_lineno - f.lineno).name if inside else "<module>"
+            callers.append(f"{path.stem}.{name}")
+    assert callers == ["radial.half_angles"]
