@@ -241,8 +241,8 @@ def make_profile(eps: float, L: float, l_out: float, eta: float = 0.0) -> Profil
         raise ValueError(f"period T must be finite and positive, got {profile.T!r}")
     if eta > 0.0 and eps < 1.0 and not (L > 0.0 and l_out > 0.0):
         raise ValueError(
-            "eta > 0 needs positive handle and outer-cylinder lengths, otherwise "
-            "adjacent smoothing regions overlap"
+            "eta > 0 needs positive handle and outer-cylinder lengths: the corner "
+            "next to a piece of length 0 gets half-width 0 and would stay sharp"
         )
     for _, _, delta in profile._breaks():
         if 0.0 < delta < MIN_CORNER_ULPS * math.ulp(profile.T):
@@ -262,23 +262,20 @@ def _put(P: np.ndarray, mask: np.ndarray, a, b, c, d) -> None:
 def _flat_propagators(mass2: float, lam: np.ndarray, ell: float) -> tuple[np.ndarray, np.ndarray]:
     """Transfer matrices of -u'' + mass2 u = lam u over a length-ell flat
     piece, acting on (u, u'), for every lam: (2, 2, G) matrices and (G,) log
-    scales, the propagator being matrix * exp(logscale).  Exact free, trig
-    and hyperbolic forms, picked per point; det = 1.  The hyperbolic form is
-    scaled by e^{k ell} / 2, in q = 1 - e^{-2 k ell} by expm1, so that it
-    neither overflows nor cancels."""
+    scales, the propagator being matrix * exp(logscale).  Two forms, picked
+    per point, both with det = 1: the trigonometric one for w^2 = lam -
+    mass2 >= 0, sin(w ell) / w read as ell at w = 0, and the hyperbolic one
+    below, scaled by e^{k ell} / 2, in q = 1 - e^{-2 k ell} by expm1, so that
+    it neither overflows nor cancels."""
     w2 = lam - mass2
     P = np.empty((2, 2) + lam.shape)
     logs = np.zeros(lam.shape)
-    # free limit; the trig corrections are below double rounding here
-    free = np.abs(w2) * (ell * ell) < 1e-14
-    osc = ~free & (w2 > 0)
-    hyp = ~(free | osc)
-    if free.any():
-        _put(P, free, 1.0, ell, -w2[free] * ell, 1.0)
+    osc = w2 >= 0.0
+    hyp = ~osc
     if osc.any():
         w = np.sqrt(w2[osc])
         c, s = np.cos(w * ell), np.sin(w * ell)
-        _put(P, osc, c, s / w, -w * s, c)
+        _put(P, osc, c, np.divide(s, w, out=np.full_like(w, ell), where=w > 0.0), -w * s, c)
     if hyp.any():
         k = np.sqrt(-w2[hyp])
         q = -np.expm1(-2.0 * k * ell)
@@ -395,13 +392,15 @@ def cone_basis(gamma: float, z_max: float) -> ConeSeries:
     divides by delta, so resonance is delta = 0 and needs no case of its
     own.  A series stops once its last term at z_max is below SERIES_RTOL of
     its largest one, and raises NumericalError if it never does.  Raises
-    ValueError unless gamma is finite and >= -1/2 and z_max finite and >= 0.
+    ValueError unless gamma and z_max are real numbers in the double range
+    (not bools, numpy bools or strings), gamma finite and >= -1/2 and z_max
+    finite and >= 0.
     """
+    if not -0.5 - 1e-12 <= _real(gamma) < math.inf:
+        raise ValueError(f"gamma must be finite and >= -1/2, got {gamma!r}")
+    if not 0.0 <= _real(z_max) < math.inf:
+        raise ValueError(f"z_max must be finite and nonnegative, got {z_max!r}")
     gamma, z_max = float(gamma), float(z_max)
-    if not -0.5 - 1e-12 <= gamma < math.inf:
-        raise ValueError(f"gamma must be finite and >= -1/2, got {gamma}")
-    if not 0.0 <= z_max < math.inf:
-        raise ValueError(f"z_max must be finite and nonnegative, got {z_max}")
     m = round(gamma + 0.5)
     delta = gamma + 0.5 - m
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -151,11 +152,12 @@ def _merge(terms: list[tuple[Scalar, int]]) -> list[tuple[Scalar, int]]:
 
 def _positive(x, message: str) -> Scalar:
     """x as a Fraction (from an int, a Fraction or a rational string) or a
-    float; ValueError(message) for a bool or unless its double value is
-    positive and finite."""
+    float; ValueError(message) unless x is a real number (not a bool or a
+    numpy bool) or a string whose double value is positive and finite."""
     try:
         val = Fraction(x) if isinstance(x, (int, str, Fraction)) else float(x)
-        ok = not isinstance(x, bool) and 0 < float(val) < math.inf
+        ok = (isinstance(x, (numbers.Real, str)) and not isinstance(x, bool)
+              and 0 < float(val) < math.inf)
     except (ZeroDivisionError, OverflowError, ValueError):  # "1/0", 10**400, "x"
         ok = False
     if not ok:

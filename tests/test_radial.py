@@ -172,9 +172,15 @@ class TestMakeProfile:
             make_profile(*params)
 
     def test_eta_needs_room(self):
-        with pytest.raises(ValueError):
+        # the room rule keeps corners apart; next to a piece of length 0 the
+        # corner's half-width is 0, so eta would leave it sharp
+        assert radial.Profile(0.2, 0.0, 0.8, 0.1)._breaks()[0][2] == 0.0
+        why = "the corner next to a piece of length 0 gets half-width 0 and would stay sharp"
+        with pytest.raises(ValueError, match=why):
+            make_profile(0.2, 0.0, 0.8, eta=0.1)
+        with pytest.raises(ValueError, match=why):
             make_profile(0.5, 0.0, 1.0, eta=0.02)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=why):
             make_profile(0.5, 1.0, 0.0, eta=0.02)
         # no corners at eps = 1, so eta is harmless there
         make_profile(1.0, 1.0, 0.0, eta=0.02)
@@ -306,6 +312,25 @@ class TestSegmentPropagator:
         right = flat(1.0, 1.0 + 1e-9, 1.3)
         np.testing.assert_allclose(left, mid, atol=1e-8)
         np.testing.assert_allclose(right, mid, atol=1e-8)
+
+    # mass2 = 1, ell = 0.5: (u, u') entries (cos, sin(w ell)/w, -w sin) for
+    # w^2 = lam - 1 >= 0, (cosh, sinh(k ell)/k, k sinh) for k^2 = 1 - lam,
+    # by mpmath at 40 digits at the exact double lam - 1 (3.597122599785507e-14,
+    # 3.9968028886505635e-15, 0 and -3.597122599785507e-14)
+    @pytest.mark.parametrize("x,want", [
+        (9e-15, (0.999999999999995503597, 0.499999999999999250599, -1.7985612998927508998e-14)),
+        (1e-15, (0.9999999999999995004, 0.499999999999999916733, -1.99840144432528143996e-15)),
+        (0.0, (1.0, 0.5, 0.0)),
+        (-9e-15, (1.0000000000000044964, 0.500000000000000749401, 1.79856129989275629117e-14)),
+    ])
+    def test_near_the_mass_matches_mpmath(self, x, want):
+        # (lam - 1) ell^2 = x: the trigonometric and hyperbolic forms keep
+        # every entry within 5e-16 right down to lam = mass2, so that point
+        # needs no form of its own
+        diag, off, low = want
+        got = flat(1.0, 1.0 + x / 0.25, 0.5)
+        for g, ref in zip(got.ravel(), (diag, off, low, diag)):
+            assert abs(g - ref) <= 5e-16 * abs(ref), (g, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +541,14 @@ class TestConeBasis:
                 cone_basis(gamma, 1.0)
         with pytest.raises(ValueError):
             cone_basis(0.5, -1.0)
+        # read as make_profile reads its parameters: no bools or strings,
+        # and a number beyond the double range is a ValueError
+        for gamma in (True, np.True_, "0.5", 10**400):
+            with pytest.raises(ValueError, match=rf"^gamma must be finite and >= -1/2, got {gamma!r}$"):
+                cone_basis(gamma, 1.0)
+        for z_max in (True, np.True_, "1.0", 10**400):
+            with pytest.raises(ValueError, match=rf"^z_max must be finite and nonnegative, got {z_max!r}$"):
+                cone_basis(0.5, z_max)
         b = cone_basis(0.5, 1.0)
         with pytest.raises(ValueError):
             b.state(np.array([1.0]), (0.0,))

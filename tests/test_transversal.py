@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conebands.channels import enumerate_channels
@@ -394,9 +395,13 @@ def test_build_rejects_cutoff_beyond_double_range(cutoff):
     ([TWO_PI], "1/0", "cutoff must be positive and finite"),
     ([True], 5, "side lengths must be positive and finite"),
     ([TWO_PI], True, "cutoff must be positive and finite"),
-], ids=["huge-side", "side-1/0", "second-side-1/0", "cutoff-1/0", "side-bool", "cutoff-bool"])
+    ([np.True_], 8, "side lengths must be positive and finite"),
+    ([6.0], np.True_, "cutoff must be positive and finite"),
+], ids=["huge-side", "side-1/0", "second-side-1/0", "cutoff-1/0", "side-bool", "cutoff-bool",
+        "side-numpy-bool", "cutoff-numpy-bool"])
 def test_build_refuses_input_without_a_positive_finite_double(sides, cutoff, match):
-    # these leaked OverflowError and ZeroDivisionError; a bool was read as 1
+    # these leaked OverflowError and ZeroDivisionError; a bool or a numpy
+    # bool was read as 1
     with pytest.raises(ValueError, match=match):
         build_flat_torus_spectrum(sides, cutoff)
 
